@@ -30,7 +30,6 @@ from .model import normalize_units
 
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "RYDGATE_SEED"
-V0 = experiments.V0
 
 
 def _float_list(text: str):
@@ -116,7 +115,7 @@ def cmd_gate(args, config: dict):
     kappa = _resolve(args, "kappa", schedule_cfg, "kappa", None)
     if kappa is None:
         raise ConfigError("gate requires --kappa or a schedule.kappa config entry")
-    v = _resolve(args, "v", schedule_cfg, "interaction", V0)
+    v = _resolve(args, "v", schedule_cfg, "interaction", experiments.V0)
     units = resolve_units(args, config, "natural")
     return experiments.run_gate(float(kappa), float(v), units=units)
 
@@ -126,7 +125,7 @@ def cmd_dynamics(args, config: dict):
     kappa = _resolve(args, "kappa", schedule_cfg, "kappa", None)
     if kappa is None:
         raise ConfigError("dynamics requires --kappa or a schedule.kappa config entry")
-    v = _resolve(args, "v", schedule_cfg, "interaction", V0)
+    v = _resolve(args, "v", schedule_cfg, "interaction", experiments.V0)
     return experiments.run_dynamics(
         float(kappa), float(v), samples_per_segment=args.samples
     )
@@ -141,7 +140,7 @@ def cmd_scan_kappa(args, config: dict):
         raise ConfigError(
             f"bad kappa scan range: min {low}, max {high}, steps {steps}"
         )
-    v = _resolve(args, "v", _section(config, "schedule"), "interaction", V0)
+    v = _resolve(args, "v", _section(config, "schedule"), "interaction", experiments.V0)
     return experiments.scan_kappa(np.linspace(low, high, steps), float(v))
 
 
@@ -156,16 +155,17 @@ def cmd_noise_map(args, config: dict):
     if steps < 1 or not (0.0 < eta_max <= 0.05):
         raise ConfigError(f"bad noise grid: steps {steps}, eta_max {eta_max}")
     grid = np.linspace(0.0, eta_max, steps)
-    kappa = float(_resolve(args, "kappa", _section(config, "schedule"), "kappa", 1.65))
-    v = float(_resolve(args, "v", _section(config, "schedule"), "interaction", V0))
+    schedule_cfg = _section(config, "schedule")
+    kappa = _resolve(args, "kappa", schedule_cfg, "kappa", experiments.REFERENCE_KAPPA)
+    v = _resolve(args, "v", schedule_cfg, "interaction", experiments.V0)
     return experiments.run_noise_map(
         eta_omega_grid=grid,
         eta_delta_grid=grid,
         trials=trials,
         seed=seed,
         substeps=substeps,
-        kappa=kappa,
-        v=v,
+        kappa=float(kappa),
+        v=float(v),
     )
 
 
@@ -174,16 +174,19 @@ def cmd_thermal_map(args, config: dict):
     exponent_mode = str(
         _resolve(args, "exponent_mode", thermal_cfg, "exponent_mode", "literal")
     )
+    if args.dsteps < 1 or args.tsteps < 1:
+        raise ConfigError(f"bad thermal grid: dsteps {args.dsteps}, tsteps {args.tsteps}")
     distances = np.linspace(args.dmin, args.dmax, args.dsteps)
     temperatures = np.linspace(args.tmin, args.tmax, args.tsteps)
-    kappa = float(_resolve(args, "kappa", _section(config, "schedule"), "kappa", 1.65))
-    v = float(_resolve(args, "v", _section(config, "schedule"), "interaction", V0))
+    schedule_cfg = _section(config, "schedule")
+    kappa = _resolve(args, "kappa", schedule_cfg, "kappa", experiments.REFERENCE_KAPPA)
+    v = _resolve(args, "v", schedule_cfg, "interaction", experiments.V0)
     return experiments.run_thermal_map(
         distance_grid=distances,
         temperature_grid=temperatures,
         exponent_mode=exponent_mode,
-        kappa=kappa,
-        v=v,
+        kappa=float(kappa),
+        v=float(v),
         substeps=args.substeps,
     )
 
@@ -199,7 +202,9 @@ def cmd_interfere(args, config: dict):
         )
     spec = InterferometerSpec(
         kappa_grid=tuple(np.linspace(low, high, steps)),
-        v=float(_resolve(args, "v", _section(config, "schedule"), "interaction", V0)),
+        v=float(
+            _resolve(args, "v", _section(config, "schedule"), "interaction", experiments.V0)
+        ),
         reference_kappa=args.reference_kappa,
     )
     return experiments.run_interferometer(spec)
@@ -309,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--reference-kappa",
         dest="reference_kappa",
         type=float,
-        default=1.65,
+        default=experiments.REFERENCE_KAPPA,
         help="ratio whose cyclic period fixes the segment duration",
     )
     p.set_defaults(handler=cmd_interfere)

@@ -42,6 +42,7 @@ from .propagate import (
     evolution_operator,
     propagate_density,
     propagate_state,
+    spectral_step,
 )
 from .stochastic import monte_carlo_gate_fidelity, thermal_gate_fidelity
 
@@ -198,6 +199,10 @@ def run_noise_map(
         eta_delta_grid = np.linspace(0.0, 0.05, 6)
     omega_axis = [float(e) for e in np.atleast_1d(eta_omega_grid)]
     delta_axis = [float(e) for e in np.atleast_1d(eta_delta_grid)]
+    if not omega_axis or not delta_axis:
+        raise InvalidParameterError("noise amplitude grids must not be empty")
+    if int(seed) < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     columns = ["eta_omega", "eta_delta", "mean_fidelity", "std_fidelity", "trials"]
     rows = []
     for i, eta_omega in enumerate(omega_axis):
@@ -257,6 +262,8 @@ def run_thermal_map(
         temperature_grid = np.linspace(1.0, 20.0, 5)
     distances = [float(d) for d in np.atleast_1d(distance_grid)]
     temperatures = [float(t) for t in np.atleast_1d(temperature_grid)]
+    if not distances or not temperatures:
+        raise InvalidParameterError("distance and temperature grids must not be empty")
     columns = ["distance", "temperature", "fidelity"]
     rows = []
     for distance in distances:
@@ -515,6 +522,10 @@ def run_actuating_scan(
     etas = [float(e) for e in eta_list]
     if not etas or any(e <= 0.0 for e in etas):
         raise InvalidParameterError("eta list must be non-empty and positive")
+    if int(phase_count) < 1 or int(duration_count) < 1:
+        raise InvalidParameterError(
+            f"phase and duration counts must be >= 1, got {phase_count}, {duration_count}"
+        )
     phases = np.linspace(-math.pi, math.pi, int(phase_count), endpoint=False)
     lo, hi = float(duration_range[0]), float(duration_range[1])
     if not (0.0 < lo < hi):
@@ -532,26 +543,22 @@ def run_actuating_scan(
             segment = PulseSegment(rabi=rabi, detuning=detuning, phase=phase, duration=1.0)
             return np.linalg.eigh(build_full(segment, v))
 
-        base_values, base_vectors = eigensystem(0.0)
-        cache = {float(phi): eigensystem(float(phi)) for phi in phases}
+        base = eigensystem(0.0)
+        cache = [eigensystem(float(phi)) for phi in phases]
 
         qualifying = []
         for t in durations:
-            u_base = (base_vectors * np.exp(-1j * base_values * t)) @ base_vectors.conj().T
+            u_base = spectral_step(*base, t)
             if independent_phases:
-                unitaries = [
-                    (vec * np.exp(-1j * val * t)) @ vec.conj().T
-                    for val, vec in cache.values()
-                ]
+                unitaries = [spectral_step(*system, t) for system in cache]
                 for u_a in unitaries:
                     left = u_a @ u_base
                     for u_b in unitaries:
                         if _cell_fidelity(u_b @ u_base @ left) > threshold:
                             qualifying.append(float(t))
             else:
-                for phi, (values, vectors) in cache.items():
-                    u_phi = (vectors * np.exp(-1j * values * t)) @ vectors.conj().T
-                    pair = u_phi @ u_base
+                for system in cache:
+                    pair = spectral_step(*system, t) @ u_base
                     if _cell_fidelity(pair @ pair) > threshold:
                         qualifying.append(float(t))
         count = len(qualifying)

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import InvalidParameterError, RootNotFoundError
 from .model import PulseSegment
 from .hamiltonian import build_subspace
+from .propagate import spectral_step
 
 __all__ = [
     "TwoLevelParams",
@@ -156,8 +157,7 @@ def sector_evolution(
     if duration is None:
         duration = periods(kappa, v)[0]
     block = build_subspace(which, _sector_segment(kappa, v, phi, duration), v)
-    values, vectors = np.linalg.eigh(block)
-    propagator = (vectors * np.exp(-1j * values * duration)) @ vectors.conj().T
+    propagator = spectral_step(*np.linalg.eigh(block), duration)
     if which == "11":
         return propagator[np.ix_([0, 2], [0, 2])]
     return propagator

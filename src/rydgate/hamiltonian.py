@@ -25,8 +25,6 @@ from .model import (
 )
 
 __all__ = [
-    "DecaySpec",
-    "ThermalSpec",
     "SUBSPACE_LABELS",
     "build_full",
     "build_subspace",

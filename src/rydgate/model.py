@@ -159,6 +159,8 @@ class NoiseSpec:
                 raise InvalidParameterError(f"{name} must lie in [0, 0.05], got {value}")
         if int(self.substeps) < 1:
             raise InvalidParameterError(f"noise substeps must be >= 1, got {self.substeps}")
+        if int(self.seed) < 0:
+            raise InvalidParameterError(f"noise seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

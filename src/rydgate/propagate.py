@@ -1,12 +1,17 @@
-"""Time-evolution engines for pulse schedules.
+"""Time evolution of pulse schedules through one shared step loop.
 
-Plain schedules (no modulations) propagate exactly: each segment's
-constant Hermitian operator is exponentiated through its
-eigendecomposition. Modulated schedules (noise, thermal vibration,
-phase drive) use midpoint-exponential substeps: the Hamiltonian is
-evaluated at each substep midpoint and exponentiated exactly over the
-substep. Noise is piecewise constant per substep, so with the substep
-count pinned to the noise trace the substepped result is itself exact.
+`_steps` walks a schedule as a sequence of step operators. The three
+engines (`evolution_operator`, `propagate_state`, `propagate_density`)
+only differ in how they apply a step and what they record at the
+sampled ones. Plain schedules (no modulations) propagate exactly: each
+segment's constant Hermitian operator is exponentiated once through its
+eigendecomposition (`spectral_step`), and that exponential is reapplied
+for every sampling interval of the segment. Modulated schedules (noise,
+thermal vibration, phase drive) use midpoint-exponential substeps: the
+Hamiltonian is evaluated at each substep midpoint and exponentiated
+exactly over the substep. Noise is piecewise constant per substep, so
+with the substep count pinned to the noise trace the substepped result
+is itself exact.
 
 Dissipative evolution propagates a density matrix under the effective
 non-Hermitian operator, rho -> M rho M^dagger with
@@ -88,7 +93,6 @@ class PropagationResult:
     """
 
     final_state: np.ndarray
-    evolution_operator: np.ndarray | None
     times: np.ndarray
     populations: np.ndarray
     norms: np.ndarray
@@ -156,9 +160,41 @@ def _modulated_hamiltonian(
     return build_full(probe, interaction)
 
 
+def spectral_step(values: np.ndarray, vectors: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) from the eigensystem (values, vectors) of a Hermitian H."""
+    return (vectors * np.exp(-1j * values * t)) @ vectors.conj().T
+
+
 def _exact_step(h: np.ndarray, dt: float) -> np.ndarray:
-    values, vectors = np.linalg.eigh(h)
-    return (vectors * np.exp(-1j * values * dt)) @ vectors.conj().T
+    return spectral_step(*np.linalg.eigh(h), dt)
+
+
+def _steps(schedule: Schedule, config: IntegratorConfig, samples: int, exponentiate):
+    """Yield (t, step operator, sampled) for every step through the schedule.
+
+    t is the time at the end of the step. In exact mode each constant
+    segment is split into `samples` equal steps that share one
+    exponential, and every step is sampled. In substepped mode each
+    substep exponentiates the Hamiltonian at its midpoint, and every
+    stride-th substep plus the last of each segment is sampled.
+    """
+    exact = config.mode == EXACT
+    steps = samples if exact else _segment_substeps(schedule, config)
+    stride = max(1, steps // samples)
+    noise_mult = _noise_multipliers(schedule)
+    t_start = 0.0
+    for seg_index, segment in enumerate(schedule.segments):
+        dt = segment.duration / steps
+        if exact:
+            step = exponentiate(build_full(segment, schedule.interaction), dt)
+        for k in range(steps):
+            if not exact:
+                h = _modulated_hamiltonian(
+                    schedule, segment, seg_index, k, t_start + (k + 0.5) * dt, noise_mult
+                )
+                step = exponentiate(h, dt)
+            yield t_start + (k + 1) * dt, step, (k + 1) % stride == 0 or k == steps - 1
+        t_start += segment.duration
 
 
 def propagate_state(
@@ -174,46 +210,17 @@ def propagate_state(
     times = [0.0]
     populations = [np.abs(psi) ** 2]
     norms = [norm]
-    noise_mult = _noise_multipliers(schedule)
-    t_start = 0.0
-
-    for seg_index, segment in enumerate(schedule.segments):
-        if config.mode == EXACT:
-            h = build_full(segment, schedule.interaction)
-            values, vectors = np.linalg.eigh(h)
-            coefficients = vectors.conj().T @ psi
-            taus = np.linspace(
-                segment.duration / config.samples_per_segment,
-                segment.duration,
-                config.samples_per_segment,
-            )
-            evolved = vectors @ (
-                np.exp(-1j * np.outer(values, taus)) * coefficients[:, None]
-            )
-            for j, tau in enumerate(taus):
-                state = evolved[:, j]
-                times.append(t_start + tau)
-                populations.append(np.abs(state) ** 2)
-                norms.append(float(np.linalg.norm(state)))
-            psi = evolved[:, -1]
-        else:
-            substeps = _segment_substeps(schedule, config)
-            dt = segment.duration / substeps
-            stride = max(1, substeps // config.samples_per_segment)
-            for k in range(substeps):
-                h = _modulated_hamiltonian(
-                    schedule, segment, seg_index, k, t_start + (k + 0.5) * dt, noise_mult
-                )
-                psi = _exact_step(h, dt) @ psi
-                if (k + 1) % stride == 0 or k == substeps - 1:
-                    times.append(t_start + (k + 1) * dt)
-                    populations.append(np.abs(psi) ** 2)
-                    norms.append(float(np.linalg.norm(psi)))
-        t_start += segment.duration
+    for t, step, sampled in _steps(
+        schedule, config, config.samples_per_segment, _exact_step
+    ):
+        psi = step @ psi
+        if sampled:
+            times.append(t)
+            populations.append(np.abs(psi) ** 2)
+            norms.append(float(np.linalg.norm(psi)))
 
     return PropagationResult(
         final_state=psi,
-        evolution_operator=None,
         times=np.array(times),
         populations=np.array(populations),
         norms=np.array(norms),
@@ -226,21 +233,8 @@ def evolution_operator(
     """Full 9x9 evolution operator of the schedule."""
     config = resolve_config(schedule, config)
     operator = np.eye(DIMENSION, dtype=complex)
-    noise_mult = _noise_multipliers(schedule)
-    t_start = 0.0
-    for seg_index, segment in enumerate(schedule.segments):
-        if config.mode == EXACT:
-            h = build_full(segment, schedule.interaction)
-            operator = _exact_step(h, segment.duration) @ operator
-        else:
-            substeps = _segment_substeps(schedule, config)
-            dt = segment.duration / substeps
-            for k in range(substeps):
-                h = _modulated_hamiltonian(
-                    schedule, segment, seg_index, k, t_start + (k + 0.5) * dt, noise_mult
-                )
-                operator = _exact_step(h, dt) @ operator
-        t_start += segment.duration
+    for _, step, _ in _steps(schedule, config, 1, _exact_step):
+        operator = step @ operator
     return operator
 
 
@@ -261,15 +255,18 @@ def propagate_density(
     times = [0.0]
     populations = [np.real(np.diag(rho)).copy()]
     traces = [float(rho.trace().real)]
-    noise_mult = _noise_multipliers(schedule)
-    t_start = 0.0
 
-    def step_operator(h: np.ndarray, dt: float) -> np.ndarray:
+    def exponentiate(h: np.ndarray, dt: float) -> np.ndarray:
         if decay.gamma == 0.0:
             return _exact_step(h, dt)
         return expm(-1j * apply_decay(h, decay) * dt)
 
-    def record(t: float):
+    for t, m, sampled in _steps(
+        schedule, config, config.samples_per_segment, exponentiate
+    ):
+        rho = m @ rho @ m.conj().T
+        if not sampled:
+            continue
         trace = float(rho.trace().real)
         if trace > traces[-1] + TRACE_GROWTH_TOL:
             raise IntegratorFailureError(
@@ -279,34 +276,8 @@ def propagate_density(
         populations.append(np.real(np.diag(rho)).copy())
         traces.append(trace)
 
-    for seg_index, segment in enumerate(schedule.segments):
-        if config.mode == EXACT:
-            # Constant generator: one exponential per sampling interval,
-            # reapplied, stays exact.
-            steps = config.samples_per_segment
-            dt = segment.duration / steps
-            h = build_full(segment, schedule.interaction)
-            m = step_operator(h, dt)
-            for k in range(steps):
-                rho = m @ rho @ m.conj().T
-                record(t_start + (k + 1) * dt)
-        else:
-            substeps = _segment_substeps(schedule, config)
-            dt = segment.duration / substeps
-            stride = max(1, substeps // config.samples_per_segment)
-            for k in range(substeps):
-                h = _modulated_hamiltonian(
-                    schedule, segment, seg_index, k, t_start + (k + 0.5) * dt, noise_mult
-                )
-                m = step_operator(h, dt)
-                rho = m @ rho @ m.conj().T
-                if (k + 1) % stride == 0 or k == substeps - 1:
-                    record(t_start + (k + 1) * dt)
-        t_start += segment.duration
-
     return PropagationResult(
         final_state=rho,
-        evolution_operator=None,
         times=np.array(times),
         populations=np.array(populations),
         norms=np.array(traces),

@@ -62,6 +62,15 @@ class MonteCarloResult:
         }
 
 
+def _nominal_gate(kappa: float, v: float):
+    """Noise-free schedule, its operator, and its compensated target."""
+    schedule = standard_schedule(kappa, v)
+    operator = evolution_operator(schedule)
+    nominal = gate_outcome(operator)
+    target = compensated_cz_target(nominal.phases["01"], nominal.phases["10"])
+    return schedule, operator, target
+
+
 def monte_carlo_gate_fidelity(
     kappa: float, v: float, spec: NoiseSpec, trials: int
 ) -> MonteCarloResult:
@@ -75,12 +84,10 @@ def monte_carlo_gate_fidelity(
     if int(trials) < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     trials = int(trials)
-    nominal_schedule = standard_schedule(kappa, v)
-    nominal = gate_outcome(evolution_operator(nominal_schedule))
-    target = compensated_cz_target(nominal.phases["01"], nominal.phases["10"])
+    nominal_schedule, nominal_operator, target = _nominal_gate(kappa, v)
 
     if spec.eta_omega == 0.0 and spec.eta_delta == 0.0:
-        fidelity = gate_fidelity(evolution_operator(nominal_schedule), target)
+        fidelity = gate_fidelity(nominal_operator, target)
         return MonteCarloResult(
             mean_fidelity=fidelity,
             std_fidelity=0.0,
@@ -121,10 +128,7 @@ def thermal_gate_fidelity(
     oscillations per segment period. Zero temperature reproduces the
     noise-free fidelity exactly.
     """
-    schedule = standard_schedule(kappa, v)
-    nominal_operator = evolution_operator(schedule)
-    nominal = gate_outcome(nominal_operator)
-    target = compensated_cz_target(nominal.phases["01"], nominal.phases["10"])
+    schedule, nominal_operator, target = _nominal_gate(kappa, v)
     if thermal.temperature == 0.0:
         return gate_fidelity(nominal_operator, target)
 

@@ -138,6 +138,20 @@ class TestSeedResolution:
         args = ["noise-map", "--steps", "1", "--trials", "1", "--substeps", "4"]
         assert run_cli(args) == 2
 
+    @pytest.mark.parametrize("source", ["flag", "config", "environment"])
+    def test_negative_seed_exits_two(self, source, tmp_path, monkeypatch, capsys):
+        args = ["noise-map", "--steps", "1", "--trials", "1", "--substeps", "4"]
+        if source == "flag":
+            args += ["--seed", "-1"]
+        elif source == "config":
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"noise": {"seed": -1}}))
+            args += ["--config", str(config)]
+        else:
+            monkeypatch.setenv("RYDGATE_SEED", "-1")
+        assert run_cli(args) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_config_seed_beats_environment(self, tmp_path, monkeypatch):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"noise": {"seed": 555}}))
@@ -199,3 +213,21 @@ class TestOtherCommands:
 
     def test_bad_float_list_exits_two(self, capsys):
         assert run_cli(["decay", "--rabi", "5,abc"]) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["thermal-map", "--dsteps", "0"],
+            ["thermal-map", "--tsteps", "0"],
+            ["thermal-map", "--dsteps", "-1"],
+            ["actuate", "--phase-count", "0"],
+            ["actuate", "--duration-count", "0"],
+            ["actuate", "--duration-count", "-1"],
+        ],
+        ids=lambda args: "-".join(args).lstrip("-"),
+    )
+    def test_empty_grid_exits_two(self, args, tmp_path, capsys):
+        out = tmp_path / "empty.csv"
+        assert run_cli(args + ["--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()

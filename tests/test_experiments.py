@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from rydgate.errors import InvalidParameterError
 from rydgate.experiments import (
     InterferometerSpec,
     ScanResult,
+    _cell_fidelity,
     interior_extrema,
     preparation_operator,
     preparation_rotation,
@@ -23,7 +25,10 @@ from rydgate.experiments import (
     scan_kappa,
     superposition_state,
 )
-from rydgate.model import basis_state
+from rydgate.hamiltonian import build_full
+from rydgate.metrics import gate_outcome
+from rydgate.model import PulseSegment, Schedule, basis_state
+from rydgate.propagate import evolution_operator
 
 V = 2.0 * math.pi
 
@@ -122,6 +127,15 @@ class TestNoiseMap:
         assert row["std_fidelity"] == 0.0
         assert row["mean_fidelity"] == pytest.approx(0.9993107882, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"eta_omega_grid": []}, {"eta_delta_grid": []}, {"seed": -1}],
+        ids=["empty-omega", "empty-delta", "negative-seed"],
+    )
+    def test_rejected_inputs(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            run_noise_map(trials=1, substeps=4, **kwargs)
+
 
 class TestThermalMap:
     def test_grid_rows(self):
@@ -135,6 +149,11 @@ class TestThermalMap:
         assert closer["distance"] == 6.0
         assert farther["distance"] == 8.0
         assert closer["fidelity"] < farther["fidelity"]
+
+    @pytest.mark.parametrize("axis", ["distance_grid", "temperature_grid"])
+    def test_empty_grid_rejected(self, axis):
+        with pytest.raises(InvalidParameterError):
+            run_thermal_map(**{axis: []}, substeps=10)
 
 
 class TestInterferometer:
@@ -233,6 +252,30 @@ class TestActuatingScan:
             run_actuating_scan(threshold=1.5)
         with pytest.raises(InvalidParameterError):
             run_actuating_scan(eta_list=())
+
+    @pytest.mark.parametrize("axis", ["phase_count", "duration_count"])
+    def test_empty_grid_rejected(self, axis):
+        with pytest.raises(InvalidParameterError):
+            run_actuating_scan(eta_list=(1.0,), **{axis: 0})
+
+    @pytest.mark.parametrize(
+        "phi,duration", [(-math.pi / 2.0, 0.86), (0.7, 0.3), (2.0, 1.7), (-2.4, 2.5)]
+    )
+    def test_cell_fidelity_matches_gate_outcome(self, phi, duration):
+        # Oracle: scipy expm of each full segment operator, scored by
+        # gate_outcome against the operator's own compensated target.
+        segments = tuple(
+            PulseSegment(rabi=1.65 * V, detuning=-V / 2.0, phase=p, duration=duration)
+            for p in (0.0, phi, 0.0, phi)
+        )
+        oracle = np.eye(9, dtype=complex)
+        for segment in segments:
+            oracle = expm(-1j * build_full(segment, V) * duration) @ oracle
+        operator = evolution_operator(Schedule(segments=segments, interaction=V))
+        assert np.max(np.abs(operator - oracle)) < 1e-12
+        assert _cell_fidelity(operator) == pytest.approx(
+            gate_outcome(oracle).fidelity, abs=1e-12
+        )
 
     def test_independent_phases_superset(self):
         shared = run_actuating_scan(

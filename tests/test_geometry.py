@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from rydgate.errors import InvalidParameterError, RootNotFoundError
 from rydgate.geometry import (
@@ -20,6 +21,8 @@ from rydgate.geometry import (
     u11_analytic,
     u11_lab_frame,
 )
+from rydgate.hamiltonian import build_full
+from rydgate.model import PulseSegment
 
 V = 2.0 * math.pi
 KAPPAS = (0.335, 0.5, 1.0, 1.65, 3.0)
@@ -151,6 +154,19 @@ class TestComposite:
         c = chi(kappa)
         pair = u11_analytic(math.pi / 2.0, c) @ u11_analytic(0.0, c)
         assert np.max(np.abs(pair - np.exp(-1j * c) * np.eye(2))) < 1e-10
+
+    @pytest.mark.parametrize(
+        "kappa,phi,duration", [(0.335, 0.0, None), (1.65, -math.pi / 2.0, 0.37), (3.0, 2.1, 1.4)]
+    )
+    def test_single_sector_is_block_of_full_operator(self, kappa, phi, duration):
+        # Oracle: scipy expm of the full nine-state operator, restricted
+        # to {|10>, |r0>}.
+        t = periods(kappa, V)[0] if duration is None else duration
+        segment = PulseSegment(rabi=kappa * V, detuning=-V / 2.0, phase=phi, duration=t)
+        full = expm(-1j * build_full(segment, V) * t)
+        block = full[np.ix_([3, 6], [3, 6])]
+        sector = sector_evolution("10", kappa, V, phi, duration)
+        assert np.max(np.abs(sector - block)) < 1e-12
 
     def test_sector_evolution_is_unitary(self):
         for which in ("01", "10", "11"):

@@ -133,6 +133,10 @@ class TestSpecs:
         with pytest.raises(InvalidParameterError):
             NoiseSpec(eta_omega=eta)
 
+    def test_noise_spec_rejects_negative_seed(self):
+        with pytest.raises(InvalidParameterError):
+            NoiseSpec(seed=-1)
+
     def test_noise_spec_defaults(self):
         spec = NoiseSpec()
         assert spec.eta_omega == 0.0

@@ -13,6 +13,7 @@ from rydgate.model import (
     NoiseSpec,
     PulseSegment,
     Schedule,
+    ThermalSpec,
     basis_state,
     standard_schedule,
     time_optimal_schedule,
@@ -48,6 +49,24 @@ def random_schedule(rng, max_segments=4) -> Schedule:
 def random_state(rng) -> np.ndarray:
     raw = rng.normal(size=9) + 1j * rng.normal(size=9)
     return raw / np.linalg.norm(raw)
+
+
+def engine_schedule(kind: str, rng) -> Schedule:
+    """One schedule per propagation path: plain, noisy, thermal, phase-driven."""
+    base = standard_schedule(1.65, V)
+    if kind == "plain":
+        return random_schedule(rng)
+    if kind == "noisy":
+        noise = NoiseSpec(eta_omega=0.05, eta_delta=0.05, substeps=40, seed=7)
+        return dataclasses.replace(base, noise=noise)
+    if kind == "thermal":
+        rate = 50.0 * 2.0 * math.pi / base.segments[0].duration
+        thermal = ThermalSpec(equilibrium_distance=4.0, temperature=20.0, vibration_rate=rate)
+        return dataclasses.replace(base, thermal=thermal)
+    return time_optimal_schedule()
+
+
+ENGINE_KINDS = ("plain", "noisy", "thermal", "phase-driven")
 
 
 class TestConfig:
@@ -131,13 +150,29 @@ class TestStatePropagation:
         scaled = evolution_operator(schedule.rescaled(3.7))
         assert np.max(np.abs(operator - scaled)) < 1e-12
 
-    def test_operator_reproduces_state_propagation(self):
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_operator_reproduces_state_propagation(self, kind):
         rng = np.random.default_rng(77)
-        schedule = random_schedule(rng)
+        schedule = engine_schedule(kind, rng)
         psi = random_state(rng)
         via_operator = evolution_operator(schedule) @ psi
         direct = propagate_state(schedule, psi).final_state
         assert np.linalg.norm(via_operator - direct) < 1e-10
+
+    @pytest.mark.parametrize("kappa", [0.7, 1.65, 3.0])
+    def test_segment_boundary_samples_match_prefix_operators(self, kappa):
+        # Exact-mode samples come from repeated step products; at each
+        # segment boundary they must agree with one exponential per segment.
+        schedule = standard_schedule(kappa, V)
+        psi = random_state(np.random.default_rng(700))
+        samples = 40
+        result = propagate_state(schedule, psi, IntegratorConfig(samples_per_segment=samples))
+        for count in range(1, len(schedule.segments) + 1):
+            prefix = dataclasses.replace(schedule, segments=schedule.segments[:count])
+            expected = np.abs(evolution_operator(prefix) @ psi) ** 2
+            np.testing.assert_allclose(
+                result.populations[count * samples], expected, rtol=0.0, atol=1e-10
+            )
 
     def test_evolution_operator_is_unitary(self):
         u = evolution_operator(standard_schedule(0.7, V))
@@ -178,9 +213,11 @@ class TestNoiseHandling:
 
 
 class TestDensityPropagation:
-    def test_matches_pure_evolution_without_decay(self):
-        schedule = standard_schedule(1.65, V)
-        psi = basis_state("11")
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_matches_pure_evolution_without_decay(self, kind):
+        rng = np.random.default_rng(78)
+        schedule = engine_schedule(kind, rng)
+        psi = random_state(rng)
         rho = np.outer(psi, psi.conj())
         final_psi = propagate_state(schedule, psi).final_state
         final_rho = propagate_density(schedule, rho, DecaySpec(gamma=0.0)).final_state
