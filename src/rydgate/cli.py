@@ -68,7 +68,12 @@ def resolve_seed(args, config: dict) -> int:
         return int(args.seed)
     noise = _section(config, "noise")
     if "seed" in noise:
-        return int(noise["seed"])
+        try:
+            return int(noise["seed"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(
+                f"config noise seed must be an integer, got {noise['seed']!r}"
+            ) from exc
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:

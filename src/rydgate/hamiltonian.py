@@ -27,6 +27,7 @@ from .model import (
 __all__ = [
     "SUBSPACE_LABELS",
     "build_full",
+    "drive_hamiltonian",
     "build_subspace",
     "subspace_basis",
     "apply_decay",
@@ -47,17 +48,39 @@ def is_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(matrix - matrix.conj().T)) <= tol)
 
 
+# Index pairs (bra, ket) where one atom moves from 1 to r while the other
+# stays put: 01-0r, 11-1r, r1-rr for the second atom and 10-r0, 11-r1,
+# 1r-rr for the first.
+_COUPLED_PAIRS = (
+    np.array([1, 4, 7, 3, 4, 5]),
+    np.array([2, 5, 8, 6, 7, 8]),
+)
+_SINGLE_EXCITATION = np.flatnonzero(EXCITATION_COUNT == 1)
+
+
+def drive_hamiltonian(rabi, detuning, phase, v) -> np.ndarray:
+    """Full 9x9 Hermitian operators, stacked over the broadcast input shape.
+
+    Scalars give one (9, 9) operator; arrays of a common shape S give an
+    S + (9, 9) stack with one operator per element. The entries equal
+    those of kron(h1, 1) + kron(1, h1) + V |rr><rr| for the single-atom
+    operator h1, assembled by index assignment.
+    """
+    rabi, detuning, phase, v = np.broadcast_arrays(rabi, detuning, phase, v)
+    coupling = 0.5 * rabi * np.exp(1j * phase)
+    full = np.zeros(rabi.shape + (DIMENSION, DIMENSION), dtype=complex)
+    bra, ket = _COUPLED_PAIRS
+    full[..., bra, ket] = coupling[..., None]
+    full[..., ket, bra] = np.conj(coupling)[..., None]
+    full[..., _SINGLE_EXCITATION, _SINGLE_EXCITATION] = detuning[..., None]
+    # |rr>: summed in the order of the kron form, so the entry matches it exactly.
+    full[..., 8, 8] = (detuning + detuning) + v
+    return full
+
+
 def build_full(segment: PulseSegment, v: float) -> np.ndarray:
     """Full 9x9 Hermitian operator for one constant drive segment."""
-    coupling = 0.5 * segment.rabi * np.exp(1j * segment.phase)
-    single = np.zeros((3, 3), dtype=complex)
-    single[1, 2] = coupling
-    single[2, 1] = np.conj(coupling)
-    single[2, 2] = segment.detuning
-    identity = np.eye(3, dtype=complex)
-    full = np.kron(single, identity) + np.kron(identity, single)
-    full[8, 8] += v
-    return full
+    return drive_hamiltonian(segment.rabi, segment.detuning, segment.phase, v)
 
 
 def build_subspace(which: str, segment: PulseSegment, v: float) -> np.ndarray:
@@ -109,45 +132,54 @@ def apply_decay(h: np.ndarray, decay: DecaySpec, excitations=None) -> np.ndarray
 
     The result generates contractive evolution: every eigenvalue has a
     non-positive imaginary part, and only diagonal imaginary parts
-    change. For the 9x9 operator the per-label excitation counts are
-    implied; smaller blocks need them passed explicitly.
+    change. h may be one operator or a stack of them over leading axes.
+    For 9x9 operators the per-label excitation counts are implied;
+    smaller blocks need them passed explicitly.
     """
     if not decay.gamma >= 0.0:
         raise InvalidParameterError(f"decay rate must be >= 0, got {decay.gamma}")
     matrix = np.array(h, dtype=complex)
     if excitations is None:
-        if matrix.shape != (DIMENSION, DIMENSION):
+        if matrix.shape[-2:] != (DIMENSION, DIMENSION):
             raise InvalidParameterError(
                 "excitation counts are required for non-9x9 operators"
             )
         counts = EXCITATION_COUNT
     else:
         counts = np.asarray(excitations, dtype=float)
-        if counts.shape != (matrix.shape[0],):
+        if counts.shape != matrix.shape[-1:]:
             raise InvalidParameterError("excitation counts must match the operator dimension")
-    matrix[np.diag_indices_from(matrix)] -= 1j * decay.gamma * counts
+    diagonal = np.arange(counts.shape[0])
+    matrix[..., diagonal, diagonal] -= 1j * decay.gamma * counts
     return matrix
 
 
-def thermal_interaction(t: float, v: float, spec: ThermalSpec) -> float:
+def thermal_interaction(t, v: float, spec: ThermalSpec):
     """Instantaneous interaction strength under distance vibration.
 
     The distance is D(t) = L + b * waist * sin(omega t) in length units
     of the waist. exponent_mode "literal" returns V (D/L)^6 and
     "physical" returns V (L/D)^6, the van der Waals sign of the same
-    modulation. A non-positive distance raises DegenerateGeometryError.
+    modulation. t may be a scalar or an array of times; the result has
+    its shape. A non-positive distance at any time raises
+    DegenerateGeometryError.
     """
     if spec.vibration_rate is None:
         raise InvalidParameterError(
             "thermal spec has no vibration rate; set one or derive it from the schedule"
         )
     length = spec.equilibrium_distance * spec.waist
-    distance = length + spec.amplitude * spec.waist * math.sin(spec.vibration_rate * t)
-    if distance <= 0.0:
+    distance = length + spec.amplitude * spec.waist * np.sin(spec.vibration_rate * t)
+    collided = np.flatnonzero(distance <= 0.0)
+    if collided.size:
+        first = collided[0]
         raise DegenerateGeometryError(
-            f"interatomic distance {distance} <= 0 at t = {t}"
+            f"interatomic distance {np.ravel(distance)[first]} <= 0 at t = {np.ravel(t)[first]}"
         )
     ratio = distance / length
     if spec.exponent_mode == "physical":
         ratio = 1.0 / ratio
-    return v * ratio**6
+    # float_power evaluates the C library pow for scalars and arrays alike;
+    # np.power takes a vectorised loop on some CPUs that can differ from
+    # it in the last bit, so array calls would not match scalar ones.
+    return v * np.float_power(ratio, 6)

@@ -136,6 +136,10 @@ class PulseSegment:
     duration: float
 
     def __post_init__(self):
+        for name in ("rabi", "detuning", "phase", "duration"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"segment {name} must be finite, got {value}")
         if not self.rabi >= 0.0:
             raise InvalidParameterError(f"segment rabi must be >= 0, got {self.rabi}")
         if not self.duration > 0.0:
@@ -238,8 +242,9 @@ class PhaseDriveSpec:
     offset: float
     carrier_rabi: float
 
-    def phase_at(self, t: float) -> float:
-        return self.amplitude * math.cos(self.angular_rate * t - self.offset)
+    def phase_at(self, t):
+        """Drive phase at time t, a scalar or an array of times."""
+        return self.amplitude * np.cos(self.angular_rate * t - self.offset)
 
 
 @dataclass(frozen=True)
@@ -262,6 +267,10 @@ class Schedule:
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "units", normalize_units(self.units))
+        if not (math.isfinite(self.interaction) and self.interaction >= 0.0):
+            raise InvalidParameterError(
+                f"interaction must be finite and >= 0, got {self.interaction}"
+            )
 
     @property
     def total_duration(self) -> float:
@@ -326,6 +335,10 @@ class Schedule:
             interaction = float(data["interaction"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed schedule document: {exc}") from exc
+        if not isinstance(raw_segments, list):
+            raise ConfigError(
+                f"schedule segments must be a JSON list, got {type(raw_segments).__name__}"
+            )
         segments = []
         for raw in raw_segments:
             try:

@@ -13,6 +13,14 @@ exactly over the substep. Noise is piecewise constant per substep, so
 with the substep count pinned to the noise trace the substepped result
 is itself exact.
 
+Substeps are computed in batches of at most `_CHUNK`: the midpoint times
+of a batch form one array, the modulations are evaluated on it, the
+Hamiltonians are assembled as one (n, 9, 9) stack, and the stack is
+exponentiated in one batched call. The step operators are then applied
+one at a time in order, so every product is the same as with one
+exponential per substep. The batch bound keeps memory flat however many
+substeps a segment has.
+
 Dissipative evolution propagates a density matrix under the effective
 non-Hermitian operator, rho -> M rho M^dagger with
 M = exp(-i H_eff dt); lost trace is reported, never renormalized.
@@ -21,18 +29,18 @@ M = exp(-i H_eff dt); lost trace is reported, never renormalized.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
 
 from .errors import IntegratorFailureError, InvalidParameterError, ModeError
-from .hamiltonian import apply_decay, build_full, thermal_interaction
+from .hamiltonian import apply_decay, build_full, drive_hamiltonian, thermal_interaction
 from .model import (
     BASIS_LABELS,
     DIMENSION,
     DecaySpec,
-    PulseSegment,
     Schedule,
     check_density,
     check_state,
@@ -42,6 +50,10 @@ EXACT = "exact-segment"
 SUBSTEPPED = "substepped"
 
 MAX_SUBSTEPS = 2**20
+
+# Substeps per stacked Hamiltonian/exponential batch. It bounds the
+# working memory of one batch (a few MB) independently of the substep count.
+_CHUNK = 256
 
 # Trace growth beyond this bound marks a failed dissipative integration.
 TRACE_GROWTH_TOL = 1e-7
@@ -137,36 +149,53 @@ def _segment_substeps(schedule: Schedule, config: IntegratorConfig) -> int:
     return int(config.substeps_per_segment)
 
 
-def _modulated_hamiltonian(
-    schedule: Schedule,
-    segment: PulseSegment,
-    seg_index: int,
-    sub_index: int,
-    t_mid: float,
-    noise_mult,
-) -> np.ndarray:
-    rabi = segment.rabi
-    detuning = segment.detuning
-    phase = segment.phase
-    interaction = schedule.interaction
-    if noise_mult is not None:
-        rabi = rabi * noise_mult[0][seg_index, sub_index]
-        detuning = detuning * noise_mult[1][seg_index, sub_index]
-    if schedule.phase_drive is not None:
-        phase = schedule.phase_drive.phase_at(t_mid)
-    if schedule.thermal is not None:
-        interaction = thermal_interaction(t_mid, schedule.interaction, schedule.thermal)
-    probe = PulseSegment(rabi=rabi, detuning=detuning, phase=phase, duration=segment.duration)
-    return build_full(probe, interaction)
-
-
 def spectral_step(values: np.ndarray, vectors: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) from the eigensystem (values, vectors) of a Hermitian H."""
-    return (vectors * np.exp(-1j * values * t)) @ vectors.conj().T
+    """exp(-i H t) from the eigensystem (values, vectors) of a Hermitian H.
+
+    values and vectors may carry leading stack axes, as returned by
+    np.linalg.eigh on a stack of operators; the result is stacked alike.
+    """
+    phases = np.exp(-1j * values * t)[..., None, :]
+    return (vectors * phases) @ vectors.conj().swapaxes(-1, -2)
 
 
 def _exact_step(h: np.ndarray, dt: float) -> np.ndarray:
     return spectral_step(*np.linalg.eigh(h), dt)
+
+
+def _substep_operators(
+    schedule: Schedule,
+    seg_index: int,
+    t_start: float,
+    dt: float,
+    steps: int,
+    noise_mult,
+    exponentiate,
+):
+    """Midpoint step operators of one segment, computed a chunk at a time.
+
+    Each chunk evaluates the modulations at its substep midpoints as
+    arrays, assembles the stacked Hamiltonians and exponentiates them in
+    one call; the operators are then yielded one by one.
+    """
+    segment = schedule.segments[seg_index]
+    for first in range(0, steps, _CHUNK):
+        last = min(first + _CHUNK, steps)
+        t_mid = t_start + (np.arange(first, last) + 0.5) * dt
+        # rabi is always an array, so every substep gets its own operator
+        # even when nothing is modulated.
+        rabi = np.full(last - first, segment.rabi)
+        detuning = segment.detuning
+        phase = segment.phase
+        interaction = schedule.interaction
+        if noise_mult is not None:
+            rabi = rabi * noise_mult[0][seg_index, first:last]
+            detuning = detuning * noise_mult[1][seg_index, first:last]
+        if schedule.phase_drive is not None:
+            phase = schedule.phase_drive.phase_at(t_mid)
+        if schedule.thermal is not None:
+            interaction = thermal_interaction(t_mid, schedule.interaction, schedule.thermal)
+        yield from exponentiate(drive_hamiltonian(rabi, detuning, phase, interaction), dt)
 
 
 def _steps(schedule: Schedule, config: IntegratorConfig, samples: int, exponentiate):
@@ -177,6 +206,8 @@ def _steps(schedule: Schedule, config: IntegratorConfig, samples: int, exponenti
     exponential, and every step is sampled. In substepped mode each
     substep exponentiates the Hamiltonian at its midpoint, and every
     stride-th substep plus the last of each segment is sampled.
+    `exponentiate(h, dt)` maps one operator or a stack of them to the
+    step operators.
     """
     exact = config.mode == EXACT
     steps = samples if exact else _segment_substeps(schedule, config)
@@ -187,12 +218,12 @@ def _steps(schedule: Schedule, config: IntegratorConfig, samples: int, exponenti
         dt = segment.duration / steps
         if exact:
             step = exponentiate(build_full(segment, schedule.interaction), dt)
-        for k in range(steps):
-            if not exact:
-                h = _modulated_hamiltonian(
-                    schedule, segment, seg_index, k, t_start + (k + 0.5) * dt, noise_mult
-                )
-                step = exponentiate(h, dt)
+            operators = itertools.repeat(step, steps)
+        else:
+            operators = _substep_operators(
+                schedule, seg_index, t_start, dt, steps, noise_mult, exponentiate
+            )
+        for k, step in enumerate(operators):
             yield t_start + (k + 1) * dt, step, (k + 1) % stride == 0 or k == steps - 1
         t_start += segment.duration
 

@@ -152,6 +152,16 @@ class TestSeedResolution:
         assert run_cli(args) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["x", None, [1], 1e400])
+    def test_non_integer_config_seed_exits_two(self, seed, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"noise": {"seed": seed}}))
+        args = ["noise-map", "--steps", "1", "--trials", "1", "--substeps", "4",
+                "--config", str(config)]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     def test_config_seed_beats_environment(self, tmp_path, monkeypatch):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"noise": {"seed": 555}}))

@@ -11,6 +11,7 @@ from rydgate.hamiltonian import (
     apply_decay,
     build_full,
     build_subspace,
+    drive_hamiltonian,
     is_hermitian,
     subspace_basis,
     thermal_interaction,
@@ -80,6 +81,38 @@ class TestFullOperator:
         assert h[basis_index("00"), basis_index("0r")] == 0.0
 
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_kron_assembly_exactly(self, seed):
+        rng = np.random.default_rng(250 + seed)
+        segment = random_segment(rng)
+        v = float(rng.uniform(0.0, 12.0))
+        single = np.zeros((3, 3), dtype=complex)
+        single[1, 2] = 0.5 * segment.rabi * np.exp(1j * segment.phase)
+        single[2, 1] = np.conj(single[1, 2])
+        single[2, 2] = segment.detuning
+        identity = np.eye(3, dtype=complex)
+        expected = np.kron(single, identity) + np.kron(identity, single)
+        expected[8, 8] += v
+        np.testing.assert_array_equal(build_full(segment, v), expected)
+
+    def test_stack_matches_one_operator_per_element(self):
+        rng = np.random.default_rng(260)
+        segments = [random_segment(rng) for _ in range(5)]
+        rabi, detuning, phase = (
+            np.array([getattr(s, name) for s in segments])
+            for name in ("rabi", "detuning", "phase")
+        )
+        v = rng.uniform(0.0, 12.0, size=5)
+        stack = drive_hamiltonian(rabi, detuning, phase, v)
+        assert stack.shape == (5, 9, 9)
+        for operator, segment, vi in zip(stack, segments, v):
+            np.testing.assert_array_equal(operator, build_full(segment, vi))
+        # scalars broadcast against the arrays
+        shared = drive_hamiltonian(rabi, 0.5, 0.1, 3.0)
+        for operator, r in zip(shared, rabi):
+            np.testing.assert_array_equal(operator, drive_hamiltonian(r, 0.5, 0.1, 3.0))
+
+
 class TestSubspaces:
     @pytest.mark.parametrize("which", sorted(SUBSPACE_LABELS))
     @pytest.mark.parametrize("seed", range(4))
@@ -131,6 +164,16 @@ class TestDecay:
         assert out[1, 1] == pytest.approx(-0.3j)
         assert out[0, 0] == 0.0
 
+    def test_apply_decay_on_a_stack_matches_each_operator(self):
+        rng = np.random.default_rng(270)
+        stack = np.array([build_full(random_segment(rng), 2.0) for _ in range(4)])
+        before = stack.copy()
+        spec = DecaySpec.from_multiplier(3.0)
+        modified = apply_decay(stack, spec)
+        for out, h in zip(modified, stack):
+            np.testing.assert_array_equal(out, apply_decay(h, spec))
+        np.testing.assert_array_equal(stack, before)
+
     def test_apply_decay_requires_counts_for_other_shapes(self):
         with pytest.raises(InvalidParameterError):
             apply_decay(np.zeros((2, 2), dtype=complex), DecaySpec(gamma=0.1))
@@ -176,14 +219,27 @@ class TestThermalInteraction:
         with pytest.raises(InvalidParameterError):
             thermal_interaction(0.0, 1.0, spec)
 
-    def test_atom_collision_raises(self):
+    @pytest.mark.parametrize("mode", ["literal", "physical"])
+    def test_array_of_times_matches_scalar_calls(self, mode):
+        spec = ThermalSpec(
+            equilibrium_distance=4.0, temperature=20.0, vibration_rate=37.0,
+            exponent_mode=mode,
+        )
+        times = np.linspace(0.0, 1.3, 1001)
+        values = thermal_interaction(times, 2.5, spec)
+        assert values.shape == times.shape
+        expected = [thermal_interaction(float(t), 2.5, spec) for t in times]
+        np.testing.assert_array_equal(values, expected)
+
+    @pytest.mark.parametrize("times", [1.5 * math.pi, np.array([0.1, 1.5 * math.pi, 0.2])])
+    def test_atom_collision_raises(self, times):
         spec = ThermalSpec(
             equilibrium_distance=0.5,
             temperature=20.0,
             vibration_rate=1.0,
             waist=1.0,
         )
-        # amplitude sqrt(2) exceeds the 0.5 separation at the trough
-        quarter_period = 1.5 * math.pi
-        with pytest.raises(DegenerateGeometryError):
-            thermal_interaction(quarter_period, 1.0, spec)
+        # amplitude sqrt(2) exceeds the 0.5 separation at the trough,
+        # a quarter period before the end of the first cycle
+        with pytest.raises(DegenerateGeometryError, match="at t = 4.71"):
+            thermal_interaction(times, 1.0, spec)

@@ -128,6 +128,20 @@ class TestSpecs:
         with pytest.raises(InvalidParameterError):
             PulseSegment(rabi=1.0, detuning=0.0, phase=0.0, duration=0.0)
 
+    @pytest.mark.parametrize("field", ["rabi", "detuning", "phase", "duration"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_pulse_segment_rejects_non_finite_values(self, field, value):
+        fields = {"rabi": 1.0, "detuning": 0.0, "phase": 0.0, "duration": 1.0}
+        fields[field] = value
+        with pytest.raises(InvalidParameterError):
+            PulseSegment(**fields)
+
+    @pytest.mark.parametrize("interaction", [-1.0, math.nan, math.inf, -math.inf])
+    def test_schedule_rejects_bad_interaction(self, interaction):
+        segments = standard_schedule(1.65, 2.0).segments
+        with pytest.raises(InvalidParameterError):
+            Schedule(segments=segments, interaction=interaction)
+
     @pytest.mark.parametrize("eta", [-0.01, 0.06])
     def test_noise_spec_amplitude_range(self, eta):
         with pytest.raises(InvalidParameterError):
@@ -166,6 +180,9 @@ class TestSpecs:
         )
         assert drive.phase_at(0.0) == pytest.approx(2.0 * math.cos(-0.5))
         assert drive.phase_at(1.0) == pytest.approx(2.0 * math.cos(3.0 - 0.5))
+        np.testing.assert_array_equal(
+            drive.phase_at(np.array([0.0, 1.0])), [drive.phase_at(0.0), drive.phase_at(1.0)]
+        )
 
 
 class TestSchedule:
@@ -231,6 +248,9 @@ class TestSchedule:
             Schedule.from_json(json.dumps({"segments": []}))
         with pytest.raises(ConfigError):
             Schedule.from_json("not json at all")
+        for segments in (5, "abc", {"rabi": 1.0}, None):
+            with pytest.raises(ConfigError):
+                Schedule.from_json(json.dumps({"segments": segments, "interaction": 1.0}))
 
     def test_rescaled_leaves_dimensionless_products_fixed(self):
         schedule = standard_schedule(1.65, 2.0 * math.pi)

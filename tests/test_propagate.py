@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from rydgate.errors import InvalidParameterError, ModeError
 from rydgate.model import (
+    EXCITATION_COUNT,
     DecaySpec,
     NoiseSpec,
     PulseSegment,
@@ -19,6 +21,7 @@ from rydgate.model import (
     time_optimal_schedule,
 )
 from rydgate.propagate import (
+    _CHUNK,
     EXACT,
     SUBSTEPPED,
     IntegratorConfig,
@@ -67,6 +70,63 @@ def engine_schedule(kind: str, rng) -> Schedule:
 
 
 ENGINE_KINDS = ("plain", "noisy", "thermal", "phase-driven")
+
+# Substep counts around the engine's batch size, so the last batch of a
+# segment is full, short by one, or a single substep.
+CHUNK_EDGE_SUBSTEPS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1)
+
+
+def modulated_schedule(kind: str, substeps: int) -> Schedule:
+    """A noisy, thermal or phase-driven schedule; noise uses `substeps`."""
+    if kind == "noisy":
+        noise = NoiseSpec(eta_omega=0.05, eta_delta=0.05, substeps=substeps, seed=11)
+        return dataclasses.replace(standard_schedule(1.65, V), noise=noise)
+    return engine_schedule(kind, None)
+
+
+def kron_hamiltonian(rabi, detuning, phase, v) -> np.ndarray:
+    single = np.zeros((3, 3), dtype=complex)
+    single[1, 2] = 0.5 * rabi * np.exp(1j * phase)
+    single[2, 1] = np.conj(single[1, 2])
+    single[2, 2] = detuning
+    identity = np.eye(3, dtype=complex)
+    full = np.kron(single, identity) + np.kron(identity, single)
+    full[8, 8] += v
+    return full
+
+
+def oracle_step_operators(schedule: Schedule, substeps: int, gamma: float = 0.0):
+    """Scalar midpoint rule, one substep at a time: the modulations are
+    evaluated from their closed forms, H is built with kron, and every
+    step is a scipy expm of the (decay-modified) H."""
+    from rydgate.stochastic import sample_noise_trace
+
+    noise = schedule.noise
+    multipliers = sample_noise_trace(noise, len(schedule.segments)) if noise else None
+    t_start = 0.0
+    for index, segment in enumerate(schedule.segments):
+        dt = segment.duration / substeps
+        for k in range(substeps):
+            t = t_start + (k + 0.5) * dt
+            rabi, detuning = segment.rabi, segment.detuning
+            phase, v = segment.phase, schedule.interaction
+            if multipliers is not None:
+                rabi *= multipliers[0][index, k]
+                detuning *= multipliers[1][index, k]
+            if schedule.phase_drive is not None:
+                drive = schedule.phase_drive
+                phase = drive.amplitude * math.cos(drive.angular_rate * t - drive.offset)
+            if schedule.thermal is not None:
+                spec = schedule.thermal
+                length = spec.equilibrium_distance * spec.waist
+                distance = length + spec.amplitude * spec.waist * math.sin(
+                    spec.vibration_rate * t
+                )
+                v = v * (distance / length) ** 6
+            h = kron_hamiltonian(rabi, detuning, phase, v)
+            h = h - 1j * gamma * np.diag(EXCITATION_COUNT.astype(float))
+            yield expm(-1j * h * dt)
+        t_start += segment.duration
 
 
 class TestConfig:
@@ -174,6 +234,17 @@ class TestStatePropagation:
                 result.populations[count * samples], expected, rtol=0.0, atol=1e-10
             )
 
+    @pytest.mark.parametrize("substeps", CHUNK_EDGE_SUBSTEPS)
+    @pytest.mark.parametrize("kind", ("noisy", "thermal", "phase-driven"))
+    def test_substepped_operator_matches_scalar_oracle(self, kind, substeps):
+        schedule = modulated_schedule(kind, substeps)
+        config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=substeps)
+        expected = np.eye(9, dtype=complex)
+        for step in oracle_step_operators(schedule, substeps):
+            expected = step @ expected
+        actual = evolution_operator(schedule, config)
+        np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
+
     def test_evolution_operator_is_unitary(self):
         u = evolution_operator(standard_schedule(0.7, V))
         assert np.max(np.abs(u.conj().T @ u - np.eye(9))) < 1e-12
@@ -222,6 +293,21 @@ class TestDensityPropagation:
         final_psi = propagate_state(schedule, psi).final_state
         final_rho = propagate_density(schedule, rho, DecaySpec(gamma=0.0)).final_state
         assert np.max(np.abs(final_rho - np.outer(final_psi, final_psi.conj()))) < 1e-10
+
+    @pytest.mark.parametrize("substeps", CHUNK_EDGE_SUBSTEPS)
+    @pytest.mark.parametrize("kind", ("noisy", "thermal", "phase-driven"))
+    def test_decayed_substeps_match_scalar_oracle(self, kind, substeps):
+        schedule = modulated_schedule(kind, substeps)
+        config = IntegratorConfig(
+            mode=SUBSTEPPED, substeps_per_segment=substeps, samples_per_segment=1
+        )
+        decay = DecaySpec.from_multiplier(5.0)
+        psi = random_state(np.random.default_rng(79))
+        expected = np.outer(psi, psi.conj())
+        result = propagate_density(schedule, expected, decay, config)
+        for step in oracle_step_operators(schedule, substeps, decay.gamma):
+            expected = step @ expected @ step.conj().T
+        np.testing.assert_allclose(result.final_state, expected, rtol=0.0, atol=1e-12)
 
     def test_trace_never_increases_under_decay(self):
         schedule = standard_schedule(1.65, V)
