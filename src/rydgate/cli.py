@@ -68,12 +68,15 @@ def resolve_seed(args, config: dict) -> int:
         return int(args.seed)
     noise = _section(config, "noise")
     if "seed" in noise:
+        seed = noise["seed"]
+        message = f"config noise seed must be an integer, got {seed!r}"
+        # int() would turn true into 1 and truncate 1.9 to 1.
+        if isinstance(seed, bool) or (isinstance(seed, float) and not seed.is_integer()):
+            raise ConfigError(message)
         try:
-            return int(noise["seed"])
+            return int(seed)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(
-                f"config noise seed must be an integer, got {noise['seed']!r}"
-            ) from exc
+            raise ConfigError(message) from exc
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:

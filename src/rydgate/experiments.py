@@ -19,13 +19,14 @@ import numpy as np
 from ._version import __version__
 from .errors import InvalidParameterError
 from .geometry import chi
-from .hamiltonian import build_full
+from .hamiltonian import drive_hamiltonian
 from .metrics import conditional_state_fidelity, gate_outcome
 from .model import (
     BASE_DECAY_RATE,
     BASIS_LABELS,
     COMPUTATIONAL_INDICES,
     COMPUTATIONAL_LABELS,
+    V0,
     DecaySpec,
     NoiseSpec,
     PulseSegment,
@@ -45,8 +46,6 @@ from .propagate import (
     spectral_step,
 )
 from .stochastic import monte_carlo_gate_fidelity, thermal_gate_fidelity
-
-V0 = 2.0 * math.pi
 
 REFERENCE_KAPPA = 1.65
 
@@ -465,33 +464,26 @@ def run_decay_curves(
     )
 
 
-def _cell_fidelity(operator: np.ndarray) -> float:
-    """Fidelity of a composite cell against its own compensated target.
+def _cell_fidelity(operators: np.ndarray) -> np.ndarray:
+    """Fidelity of composite cells against their own compensated targets.
 
-    Equal to gate_fidelity(operator, compensated target) but avoids
-    building the target: the compensated trace collapses to
-    1 + |a01| + |a10| + |a11| e^{i (delta_gamma + pi)}. Cells where any
-    computational state fails to return carry no usable phase and score
-    zero so they can never qualify.
+    operators is one 9x9 cell or a stack of them over leading axes; the
+    result has the stack shape. Equal to gate_fidelity(operator,
+    compensated target) but avoids building the target: the compensated
+    trace collapses to 1 + |a01| + |a10| + |a11| e^{i (delta_gamma + pi)}.
+    Cells where any computational state fails to return carry no usable
+    phase and score zero so they can never qualify.
     """
-    a01 = operator[1, 1]
-    a10 = operator[3, 3]
-    a11 = operator[4, 4]
-    magnitudes = (abs(a01), abs(a10), abs(a11))
-    if min(magnitudes) <= 1e-6:
-        return 0.0
+    a01 = operators[..., 1, 1]
+    a10 = operators[..., 3, 3]
+    a11 = operators[..., 4, 4]
+    m01, m10, m11 = np.abs(a01), np.abs(a10), np.abs(a11)
     delta_gamma = (
-        float(np.angle(np.conj(a11)))
-        - float(np.angle(np.conj(a10)))
-        - float(np.angle(np.conj(a01)))
+        np.angle(np.conj(a11)) - np.angle(np.conj(a10)) - np.angle(np.conj(a01))
     )
-    total = (
-        1.0
-        + magnitudes[0]
-        + magnitudes[1]
-        + magnitudes[2] * np.exp(1j * (delta_gamma + math.pi))
-    )
-    return float(abs(total) / 4.0)
+    total = 1.0 + m01 + m10 + m11 * np.exp(1j * (delta_gamma + math.pi))
+    returned = np.minimum(np.minimum(m01, m10), m11) > 1e-6
+    return np.where(returned, np.abs(total) / 4.0, 0.0)
 
 
 def run_actuating_scan(
@@ -537,30 +529,17 @@ def run_actuating_scan(
     for eta in etas:
         v = eta * v0
         rabi = REFERENCE_KAPPA * (v0 if mode == "fixed-omega" else v)
-        detuning = -v / 2.0
-
-        def eigensystem(phase):
-            segment = PulseSegment(rabi=rabi, detuning=detuning, phase=phase, duration=1.0)
-            return np.linalg.eigh(build_full(segment, v))
-
-        base = eigensystem(0.0)
-        cache = [eigensystem(float(phi)) for phi in phases]
-
-        qualifying = []
-        for t in durations:
-            u_base = spectral_step(*base, t)
-            if independent_phases:
-                unitaries = [spectral_step(*system, t) for system in cache]
-                for u_a in unitaries:
-                    left = u_a @ u_base
-                    for u_b in unitaries:
-                        if _cell_fidelity(u_b @ u_base @ left) > threshold:
-                            qualifying.append(float(t))
-            else:
-                for system in cache:
-                    pair = spectral_step(*system, t) @ u_base
-                    if _cell_fidelity(pair @ pair) > threshold:
-                        qualifying.append(float(t))
+        # Operator 0 is the phase-0 segment; operator k + 1 has phases[k].
+        system = np.linalg.eigh(
+            drive_hamiltonian(rabi, -v / 2.0, np.concatenate(([0.0], phases)), v)
+        )
+        counts = np.zeros(durations.size, dtype=int)
+        for index, t in enumerate(durations):
+            unitaries = spectral_step(*system, t)
+            pairs = unitaries[1:] @ unitaries[0]
+            cells = pairs[:, None] @ pairs if independent_phases else pairs @ pairs
+            counts[index] = np.count_nonzero(_cell_fidelity(cells) > threshold)
+        qualifying = np.repeat(durations, counts)
         count = len(qualifying)
         mean_duration = float(np.mean(qualifying)) if count else float("nan")
         actuating = v * 4.0 * mean_duration if count else float("nan")

@@ -3,8 +3,8 @@
 The {|11>,|rr>} sector realizes a holonomic transformation whose angle
 chi = pi / sqrt(16 kappa^2 + 1) depends only on kappa; the {|10>,|r0>}
 sector undergoes a cyclic two-level rotation characterized by a mixing
-angle and a rotation half-angle. Both closed forms are verified here
-against brute-force exponentials of the sector Hamiltonians, and the
+angle and a rotation half-angle. Both closed forms are checked against
+blocks of the full nine-state propagator (`sector_evolution`), and the
 composite-pulse cyclicity condition for the two-level sector is solved
 by bisection.
 
@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, RootNotFoundError
-from .model import PulseSegment
-from .hamiltonian import build_subspace
-from .propagate import spectral_step
+from .hamiltonian import subspace_basis
+from .model import ALTERNATE_PHASE, V0, PulseSegment, Schedule, cyclic_segment_duration
+from .propagate import evolution_operator
 
 __all__ = [
     "TwoLevelParams",
@@ -116,15 +116,12 @@ def u10_analytic(params: TwoLevelParams) -> np.ndarray:
 
 
 def periods(kappa: float, v: float) -> tuple[float, float]:
-    """Cyclic periods (T11, T10) of the two driven sectors at Delta = -V/2."""
-    if not kappa > 0.0:
-        raise InvalidParameterError(f"kappa must be > 0, got {kappa}")
-    if not v > 0.0:
-        raise InvalidParameterError(f"interaction must be > 0, got {v}")
-    omega = kappa * v
-    detuning = -v / 2.0
-    t11 = 2.0 * math.pi / math.sqrt(4.0 * omega**2 + detuning**2)
-    t10 = 2.0 * math.pi / math.hypot(omega, detuning)
+    """Cyclic periods (T11, T10) of the two driven sectors at Delta = -V/2.
+
+    T11 is the segment duration of the standard schedule.
+    """
+    t11 = cyclic_segment_duration(kappa, v)
+    t10 = 2.0 * math.pi / math.hypot(kappa * v, -v / 2.0)
     return t11, t10
 
 
@@ -141,23 +138,23 @@ def dressed_states(phi: float) -> tuple[np.ndarray, np.ndarray]:
     return bright, dark
 
 
-def _sector_segment(kappa: float, v: float, phi: float, duration: float) -> PulseSegment:
-    return PulseSegment(rabi=kappa * v, detuning=-v / 2.0, phase=phi, duration=duration)
-
-
 def sector_evolution(
     which: str, kappa: float, v: float, phi: float, duration: float | None = None
 ) -> np.ndarray:
-    """Numeric sector propagator, the brute-force oracle for the closed forms.
+    """Numeric sector propagator, the oracle for the closed forms.
 
-    Defaults to one holonomy period. For the three-level "11" sector the
-    result is restricted to the {|11>,|rr>} corners; after a full period
-    the middle level disentangles, so the restriction is unitary.
+    The block of the full nine-state propagator of one drive segment on
+    the sector's basis. Defaults to one holonomy period. For the
+    three-level "11" sector the result is restricted to the {|11>,|rr>}
+    corners; after a full period the middle level disentangles, so the
+    restriction is unitary.
     """
+    basis = subspace_basis(which)
     if duration is None:
         duration = periods(kappa, v)[0]
-    block = build_subspace(which, _sector_segment(kappa, v, phi, duration), v)
-    propagator = spectral_step(*np.linalg.eigh(block), duration)
+    segment = PulseSegment(rabi=kappa * v, detuning=-v / 2.0, phase=phi, duration=duration)
+    full = evolution_operator(Schedule(segments=(segment,), interaction=v))
+    propagator = basis @ full @ basis.conj().T
     if which == "11":
         return propagator[np.ix_([0, 2], [0, 2])]
     return propagator
@@ -190,7 +187,7 @@ def u10_lab_frame(
     return np.exp(-1j * detuning * duration / 2.0) * u10_analytic(params)
 
 
-def composite_objective(kappa: float, v: float = 2.0 * math.pi) -> float:
+def composite_objective(kappa: float, v: float = V0) -> float:
     """tan(beta) cos(theta) + 1 over one holonomy period.
 
     A root makes the four-pulse two-level composite cyclic. The value is
@@ -234,8 +231,8 @@ def composite_cyclic_root(
 
 def composite_return_probability(
     kappa: float,
-    v: float = 2.0 * math.pi,
-    alternate_phase: float = -math.pi / 2.0,
+    v: float = V0,
+    alternate_phase: float = ALTERNATE_PHASE,
 ) -> float:
     """|10> return probability after the four-pulse two-level composite."""
     u_a = sector_evolution("10", kappa, v, 0.0)

@@ -88,24 +88,11 @@ def build_subspace(which: str, segment: PulseSegment, v: float) -> np.ndarray:
 
     "01" and "10" give the 2x2 block on {|01>,|0r>} or {|10>,|r0>};
     "11" gives the 3x3 block on {|11>,|R>,|rr>}, whose drive coupling is
-    enhanced by sqrt(2) and whose |rr> energy is V + 2 Delta.
+    enhanced by sqrt(2) and whose |rr> energy is V + 2 Delta. Each block
+    is the projection of `build_full` onto the sector basis.
     """
-    coupling = 0.5 * segment.rabi * np.exp(1j * segment.phase)
-    if which in ("01", "10"):
-        return np.array(
-            [[0.0, coupling], [np.conj(coupling), segment.detuning]], dtype=complex
-        )
-    if which == "11":
-        enhanced = math.sqrt(2.0) * coupling
-        block = np.zeros((3, 3), dtype=complex)
-        block[0, 1] = enhanced
-        block[1, 0] = np.conj(enhanced)
-        block[1, 2] = enhanced
-        block[2, 1] = np.conj(enhanced)
-        block[1, 1] = segment.detuning
-        block[2, 2] = v + 2.0 * segment.detuning
-        return block
-    raise InvalidParameterError(f"unknown subspace {which!r}; expected '01', '10', or '11'")
+    basis = subspace_basis(which)
+    return basis @ build_full(segment, v) @ basis.conj().T
 
 
 def subspace_basis(which: str) -> np.ndarray:

@@ -41,6 +41,9 @@ EXCITATION_COUNT = np.array([0, 0, 1, 0, 0, 1, 1, 1, 2])
 # controlled phase by roughly 0.6 rad.
 ALTERNATE_PHASE = -math.pi / 2.0
 
+# Default interaction strength V in natural units.
+V0 = 2.0 * math.pi
+
 STATE_NORM_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -58,17 +61,6 @@ def normalize_units(mode: str) -> str:
         return _UNIT_ALIASES[str(mode).lower()]
     except KeyError:
         raise ConfigError(f"unknown unit mode {mode!r}; expected 'natural' or 'mhz'") from None
-
-
-def unit_convert(value: float, mode: str) -> float:
-    """Validate a unit mode and pass the numeric value through.
-
-    Both modes share numeric values (natural: rad per time unit, time
-    unit 1; mhz: rad/us and us), so conversion is bookkeeping. An
-    unknown mode raises ConfigError.
-    """
-    normalize_units(mode)
-    return float(value)
 
 
 def basis_index(label: str) -> int:

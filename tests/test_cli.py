@@ -152,7 +152,7 @@ class TestSeedResolution:
         assert run_cli(args) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seed", ["x", None, [1], 1e400])
+    @pytest.mark.parametrize("seed", ["x", None, [1], 1e400, True, 1.9])
     def test_non_integer_config_seed_exits_two(self, seed, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"noise": {"seed": seed}}))

@@ -1,5 +1,6 @@
 """Tests for the experiment pipelines and their CSV export."""
 
+import itertools
 import json
 import math
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rydgate.errors import InvalidParameterError
+from rydgate.errors import InvalidParameterError, UndefinedPhaseError
 from rydgate.experiments import (
+    REFERENCE_KAPPA,
     InterferometerSpec,
     ScanResult,
     _cell_fidelity,
@@ -276,6 +278,83 @@ class TestActuatingScan:
         assert _cell_fidelity(operator) == pytest.approx(
             gate_outcome(oracle).fidelity, abs=1e-12
         )
+
+    def test_stacked_cell_fidelity_matches_each_cell(self):
+        def cell(phi, duration):
+            segments = tuple(
+                PulseSegment(rabi=1.65 * V, detuning=-V / 2.0, phase=p, duration=duration)
+                for p in (0.0, phi, 0.0, phi)
+            )
+            return evolution_operator(Schedule(segments=segments, interaction=V))
+
+        # A resonant pi pulse moves |01> and |10> entirely to the Rydberg level.
+        stranded = evolution_operator(
+            Schedule(
+                segments=(PulseSegment(rabi=V, detuning=0.0, phase=0.0, duration=0.5),),
+                interaction=0.0,
+            )
+        )
+        with pytest.raises(UndefinedPhaseError):
+            gate_outcome(stranded)
+        cells = np.array(
+            [
+                [cell(-math.pi / 2.0, 0.86), cell(0.7, 0.3), stranded],
+                [cell(2.0, 1.7), cell(-2.4, 2.5), cell(1.1, 0.05)],
+            ]
+        )
+        stacked = _cell_fidelity(cells)
+        assert stacked.shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            expected = 0.0 if index == (0, 2) else gate_outcome(cells[index]).fidelity
+            assert stacked[index] == pytest.approx(expected, abs=1e-12)
+
+    @staticmethod
+    def _per_cell_scan(eta, threshold, mode, phase_count, durations, independent):
+        """Qualifying durations, one gate_outcome of a four-segment schedule per cell."""
+        v = eta * V
+        rabi = REFERENCE_KAPPA * (V if mode == "fixed-omega" else v)
+        phases = np.linspace(-math.pi, math.pi, phase_count, endpoint=False)
+        if independent:
+            pairs = list(itertools.product(phases, repeat=2))
+        else:
+            pairs = [(phi, phi) for phi in phases]
+        qualifying = []
+        for t in durations:
+            for first, second in pairs:
+                segments = tuple(
+                    PulseSegment(rabi=rabi, detuning=-v / 2.0, phase=p, duration=t)
+                    for p in (0.0, first, 0.0, second)
+                )
+                operator = evolution_operator(Schedule(segments=segments, interaction=v))
+                try:
+                    fidelity = gate_outcome(operator).fidelity
+                except UndefinedPhaseError:
+                    fidelity = 0.0
+                if fidelity > threshold:
+                    qualifying.append(t)
+        return qualifying
+
+    @pytest.mark.parametrize("mode", ["fixed-omega", "fixed-kappa"])
+    @pytest.mark.parametrize("independent", [False, True])
+    def test_matches_per_cell_oracle(self, mode, independent):
+        etas, threshold, phase_count, duration_count = (0.5, 2.0), 0.8, 5, 12
+        result = run_actuating_scan(
+            eta_list=etas,
+            threshold=threshold,
+            mode=mode,
+            phase_count=phase_count,
+            duration_count=duration_count,
+            duration_range=(0.1, 2.5),
+            independent_phases=independent,
+        )
+        durations = np.linspace(0.1, 2.5, duration_count)
+        for eta, row in zip(etas, result.rows):
+            expected = self._per_cell_scan(
+                eta, threshold, mode, phase_count, durations, independent
+            )
+            assert expected, "grid too coarse: no cell qualifies"
+            assert row["qualifying_cells"] == len(expected)
+            assert row["mean_duration"] == pytest.approx(np.mean(expected), abs=1e-12)
 
     def test_independent_phases_superset(self):
         shared = run_actuating_scan(

@@ -155,17 +155,18 @@ class TestComposite:
         pair = u11_analytic(math.pi / 2.0, c) @ u11_analytic(0.0, c)
         assert np.max(np.abs(pair - np.exp(-1j * c) * np.eye(2))) < 1e-10
 
+    @pytest.mark.parametrize("which,rows", [("01", [1, 2]), ("10", [3, 6]), ("11", [4, 8])])
     @pytest.mark.parametrize(
         "kappa,phi,duration", [(0.335, 0.0, None), (1.65, -math.pi / 2.0, 0.37), (3.0, 2.1, 1.4)]
     )
-    def test_single_sector_is_block_of_full_operator(self, kappa, phi, duration):
+    def test_single_sector_is_block_of_full_operator(self, which, rows, kappa, phi, duration):
         # Oracle: scipy expm of the full nine-state operator, restricted
-        # to {|10>, |r0>}.
+        # to the sector's product states ({|11>, |rr>} for "11").
         t = periods(kappa, V)[0] if duration is None else duration
         segment = PulseSegment(rabi=kappa * V, detuning=-V / 2.0, phase=phi, duration=t)
         full = expm(-1j * build_full(segment, V) * t)
-        block = full[np.ix_([3, 6], [3, 6])]
-        sector = sector_evolution("10", kappa, V, phi, duration)
+        block = full[np.ix_(rows, rows)]
+        sector = sector_evolution(which, kappa, V, phi, duration)
         assert np.max(np.abs(sector - block)) < 1e-12
 
     def test_sector_evolution_is_unitary(self):

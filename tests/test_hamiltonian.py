@@ -35,6 +35,26 @@ def random_segment(rng) -> PulseSegment:
     )
 
 
+def kron_hamiltonian(segment: PulseSegment, v: float) -> np.ndarray:
+    """kron(h1, 1) + kron(1, h1) + V |rr><rr| for the single-atom drive h1."""
+    single = np.zeros((3, 3), dtype=complex)
+    single[1, 2] = 0.5 * segment.rabi * np.exp(1j * segment.phase)
+    single[2, 1] = np.conj(single[1, 2])
+    single[2, 2] = segment.detuning
+    identity = np.eye(3, dtype=complex)
+    full = np.kron(single, identity) + np.kron(identity, single)
+    full[8, 8] += v
+    return full
+
+
+def kron_state(label: str) -> np.ndarray:
+    """Product state of two single-atom levels; "R" is (|1r> + |r1>)/sqrt(2)."""
+    if label == "R":
+        return (kron_state("1r") + kron_state("r1")) / math.sqrt(2.0)
+    first, second = (np.eye(3)["01r".index(level)] for level in label)
+    return np.kron(first, second)
+
+
 class TestFullOperator:
     def test_pinned_coupling_element(self):
         segment = PulseSegment(rabi=2.0, detuning=0.0, phase=math.pi / 2.0, duration=1.0)
@@ -86,14 +106,7 @@ class TestFullOperator:
         rng = np.random.default_rng(250 + seed)
         segment = random_segment(rng)
         v = float(rng.uniform(0.0, 12.0))
-        single = np.zeros((3, 3), dtype=complex)
-        single[1, 2] = 0.5 * segment.rabi * np.exp(1j * segment.phase)
-        single[2, 1] = np.conj(single[1, 2])
-        single[2, 2] = segment.detuning
-        identity = np.eye(3, dtype=complex)
-        expected = np.kron(single, identity) + np.kron(identity, single)
-        expected[8, 8] += v
-        np.testing.assert_array_equal(build_full(segment, v), expected)
+        np.testing.assert_array_equal(build_full(segment, v), kron_hamiltonian(segment, v))
 
     def test_stack_matches_one_operator_per_element(self):
         rng = np.random.default_rng(260)
@@ -120,8 +133,8 @@ class TestSubspaces:
         rng = np.random.default_rng(300 + seed)
         segment = random_segment(rng)
         v = float(rng.uniform(0.0, 9.0))
-        basis = subspace_basis(which)
-        projected = basis @ build_full(segment, v) @ basis.conj().T
+        basis = np.array([kron_state(label) for label in SUBSPACE_LABELS[which]])
+        projected = basis @ kron_hamiltonian(segment, v) @ basis.T
         np.testing.assert_allclose(
             build_subspace(which, segment, v), projected, atol=1e-12
         )

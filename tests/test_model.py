@@ -29,7 +29,6 @@ from rydgate.model import (
     normalize_units,
     standard_schedule,
     time_optimal_schedule,
-    unit_convert,
 )
 
 
@@ -113,10 +112,6 @@ class TestUnits:
     def test_unknown_units_rejected(self):
         with pytest.raises(ConfigError):
             normalize_units("hz")
-
-    def test_unit_convert_passthrough(self):
-        assert unit_convert(3.5, "natural") == 3.5
-        assert unit_convert(3.5, "megahertz") == 3.5
 
 
 class TestSpecs:
