@@ -70,10 +70,12 @@ from .metrics import (
     GateOutcome,
     accumulated_phase,
     compensated_cz_target,
+    compensated_fidelity,
     conditional_state_fidelity,
     controlled_phase,
     gate_fidelity,
     gate_outcome,
+    gate_summary,
     ideal_controlled_phase,
     state_fidelity,
     wrap_controlled_phase,

@@ -261,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--kappa", type=float, help="drive-to-interaction ratio")
     p.add_argument("--v", type=float, help="interaction strength")
-    p.set_defaults(handler=cmd_gate)
 
     p = subparsers.add_parser(
         "dynamics", parents=[common], help="population histories as CSV"
@@ -269,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, help="drive-to-interaction ratio")
     p.add_argument("--v", type=float, help="interaction strength")
     p.add_argument("--samples", type=int, default=100, help="samples per segment")
-    p.set_defaults(handler=cmd_dynamics)
 
     p = subparsers.add_parser(
         "scan-kappa", parents=[common], help="gate summary over a ratio grid"
@@ -278,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=float, help="largest ratio")
     p.add_argument("--steps", type=int, help="number of grid points")
     p.add_argument("--v", type=float, help="interaction strength")
-    p.set_defaults(handler=cmd_scan_kappa)
 
     p = subparsers.add_parser(
         "noise-map", parents=[common], help="Monte-Carlo fidelity over noise amplitudes"
@@ -289,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-max", dest="eta_max", type=float, help="largest amplitude")
     p.add_argument("--kappa", type=float, help="drive-to-interaction ratio")
     p.add_argument("--v", type=float, help="interaction strength")
-    p.set_defaults(handler=cmd_noise_map)
 
     p = subparsers.add_parser(
         "thermal-map", parents=[common], help="fidelity versus distance and temperature"
@@ -309,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--kappa", type=float, help="drive-to-interaction ratio")
     p.add_argument("--v", type=float, help="interaction strength")
-    p.set_defaults(handler=cmd_thermal_map)
 
     p = subparsers.add_parser(
         "interfere", parents=[common], help="beamsplitter interferometer sweep"
@@ -325,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=experiments.REFERENCE_KAPPA,
         help="ratio whose cyclic period fixes the segment duration",
     )
-    p.set_defaults(handler=cmd_interfere)
 
     p = subparsers.add_parser(
         "decay", parents=[common], help="conditional fidelity versus decay rate"
@@ -333,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--rabi",
         type=_float_list,
-        default=[5.0, 10.0, 20.0],
+        default=(5.0, 10.0, 20.0),
         help="drive frequencies in MHz, comma separated",
     )
     p.add_argument("--rmax", type=float, default=10.0, help="largest rate multiplier")
@@ -350,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1500,
         help="substeps for the phase-driven comparison",
     )
-    p.set_defaults(handler=cmd_decay)
 
     p = subparsers.add_parser(
         "actuate", parents=[common], help="actuating area of high-fidelity cells"
@@ -358,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--etas",
         type=_float_list,
-        default=[0.5, 1.0, 2.0, 3.0, 4.0],
+        default=(0.5, 1.0, 2.0, 3.0, 4.0),
         help="interaction multipliers, comma separated",
     )
     p.add_argument("--threshold", type=float, default=0.96, help="fidelity threshold")
@@ -378,20 +371,28 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="let the two phased pulses differ",
     )
-    p.set_defaults(handler=cmd_actuate)
 
     return parser
 
 
+# Built by the first main() call and reused by every later one. It holds
+# no per-call state: defaults are immutable and handlers are looked up
+# by command name when a call runs.
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         config = load_config(args.config) if args.config else {}
-        result = args.handler(args, config)
+        result = handler(args, config)
         emit(result, args)
     except (ConfigError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,13 @@ from ._version import __version__
 from .errors import InvalidParameterError
 from .geometry import chi
 from .hamiltonian import drive_hamiltonian
-from .metrics import conditional_state_fidelity, gate_outcome
+from .metrics import (
+    OVERLAP_TOL,
+    compensated_fidelity,
+    conditional_state_fidelity,
+    gate_outcome,
+    gate_summary,
+)
 from .model import (
     BASE_DECAY_RATE,
     BASIS_LABELS,
@@ -34,6 +40,7 @@ from .model import (
     ThermalSpec,
     basis_state,
     cyclic_segment_duration,
+    standard_phases,
     standard_schedule,
     time_optimal_schedule,
 )
@@ -150,11 +157,30 @@ def run_dynamics(
     return ScanResult(axes=axes, rows=rows, metadata=metadata)
 
 
+# Grid points per stacked batch of scan_kappa. It bounds the working
+# memory of one batch (about 170 kB per operator stack) for any grid
+# length; larger batches raised peak memory without saving time.
+_SCAN_CHUNK = 32
+
+
 def scan_kappa(kappa_grid, v: float = V0) -> ScanResult:
-    """Gate summary for each drive-to-interaction ratio on the grid."""
+    """Gate summary for each drive-to-interaction ratio on the grid.
+
+    Each point is the four-segment standard_schedule(kappa, v). The grid
+    is evaluated in stacks of up to _SCAN_CHUNK points: one
+    drive_hamiltonian over (points x segments), one batched eigh, one
+    spectral_step with per-point durations, the segment products applied
+    in order, and one gate_summary of the stack. Raises
+    UndefinedPhaseError when any point leaves a computational state
+    behind.
+    """
     grid = [float(k) for k in np.atleast_1d(np.asarray(kappa_grid, dtype=float))]
     if not grid:
         raise InvalidParameterError("kappa grid must not be empty")
+    # Validates every point as standard_schedule would.
+    durations = np.array([cyclic_segment_duration(kappa, v) for kappa in grid])
+    rabi = np.array(grid) * v
+    phases = np.array(standard_phases())
     columns = [
         "kappa",
         "delta_gamma",
@@ -166,14 +192,27 @@ def scan_kappa(kappa_grid, v: float = V0) -> ScanResult:
         "leakage",
     ]
     rows = []
-    for kappa in grid:
-        outcome = gate_outcome(evolution_operator(standard_schedule(kappa, v)))
-        row = {"kappa": kappa, "delta_gamma": outcome.delta_gamma}
-        for label in COMPUTATIONAL_LABELS:
-            row[f"return_{label}"] = outcome.return_probabilities[label]
-        row["fidelity"] = outcome.fidelity
-        row["leakage"] = outcome.leakage
-        rows.append(row)
+    for first in range(0, len(grid), _SCAN_CHUNK):
+        chunk = slice(first, first + _SCAN_CHUNK)
+        hamiltonians = drive_hamiltonian(rabi[chunk, None], -v / 2.0, phases, v)
+        steps = spectral_step(*np.linalg.eigh(hamiltonians), durations[chunk, None, None])
+        operators = steps[:, 0]
+        for index in range(1, phases.size):
+            operators = steps[:, index] @ operators
+        summary = gate_summary(operators)
+        for kappa, delta_gamma, returns, fidelity, leakage in zip(
+            grid[chunk],
+            summary["delta_gamma"].tolist(),
+            summary["return_probabilities"].tolist(),
+            summary["fidelity"].tolist(),
+            summary["leakage"].tolist(),
+        ):
+            row = {"kappa": kappa, "delta_gamma": delta_gamma}
+            for label, probability in zip(COMPUTATIONAL_LABELS, returns):
+                row[f"return_{label}"] = probability
+            row["fidelity"] = fidelity
+            row["leakage"] = leakage
+            rows.append(row)
     metadata = _metadata(columns=columns, grids={"kappa": grid, "v": float(v)})
     return ScanResult(axes={"kappa": grid}, rows=rows, metadata=metadata)
 
@@ -468,22 +507,14 @@ def _cell_fidelity(operators: np.ndarray) -> np.ndarray:
     """Fidelity of composite cells against their own compensated targets.
 
     operators is one 9x9 cell or a stack of them over leading axes; the
-    result has the stack shape. Equal to gate_fidelity(operator,
-    compensated target) but avoids building the target: the compensated
-    trace collapses to 1 + |a01| + |a10| + |a11| e^{i (delta_gamma + pi)}.
-    Cells where any computational state fails to return carry no usable
-    phase and score zero so they can never qualify.
+    result has the stack shape. It is metrics.compensated_fidelity of
+    each cell, except that cells where any computational state fails to
+    return carry no usable phase and score zero, so they can never
+    qualify.
     """
-    a01 = operators[..., 1, 1]
-    a10 = operators[..., 3, 3]
-    a11 = operators[..., 4, 4]
-    m01, m10, m11 = np.abs(a01), np.abs(a10), np.abs(a11)
-    delta_gamma = (
-        np.angle(np.conj(a11)) - np.angle(np.conj(a10)) - np.angle(np.conj(a01))
-    )
-    total = 1.0 + m01 + m10 + m11 * np.exp(1j * (delta_gamma + math.pi))
-    returned = np.minimum(np.minimum(m01, m10), m11) > 1e-6
-    return np.where(returned, np.abs(total) / 4.0, 0.0)
+    amplitudes = operators[..., COMPUTATIONAL_INDICES, COMPUTATIONAL_INDICES]
+    returned = np.all(np.abs(amplitudes) > OVERLAP_TOL, axis=-1)
+    return np.where(returned, compensated_fidelity(amplitudes), 0.0)
 
 
 def run_actuating_scan(
@@ -512,15 +543,15 @@ def run_actuating_scan(
     if not (0.0 < threshold < 1.0):
         raise InvalidParameterError(f"threshold must be in (0, 1), got {threshold}")
     etas = [float(e) for e in eta_list]
-    if not etas or any(e <= 0.0 for e in etas):
-        raise InvalidParameterError("eta list must be non-empty and positive")
+    if not etas or not all(math.isfinite(e) and e > 0.0 for e in etas):
+        raise InvalidParameterError(f"eta list must be non-empty, finite and positive, got {etas}")
     if int(phase_count) < 1 or int(duration_count) < 1:
         raise InvalidParameterError(
             f"phase and duration counts must be >= 1, got {phase_count}, {duration_count}"
         )
     phases = np.linspace(-math.pi, math.pi, int(phase_count), endpoint=False)
     lo, hi = float(duration_range[0]), float(duration_range[1])
-    if not (0.0 < lo < hi):
+    if not (0.0 < lo < hi < math.inf):
         raise InvalidParameterError(f"bad duration range {duration_range}")
     durations = np.linspace(lo, hi, int(duration_count))
 

@@ -43,10 +43,11 @@ def accumulated_phase(initial, final) -> float:
     return float(np.angle(overlap))
 
 
-def wrap_controlled_phase(value: float) -> float:
-    """Wrap a phase into the branch (-2 pi, 0]."""
-    remainder = value % TWO_PI
-    return remainder - TWO_PI if remainder > 0.0 else 0.0
+def wrap_controlled_phase(value):
+    """Wrap a phase, or an array of phases, into the branch (-2 pi, 0]."""
+    remainder = np.mod(value, TWO_PI)
+    wrapped = np.where(remainder > 0.0, remainder - TWO_PI, 0.0)
+    return float(wrapped) if wrapped.ndim == 0 else wrapped
 
 
 def controlled_phase(phases) -> float:
@@ -105,12 +106,40 @@ def gate_fidelity(actual, target, mode: str = LINEAR) -> float:
     if defect > 1e-6:
         raise InvalidParameterError(f"target is not unitary (defect {defect:.3e})")
     block = _computational_block(np.asarray(actual, dtype=complex))
-    overlap = abs(np.trace(block @ target.conj().T))
+    return float(_score(abs(np.trace(block @ target.conj().T)), mode))
+
+
+def _score(overlap, mode: str):
+    """Fidelity from the trace overlap magnitude |tr(M T^dagger)|."""
     if mode == LINEAR:
-        return float(min(1.0, overlap / 4.0))
+        return np.minimum(1.0, overlap / 4.0)
     if mode == SQUARED:
-        return float(min(1.0, overlap**2 / 16.0))
+        return np.minimum(1.0, overlap**2 / 16.0)
     raise ConfigError(f"unknown fidelity mode {mode!r}")
+
+
+def compensated_fidelity(amplitudes, mode: str = LINEAR) -> np.ndarray:
+    """Fidelity against the compensated target, from the computational diagonal.
+
+    amplitudes holds the diagonal amplitudes (a00, a01, a10, a11) of the
+    computational block, over any leading stack axes; the result has the
+    stack shape. It equals gate_fidelity(U, compensated_cz_target(phi_01,
+    phi_10), mode) with phi_j = arg(conj(a_j)) without building the
+    target: against T = diag(1, e^{-i phi_01}, e^{-i phi_10},
+    e^{-i (phi_01 + phi_10 - pi)}) the trace tr(M T^dagger) collapses to
+    a00 + |a01| + |a10| + |a11| e^{-i (phi_11 - phi_10 - phi_01 + pi)}.
+    Returning states are not checked here.
+    """
+    magnitudes = np.abs(amplitudes)
+    phases = np.angle(np.conj(amplitudes))
+    raw = phases[..., 3] - phases[..., 2] - phases[..., 1]
+    total = (
+        amplitudes[..., 0]
+        + magnitudes[..., 1]
+        + magnitudes[..., 2]
+        + magnitudes[..., 3] * np.exp(-1j * (raw + math.pi))
+    )
+    return _score(np.abs(total), mode)
 
 
 def state_fidelity(rho_final, rho_target) -> float:
@@ -159,43 +188,70 @@ class GateOutcome:
         }
 
 
-def gate_outcome(operator, target=None, mode: str = LINEAR) -> GateOutcome:
-    """Summarize a 9x9 evolution operator as a gate.
+_COMPUTATIONAL = np.array(COMPUTATIONAL_INDICES)
 
+
+def gate_summary(operators, mode: str = LINEAR) -> dict:
+    """Gate summary of a stack of 9x9 evolution operators, as arrays.
+
+    operators has shape S + (9, 9). "phases" and "return_probabilities"
+    map to S + (4,) arrays in the order of COMPUTATIONAL_LABELS;
+    "delta_gamma", "fidelity" and "leakage" map to arrays of shape S.
     Phases come from the diagonal amplitudes of the computational
-    states; raises UndefinedPhaseError when any of them is non-cyclic
-    (diagonal magnitude at or below 1e-6). When no target is given the
-    operator is scored against a controlled phase of -pi compensated by
-    its own single-atom phases. Leakage is one minus the mean
-    computational-subspace population over the four computational
-    columns.
+    states; raises UndefinedPhaseError when any of them, in any
+    operator, is non-cyclic (diagonal magnitude at or below 1e-6). The
+    fidelity is compensated_fidelity, against a controlled phase of -pi
+    on top of each operator's own single-atom phases. Leakage is one
+    minus the mean computational-subspace population over the four
+    computational columns.
+    """
+    operators = np.asarray(operators, dtype=complex)
+    if operators.shape[-2:] != (DIMENSION, DIMENSION):
+        raise InvalidParameterError(
+            f"expected 9x9 operators, got shape {operators.shape}"
+        )
+    amplitudes = operators[..., _COMPUTATIONAL, _COMPUTATIONAL]
+    magnitudes = np.abs(amplitudes)
+    stranded = np.argwhere(magnitudes <= OVERLAP_TOL)
+    if stranded.size:
+        first = tuple(stranded[0])
+        raise UndefinedPhaseError(
+            f"state |{COMPUTATIONAL_LABELS[first[-1]]}> does not return "
+            f"(amplitude {magnitudes[first]:.3e})"
+        )
+    phases = np.angle(np.conj(amplitudes))
+    block = operators[..., _COMPUTATIONAL[:, None], _COMPUTATIONAL]
+    retained = np.sum(np.abs(block) ** 2, axis=-2)
+    return {
+        "phases": phases,
+        "delta_gamma": wrap_controlled_phase(
+            phases[..., 3] - phases[..., 2] - phases[..., 1]
+        ),
+        "return_probabilities": np.minimum(1.0, magnitudes**2),
+        "fidelity": compensated_fidelity(amplitudes, mode),
+        "leakage": np.maximum(0.0, 1.0 - np.mean(retained, axis=-1)),
+    }
+
+
+def gate_outcome(operator, target=None, mode: str = LINEAR) -> GateOutcome:
+    """Summarize one 9x9 evolution operator as a gate.
+
+    The fields are those of gate_summary. An explicit 4x4 target
+    replaces the compensated one in the fidelity.
     """
     operator = np.asarray(operator, dtype=complex)
     if operator.shape != (DIMENSION, DIMENSION):
         raise InvalidParameterError(
             f"expected a 9x9 operator, got shape {operator.shape}"
         )
-    phases = {}
-    returns = {}
-    for label, index in zip(COMPUTATIONAL_LABELS, COMPUTATIONAL_INDICES):
-        amplitude = operator[index, index]
-        if abs(amplitude) <= OVERLAP_TOL:
-            raise UndefinedPhaseError(
-                f"state |{label}> does not return (amplitude {abs(amplitude):.3e})"
-            )
-        phases[label] = float(np.angle(np.conj(amplitude)))
-        returns[label] = float(min(1.0, abs(amplitude) ** 2))
-    delta_gamma = controlled_phase(phases)
-    if target is None:
-        target = compensated_cz_target(phases["01"], phases["10"])
-    fidelity = gate_fidelity(operator, target, mode)
-    block = operator[np.ix_(COMPUTATIONAL_INDICES, COMPUTATIONAL_INDICES)]
-    retained = np.sum(np.abs(block) ** 2, axis=0)
-    leakage = float(max(0.0, 1.0 - float(np.mean(retained))))
+    summary = gate_summary(operator, mode)
+    fidelity = summary["fidelity"] if target is None else gate_fidelity(operator, target, mode)
     return GateOutcome(
-        phases=phases,
-        delta_gamma=delta_gamma,
-        return_probabilities=returns,
-        fidelity=fidelity,
-        leakage=leakage,
+        phases=dict(zip(COMPUTATIONAL_LABELS, summary["phases"].tolist())),
+        delta_gamma=float(summary["delta_gamma"]),
+        return_probabilities=dict(
+            zip(COMPUTATIONAL_LABELS, summary["return_probabilities"].tolist())
+        ),
+        fidelity=float(fidelity),
+        leakage=float(summary["leakage"]),
     )

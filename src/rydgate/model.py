@@ -352,13 +352,29 @@ class Schedule:
 
 
 def cyclic_segment_duration(kappa: float, v: float) -> float:
-    """Duration T with sqrt(4 Omega^2 + V^2/4) T = 2 pi at Omega = kappa V."""
+    """Duration T with sqrt(4 Omega^2 + V^2/4) T = 2 pi at Omega = kappa V.
+
+    The duration is positive and finite, so Omega is finite too.
+    """
     if not kappa > 0.0:
         raise InvalidParameterError(f"kappa must be > 0, got {kappa}")
     if not v > 0.0:
         raise InvalidParameterError(f"interaction must be > 0, got {v}")
     omega = kappa * v
-    return 2.0 * math.pi / math.sqrt(4.0 * omega**2 + v**2 / 4.0)
+    try:
+        duration = 2.0 * math.pi / math.sqrt(4.0 * omega**2 + v**2 / 4.0)
+    except (OverflowError, ZeroDivisionError):
+        duration = 0.0
+    if not duration > 0.0:
+        raise InvalidParameterError(
+            f"kappa {kappa} at interaction {v} gives no positive finite segment duration"
+        )
+    return duration
+
+
+def standard_phases(alternate_phase: float = ALTERNATE_PHASE) -> tuple:
+    """Drive phases of the four standard segments: 0, alternate, 0, alternate."""
+    return (0.0, alternate_phase, 0.0, alternate_phase)
 
 
 def standard_schedule(
@@ -380,7 +396,7 @@ def standard_schedule(
     detuning = -v / 2.0
     segments = tuple(
         PulseSegment(rabi=omega, detuning=detuning, phase=phase, duration=duration)
-        for phase in (0.0, alternate_phase, 0.0, alternate_phase)
+        for phase in standard_phases(alternate_phase)
     )
     return Schedule(segments=segments, interaction=v, units=units)
 

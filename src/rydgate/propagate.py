@@ -149,11 +149,13 @@ def _segment_substeps(schedule: Schedule, config: IntegratorConfig) -> int:
     return int(config.substeps_per_segment)
 
 
-def spectral_step(values: np.ndarray, vectors: np.ndarray, t: float) -> np.ndarray:
+def spectral_step(values: np.ndarray, vectors: np.ndarray, t) -> np.ndarray:
     """exp(-i H t) from the eigensystem (values, vectors) of a Hermitian H.
 
     values and vectors may carry leading stack axes, as returned by
     np.linalg.eigh on a stack of operators; the result is stacked alike.
+    t is one duration, or an array of durations, one per operator, whose
+    shape broadcasts to S + (1,) for a stack of shape S.
     """
     phases = np.exp(-1j * values * t)[..., None, :]
     return (vectors * phases) @ vectors.conj().swapaxes(-1, -2)

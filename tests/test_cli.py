@@ -75,18 +75,47 @@ class TestExitCodes:
             raise UndefinedPhaseError("no usable phase")
 
         monkeypatch.setattr(cli_module, "cmd_gate", broken)
-        parser_backup = cli_module.build_parser
-
-        def patched_parser():
-            parser = parser_backup()
-            for action in parser._subparsers._group_actions:
-                gate = action.choices["gate"]
-                gate.set_defaults(handler=broken)
-            return parser
-
-        monkeypatch.setattr(cli_module, "build_parser", patched_parser)
         assert run_cli(["gate", "--kappa", "1.0"]) == 3
         assert "error:" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, monkeypatch, capsys):
+        import rydgate.cli as cli_module
+
+        built = []
+        original = cli_module.build_parser
+
+        def counting_build():
+            built.append(original())
+            return built[-1]
+
+        monkeypatch.setattr(cli_module, "_PARSER", None)
+        monkeypatch.setattr(cli_module, "build_parser", counting_build)
+        gate = ["gate", "--kappa", "1.3"]
+        assert run_cli(gate) == 0
+        reference = capsys.readouterr().out
+
+        def broken(args, config):
+            raise UndefinedPhaseError("no usable phase")
+
+        def raising_handler():
+            with monkeypatch.context() as patch:
+                patch.setattr(cli_module, "cmd_gate", broken)
+                return run_cli(gate)
+
+        disturbances = [
+            (lambda: run_cli(["gate", "--bogus"]), 2),
+            (lambda: run_cli(["--version"]), 0),
+            (raising_handler, 3),
+        ]
+        for disturb, code in disturbances:
+            assert disturb() == code
+            capsys.readouterr()
+            assert run_cli(gate) == 0
+            assert capsys.readouterr().out == reference
+        assert len(built) == 1
+        assert cli_module._PARSER is built[0]
 
 
 class TestScanCommand:
@@ -110,6 +139,16 @@ class TestScanCommand:
 
     def test_bad_range_exits_two(self, capsys):
         assert run_cli(["scan-kappa", "--min", "5", "--max", "1", "--steps", "3"]) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--max", "inf"], ["--max", "1e200"], ["--v", "inf"], ["--v", "1e-320"]],
+        ids=lambda args: "-".join(args).lstrip("-"),
+    )
+    def test_unrepresentable_grid_exits_two(self, args, capsys):
+        assert run_cli(["scan-kappa", "--steps", "3"] + args) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
 
 class TestSeedResolution:
@@ -233,6 +272,11 @@ class TestOtherCommands:
             ["actuate", "--phase-count", "0"],
             ["actuate", "--duration-count", "0"],
             ["actuate", "--duration-count", "-1"],
+            ["actuate", "--etas", "inf"],
+            ["actuate", "--etas", "nan"],
+            ["actuate", "--etas", "1,-inf"],
+            ["actuate", "--tmax", "inf"],
+            ["actuate", "--tmin", "nan"],
         ],
         ids=lambda args: "-".join(args).lstrip("-"),
     )

@@ -13,6 +13,7 @@ from rydgate.experiments import (
     REFERENCE_KAPPA,
     InterferometerSpec,
     ScanResult,
+    _SCAN_CHUNK,
     _cell_fidelity,
     interior_extrema,
     preparation_operator,
@@ -29,7 +30,7 @@ from rydgate.experiments import (
 )
 from rydgate.hamiltonian import build_full
 from rydgate.metrics import gate_outcome
-from rydgate.model import PulseSegment, Schedule, basis_state
+from rydgate.model import PulseSegment, Schedule, basis_state, standard_schedule
 from rydgate.propagate import evolution_operator
 
 V = 2.0 * math.pi
@@ -106,6 +107,27 @@ class TestScanKappa:
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidParameterError):
             scan_kappa([], V)
+
+    def test_matches_per_point_oracle(self):
+        # Longer than one stacked chunk, and holding the reference ratio.
+        grid = np.sort(np.append(np.linspace(0.2, 5.0, _SCAN_CHUNK + 40), REFERENCE_KAPPA))
+        result = scan_kappa(grid, V)
+        assert len(result.rows) == grid.size
+        for kappa, row in zip(grid, result.rows):
+            outcome = gate_outcome(evolution_operator(standard_schedule(kappa, V)))
+            expected = {"kappa": kappa, "delta_gamma": outcome.delta_gamma}
+            for label, probability in outcome.return_probabilities.items():
+                expected[f"return_{label}"] = probability
+            expected["fidelity"] = outcome.fidelity
+            expected["leakage"] = outcome.leakage
+            assert set(row) == set(expected)
+            for name, value in expected.items():
+                assert row[name] == pytest.approx(value, abs=1e-12), (kappa, name)
+
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, math.inf, math.nan, 1e200])
+    def test_bad_point_rejected(self, kappa):
+        with pytest.raises(InvalidParameterError):
+            scan_kappa([1.0, kappa, 2.0], V)
 
 
 class TestNoiseMap:

@@ -15,6 +15,7 @@ from rydgate.metrics import (
     controlled_phase,
     gate_fidelity,
     gate_outcome,
+    gate_summary,
     ideal_controlled_phase,
     state_fidelity,
     wrap_controlled_phase,
@@ -23,6 +24,13 @@ from rydgate.model import basis_state, standard_schedule
 from rydgate.propagate import evolution_operator
 
 V = 2.0 * math.pi
+
+
+def _random_unitary(rng):
+    """Haar-like random 9x9 unitary; its diagonal entries all return."""
+    z = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestAccumulatedPhase:
@@ -63,6 +71,12 @@ class TestControlledPhase:
         wrapped = wrap_controlled_phase(raw)
         assert wrapped == pytest.approx(expected)
         assert -2.0 * math.pi < wrapped <= 0.0
+
+    def test_array_matches_scalar_calls(self):
+        raw = np.array([0.0, -math.pi, math.pi, 0.1, -0.1, 2.0 * math.pi, 5.0 * math.pi, -7.3])
+        wrapped = wrap_controlled_phase(raw.reshape(2, 4))
+        assert wrapped.shape == (2, 4)
+        assert wrapped.ravel().tolist() == [wrap_controlled_phase(float(r)) for r in raw]
 
     def test_combination(self):
         phases = {"01": 0.3, "10": -0.2, "11": 0.5}
@@ -183,6 +197,48 @@ class TestGateOutcome:
         rotated = gate_outcome(transformed)
         assert rotated.delta_gamma == pytest.approx(base.delta_gamma, abs=1e-9)
         assert rotated.fidelity == pytest.approx(base.fidelity, abs=1e-9)
+
+    @pytest.mark.parametrize("mode", ["linear", "squared"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fidelity_equals_explicit_compensated_target(self, mode, seed):
+        # Oracle: the trace overlap with the compensated target matrix, built
+        # from the phases gate_outcome reports.
+        u = _random_unitary(np.random.default_rng(900 + seed))
+        outcome = gate_outcome(u, mode=mode)
+        target = compensated_cz_target(outcome.phases["01"], outcome.phases["10"])
+        assert outcome.fidelity == pytest.approx(gate_fidelity(u, target, mode), abs=1e-12)
+
+    def test_stack_summary_matches_each_operator(self):
+        rng = np.random.default_rng(77)
+        operators = np.array(
+            [evolution_operator(standard_schedule(k, V)) for k in (0.7, 1.65, 3.1)]
+            + [_random_unitary(rng) for _ in range(3)]
+        ).reshape(2, 3, 9, 9)
+        summary = gate_summary(operators)
+        assert summary["phases"].shape == (2, 3, 4)
+        assert summary["fidelity"].shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            outcome = gate_outcome(operators[index])
+            assert summary["delta_gamma"][index] == pytest.approx(outcome.delta_gamma, abs=1e-15)
+            assert summary["fidelity"][index] == pytest.approx(outcome.fidelity, abs=1e-15)
+            assert summary["leakage"][index] == pytest.approx(outcome.leakage, abs=1e-15)
+            np.testing.assert_allclose(
+                summary["phases"][index], list(outcome.phases.values()), rtol=0, atol=1e-15
+            )
+            np.testing.assert_allclose(
+                summary["return_probabilities"][index],
+                list(outcome.return_probabilities.values()),
+                rtol=0,
+                atol=1e-15,
+            )
+
+    def test_one_stranded_operator_rejects_the_stack(self):
+        stranded = np.eye(9, dtype=complex)
+        stranded[[3, 6], [3, 6]] = 0.0
+        stranded[[3, 6], [6, 3]] = 1.0
+        good = evolution_operator(standard_schedule(1.65, V))
+        with pytest.raises(UndefinedPhaseError, match=r"\|10>"):
+            gate_summary(np.array([good, stranded, good]))
 
     def test_non_cyclic_state_rejected(self):
         u = np.eye(9, dtype=complex)

@@ -209,6 +209,13 @@ class TestSchedule:
         with pytest.raises(InvalidParameterError):
             cyclic_segment_duration(1.0, -1.0)
 
+    @pytest.mark.parametrize("kappa,v", [(1e200, 1.0), (1.0, 1e-320)])
+    def test_cyclic_segment_duration_rejects_unrepresentable_periods(self, kappa, v):
+        # The squared drive overflows, or the generalized Rabi frequency
+        # underflows to zero.
+        with pytest.raises(InvalidParameterError):
+            cyclic_segment_duration(kappa, v)
+
     def test_total_duration(self):
         schedule = standard_schedule(0.8, 3.0)
         assert schedule.total_duration == pytest.approx(
