@@ -64,7 +64,6 @@ from .propagate import (
     evolution_operator,
     propagate_density,
     propagate_state,
-    write_population_csv,
 )
 from .metrics import (
     GateOutcome,

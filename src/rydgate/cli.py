@@ -62,36 +62,37 @@ def _section(config: dict, name: str) -> dict:
     return section
 
 
+def _integer(value, what: str) -> int:
+    """value as an int, or a ConfigError naming what it sets."""
+    message = f"{what} must be an integer, got {value!r}"
+    # int() would turn true into 1 and truncate 1.9 to 1.
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(message)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(message) from exc
+
+
+def _number(value, what: str) -> float:
+    """value as a float, or a ConfigError naming what it sets."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+
+
 def resolve_seed(args, config: dict) -> int:
     """Seed priority: flag, then config noise section, then environment."""
     if args.seed is not None:
         return int(args.seed)
     noise = _section(config, "noise")
     if "seed" in noise:
-        seed = noise["seed"]
-        message = f"config noise seed must be an integer, got {seed!r}"
-        # int() would turn true into 1 and truncate 1.9 to 1.
-        if isinstance(seed, bool) or (isinstance(seed, float) and not seed.is_integer()):
-            raise ConfigError(message)
-        try:
-            return int(seed)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(message) from exc
+        return _integer(noise["seed"], "config noise seed")
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
+        return _integer(env, SEED_ENV_VAR)
     return DEFAULT_SEED
-
-
-def resolve_units(args, config: dict, default: str) -> str:
-    if args.units is not None:
-        return normalize_units(args.units)
-    if "units" in config:
-        return normalize_units(config["units"])
-    return default
 
 
 def _resolve(args, name: str, config_section: dict, key: str, default):
@@ -101,6 +102,61 @@ def _resolve(args, name: str, config_section: dict, key: str, default):
     if key in config_section:
         return config_section[key]
     return default
+
+
+def _schedule(args, config: dict, kappa_default=None):
+    """(kappa, v): each from its flag, else the config schedule section, else a default.
+
+    The config keys are schedule.kappa and schedule.interaction. kappa is
+    None for a command without a --kappa flag; a command with one and no
+    kappa_default requires it.
+    """
+    section = _section(config, "schedule")
+    kappa = None
+    if hasattr(args, "kappa"):
+        kappa = _resolve(args, "kappa", section, "kappa", kappa_default)
+        if kappa is None:
+            raise ConfigError(
+                f"{args.command} requires --kappa or a schedule.kappa config entry"
+            )
+        kappa = _number(kappa, "--kappa")
+    v = _number(_resolve(args, "v", section, "interaction", experiments.V0), "--v")
+    return kappa, v
+
+
+def _grid(low, high, steps, rule=None) -> np.ndarray:
+    """np.linspace(low, high, steps) once its inputs pass the boundary checks.
+
+    low, high and steps are (flag, value) pairs; a value may come from
+    the flag, the config or a default. Non-finite bounds, a step count
+    below 1 and bounds too far apart for a float are rejected naming the
+    flag; equal bounds are fine. rule is (text, predicate) for the
+    command's own range rule on the two bounds.
+    """
+    (low_flag, low), (high_flag, high), (steps_flag, steps) = low, high, steps
+    low, high = _number(low, low_flag), _number(high, high_flag)
+    for flag, value in ((low_flag, low), (high_flag, high)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
+    steps = _integer(steps, steps_flag)
+    if steps < 1:
+        raise ConfigError(f"{steps_flag} must be >= 1, got {steps}")
+    if rule is not None and not rule[1](low, high):
+        raise ConfigError(f"bad grid from {low} to {high}: need {rule[0]}")
+    if not math.isfinite(high - low):
+        raise ConfigError(f"{low_flag} and {high_flag} are too far apart: {low}, {high}")
+    return np.linspace(low, high, steps)
+
+
+def _kappa_grid(args, config: dict, low: float, high: float, steps: int) -> np.ndarray:
+    """The --min/--max/--steps ratio grid, with config "scan" keys and defaults."""
+    section = _section(config, "scan")
+    return _grid(
+        ("--min", _resolve(args, "min", section, "kappa_min", low)),
+        ("--max", _resolve(args, "max", section, "kappa_max", high)),
+        ("--steps", _resolve(args, "steps", section, "kappa_steps", steps)),
+        ("0 < --min < --max", lambda low, high: 0.0 < low < high),
+    )
 
 
 def emit(result, args) -> None:
@@ -119,61 +175,43 @@ def emit(result, args) -> None:
 
 
 def cmd_gate(args, config: dict):
-    schedule_cfg = _section(config, "schedule")
-    kappa = _resolve(args, "kappa", schedule_cfg, "kappa", None)
-    if kappa is None:
-        raise ConfigError("gate requires --kappa or a schedule.kappa config entry")
-    v = _resolve(args, "v", schedule_cfg, "interaction", experiments.V0)
-    units = resolve_units(args, config, "natural")
-    return experiments.run_gate(float(kappa), float(v), units=units)
+    kappa, v = _schedule(args, config)
+    units = normalize_units(_resolve(args, "units", config, "units", "natural"))
+    return experiments.run_gate(kappa, v, units=units)
 
 
 def cmd_dynamics(args, config: dict):
-    schedule_cfg = _section(config, "schedule")
-    kappa = _resolve(args, "kappa", schedule_cfg, "kappa", None)
-    if kappa is None:
-        raise ConfigError("dynamics requires --kappa or a schedule.kappa config entry")
-    v = _resolve(args, "v", schedule_cfg, "interaction", experiments.V0)
-    return experiments.run_dynamics(
-        float(kappa), float(v), samples_per_segment=args.samples
-    )
+    kappa, v = _schedule(args, config)
+    return experiments.run_dynamics(kappa, v, samples_per_segment=args.samples)
 
 
 def cmd_scan_kappa(args, config: dict):
-    scan_cfg = _section(config, "scan")
-    low = float(_resolve(args, "min", scan_cfg, "kappa_min", 0.2))
-    high = float(_resolve(args, "max", scan_cfg, "kappa_max", 5.0))
-    steps = int(_resolve(args, "steps", scan_cfg, "kappa_steps", 25))
-    if not (0.0 < low < high) or steps < 1:
-        raise ConfigError(
-            f"bad kappa scan range: min {low}, max {high}, steps {steps}"
-        )
-    v = _resolve(args, "v", _section(config, "schedule"), "interaction", experiments.V0)
-    return experiments.scan_kappa(np.linspace(low, high, steps), float(v))
+    grid = _kappa_grid(args, config, 0.2, 5.0, 25)
+    _, v = _schedule(args, config)
+    return experiments.scan_kappa(grid, v)
 
 
 def cmd_noise_map(args, config: dict):
     noise_cfg = _section(config, "noise")
     scan_cfg = _section(config, "scan")
     seed = resolve_seed(args, config)
-    trials = int(_resolve(args, "trials", noise_cfg, "trials", 100))
-    substeps = int(_resolve(args, "substeps", noise_cfg, "substeps", 100))
-    steps = int(_resolve(args, "steps", scan_cfg, "eta_steps", 6))
-    eta_max = float(_resolve(args, "eta_max", scan_cfg, "eta_max", 0.05))
-    if steps < 1 or not (0.0 < eta_max <= 0.05):
-        raise ConfigError(f"bad noise grid: steps {steps}, eta_max {eta_max}")
-    grid = np.linspace(0.0, eta_max, steps)
-    schedule_cfg = _section(config, "schedule")
-    kappa = _resolve(args, "kappa", schedule_cfg, "kappa", experiments.REFERENCE_KAPPA)
-    v = _resolve(args, "v", schedule_cfg, "interaction", experiments.V0)
+    trials = _integer(_resolve(args, "trials", noise_cfg, "trials", 100), "--trials")
+    substeps = _integer(_resolve(args, "substeps", noise_cfg, "substeps", 100), "--substeps")
+    grid = _grid(
+        ("", 0.0),
+        ("--eta-max", _resolve(args, "eta_max", scan_cfg, "eta_max", 0.05)),
+        ("--steps", _resolve(args, "steps", scan_cfg, "eta_steps", 6)),
+        ("0 < --eta-max <= 0.05", lambda low, high: 0.0 < high <= 0.05),
+    )
+    kappa, v = _schedule(args, config, experiments.REFERENCE_KAPPA)
     return experiments.run_noise_map(
         eta_omega_grid=grid,
         eta_delta_grid=grid,
         trials=trials,
         seed=seed,
         substeps=substeps,
-        kappa=float(kappa),
-        v=float(v),
+        kappa=kappa,
+        v=v,
     )
 
 
@@ -182,49 +220,39 @@ def cmd_thermal_map(args, config: dict):
     exponent_mode = str(
         _resolve(args, "exponent_mode", thermal_cfg, "exponent_mode", "literal")
     )
-    if args.dsteps < 1 or args.tsteps < 1:
-        raise ConfigError(f"bad thermal grid: dsteps {args.dsteps}, tsteps {args.tsteps}")
-    distances = np.linspace(args.dmin, args.dmax, args.dsteps)
-    temperatures = np.linspace(args.tmin, args.tmax, args.tsteps)
-    schedule_cfg = _section(config, "schedule")
-    kappa = _resolve(args, "kappa", schedule_cfg, "kappa", experiments.REFERENCE_KAPPA)
-    v = _resolve(args, "v", schedule_cfg, "interaction", experiments.V0)
+    distances = _grid(("--dmin", args.dmin), ("--dmax", args.dmax), ("--dsteps", args.dsteps))
+    temperatures = _grid(("--tmin", args.tmin), ("--tmax", args.tmax), ("--tsteps", args.tsteps))
+    kappa, v = _schedule(args, config, experiments.REFERENCE_KAPPA)
     return experiments.run_thermal_map(
         distance_grid=distances,
         temperature_grid=temperatures,
         exponent_mode=exponent_mode,
-        kappa=float(kappa),
-        v=float(v),
+        kappa=kappa,
+        v=v,
         substeps=args.substeps,
     )
 
 
 def cmd_interfere(args, config: dict):
-    scan_cfg = _section(config, "scan")
-    low = float(_resolve(args, "min", scan_cfg, "kappa_min", 1.0))
-    high = float(_resolve(args, "max", scan_cfg, "kappa_max", 5.0))
-    steps = int(_resolve(args, "steps", scan_cfg, "kappa_steps", 41))
-    if not (0.0 < low < high) or steps < 1:
-        raise ConfigError(
-            f"bad kappa scan range: min {low}, max {high}, steps {steps}"
-        )
+    grid = _kappa_grid(args, config, 1.0, 5.0, 41)
+    _, v = _schedule(args, config)
     spec = InterferometerSpec(
-        kappa_grid=tuple(np.linspace(low, high, steps)),
-        v=float(
-            _resolve(args, "v", _section(config, "schedule"), "interaction", experiments.V0)
-        ),
-        reference_kappa=args.reference_kappa,
+        kappa_grid=tuple(grid), v=v, reference_kappa=args.reference_kappa
     )
     return experiments.run_interferometer(spec)
 
 
 def cmd_decay(args, config: dict):
-    if args.rsteps < 1 or args.rmax < 0.0:
-        raise ConfigError(f"bad decay grid: rmax {args.rmax}, rsteps {args.rsteps}")
+    multipliers = _grid(
+        ("", 0.0),
+        ("--rmax", args.rmax),
+        ("--rsteps", args.rsteps),
+        ("--rmax >= 0", lambda low, high: high >= 0.0),
+    )
     rabi = tuple(2.0 * math.pi * f for f in args.rabi)
     return experiments.run_decay_curves(
         rabi_frequencies=rabi,
-        multiplier_grid=np.linspace(0.0, args.rmax, args.rsteps),
+        multiplier_grid=multipliers,
         compare_time_optimal=not args.no_time_optimal,
         time_optimal_substeps=args.to_substeps,
     )
@@ -243,11 +271,16 @@ def cmd_actuate(args, config: dict):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--units", help="unit system: natural or mhz")
-    common.add_argument("--seed", type=int, help="random seed for stochastic runs")
-    common.add_argument("--out", help="output path (CSV or JSON); stdout when omitted")
-    common.add_argument("--config", help="JSON config file with default settings")
+    # Each subcommand accepts only the flags it reads. Every one writes
+    # --out; the configured ones also read --config and --v, and the
+    # scheduled ones --kappa as well (see _schedule).
+    plain = argparse.ArgumentParser(add_help=False)
+    plain.add_argument("--out", help="output path (CSV or JSON); stdout when omitted")
+    configured = argparse.ArgumentParser(add_help=False, parents=[plain])
+    configured.add_argument("--config", help="JSON config file with default settings")
+    configured.add_argument("--v", type=float, help="interaction strength")
+    scheduled = argparse.ArgumentParser(add_help=False, parents=[configured])
+    scheduled.add_argument("--kappa", type=float, help="drive-to-interaction ratio")
 
     parser = argparse.ArgumentParser(
         prog="rydgate",
@@ -256,39 +289,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rydgate {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    p = subparsers.add_parser(
-        "gate", parents=[common], help="summarize the four-segment gate"
-    )
-    p.add_argument("--kappa", type=float, help="drive-to-interaction ratio")
-    p.add_argument("--v", type=float, help="interaction strength")
+    p = subparsers.add_parser("gate", parents=[scheduled], help="summarize the four-segment gate")
+    p.add_argument("--units", help="unit system: natural or mhz")
 
-    p = subparsers.add_parser(
-        "dynamics", parents=[common], help="population histories as CSV"
-    )
-    p.add_argument("--kappa", type=float, help="drive-to-interaction ratio")
-    p.add_argument("--v", type=float, help="interaction strength")
+    p = subparsers.add_parser("dynamics", parents=[scheduled], help="population histories as CSV")
     p.add_argument("--samples", type=int, default=100, help="samples per segment")
 
     p = subparsers.add_parser(
-        "scan-kappa", parents=[common], help="gate summary over a ratio grid"
+        "scan-kappa", parents=[configured], help="gate summary over a ratio grid"
     )
     p.add_argument("--min", type=float, help="smallest ratio")
     p.add_argument("--max", type=float, help="largest ratio")
     p.add_argument("--steps", type=int, help="number of grid points")
-    p.add_argument("--v", type=float, help="interaction strength")
 
     p = subparsers.add_parser(
-        "noise-map", parents=[common], help="Monte-Carlo fidelity over noise amplitudes"
+        "noise-map", parents=[scheduled], help="Monte-Carlo fidelity over noise amplitudes"
     )
     p.add_argument("--trials", type=int, help="noise realizations per cell")
     p.add_argument("--substeps", type=int, help="noise substeps per segment")
     p.add_argument("--steps", type=int, help="grid points per noise axis")
-    p.add_argument("--eta-max", dest="eta_max", type=float, help="largest amplitude")
-    p.add_argument("--kappa", type=float, help="drive-to-interaction ratio")
-    p.add_argument("--v", type=float, help="interaction strength")
+    p.add_argument("--eta-max", type=float, help="largest amplitude")
+    p.add_argument("--seed", type=int, help="random seed for the noise draws")
 
     p = subparsers.add_parser(
-        "thermal-map", parents=[common], help="fidelity versus distance and temperature"
+        "thermal-map", parents=[scheduled], help="fidelity versus distance and temperature"
     )
     p.add_argument("--dmin", type=float, default=4.0, help="smallest trap distance")
     p.add_argument("--dmax", type=float, default=8.0, help="largest trap distance")
@@ -299,30 +323,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--substeps", type=int, default=1000, help="substeps per segment")
     p.add_argument(
         "--exponent-mode",
-        dest="exponent_mode",
         choices=("literal", "physical"),
         help="distance-ratio orientation in the interaction law",
     )
-    p.add_argument("--kappa", type=float, help="drive-to-interaction ratio")
-    p.add_argument("--v", type=float, help="interaction strength")
 
     p = subparsers.add_parser(
-        "interfere", parents=[common], help="beamsplitter interferometer sweep"
+        "interfere", parents=[configured], help="beamsplitter interferometer sweep"
     )
     p.add_argument("--min", type=float, help="smallest ratio")
     p.add_argument("--max", type=float, help="largest ratio")
     p.add_argument("--steps", type=int, help="number of grid points")
-    p.add_argument("--v", type=float, help="interaction strength")
     p.add_argument(
         "--reference-kappa",
-        dest="reference_kappa",
         type=float,
         default=experiments.REFERENCE_KAPPA,
         help="ratio whose cyclic period fixes the segment duration",
     )
 
     p = subparsers.add_parser(
-        "decay", parents=[common], help="conditional fidelity versus decay rate"
+        "decay", parents=[plain], help="conditional fidelity versus decay rate"
     )
     p.add_argument(
         "--rabi",
@@ -333,20 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=float, default=10.0, help="largest rate multiplier")
     p.add_argument("--rsteps", type=int, default=21, help="multiplier grid points")
     p.add_argument(
-        "--no-time-optimal",
-        action="store_true",
-        help="skip the phase-driven comparison curve",
+        "--no-time-optimal", action="store_true", help="skip the phase-driven comparison curve"
     )
     p.add_argument(
-        "--to-substeps",
-        dest="to_substeps",
-        type=int,
-        default=1500,
-        help="substeps for the phase-driven comparison",
+        "--to-substeps", type=int, default=1500, help="substeps for the phase-driven comparison"
     )
 
     p = subparsers.add_parser(
-        "actuate", parents=[common], help="actuating area of high-fidelity cells"
+        "actuate", parents=[plain], help="actuating area of high-fidelity cells"
     )
     p.add_argument(
         "--etas",
@@ -361,15 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="fixed-omega",
         help="drive scaling as the interaction varies",
     )
-    p.add_argument("--phase-count", dest="phase_count", type=int, default=48)
-    p.add_argument("--duration-count", dest="duration_count", type=int, default=300)
+    p.add_argument("--phase-count", type=int, default=48)
+    p.add_argument("--duration-count", type=int, default=300)
     p.add_argument("--tmin", type=float, default=0.02, help="shortest duration")
     p.add_argument("--tmax", type=float, default=3.0, help="longest duration")
     p.add_argument(
-        "--independent-phases",
-        dest="independent_phases",
-        action="store_true",
-        help="let the two phased pulses differ",
+        "--independent-phases", action="store_true", help="let the two phased pulses differ"
     )
 
     return parser
@@ -391,7 +401,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        config = load_config(args.config) if args.config else {}
+        config = load_config(args.config) if getattr(args, "config", None) else {}
         result = handler(args, config)
         emit(result, args)
     except (ConfigError, InvalidParameterError) as exc:

@@ -525,16 +525,15 @@ def run_actuating_scan(
     duration_count: int = 300,
     duration_range=(0.02, 3.0),
     independent_phases: bool = False,
-    v0: float = V0,
 ) -> ScanResult:
     """Mean actuating area of high-fidelity composite cells versus interaction.
 
-    For each interaction strength v = eta * v0, sweeps the second-pulse
+    For each interaction strength v = eta * V0, sweeps the second-pulse
     phase and the common segment duration, builds the composite
     U(phi) U(0) U(phi) U(0), and collects the durations whose cells beat
     the fidelity threshold. The row reports their mean duration and the
     actuating area v * 4 * mean duration. In fixed-omega mode the drive
-    stays at the reference ratio times v0 while v varies; fixed-kappa
+    stays at the reference ratio times V0 while v varies; fixed-kappa
     mode rescales the drive with v. A quadratic fit of area against v
     lands in the metadata.
     """
@@ -558,8 +557,8 @@ def run_actuating_scan(
     columns = ["eta", "v", "qualifying_cells", "mean_duration", "actuating"]
     rows = []
     for eta in etas:
-        v = eta * v0
-        rabi = REFERENCE_KAPPA * (v0 if mode == "fixed-omega" else v)
+        v = eta * V0
+        rabi = REFERENCE_KAPPA * (V0 if mode == "fixed-omega" else v)
         # Operator 0 is the phase-0 segment; operator k + 1 has phases[k].
         system = np.linalg.eigh(
             drive_hamiltonian(rabi, -v / 2.0, np.concatenate(([0.0], phases)), v)
@@ -600,7 +599,7 @@ def run_actuating_scan(
         columns=columns,
         grids={
             "eta": etas,
-            "v0": float(v0),
+            "v0": float(V0),
             "phase_count": int(phase_count),
             "duration_count": int(duration_count),
             "duration_range": [lo, hi],

@@ -200,10 +200,11 @@ def composite_objective(kappa: float, v: float = V0) -> float:
     return math.tan(params.rotation_half_angle) * math.cos(params.mixing_angle) + 1.0
 
 
-def composite_cyclic_root(
-    bracket: tuple[float, float] = (0.05, 1.0), tol: float = 1e-6
-) -> float:
-    """Bisection root of the composite cyclicity condition in kappa."""
+def composite_cyclic_root(bracket: tuple[float, float] = (0.05, 1.0)) -> float:
+    """Bisection root of the composite cyclicity condition in kappa.
+
+    Bisects until the bracket is at most 1e-6 wide and returns its midpoint.
+    """
     low, high = float(bracket[0]), float(bracket[1])
     if not (0.0 < low < high):
         raise InvalidParameterError(f"invalid bracket {bracket}")
@@ -217,7 +218,7 @@ def composite_cyclic_root(
         raise RootNotFoundError(
             f"no sign change on [{low}, {high}]: f = ({f_low:.6g}, {f_high:.6g})"
         )
-    while high - low > tol:
+    while high - low > 1e-6:
         mid = 0.5 * (low + high)
         f_mid = composite_objective(mid)
         if f_mid == 0.0:
@@ -229,14 +230,14 @@ def composite_cyclic_root(
     return 0.5 * (low + high)
 
 
-def composite_return_probability(
-    kappa: float,
-    v: float = V0,
-    alternate_phase: float = ALTERNATE_PHASE,
-) -> float:
-    """|10> return probability after the four-pulse two-level composite."""
+def composite_return_probability(kappa: float, v: float = V0) -> float:
+    """|10> return probability after the four-pulse two-level composite.
+
+    The composite is the standard four segments, with drive phases
+    alternating between 0 and ALTERNATE_PHASE.
+    """
     u_a = sector_evolution("10", kappa, v, 0.0)
-    u_b = sector_evolution("10", kappa, v, alternate_phase)
+    u_b = sector_evolution("10", kappa, v, ALTERNATE_PHASE)
     pair = u_b @ u_a
     composite = pair @ pair
     return float(abs(composite[0, 0]) ** 2)

@@ -19,6 +19,7 @@ from .errors import DegenerateGeometryError, InvalidParameterError
 from .model import (
     DIMENSION,
     EXCITATION_COUNT,
+    HERMITICITY_TOL,
     DecaySpec,
     PulseSegment,
     ThermalSpec,
@@ -44,8 +45,8 @@ SUBSPACE_LABELS = {
 }
 
 
-def is_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(matrix - matrix.conj().T)) <= tol)
+def is_hermitian(matrix: np.ndarray) -> bool:
+    return bool(np.max(np.abs(matrix - matrix.conj().T)) <= HERMITICITY_TOL)
 
 
 # Index pairs (bra, ket) where one atom moves from 1 to r while the other
@@ -114,30 +115,21 @@ def subspace_basis(which: str) -> np.ndarray:
     return basis
 
 
-def apply_decay(h: np.ndarray, decay: DecaySpec, excitations=None) -> np.ndarray:
-    """Add -i * gamma per excited atom to the diagonal.
+def apply_decay(h: np.ndarray, decay: DecaySpec) -> np.ndarray:
+    """Add -i * gamma per excited atom (EXCITATION_COUNT) to the diagonal.
 
     The result generates contractive evolution: every eigenvalue has a
     non-positive imaginary part, and only diagonal imaginary parts
-    change. h may be one operator or a stack of them over leading axes.
-    For 9x9 operators the per-label excitation counts are implied;
-    smaller blocks need them passed explicitly.
+    change. h is one 9x9 operator or a stack of them over leading axes;
+    any other shape is rejected.
     """
     if not decay.gamma >= 0.0:
         raise InvalidParameterError(f"decay rate must be >= 0, got {decay.gamma}")
     matrix = np.array(h, dtype=complex)
-    if excitations is None:
-        if matrix.shape[-2:] != (DIMENSION, DIMENSION):
-            raise InvalidParameterError(
-                "excitation counts are required for non-9x9 operators"
-            )
-        counts = EXCITATION_COUNT
-    else:
-        counts = np.asarray(excitations, dtype=float)
-        if counts.shape != matrix.shape[-1:]:
-            raise InvalidParameterError("excitation counts must match the operator dimension")
-    diagonal = np.arange(counts.shape[0])
-    matrix[..., diagonal, diagonal] -= 1j * decay.gamma * counts
+    if matrix.shape[-2:] != (DIMENSION, DIMENSION):
+        raise InvalidParameterError(f"expected 9x9 operators, got shape {matrix.shape}")
+    diagonal = np.arange(DIMENSION)
+    matrix[..., diagonal, diagonal] -= 1j * decay.gamma * EXCITATION_COUNT
     return matrix
 
 

@@ -5,6 +5,9 @@ initial value has accumulated phase phi. The controlled phase is the
 two-atom phase minus the two single-atom phases, wrapped into
 (-2 pi, 0]; the gate target is a controlled phase of -pi on top of
 whatever single-atom phases the schedule produced.
+
+Gate fidelity is the linear trace overlap |tr(M T^dagger)| / 4 of the
+computational block M with a 4x4 target T, capped at 1.
 """
 
 from __future__ import annotations
@@ -14,16 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError, UndefinedPhaseError
+from .errors import InvalidParameterError, UndefinedPhaseError
 from .model import COMPUTATIONAL_INDICES, COMPUTATIONAL_LABELS, DIMENSION
 
 TWO_PI = 2.0 * math.pi
 
 # Overlap magnitudes at or below this are treated as phase-free.
 OVERLAP_TOL = 1e-6
-
-LINEAR = "linear"
-SQUARED = "squared"
 
 
 def accumulated_phase(initial, final) -> float:
@@ -93,11 +93,10 @@ def _computational_block(matrix: np.ndarray) -> np.ndarray:
     )
 
 
-def gate_fidelity(actual, target, mode: str = LINEAR) -> float:
-    """Trace overlap of the computational block with a 4x4 unitary target.
+def gate_fidelity(actual, target) -> float:
+    """Trace overlap |tr(M T^dagger)| / 4 with a 4x4 unitary target T.
 
-    linear mode returns |tr(M T^dagger)| / 4, squared mode its square over
-    16. A 9x9 actual is restricted to the computational block first.
+    M is actual, a 4x4 operator or the computational block of a 9x9 one.
     """
     target = np.asarray(target, dtype=complex)
     if target.shape != (4, 4):
@@ -106,25 +105,21 @@ def gate_fidelity(actual, target, mode: str = LINEAR) -> float:
     if defect > 1e-6:
         raise InvalidParameterError(f"target is not unitary (defect {defect:.3e})")
     block = _computational_block(np.asarray(actual, dtype=complex))
-    return float(_score(abs(np.trace(block @ target.conj().T)), mode))
+    return float(_score(abs(np.trace(block @ target.conj().T))))
 
 
-def _score(overlap, mode: str):
+def _score(overlap):
     """Fidelity from the trace overlap magnitude |tr(M T^dagger)|."""
-    if mode == LINEAR:
-        return np.minimum(1.0, overlap / 4.0)
-    if mode == SQUARED:
-        return np.minimum(1.0, overlap**2 / 16.0)
-    raise ConfigError(f"unknown fidelity mode {mode!r}")
+    return np.minimum(1.0, overlap / 4.0)
 
 
-def compensated_fidelity(amplitudes, mode: str = LINEAR) -> np.ndarray:
+def compensated_fidelity(amplitudes) -> np.ndarray:
     """Fidelity against the compensated target, from the computational diagonal.
 
     amplitudes holds the diagonal amplitudes (a00, a01, a10, a11) of the
     computational block, over any leading stack axes; the result has the
     stack shape. It equals gate_fidelity(U, compensated_cz_target(phi_01,
-    phi_10), mode) with phi_j = arg(conj(a_j)) without building the
+    phi_10)) with phi_j = arg(conj(a_j)) without building the
     target: against T = diag(1, e^{-i phi_01}, e^{-i phi_10},
     e^{-i (phi_01 + phi_10 - pi)}) the trace tr(M T^dagger) collapses to
     a00 + |a01| + |a10| + |a11| e^{-i (phi_11 - phi_10 - phi_01 + pi)}.
@@ -139,7 +134,7 @@ def compensated_fidelity(amplitudes, mode: str = LINEAR) -> np.ndarray:
         + magnitudes[..., 2]
         + magnitudes[..., 3] * np.exp(-1j * (raw + math.pi))
     )
-    return _score(np.abs(total), mode)
+    return _score(np.abs(total))
 
 
 def state_fidelity(rho_final, rho_target) -> float:
@@ -191,7 +186,7 @@ class GateOutcome:
 _COMPUTATIONAL = np.array(COMPUTATIONAL_INDICES)
 
 
-def gate_summary(operators, mode: str = LINEAR) -> dict:
+def gate_summary(operators) -> dict:
     """Gate summary of a stack of 9x9 evolution operators, as arrays.
 
     operators has shape S + (9, 9). "phases" and "return_probabilities"
@@ -228,30 +223,28 @@ def gate_summary(operators, mode: str = LINEAR) -> dict:
             phases[..., 3] - phases[..., 2] - phases[..., 1]
         ),
         "return_probabilities": np.minimum(1.0, magnitudes**2),
-        "fidelity": compensated_fidelity(amplitudes, mode),
+        "fidelity": compensated_fidelity(amplitudes),
         "leakage": np.maximum(0.0, 1.0 - np.mean(retained, axis=-1)),
     }
 
 
-def gate_outcome(operator, target=None, mode: str = LINEAR) -> GateOutcome:
+def gate_outcome(operator) -> GateOutcome:
     """Summarize one 9x9 evolution operator as a gate.
 
-    The fields are those of gate_summary. An explicit 4x4 target
-    replaces the compensated one in the fidelity.
+    The fields are those of gate_summary.
     """
     operator = np.asarray(operator, dtype=complex)
     if operator.shape != (DIMENSION, DIMENSION):
         raise InvalidParameterError(
             f"expected a 9x9 operator, got shape {operator.shape}"
         )
-    summary = gate_summary(operator, mode)
-    fidelity = summary["fidelity"] if target is None else gate_fidelity(operator, target, mode)
+    summary = gate_summary(operator)
     return GateOutcome(
         phases=dict(zip(COMPUTATIONAL_LABELS, summary["phases"].tolist())),
         delta_gamma=float(summary["delta_gamma"]),
         return_probabilities=dict(
             zip(COMPUTATIONAL_LABELS, summary["return_probabilities"].tolist())
         ),
-        fidelity=float(fidelity),
+        fidelity=float(summary["fidelity"]),
         leakage=float(summary["leakage"]),
     )

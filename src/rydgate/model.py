@@ -207,32 +207,36 @@ BASE_DECAY_RATE = 2.0 * math.pi * 0.01
 
 @dataclass(frozen=True)
 class DecaySpec:
-    """Amplitude decay of the Rydberg level, applied per excited atom."""
+    """Amplitude decay of the Rydberg level, applied per excited atom.
+
+    gamma is the decay rate (>= 0); from_multiplier(m) gives
+    gamma = m * BASE_DECAY_RATE.
+    """
 
     gamma: float
-    base_rate: float = BASE_DECAY_RATE
 
     def __post_init__(self):
         if not self.gamma >= 0.0:
             raise InvalidParameterError(f"decay rate must be >= 0, got {self.gamma}")
-        if not self.base_rate > 0.0:
-            raise InvalidParameterError(f"base decay rate must be > 0, got {self.base_rate}")
 
     @classmethod
-    def from_multiplier(cls, multiplier: float, base_rate: float = BASE_DECAY_RATE) -> "DecaySpec":
+    def from_multiplier(cls, multiplier: float) -> "DecaySpec":
         if not multiplier >= 0.0:
             raise InvalidParameterError(f"decay multiplier must be >= 0, got {multiplier}")
-        return cls(gamma=multiplier * base_rate, base_rate=base_rate)
+        return cls(gamma=multiplier * BASE_DECAY_RATE)
 
 
 @dataclass(frozen=True)
 class PhaseDriveSpec:
-    """Continuous drive-phase modulation phi(t) = amplitude * cos(angular_rate * t - offset)."""
+    """Continuous drive-phase modulation phi(t) = amplitude * cos(angular_rate * t - offset).
+
+    The phase replaces the segment phase at every substep midpoint; the
+    drive strength stays the segment's own rabi.
+    """
 
     amplitude: float
     angular_rate: float
     offset: float
-    carrier_rabi: float
 
     def phase_at(self, t):
         """Drive phase at time t, a scalar or an array of times."""
@@ -372,31 +376,26 @@ def cyclic_segment_duration(kappa: float, v: float) -> float:
     return duration
 
 
-def standard_phases(alternate_phase: float = ALTERNATE_PHASE) -> tuple:
-    """Drive phases of the four standard segments: 0, alternate, 0, alternate."""
-    return (0.0, alternate_phase, 0.0, alternate_phase)
+def standard_phases() -> tuple:
+    """Drive phases of the four standard segments: 0, ALTERNATE_PHASE, 0, ALTERNATE_PHASE."""
+    return (0.0, ALTERNATE_PHASE, 0.0, ALTERNATE_PHASE)
 
 
-def standard_schedule(
-    kappa: float,
-    v: float,
-    alternate_phase: float = ALTERNATE_PHASE,
-    units: str = "natural",
-) -> Schedule:
+def standard_schedule(kappa: float, v: float, units: str = "natural") -> Schedule:
     """Four-segment controlled-phase schedule.
 
     All segments share Omega = kappa * V, Delta = -V/2, and the cyclic
     duration T = 2 pi / sqrt(4 Omega^2 + V^2/4); the drive phase
-    alternates between 0 and `alternate_phase` (default -pi/2, see
-    ALTERNATE_PHASE). At kappa = 1.65 the sequence realizes a
-    controlled-phase of -pi up to single-atom phases.
+    alternates between 0 and ALTERNATE_PHASE (-pi/2). At kappa = 1.65
+    the sequence realizes a controlled-phase of -pi up to single-atom
+    phases.
     """
     duration = cyclic_segment_duration(kappa, v)
     omega = kappa * v
     detuning = -v / 2.0
     segments = tuple(
         PulseSegment(rabi=omega, detuning=detuning, phase=phase, duration=duration)
-        for phase in standard_phases(alternate_phase)
+        for phase in standard_phases()
     )
     return Schedule(segments=segments, interaction=v, units=units)
 
@@ -421,7 +420,6 @@ def time_optimal_schedule() -> Schedule:
         amplitude=TIME_OPTIMAL_AMPLITUDE,
         angular_rate=TIME_OPTIMAL_RATE_RATIO * rabi,
         offset=TIME_OPTIMAL_OFFSET,
-        carrier_rabi=rabi,
     )
     segment = PulseSegment(
         rabi=rabi,

@@ -28,7 +28,6 @@ M = exp(-i H_eff dt); lost trace is reported, never renormalized.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, replace
 
@@ -37,14 +36,7 @@ from scipy.linalg import expm
 
 from .errors import IntegratorFailureError, InvalidParameterError, ModeError
 from .hamiltonian import apply_decay, build_full, drive_hamiltonian, thermal_interaction
-from .model import (
-    BASIS_LABELS,
-    DIMENSION,
-    DecaySpec,
-    Schedule,
-    check_density,
-    check_state,
-)
+from .model import DIMENSION, DecaySpec, Schedule, check_density, check_state
 
 EXACT = "exact-segment"
 SUBSTEPPED = "substepped"
@@ -108,19 +100,6 @@ class PropagationResult:
     times: np.ndarray
     populations: np.ndarray
     norms: np.ndarray
-
-
-def write_population_csv(result: PropagationResult, path) -> None:
-    """Write the sampled trajectory as CSV: t, P00..Prr, norm."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t"] + [f"P{label}" for label in BASIS_LABELS] + ["norm"])
-        for t, row, norm in zip(result.times, result.populations, result.norms):
-            writer.writerow(
-                [format(float(t), ".12g")]
-                + [format(float(p), ".12g") for p in row]
-                + [format(float(norm), ".12g")]
-            )
 
 
 def resolve_config(schedule: Schedule, config: IntegratorConfig | None) -> IntegratorConfig:

@@ -22,18 +22,17 @@ from .propagate import SUBSTEPPED, IntegratorConfig, evolution_operator
 GENERATOR_NAME = "PCG64"
 
 
-def sample_noise_trace(spec: NoiseSpec, segment_count: int, rng=None):
+def sample_noise_trace(spec: NoiseSpec, segment_count: int):
     """Draw multiplier arrays of shape (segment_count, substeps).
 
-    Returns (drive multipliers, detuning multipliers). With a fresh
-    generator the same seed always reproduces the same trace.
+    Returns (drive multipliers, detuning multipliers), drawn from a fresh
+    generator seeded with spec.seed, so a seed always reproduces its trace.
     """
     if int(segment_count) < 1:
         raise InvalidParameterError(
             f"segment count must be >= 1, got {segment_count}"
         )
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     shape = (int(segment_count), int(spec.substeps))
     raw_omega = rng.uniform(-1.0, 1.0, size=shape)
     raw_delta = rng.uniform(-1.0, 1.0, size=shape)

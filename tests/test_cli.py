@@ -1,14 +1,20 @@
 """Tests for the rydgate command-line interface."""
 
+import argparse
 import csv
 import io
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from rydgate.cli import main
+from rydgate.cli import build_parser, main
 from rydgate.errors import UndefinedPhaseError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args):
@@ -48,6 +54,26 @@ class TestGateCommand:
         assert run_cli(["gate", "--config", str(config), "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["delta_gamma"] == pytest.approx(-math.pi, abs=0.05)
+
+    @pytest.mark.parametrize(
+        "flags, config, units",
+        [
+            ([], {}, "natural"),
+            (["--units", "MHz"], {}, "mhz"),
+            ([], {"units": "megahertz"}, "mhz"),
+            (["--units", "natural"], {"units": "mhz"}, "natural"),
+        ],
+    )
+    def test_units_from_flag_then_config(self, flags, config, units, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["gate", "--kappa", "1.65", "--config", str(path)] + flags) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["metadata"]["schedule"]["units"] == units
+
+    def test_unknown_units_exit_two(self, capsys):
+        assert run_cli(["gate", "--kappa", "1.65", "--units", "furlongs"]) == 2
+        assert "unit mode" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -139,16 +165,30 @@ class TestScanCommand:
 
     def test_bad_range_exits_two(self, capsys):
         assert run_cli(["scan-kappa", "--min", "5", "--max", "1", "--steps", "3"]) == 2
+        assert "need 0 < --min < --max" in capsys.readouterr().err
 
+    # Each case with the part of its error that names the flag, or None
+    # where the library rejects the value on its own terms.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "args",
-        [["--max", "inf"], ["--max", "1e200"], ["--v", "inf"], ["--v", "1e-320"]],
-        ids=lambda args: "-".join(args).lstrip("-"),
+        "args, named",
+        [
+            pytest.param(args, named, id="-".join(args).lstrip("-"))
+            for args, named in [
+                (["--max", "inf"], "--max must be finite"),
+                (["--max", "1e200"], None),
+                (["--v", "inf"], None),
+                (["--v", "1e-320"], None),
+                (["--min", "nan"], "--min must be finite"),
+            ]
+        ],
     )
-    def test_unrepresentable_grid_exits_two(self, args, capsys):
+    def test_unrepresentable_grid_exits_two(self, args, named, capsys):
         assert run_cli(["scan-kappa", "--steps", "3"] + args) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+        if named is not None:
+            assert named in err
 
 
 class TestSeedResolution:
@@ -263,25 +303,163 @@ class TestOtherCommands:
     def test_bad_float_list_exits_two(self, capsys):
         assert run_cli(["decay", "--rabi", "5,abc"]) == 2
 
+    # Each case with the part of its error that names the flag, or None
+    # where the library rejects the value on its own terms.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "args",
+        "args, named",
         [
-            ["thermal-map", "--dsteps", "0"],
-            ["thermal-map", "--tsteps", "0"],
-            ["thermal-map", "--dsteps", "-1"],
-            ["actuate", "--phase-count", "0"],
-            ["actuate", "--duration-count", "0"],
-            ["actuate", "--duration-count", "-1"],
-            ["actuate", "--etas", "inf"],
-            ["actuate", "--etas", "nan"],
-            ["actuate", "--etas", "1,-inf"],
-            ["actuate", "--tmax", "inf"],
-            ["actuate", "--tmin", "nan"],
+            pytest.param(args, named, id="-".join(args).lstrip("-"))
+            for args, named in [
+                (["thermal-map", "--dsteps", "0"], "--dsteps must be >= 1"),
+                (["thermal-map", "--tsteps", "0"], "--tsteps must be >= 1"),
+                (["thermal-map", "--dsteps", "-1"], "--dsteps must be >= 1"),
+                (["thermal-map", "--dmax", "inf"], "--dmax must be finite"),
+                (["thermal-map", "--tmax", "inf"], "--tmax must be finite"),
+                (["thermal-map", "--dmin", "nan"], "--dmin must be finite"),
+                (["thermal-map", "--tmin=-1e308", "--tmax=1e308"],
+                 "--tmin and --tmax are too far apart"),
+                (["interfere", "--max", "inf"], "--max must be finite"),
+                (["interfere", "--steps", "0"], "--steps must be >= 1"),
+                (["decay", "--rmax", "inf"], "--rmax must be finite"),
+                (["decay", "--rmax", "-1"], "need --rmax >= 0"),
+                (["decay", "--rsteps", "0"], "--rsteps must be >= 1"),
+                (["noise-map", "--eta-max", "inf"], "--eta-max must be finite"),
+                (["noise-map", "--eta-max", "0.06"], "need 0 < --eta-max <= 0.05"),
+                (["noise-map", "--steps", "0"], "--steps must be >= 1"),
+                (["actuate", "--phase-count", "0"], None),
+                (["actuate", "--duration-count", "0"], None),
+                (["actuate", "--duration-count", "-1"], None),
+                (["actuate", "--etas", "inf"], None),
+                (["actuate", "--etas", "nan"], None),
+                (["actuate", "--etas", "1,-inf"], None),
+                (["actuate", "--tmax", "inf"], None),
+                (["actuate", "--tmin", "nan"], None),
+            ]
         ],
-        ids=lambda args: "-".join(args).lstrip("-"),
     )
-    def test_empty_grid_exits_two(self, args, tmp_path, capsys):
+    def test_empty_grid_exits_two(self, args, named, tmp_path, capsys):
         out = tmp_path / "empty.csv"
         assert run_cli(args + ["--out", str(out)]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        if named is not None:
+            assert named in err
         assert not out.exists()
+
+
+# Flags each subcommand read at no point; each is now rejected by argparse.
+REMOVED_FLAGS = [
+    (command, flag, value)
+    for flag, value, commands in [
+        ("--units", "mhz", ["dynamics", "scan-kappa", "noise-map", "thermal-map",
+                            "interfere", "decay", "actuate"]),
+        ("--seed", "1", ["gate", "dynamics", "scan-kappa", "thermal-map", "interfere",
+                         "decay", "actuate"]),
+        ("--config", "cfg.json", ["decay", "actuate"]),
+    ]
+    for command in commands
+]
+
+
+class TestFlagSurface:
+    def test_each_command_accepts_only_the_flags_it_reads(self):
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        flags = {
+            name: sorted(
+                action.option_strings[-1] for action in parser._actions
+                if not isinstance(action, argparse._HelpAction)
+            )
+            for name, parser in subparsers.choices.items()
+        }
+        schedule = ["--config", "--kappa", "--out", "--v"]
+        kappa_grid = ["--config", "--max", "--min", "--out", "--steps", "--v"]
+        assert flags == {
+            "gate": sorted(schedule + ["--units"]),
+            "dynamics": sorted(schedule + ["--samples"]),
+            "scan-kappa": kappa_grid,
+            "noise-map": sorted(
+                schedule + ["--eta-max", "--seed", "--steps", "--substeps", "--trials"]
+            ),
+            "thermal-map": sorted(
+                schedule + ["--dmax", "--dmin", "--dsteps", "--exponent-mode",
+                            "--substeps", "--tmax", "--tmin", "--tsteps"]
+            ),
+            "interfere": sorted(kappa_grid + ["--reference-kappa"]),
+            "decay": ["--no-time-optimal", "--out", "--rabi", "--rmax", "--rsteps",
+                      "--to-substeps"],
+            "actuate": ["--duration-count", "--etas", "--independent-phases", "--mode",
+                        "--out", "--phase-count", "--threshold", "--tmax", "--tmin"],
+        }
+        assert sum(len(names) for names in flags.values()) == 59
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        REMOVED_FLAGS,
+        ids=[f"{command}{flag}" for command, flag, _ in REMOVED_FLAGS],
+    )
+    def test_flag_the_command_does_not_read_is_a_usage_error(
+        self, command, flag, value, capsys
+    ):
+        assert run_cli([command, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rydgate")
+        assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command", ["gate", "dynamics", "scan-kappa", "noise-map", "thermal-map", "interfere"]
+    )
+    def test_config_interaction_reaches_every_reader(self, command, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"schedule": {"kappa": 1.4, "interaction": 5.0}}))
+        tiny = {
+            "gate": [],
+            "dynamics": ["--samples", "1"],
+            "scan-kappa": ["--steps", "1"],
+            "noise-map": ["--steps", "1", "--trials", "1", "--substeps", "2"],
+            "thermal-map": ["--dsteps", "1", "--tsteps", "1", "--substeps", "2"],
+            "interfere": ["--steps", "1"],
+        }[command]
+        out = tmp_path / ("out.json" if command == "gate" else "out.csv")
+        assert run_cli([command, "--config", str(config), "--out", str(out)] + tiny) == 0
+        if command in ("gate", "dynamics"):
+            meta = (json.loads(out.read_text())["metadata"] if command == "gate"
+                    else json.loads(out.with_suffix(".meta.json").read_text()))
+            assert meta["schedule"]["interaction"] == 5.0
+            assert meta["schedule"]["segments"][0]["rabi"] == pytest.approx(1.4 * 5.0)
+        else:
+            meta = json.loads(out.with_suffix(".meta.json").read_text())
+            assert meta["grids"]["v"] == 5.0
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("gate", {"schedule": {"kappa": "abc"}}),
+            ("gate", {"schedule": {"kappa": 1.65, "interaction": [1]}}),
+            ("scan-kappa", {"scan": {"kappa_steps": 2.5}}),
+            ("scan-kappa", {"scan": {"kappa_max": "x"}}),
+            ("noise-map", {"noise": {"trials": True}}),
+        ],
+    )
+    def test_bad_config_value_exits_two(self, command, config, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run_cli([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+
+def test_readme_command_lines_parse():
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("rydgate ")]
+    assert lines, "no rydgate lines in the README command block"
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

@@ -171,12 +171,6 @@ class TestDecay:
         )
         assert spec.gamma == pytest.approx(2.0 * BASE_DECAY_RATE)
 
-    def test_apply_decay_with_explicit_counts(self):
-        h = np.zeros((2, 2), dtype=complex)
-        out = apply_decay(h, DecaySpec(gamma=0.3), excitations=[0, 1])
-        assert out[1, 1] == pytest.approx(-0.3j)
-        assert out[0, 0] == 0.0
-
     def test_apply_decay_on_a_stack_matches_each_operator(self):
         rng = np.random.default_rng(270)
         stack = np.array([build_full(random_segment(rng), 2.0) for _ in range(4)])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rydgate.errors import ConfigError, InvalidParameterError, UndefinedPhaseError
+from rydgate.errors import InvalidParameterError, UndefinedPhaseError
 from rydgate.metrics import (
     GateOutcome,
     accumulated_phase,
@@ -109,7 +109,6 @@ class TestGateFidelity:
     def test_identity_against_cz(self):
         cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
         assert gate_fidelity(np.eye(4), cz) == pytest.approx(0.5)
-        assert gate_fidelity(np.eye(4), cz, mode="squared") == pytest.approx(0.25)
 
     def test_perfect_match_is_one(self):
         target = ideal_controlled_phase(-math.pi, 0.2, 0.3)
@@ -124,10 +123,6 @@ class TestGateFidelity:
     def test_rejects_non_unitary_target(self):
         with pytest.raises(InvalidParameterError):
             gate_fidelity(np.eye(4), np.diag([1.0, 1.0, 1.0, 0.5]))
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            gate_fidelity(np.eye(4), np.eye(4, dtype=complex), mode="avg")
 
     def test_rejects_bad_shape(self):
         with pytest.raises(InvalidParameterError):
@@ -198,15 +193,14 @@ class TestGateOutcome:
         assert rotated.delta_gamma == pytest.approx(base.delta_gamma, abs=1e-9)
         assert rotated.fidelity == pytest.approx(base.fidelity, abs=1e-9)
 
-    @pytest.mark.parametrize("mode", ["linear", "squared"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_fidelity_equals_explicit_compensated_target(self, mode, seed):
+    def test_fidelity_equals_explicit_compensated_target(self, seed):
         # Oracle: the trace overlap with the compensated target matrix, built
         # from the phases gate_outcome reports.
         u = _random_unitary(np.random.default_rng(900 + seed))
-        outcome = gate_outcome(u, mode=mode)
+        outcome = gate_outcome(u)
         target = compensated_cz_target(outcome.phases["01"], outcome.phases["10"])
-        assert outcome.fidelity == pytest.approx(gate_fidelity(u, target, mode), abs=1e-12)
+        assert outcome.fidelity == pytest.approx(gate_fidelity(u, target), abs=1e-12)
 
     def test_stack_summary_matches_each_operator(self):
         rng = np.random.default_rng(77)
@@ -261,13 +255,6 @@ class TestGateOutcome:
         }
         assert payload["delta_gamma"] == pytest.approx(outcome.delta_gamma)
         assert set(payload["phases"]) == {"00", "01", "10", "11"}
-
-    def test_explicit_target_changes_score(self):
-        u = evolution_operator(standard_schedule(1.65, V))
-        plain_cz = ideal_controlled_phase(-math.pi)
-        custom = gate_outcome(u, target=plain_cz)
-        compensated = gate_outcome(u)
-        assert custom.fidelity < compensated.fidelity
 
     def test_outcome_is_frozen(self):
         outcome = GateOutcome(

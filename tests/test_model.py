@@ -170,9 +170,7 @@ class TestSpecs:
             DecaySpec(gamma=-0.1)
 
     def test_phase_drive_evaluation(self):
-        drive = PhaseDriveSpec(
-            amplitude=2.0, angular_rate=3.0, offset=0.5, carrier_rabi=1.0
-        )
+        drive = PhaseDriveSpec(amplitude=2.0, angular_rate=3.0, offset=0.5)
         assert drive.phase_at(0.0) == pytest.approx(2.0 * math.cos(-0.5))
         assert drive.phase_at(1.0) == pytest.approx(2.0 * math.cos(3.0 - 0.5))
         np.testing.assert_array_equal(

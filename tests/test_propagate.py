@@ -1,6 +1,5 @@
 """Tests for the exact and substepped evolution engines."""
 
-import csv
 import dataclasses
 import math
 
@@ -30,7 +29,6 @@ from rydgate.propagate import (
     propagate_density,
     propagate_state,
     resolve_config,
-    write_population_csv,
 )
 
 V = 2.0 * math.pi
@@ -353,24 +351,3 @@ class TestConvergence:
                 standard_schedule(1.0, V), basis_state("00"), IntegratorConfig()
             )
 
-
-class TestCsvExport:
-    def test_header_and_rows(self, tmp_path):
-        schedule = standard_schedule(1.65, V)
-        result = propagate_state(
-            schedule, basis_state("11"), IntegratorConfig(samples_per_segment=10)
-        )
-        path = tmp_path / "pops.csv"
-        write_population_csv(result, path)
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == [
-            "t", "P00", "P01", "P0r", "P10", "P11", "P1r", "Pr0", "Pr1", "Prr", "norm",
-        ]
-        assert len(rows) == 1 + 41
-        first = [float(x) for x in rows[1]]
-        assert first[0] == 0.0
-        assert first[5] == 1.0
-        for row in rows[1:]:
-            values = [float(x) for x in row]
-            assert sum(values[1:10]) <= 1.0 + 1e-9
