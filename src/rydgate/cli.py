@@ -31,6 +31,10 @@ from .model import normalize_units
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "RYDGATE_SEED"
 
+# Most points along one grid axis. A longer grid is no scan a command
+# line would ask for, and its arrays would be allocated before any work.
+MAX_GRID_STEPS = 100_000
+
 
 def _float_list(text: str):
     try:
@@ -129,9 +133,9 @@ def _grid(low, high, steps, rule=None) -> np.ndarray:
 
     low, high and steps are (flag, value) pairs; a value may come from
     the flag, the config or a default. Non-finite bounds, a step count
-    below 1 and bounds too far apart for a float are rejected naming the
-    flag; equal bounds are fine. rule is (text, predicate) for the
-    command's own range rule on the two bounds.
+    outside [1, MAX_GRID_STEPS] and bounds too far apart for a float are
+    rejected naming the flag; equal bounds are fine. rule is (text,
+    predicate) for the command's own range rule on the two bounds.
     """
     (low_flag, low), (high_flag, high), (steps_flag, steps) = low, high, steps
     low, high = _number(low, low_flag), _number(high, high_flag)
@@ -141,6 +145,8 @@ def _grid(low, high, steps, rule=None) -> np.ndarray:
     steps = _integer(steps, steps_flag)
     if steps < 1:
         raise ConfigError(f"{steps_flag} must be >= 1, got {steps}")
+    if steps > MAX_GRID_STEPS:
+        raise ConfigError(f"{steps_flag} must be <= {MAX_GRID_STEPS}, got {steps}")
     if rule is not None and not rule[1](low, high):
         raise ConfigError(f"bad grid from {low} to {high}: need {rule[0]}")
     if not math.isfinite(high - low):
@@ -259,6 +265,14 @@ def cmd_decay(args, config: dict):
 
 
 def cmd_actuate(args, config: dict):
+    # The scan builds both grids itself; these calls check the flags.
+    _grid(
+        ("--tmin", args.tmin),
+        ("--tmax", args.tmax),
+        ("--duration-count", args.duration_count),
+        ("0 < --tmin < --tmax", lambda low, high: 0.0 < low < high),
+    )
+    _grid(("", -math.pi), ("", math.pi), ("--phase-count", args.phase_count))
     return experiments.run_actuating_scan(
         eta_list=args.etas,
         threshold=args.threshold,

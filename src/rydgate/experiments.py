@@ -19,7 +19,6 @@ import numpy as np
 from ._version import __version__
 from .errors import InvalidParameterError
 from .geometry import chi
-from .hamiltonian import drive_hamiltonian
 from .metrics import (
     OVERLAP_TOL,
     compensated_fidelity,
@@ -47,10 +46,14 @@ from .model import (
 from .propagate import (
     SUBSTEPPED,
     IntegratorConfig,
+    computational_diagonal,
     evolution_operator,
+    ordered_product,
     propagate_density,
     propagate_state,
-    spectral_step,
+    sector_step,
+    sector_system,
+    sector_unitary,
 )
 from .stochastic import monte_carlo_gate_fidelity, thermal_gate_fidelity
 
@@ -167,10 +170,10 @@ def scan_kappa(kappa_grid, v: float = V0) -> ScanResult:
     """Gate summary for each drive-to-interaction ratio on the grid.
 
     Each point is the four-segment standard_schedule(kappa, v). The grid
-    is evaluated in stacks of up to _SCAN_CHUNK points: one
-    drive_hamiltonian over (points x segments), one batched eigh, one
-    spectral_step with per-point durations, the segment products applied
-    in order, and one gate_summary of the stack. Raises
+    is evaluated in stacks of up to _SCAN_CHUNK points: one sector
+    eigensystem over (points x segments), one sector_step with per-point
+    durations, the ordered product of the segments, and one
+    gate_summary of the stack. Raises
     UndefinedPhaseError when any point leaves a computational state
     behind.
     """
@@ -194,12 +197,9 @@ def scan_kappa(kappa_grid, v: float = V0) -> ScanResult:
     rows = []
     for first in range(0, len(grid), _SCAN_CHUNK):
         chunk = slice(first, first + _SCAN_CHUNK)
-        hamiltonians = drive_hamiltonian(rabi[chunk, None], -v / 2.0, phases, v)
-        steps = spectral_step(*np.linalg.eigh(hamiltonians), durations[chunk, None, None])
-        operators = steps[:, 0]
-        for index in range(1, phases.size):
-            operators = steps[:, index] @ operators
-        summary = gate_summary(operators)
+        system = sector_system(rabi[chunk, None], -v / 2.0, phases, v)
+        steps = sector_step(system, durations[chunk, None])
+        summary = gate_summary(sector_unitary(ordered_product(steps)))
         for kappa, delta_gamma, returns, fidelity, leakage in zip(
             grid[chunk],
             summary["delta_gamma"].tolist(),
@@ -503,18 +503,22 @@ def run_decay_curves(
     )
 
 
-def _cell_fidelity(operators: np.ndarray) -> np.ndarray:
+def _cell_fidelity(amplitudes: np.ndarray) -> np.ndarray:
     """Fidelity of composite cells against their own compensated targets.
 
-    operators is one 9x9 cell or a stack of them over leading axes; the
-    result has the stack shape. It is metrics.compensated_fidelity of
-    each cell, except that cells where any computational state fails to
-    return carry no usable phase and score zero, so they can never
-    qualify.
+    amplitudes holds the computational diagonal (a00, a01, a10, a11) of
+    each cell over leading stack axes; the result has the stack shape.
+    It is metrics.compensated_fidelity of each cell, except that cells
+    where any computational state fails to return carry no usable phase
+    and score zero, so they can never qualify.
     """
-    amplitudes = operators[..., COMPUTATIONAL_INDICES, COMPUTATIONAL_INDICES]
     returned = np.all(np.abs(amplitudes) > OVERLAP_TOL, axis=-1)
     return np.where(returned, compensated_fidelity(amplitudes), 0.0)
+
+
+# Composite cells per stacked batch of run_actuating_scan; it bounds the
+# working memory of one batch (about 3 MB) for any grid.
+_ACTUATE_CELLS = 2048
 
 
 def run_actuating_scan(
@@ -553,22 +557,29 @@ def run_actuating_scan(
     if not (0.0 < lo < hi < math.inf):
         raise InvalidParameterError(f"bad duration range {duration_range}")
     durations = np.linspace(lo, hi, int(duration_count))
+    # Durations per stacked batch, so that a batch holds at most
+    # _ACTUATE_CELLS cells.
+    width = max(1, _ACTUATE_CELLS // phases.size ** (2 if independent_phases else 1))
 
     columns = ["eta", "v", "qualifying_cells", "mean_duration", "actuating"]
     rows = []
     for eta in etas:
         v = eta * V0
         rabi = REFERENCE_KAPPA * (V0 if mode == "fixed-omega" else v)
-        # Operator 0 is the phase-0 segment; operator k + 1 has phases[k].
-        system = np.linalg.eigh(
-            drive_hamiltonian(rabi, -v / 2.0, np.concatenate(([0.0], phases)), v)
-        )
+        # Step 0 is the phase-0 segment; step k + 1 has phases[k].
+        system = sector_system(rabi, -v / 2.0, np.concatenate(([0.0], phases)), v)
         counts = np.zeros(durations.size, dtype=int)
-        for index, t in enumerate(durations):
-            unitaries = spectral_step(*system, t)
-            pairs = unitaries[1:] @ unitaries[0]
-            cells = pairs[:, None] @ pairs if independent_phases else pairs @ pairs
-            counts[index] = np.count_nonzero(_cell_fidelity(cells) > threshold)
+        for first in range(0, durations.size, width):
+            chunk = slice(first, first + width)
+            steps = sector_step(system, durations[chunk, None])
+            pairs = steps.at(np.s_[:, 1:]) @ steps.at(np.s_[:, :1])
+            if independent_phases:
+                cells = pairs.at(np.s_[:, :, None]) @ pairs.at(np.s_[:, None])
+            else:
+                cells = pairs @ pairs
+            fidelities = _cell_fidelity(computational_diagonal(cells))
+            fidelities = fidelities.reshape(fidelities.shape[0], -1)
+            counts[chunk] = np.count_nonzero(fidelities > threshold, axis=1)
         qualifying = np.repeat(durations, counts)
         count = len(qualifying)
         mean_duration = float(np.mean(qualifying)) if count else float("nan")

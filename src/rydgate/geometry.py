@@ -4,9 +4,9 @@ The {|11>,|rr>} sector realizes a holonomic transformation whose angle
 chi = pi / sqrt(16 kappa^2 + 1) depends only on kappa; the {|10>,|r0>}
 sector undergoes a cyclic two-level rotation characterized by a mixing
 angle and a rotation half-angle. Both closed forms are checked against
-blocks of the full nine-state propagator (`sector_evolution`), and the
-composite-pulse cyclicity condition for the two-level sector is solved
-by bisection.
+the numeric sector propagators of the shared step core
+(`sector_evolution`), and the composite-pulse cyclicity condition for
+the two-level sector is solved by bisection.
 
 Frame calibration (fixed once against the numeric propagator and locked
 by tests): with drive phase phi and sector duration equal to the
@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, RootNotFoundError
-from .hamiltonian import subspace_basis
-from .model import ALTERNATE_PHASE, V0, PulseSegment, Schedule, cyclic_segment_duration
-from .propagate import evolution_operator
+from .hamiltonian import check_subspace
+from .model import ALTERNATE_PHASE, V0, PulseSegment, cyclic_segment_duration
+from .propagate import sector_step, sector_system
 
 __all__ = [
     "TwoLevelParams",
@@ -143,21 +143,22 @@ def sector_evolution(
 ) -> np.ndarray:
     """Numeric sector propagator, the oracle for the closed forms.
 
-    The block of the full nine-state propagator of one drive segment on
-    the sector's basis. Defaults to one holonomy period. For the
-    three-level "11" sector the result is restricted to the {|11>,|rr>}
-    corners; after a full period the middle level disentangles, so the
-    restriction is unitary.
+    The sector block of one drive segment's propagator from the step
+    core (`propagate.sector_step`), which the tests hold to scipy expm of
+    the full nine-state operator. Defaults to one holonomy period. For
+    the three-level "11" sector the result is restricted to the
+    {|11>,|rr>} corners; after a full period the middle level
+    disentangles, so the restriction is unitary.
     """
-    basis = subspace_basis(which)
+    check_subspace(which)
     if duration is None:
         duration = periods(kappa, v)[0]
     segment = PulseSegment(rabi=kappa * v, detuning=-v / 2.0, phase=phi, duration=duration)
-    full = evolution_operator(Schedule(segments=(segment,), interaction=v))
-    propagator = basis @ full @ basis.conj().T
+    system = sector_system(segment.rabi, segment.detuning, segment.phase, v)
+    steps = sector_step(system, segment.duration)
     if which == "11":
-        return propagator[np.ix_([0, 2], [0, 2])]
-    return propagator
+        return steps.triple[np.ix_([0, 2], [0, 2])]
+    return steps.pair
 
 
 def u11_lab_frame(kappa: float, phi: float) -> np.ndarray:

@@ -6,12 +6,19 @@ The drive couples 1 <-> r on each atom with matrix element
 other atom), the detuning sits on every Rydberg level, and the
 interaction V sits on |rr>. The full operator never couples across the
 four invariant sectors span{00}, span{01,0r}, span{10,r0}, and
-span{11,1r,r1,rr}.
+span{11,1r,r1,rr}. The last one splits further into span{11,R,rr} with
+R = (|1r> + |r1>)/sqrt(2) and the antisymmetric state
+(|1r> - |r1>)/sqrt(2), which the drive does not couple.
+
+`drive_hamiltonian` writes the full operator and `sector_hamiltonian`
+its sector blocks; the unitary engines exponentiate the blocks, and the
+full operator generates the decayed path and is the test oracle.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +34,11 @@ from .model import (
 
 __all__ = [
     "SUBSPACE_LABELS",
+    "check_subspace",
     "build_full",
     "drive_hamiltonian",
+    "SectorHamiltonian",
+    "sector_hamiltonian",
     "build_subspace",
     "subspace_basis",
     "apply_decay",
@@ -43,6 +53,12 @@ SUBSPACE_LABELS = {
     "10": ("10", "r0"),
     "11": ("11", "R", "rr"),
 }
+
+
+def check_subspace(which: str) -> None:
+    """Raise InvalidParameterError unless which names a sector: "01", "10" or "11"."""
+    if which not in SUBSPACE_LABELS:
+        raise InvalidParameterError(f"unknown subspace {which!r}; expected '01', '10', or '11'")
 
 
 def is_hermitian(matrix: np.ndarray) -> bool:
@@ -84,22 +100,65 @@ def build_full(segment: PulseSegment, v: float) -> np.ndarray:
     return drive_hamiltonian(segment.rabi, segment.detuning, segment.phase, v)
 
 
+_GAUGE_POWERS = np.arange(3.0)
+
+
+class SectorHamiltonian(NamedTuple):
+    """drive_hamiltonian on its invariant sectors, stacked over the input shape S.
+
+    pair (S, 2, 2) is the block on {|01>,|0r>}, which equals the block on
+    {|10>,|r0>}. triple (S, 3, 3) is the block on {|11>,|R>,|rr>} with the
+    drive phase gauged out, so it is real: the block itself is
+    G triple G^dagger with G = diag(gauge) = diag(1, e^{-i phase},
+    e^{-2i phase}). |00> has energy 0 and the antisymmetric state the
+    detuning, pair[..., 1, 1].
+    """
+
+    pair: np.ndarray
+    triple: np.ndarray
+    gauge: np.ndarray
+
+
+def sector_hamiltonian(rabi, detuning, phase, v) -> SectorHamiltonian:
+    """Sector blocks of drive_hamiltonian(rabi, detuning, phase, v).
+
+    The inputs broadcast as in drive_hamiltonian. In the {11,R,rr} block
+    the drive coupling is enhanced by sqrt(2) on both links, and |rr>
+    carries V + 2 Delta.
+    """
+    shape = np.broadcast_shapes(np.shape(rabi), np.shape(detuning), np.shape(phase), np.shape(v))
+    coupling = 0.5 * rabi * np.exp(1j * phase)
+    pair = np.zeros(shape + (2, 2), dtype=complex)
+    pair[..., 0, 1] = coupling
+    pair[..., 1, 0] = np.conj(coupling)
+    pair[..., 1, 1] = detuning
+    link = rabi / math.sqrt(2.0)
+    triple = np.zeros(shape + (3, 3))
+    triple[..., 0, 1] = triple[..., 1, 0] = link
+    triple[..., 1, 2] = triple[..., 2, 1] = link
+    triple[..., 1, 1] = detuning
+    triple[..., 2, 2] = (detuning + detuning) + v
+    gauge = np.exp(-1j * np.multiply.outer(np.broadcast_to(phase, shape), _GAUGE_POWERS))
+    return SectorHamiltonian(pair, triple, gauge)
+
+
 def build_subspace(which: str, segment: PulseSegment, v: float) -> np.ndarray:
     """Hamiltonian restricted to one invariant sector.
 
     "01" and "10" give the 2x2 block on {|01>,|0r>} or {|10>,|r0>};
-    "11" gives the 3x3 block on {|11>,|R>,|rr>}, whose drive coupling is
-    enhanced by sqrt(2) and whose |rr> energy is V + 2 Delta. Each block
-    is the projection of `build_full` onto the sector basis.
+    "11" gives the 3x3 block on {|11>,|R>,|rr>}. Each is the block of
+    `sector_hamiltonian`, in the phase of the full operator.
     """
-    basis = subspace_basis(which)
-    return basis @ build_full(segment, v) @ basis.conj().T
+    check_subspace(which)
+    blocks = sector_hamiltonian(segment.rabi, segment.detuning, segment.phase, v)
+    if which == "11":
+        return blocks.gauge[:, None] * blocks.triple * blocks.gauge.conj()
+    return blocks.pair
 
 
 def subspace_basis(which: str) -> np.ndarray:
     """Rows embedding a sector's basis vectors into the nine-state space."""
-    if which not in SUBSPACE_LABELS:
-        raise InvalidParameterError(f"unknown subspace {which!r}; expected '01', '10', or '11'")
+    check_subspace(which)
     if which == "01":
         rows = [1, 2]
     elif which == "10":

@@ -44,6 +44,10 @@ ALTERNATE_PHASE = -math.pi / 2.0
 # Default interaction strength V in natural units.
 V0 = 2.0 * math.pi
 
+# Largest substep count per segment: convergence checks refine up to it,
+# and noise traces may not be longer.
+MAX_SUBSTEPS = 2**20
+
 STATE_NORM_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -153,8 +157,10 @@ class NoiseSpec:
         for name, value in (("eta_omega", self.eta_omega), ("eta_delta", self.eta_delta)):
             if not 0.0 <= value <= 0.05:
                 raise InvalidParameterError(f"{name} must lie in [0, 0.05], got {value}")
-        if int(self.substeps) < 1:
-            raise InvalidParameterError(f"noise substeps must be >= 1, got {self.substeps}")
+        if not 1 <= int(self.substeps) <= MAX_SUBSTEPS:
+            raise InvalidParameterError(
+                f"noise substeps must lie in [1, {MAX_SUBSTEPS}], got {self.substeps}"
+            )
         if int(self.seed) < 0:
             raise InvalidParameterError(f"noise seed must be >= 0, got {self.seed}")
 

@@ -4,22 +4,31 @@
 engines (`evolution_operator`, `propagate_state`, `propagate_density`)
 only differ in how they apply a step and what they record at the
 sampled ones. Plain schedules (no modulations) propagate exactly: each
-segment's constant Hermitian operator is exponentiated once through its
-eigendecomposition (`spectral_step`), and that exponential is reapplied
-for every sampling interval of the segment. Modulated schedules (noise,
-thermal vibration, phase drive) use midpoint-exponential substeps: the
-Hamiltonian is evaluated at each substep midpoint and exponentiated
-exactly over the substep. Noise is piecewise constant per substep, so
-with the substep count pinned to the noise trace the substepped result
-is itself exact.
+segment's constant drive is exponentiated once, and that exponential is
+reapplied for every sampling interval of the segment. Modulated
+schedules (noise, thermal vibration, phase drive) use
+midpoint-exponential substeps: the drive is evaluated at each substep
+midpoint and exponentiated exactly over the substep. Noise is piecewise
+constant per substep, so with the substep count pinned to the noise
+trace the substepped result is itself exact.
 
-Substeps are computed in batches of at most `_CHUNK`: the midpoint times
-of a batch form one array, the modulations are evaluated on it, the
-Hamiltonians are assembled as one (n, 9, 9) stack, and the stack is
-exponentiated in one batched call. The step operators are then applied
-one at a time in order, so every product is the same as with one
-exponential per substep. The batch bound keeps memory flat however many
-substeps a segment has.
+Unitary steps never build or diagonalise a 9x9 operator. The drive
+leaves the sectors {00}, {01,0r}, {10,r0}, {11,R,rr} and the
+antisymmetric state invariant, so `sector_system` takes the eigensystem
+of each block (the shared 2x2 block in closed form, the 3x3 block by
+one batched real `eigh`), `sector_step` turns it and a duration into
+`SectorBlocks`, and `sector_unitary` scatters the blocks into 9x9
+operators. Sector operators multiply block by block; `ordered_product`
+takes the time-ordered product of a stack with a log-depth tree of
+pairwise products. Only the decayed density path builds the full
+non-Hermitian operator and takes its scipy `expm`.
+
+Substeps are computed in batches of at most `_CHUNK`: the midpoint
+times of a batch form one array, the modulations are evaluated on it,
+and the batch is exponentiated in one stacked call. The state and
+density engines then apply the steps one at a time in order;
+`evolution_operator` multiplies each batch with `ordered_product`. The
+batch bound keeps memory flat however many substeps a segment has.
 
 Dissipative evolution propagates a density matrix under the effective
 non-Hermitian operator, rho -> M rho M^dagger with
@@ -28,23 +37,22 @@ M = exp(-i H_eff dt); lost trace is reported, never renormalized.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
 
 from .errors import IntegratorFailureError, InvalidParameterError, ModeError
-from .hamiltonian import apply_decay, build_full, drive_hamiltonian, thermal_interaction
-from .model import DIMENSION, DecaySpec, Schedule, check_density, check_state
+from .hamiltonian import apply_decay, drive_hamiltonian, sector_hamiltonian, thermal_interaction
+from .model import DIMENSION, MAX_SUBSTEPS, DecaySpec, Schedule, check_density, check_state
 
 EXACT = "exact-segment"
 SUBSTEPPED = "substepped"
 
-MAX_SUBSTEPS = 2**20
-
-# Substeps per stacked Hamiltonian/exponential batch. It bounds the
-# working memory of one batch (a few MB) independently of the substep count.
+# Substeps per stacked exponential batch. It bounds the working memory
+# of one batch (a few MB) independently of the substep count.
 _CHUNK = 256
 
 # Trace growth beyond this bound marks a failed dissipative integration.
@@ -140,43 +148,176 @@ def spectral_step(values: np.ndarray, vectors: np.ndarray, t) -> np.ndarray:
     return (vectors * phases) @ vectors.conj().swapaxes(-1, -2)
 
 
-def _exact_step(h: np.ndarray, dt: float) -> np.ndarray:
-    return spectral_step(*np.linalg.eigh(h), dt)
+class SectorSystem(NamedTuple):
+    """Eigensystem of drive_hamiltonian by sector, stacked over a shape S.
 
-
-def _substep_operators(
-    schedule: Schedule,
-    seg_index: int,
-    t_start: float,
-    dt: float,
-    steps: int,
-    noise_mult,
-    exponentiate,
-):
-    """Midpoint step operators of one segment, computed a chunk at a time.
-
-    Each chunk evaluates the modulations at its substep midpoints as
-    arrays, assembles the stacked Hamiltonians and exponentiates them in
-    one call; the operators are then yielded one by one.
+    pair (S, 2, 2) is the Hamiltonian block shared by {01,0r} and
+    {10,r0}, exponentiated in closed form. values (S, 3) and vectors
+    (S, 3, 3) are the eigensystem of the {11,R,rr} block. The energies of
+    |00> (0) and of the antisymmetric state (the detuning, pair[..., 1, 1])
+    need no solve.
     """
-    segment = schedule.segments[seg_index]
-    for first in range(0, steps, _CHUNK):
-        last = min(first + _CHUNK, steps)
-        t_mid = t_start + (np.arange(first, last) + 0.5) * dt
-        # rabi is always an array, so every substep gets its own operator
-        # even when nothing is modulated.
-        rabi = np.full(last - first, segment.rabi)
-        detuning = segment.detuning
-        phase = segment.phase
-        interaction = schedule.interaction
-        if noise_mult is not None:
-            rabi = rabi * noise_mult[0][seg_index, first:last]
-            detuning = detuning * noise_mult[1][seg_index, first:last]
-        if schedule.phase_drive is not None:
-            phase = schedule.phase_drive.phase_at(t_mid)
-        if schedule.thermal is not None:
-            interaction = thermal_interaction(t_mid, schedule.interaction, schedule.thermal)
-        yield from exponentiate(drive_hamiltonian(rabi, detuning, phase, interaction), dt)
+
+    pair: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+
+
+class SectorBlocks(NamedTuple):
+    """Operators in sector form, stacked over a shape S.
+
+    pair (S, 2, 2) acts alike on {|01>,|0r>} and {|10>,|r0>}, triple
+    (S, 3, 3) on {|11>,|R>,|rr>}, and anti (S, 1, 1) on the
+    antisymmetric state; |00> is left unchanged. `a @ b` multiplies
+    block by block, and indexing with `at` selects along the stack axes.
+    """
+
+    pair: np.ndarray
+    triple: np.ndarray
+    anti: np.ndarray
+
+    def __matmul__(self, other: "SectorBlocks") -> "SectorBlocks":
+        return SectorBlocks(*(a @ b for a, b in zip(self, other)))
+
+    def at(self, index) -> "SectorBlocks":
+        return SectorBlocks(*(block[index] for block in self))
+
+
+def sector_system(rabi, detuning, phase, v) -> SectorSystem:
+    """Sector eigensystem of drive_hamiltonian(rabi, detuning, phase, v).
+
+    The inputs broadcast to the stack shape. The {11,R,rr} block is
+    diagonalised real, with its drive phase gauged out, by one batched
+    eigh; the gauge goes back into the eigenvectors.
+    """
+    blocks = sector_hamiltonian(rabi, detuning, phase, v)
+    values, vectors = np.linalg.eigh(blocks.triple)
+    return SectorSystem(blocks.pair, values, blocks.gauge[..., :, None] * vectors)
+
+
+def sector_step(system: SectorSystem, t) -> SectorBlocks:
+    """exp(-i H t) in sector form for the sector eigensystem of H.
+
+    t is one duration or an array of durations that broadcasts against
+    the stack shape S of the system; the blocks take the broadcast
+    shape. The {01,0r} block is
+    e^{-i Delta t / 2} (cos(w t) - i sin(w t) / w (H - Delta / 2))
+    with w = sqrt(|c|^2 + Delta^2 / 4) for the coupling c; the
+    antisymmetric state picks up e^{-i Delta t}.
+    """
+    t = np.asarray(t, dtype=float)
+    coupling = system.pair[..., 0, 1]
+    detuning = system.pair[..., 1, 1].real
+    half_detuning = 0.5 * detuning
+    rate = np.hypot(np.abs(coupling), half_detuning)
+    angle = rate * t
+    # sin(w t) / w. It only multiplies the coupling and the detuning, so
+    # where w = 0 (both are 0) any finite value will do.
+    sine = np.sin(angle) / np.where(rate > 0.0, rate, 1.0)
+    cosine = np.cos(angle)
+    common = np.exp(-1j * half_detuning * t)
+    pair = np.empty(angle.shape + (2, 2), dtype=complex)
+    pair[..., 0, 0] = common * (cosine + 1j * half_detuning * sine)
+    pair[..., 1, 1] = common * (cosine - 1j * half_detuning * sine)
+    pair[..., 0, 1] = -1j * common * coupling * sine
+    pair[..., 1, 0] = -1j * common * np.conj(coupling) * sine
+    triple = spectral_step(system.values, system.vectors, t[..., None])
+    anti = np.exp(-1j * detuning * t)[..., None, None]
+    return SectorBlocks(pair, triple, anti)
+
+
+def ordered_product(steps: SectorBlocks) -> SectorBlocks:
+    """Product of a stack of steps along its last stack axis, first step first.
+
+    Adjacent steps are multiplied pairwise, the later one on the left,
+    until one is left, so a stack of n steps takes log2(n) stacked
+    products. The result drops the last stack axis.
+    """
+    return SectorBlocks(*(_pairwise_product(block) for block in steps))
+
+
+def _pairwise_product(stack: np.ndarray) -> np.ndarray:
+    while stack.shape[-3] > 1:
+        paired = stack[..., 1::2, :, :] @ stack[..., 0:-1:2, :, :]
+        if stack.shape[-3] % 2:
+            paired = np.concatenate((paired, stack[..., -1:, :, :]), axis=-3)
+        stack = paired
+    return stack[..., 0, :, :]
+
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def sector_unitary(blocks: SectorBlocks) -> np.ndarray:
+    """The stacked 9x9 operators that the sector blocks describe.
+
+    |1r> and |r1> each carry half of R = (|1r> + |r1>)/sqrt(2) and of the
+    antisymmetric state, so their entries mix the triple and anti blocks.
+    """
+    pair, triple, anti = blocks
+    full = np.zeros(anti.shape[:-2] + (DIMENSION, DIMENSION), dtype=complex)
+    full[..., 0, 0] = 1.0
+    full[..., 1:3, 1:3] = pair
+    full[..., 3::3, 3::3] = pair
+    # Rows and columns (4, 8) are |11>, |rr>; (5, 7) are |1r>, |r1>.
+    full[..., 4::4, 4::4] = triple[..., ::2, ::2]
+    full[..., 4::4, 5::2] = _SQRT_HALF * triple[..., ::2, 1:2]
+    full[..., 5::2, 4::4] = _SQRT_HALF * triple[..., 1:2, ::2]
+    full[..., 5, 5] = full[..., 7, 7] = 0.5 * (triple[..., 1, 1] + anti[..., 0, 0])
+    full[..., 5, 7] = full[..., 7, 5] = 0.5 * (triple[..., 1, 1] - anti[..., 0, 0])
+    return full
+
+
+def computational_diagonal(blocks: SectorBlocks) -> np.ndarray:
+    """The amplitudes (a00, a01, a10, a11) that sector_unitary(blocks)
+    puts on the computational diagonal, stacked on a last axis."""
+    single = blocks.pair[..., 0, 0]
+    return np.stack((np.ones_like(single), single, single, blocks.triple[..., 0, 0]), axis=-1)
+
+
+def _unitary_steps(drive, dt) -> np.ndarray:
+    """9x9 step operators exp(-i H dt) for a drive (rabi, detuning, phase, v)."""
+    return sector_unitary(sector_step(sector_system(*drive), dt))
+
+
+def _segment_drive(schedule: Schedule):
+    """The drive (rabi, detuning, phase, v) as arrays over the segments,
+    and the segment durations."""
+    rabi, detuning, phase, durations = np.array(
+        [(s.rabi, s.detuning, s.phase, s.duration) for s in schedule.segments], dtype=float
+    ).reshape(-1, 4).T
+    return (rabi, detuning, phase, schedule.interaction), durations
+
+
+def _substep_drives(schedule: Schedule, steps: int):
+    """Yield (t_start, dt, first, drive) for each batch of midpoint substeps.
+
+    Each segment splits into batches of up to _CHUNK of its `steps`
+    substeps. t_start is the start of the segment, dt its substep length
+    and first the index of the batch's first substep in the segment;
+    drive is (rabi, detuning, phase, v) evaluated at the substep
+    midpoints, each an array with one element per substep or a scalar.
+    """
+    noise_mult = _noise_multipliers(schedule)
+    t_start = 0.0
+    for seg_index, segment in enumerate(schedule.segments):
+        dt = segment.duration / steps
+        detuning, phase, interaction = segment.detuning, segment.phase, schedule.interaction
+        for first in range(0, steps, _CHUNK):
+            last = min(first + _CHUNK, steps)
+            t_mid = t_start + (np.arange(first, last) + 0.5) * dt
+            # rabi is always an array, so every substep gets its own
+            # operator even when nothing is modulated.
+            rabi = np.full(last - first, segment.rabi)
+            if noise_mult is not None:
+                rabi = rabi * noise_mult[0][seg_index, first:last]
+                detuning = segment.detuning * noise_mult[1][seg_index, first:last]
+            if schedule.phase_drive is not None:
+                phase = schedule.phase_drive.phase_at(t_mid)
+            if schedule.thermal is not None:
+                interaction = thermal_interaction(t_mid, schedule.interaction, schedule.thermal)
+            yield t_start, dt, first, (rabi, detuning, phase, interaction)
+        t_start += segment.duration
 
 
 def _steps(schedule: Schedule, config: IntegratorConfig, samples: int, exponentiate):
@@ -184,29 +325,28 @@ def _steps(schedule: Schedule, config: IntegratorConfig, samples: int, exponenti
 
     t is the time at the end of the step. In exact mode each constant
     segment is split into `samples` equal steps that share one
-    exponential, and every step is sampled. In substepped mode each
-    substep exponentiates the Hamiltonian at its midpoint, and every
-    stride-th substep plus the last of each segment is sampled.
-    `exponentiate(h, dt)` maps one operator or a stack of them to the
+    exponential, and every step is sampled; the segments are
+    exponentiated as one stack. In substepped mode each substep
+    exponentiates the drive at its midpoint, and every stride-th
+    substep plus the last of each segment is sampled.
+    `exponentiate(drive, dt)` maps a drive (rabi, detuning, phase, v) of
+    arrays and the step lengths, one or one per element, to the stacked
     step operators.
     """
-    exact = config.mode == EXACT
-    steps = samples if exact else _segment_substeps(schedule, config)
+    if config.mode == EXACT:
+        drive, durations = _segment_drive(schedule)
+        dt = durations / samples
+        t_start = 0.0
+        for segment, step, step_dt in zip(schedule.segments, exponentiate(drive, dt), dt):
+            for k in range(samples):
+                yield t_start + (k + 1) * step_dt, step, True
+            t_start += segment.duration
+        return
+    steps = _segment_substeps(schedule, config)
     stride = max(1, steps // samples)
-    noise_mult = _noise_multipliers(schedule)
-    t_start = 0.0
-    for seg_index, segment in enumerate(schedule.segments):
-        dt = segment.duration / steps
-        if exact:
-            step = exponentiate(build_full(segment, schedule.interaction), dt)
-            operators = itertools.repeat(step, steps)
-        else:
-            operators = _substep_operators(
-                schedule, seg_index, t_start, dt, steps, noise_mult, exponentiate
-            )
-        for k, step in enumerate(operators):
+    for t_start, dt, first, drive in _substep_drives(schedule, steps):
+        for k, step in enumerate(exponentiate(drive, dt), first):
             yield t_start + (k + 1) * dt, step, (k + 1) % stride == 0 or k == steps - 1
-        t_start += segment.duration
 
 
 def propagate_state(
@@ -223,7 +363,7 @@ def propagate_state(
     populations = [np.abs(psi) ** 2]
     norms = [norm]
     for t, step, sampled in _steps(
-        schedule, config, config.samples_per_segment, _exact_step
+        schedule, config, config.samples_per_segment, _unitary_steps
     ):
         psi = step @ psi
         if sampled:
@@ -242,12 +382,26 @@ def propagate_state(
 def evolution_operator(
     schedule: Schedule, config: IntegratorConfig | None = None
 ) -> np.ndarray:
-    """Full 9x9 evolution operator of the schedule."""
+    """Full 9x9 evolution operator of the schedule.
+
+    The steps are multiplied in sector form: the `ordered_product` of
+    the stacked segment exponentials of a plain schedule, or of each
+    substep batch of a modulated one.
+    """
     config = resolve_config(schedule, config)
-    operator = np.eye(DIMENSION, dtype=complex)
-    for _, step, _ in _steps(schedule, config, 1, _exact_step):
-        operator = step @ operator
-    return operator
+    if config.mode == EXACT:
+        drive, durations = _segment_drive(schedule)
+        batches = [(durations, drive)] if schedule.segments else []
+    else:
+        steps = _segment_substeps(schedule, config)
+        batches = ((dt, drive) for _, dt, _, drive in _substep_drives(schedule, steps))
+    total = None
+    for dt, drive in batches:
+        product = ordered_product(sector_step(sector_system(*drive), dt))
+        total = product if total is None else product @ total
+    if total is None:
+        return np.eye(DIMENSION, dtype=complex)
+    return sector_unitary(total)
 
 
 def propagate_density(
@@ -268,10 +422,11 @@ def propagate_density(
     populations = [np.real(np.diag(rho)).copy()]
     traces = [float(rho.trace().real)]
 
-    def exponentiate(h: np.ndarray, dt: float) -> np.ndarray:
+    def exponentiate(drive, dt: float) -> np.ndarray:
         if decay.gamma == 0.0:
-            return _exact_step(h, dt)
-        return expm(-1j * apply_decay(h, decay) * dt)
+            return _unitary_steps(drive, dt)
+        generator = apply_decay(drive_hamiltonian(*drive), decay)
+        return expm(-1j * generator * np.asarray(dt)[..., None, None])
 
     for t, m, sampled in _steps(
         schedule, config, config.samples_per_segment, exponentiate

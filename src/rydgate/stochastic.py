@@ -5,6 +5,10 @@ relative errors on the drive strength and the detuning,
 x -> (1 + eta * r) * x with r drawn from [-1, 1]. Traces are fully
 reproducible from the seed; the drive channel is always drawn before
 the detuning channel.
+
+Monte-Carlo trials are evaluated as stacks: the noise traces of a batch
+of trials form one drive array over (trials x segments x substeps),
+whose sector steps are multiplied per trial by `ordered_product`.
 """
 
 from __future__ import annotations
@@ -14,12 +18,30 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IntegratorFailureError, InvalidParameterError
+from .errors import InvalidParameterError
 from .metrics import compensated_cz_target, gate_fidelity, gate_outcome
-from .model import NoiseSpec, ThermalSpec, standard_schedule
-from .propagate import SUBSTEPPED, IntegratorConfig, evolution_operator
+from .model import NoiseSpec, Schedule, ThermalSpec, standard_schedule
+from .propagate import (
+    SUBSTEPPED,
+    IntegratorConfig,
+    evolution_operator,
+    ordered_product,
+    sector_step,
+    sector_system,
+    sector_unitary,
+)
 
 GENERATOR_NAME = "PCG64"
+
+# Largest trial count of one Monte-Carlo average. It keeps the per-trial
+# seeds and fidelities within a few tens of MB.
+MAX_TRIALS = 2**20
+
+# Substep blocks per stacked Monte-Carlo batch. Whole trials are stacked
+# up to this many substeps (a trial longer than that is split along
+# time), which bounds the working memory of a batch to about a MB for
+# any trial count.
+_BATCH_BLOCKS = 2048
 
 
 def sample_noise_trace(spec: NoiseSpec, segment_count: int):
@@ -70,6 +92,31 @@ def _nominal_gate(kappa: float, v: float):
     return schedule, operator, target
 
 
+def _noisy_operators(schedule: Schedule, spec: NoiseSpec, seeds) -> np.ndarray:
+    """Evolution operators of the schedule under the noise trace of each seed.
+
+    Each operator equals evolution_operator of the schedule with the
+    noise spec reseeded, up to rounding in the order of the products.
+    """
+    segments = schedule.segments
+    substeps = int(spec.substeps)
+    traces = [sample_noise_trace(replace(spec, seed=int(seed)), len(segments)) for seed in seeds]
+    # (trials, segments, substeps), flattened to one time axis per trial.
+    rabi = np.array([s.rabi for s in segments])[:, None] * np.stack([t[0] for t in traces])
+    detuning = np.array([s.detuning for s in segments])[:, None] * np.stack([t[1] for t in traces])
+    rabi, detuning = rabi.reshape(len(seeds), -1), detuning.reshape(len(seeds), -1)
+    phase = np.repeat([s.phase for s in segments], substeps)
+    dt = np.repeat([s.duration / substeps for s in segments], substeps)
+    width = max(1, _BATCH_BLOCKS // len(seeds))
+    total = None
+    for first in range(0, dt.size, width):
+        part = slice(first, first + width)
+        system = sector_system(rabi[:, part], detuning[:, part], phase[part], schedule.interaction)
+        product = ordered_product(sector_step(system, dt[part]))
+        total = product if total is None else product @ total
+    return sector_unitary(total)
+
+
 def monte_carlo_gate_fidelity(
     kappa: float, v: float, spec: NoiseSpec, trials: int
 ) -> MonteCarloResult:
@@ -78,10 +125,11 @@ def monte_carlo_gate_fidelity(
     Every trial is scored against the noise-free schedule's own
     compensated controlled-phase target. Per-trial seeds derive from
     spec.seed through a seed sequence, so individual trials can be
-    replayed in isolation.
+    replayed in isolation. Trials run in stacked batches of up to
+    _BATCH_BLOCKS substeps; trials may number 1 to MAX_TRIALS.
     """
-    if int(trials) < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    if not 1 <= int(trials) <= MAX_TRIALS:
+        raise InvalidParameterError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
     trials = int(trials)
     nominal_schedule, nominal_operator, target = _nominal_gate(kappa, v)
 
@@ -98,16 +146,11 @@ def monte_carlo_gate_fidelity(
     trial_seeds = np.random.SeedSequence(spec.seed).generate_state(
         trials, dtype=np.uint64
     )
-    config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=spec.substeps)
+    batch = max(1, _BATCH_BLOCKS // (len(nominal_schedule.segments) * int(spec.substeps)))
     fidelities = []
-    for index, trial_seed in enumerate(trial_seeds):
-        trial_spec = replace(spec, seed=int(trial_seed))
-        schedule = replace(nominal_schedule, noise=trial_spec)
-        try:
-            operator = evolution_operator(schedule, config)
-            fidelities.append(gate_fidelity(operator, target))
-        except Exception as exc:
-            raise IntegratorFailureError(f"noise trial {index} failed: {exc}") from exc
+    for first in range(0, trials, batch):
+        operators = _noisy_operators(nominal_schedule, spec, trial_seeds[first : first + batch])
+        fidelities.extend(gate_fidelity(operator, target) for operator in operators)
     values = np.array(fidelities)
     return MonteCarloResult(
         mean_fidelity=float(values.mean()),

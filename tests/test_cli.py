@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from rydgate.cli import build_parser, main
+from rydgate import experiments
+from rydgate.cli import MAX_GRID_STEPS, build_parser, main
 from rydgate.errors import UndefinedPhaseError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -327,14 +328,18 @@ class TestOtherCommands:
                 (["noise-map", "--eta-max", "inf"], "--eta-max must be finite"),
                 (["noise-map", "--eta-max", "0.06"], "need 0 < --eta-max <= 0.05"),
                 (["noise-map", "--steps", "0"], "--steps must be >= 1"),
-                (["actuate", "--phase-count", "0"], None),
-                (["actuate", "--duration-count", "0"], None),
-                (["actuate", "--duration-count", "-1"], None),
+                (["actuate", "--phase-count", "0"], "--phase-count must be >= 1"),
+                (["actuate", "--duration-count", "0"], "--duration-count must be >= 1"),
+                (["actuate", "--duration-count", "-1"], "--duration-count must be >= 1"),
                 (["actuate", "--etas", "inf"], None),
                 (["actuate", "--etas", "nan"], None),
                 (["actuate", "--etas", "1,-inf"], None),
-                (["actuate", "--tmax", "inf"], None),
-                (["actuate", "--tmin", "nan"], None),
+                (["actuate", "--tmax", "inf"], "--tmax must be finite"),
+                (["actuate", "--tmin", "nan"], "--tmin must be finite"),
+                (["actuate", "--tmin", "2", "--tmax", "1"], "need 0 < --tmin < --tmax"),
+                (["actuate", "--tmin", "0"], "need 0 < --tmin < --tmax"),
+                (["noise-map", "--substeps", "100000000000000"], "noise substeps"),
+                (["noise-map", "--trials", "100000000000000"], "trials must lie in"),
             ]
         ],
     )
@@ -346,6 +351,42 @@ class TestOtherCommands:
         if named is not None:
             assert named in err
         assert not out.exists()
+
+
+# Every grid step-count flag, with a command line that reads it.
+GRID_COUNT_FLAGS = [
+    ("scan-kappa", "--steps"),
+    ("interfere", "--steps"),
+    ("noise-map", "--steps"),
+    ("thermal-map", "--dsteps"),
+    ("thermal-map", "--tsteps"),
+    ("decay", "--rsteps"),
+    ("actuate", "--phase-count"),
+    ("actuate", "--duration-count"),
+]
+
+
+class TestGridStepLimit:
+    @pytest.mark.parametrize("command, flag", GRID_COUNT_FLAGS)
+    @pytest.mark.parametrize("count", [MAX_GRID_STEPS + 1, 10**18])
+    def test_count_above_limit_exits_two(self, command, flag, count, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        assert run_cli([command, flag, str(count), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be <= {MAX_GRID_STEPS}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_limit_itself_is_accepted(self, monkeypatch):
+        # The grid is built and handed on; the scan itself is stubbed.
+        seen = {}
+
+        def fake_scan(grid, v):
+            seen["size"] = len(grid)
+            return experiments.ScanResult(axes={}, rows=[])
+
+        monkeypatch.setattr(experiments, "scan_kappa", fake_scan)
+        assert run_cli(["scan-kappa", "--steps", str(MAX_GRID_STEPS)]) == 0
+        assert seen["size"] == MAX_GRID_STEPS
 
 
 # Flags each subcommand read at no point; each is now rejected by argparse.

@@ -30,7 +30,13 @@ from rydgate.experiments import (
 )
 from rydgate.hamiltonian import build_full
 from rydgate.metrics import gate_outcome
-from rydgate.model import PulseSegment, Schedule, basis_state, standard_schedule
+from rydgate.model import (
+    COMPUTATIONAL_INDICES,
+    PulseSegment,
+    Schedule,
+    basis_state,
+    standard_schedule,
+)
 from rydgate.propagate import evolution_operator
 
 V = 2.0 * math.pi
@@ -297,7 +303,8 @@ class TestActuatingScan:
             oracle = expm(-1j * build_full(segment, V) * duration) @ oracle
         operator = evolution_operator(Schedule(segments=segments, interaction=V))
         assert np.max(np.abs(operator - oracle)) < 1e-12
-        assert _cell_fidelity(operator) == pytest.approx(
+        amplitudes = operator[COMPUTATIONAL_INDICES, COMPUTATIONAL_INDICES]
+        assert _cell_fidelity(amplitudes) == pytest.approx(
             gate_outcome(oracle).fidelity, abs=1e-12
         )
 
@@ -324,7 +331,7 @@ class TestActuatingScan:
                 [cell(2.0, 1.7), cell(-2.4, 2.5), cell(1.1, 0.05)],
             ]
         )
-        stacked = _cell_fidelity(cells)
+        stacked = _cell_fidelity(cells[..., COMPUTATIONAL_INDICES, COMPUTATIONAL_INDICES])
         assert stacked.shape == (2, 3)
         for index in np.ndindex(2, 3):
             expected = 0.0 if index == (0, 2) else gate_outcome(cells[index]).fidelity

@@ -169,6 +169,13 @@ class TestComposite:
         sector = sector_evolution(which, kappa, V, phi, duration)
         assert np.max(np.abs(sector - block)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "which, kappa, duration", [("0r", 1.3, None), ("10", -1.0, 0.5), ("11", 1.3, -0.5)]
+    )
+    def test_sector_evolution_rejects_bad_input(self, which, kappa, duration):
+        with pytest.raises(InvalidParameterError):
+            sector_evolution(which, kappa, V, 0.6, duration)
+
     def test_sector_evolution_is_unitary(self):
         for which in ("01", "10", "11"):
             u = sector_evolution(which, 1.3, V, 0.6)

@@ -13,6 +13,7 @@ from rydgate.hamiltonian import (
     build_subspace,
     drive_hamiltonian,
     is_hermitian,
+    sector_hamiltonian,
     subspace_basis,
     thermal_interaction,
 )
@@ -138,6 +139,36 @@ class TestSubspaces:
         np.testing.assert_allclose(
             build_subspace(which, segment, v), projected, atol=1e-12
         )
+
+    def test_stacked_blocks_match_projected_full_operators(self):
+        rng = np.random.default_rng(310)
+        shape = (3, 4)
+        rabi, detuning, phase, v = (
+            rng.uniform(0.0, 8.0, shape),
+            rng.uniform(-4.0, 4.0, shape),
+            rng.uniform(-math.pi, math.pi, shape),
+            rng.uniform(0.0, 9.0, shape),
+        )
+        blocks = sector_hamiltonian(rabi, detuning, phase, v)
+        assert np.isrealobj(blocks.triple)
+        full = drive_hamiltonian(rabi, detuning, phase, v)
+        pair_basis, triple_basis = subspace_basis("01"), subspace_basis("11")
+        for index in np.ndindex(*shape):
+            np.testing.assert_allclose(
+                blocks.pair[index], pair_basis @ full[index] @ pair_basis.T, atol=1e-15
+            )
+            gauged = np.diag(blocks.gauge[index]) @ blocks.triple[index]
+            np.testing.assert_allclose(
+                gauged @ np.diag(blocks.gauge[index]).conj(),
+                triple_basis @ full[index] @ triple_basis.T,
+                atol=1e-12,
+            )
+            # The antisymmetric state is an eigenstate at the detuning.
+            antisymmetric = np.zeros(9)
+            antisymmetric[[5, 7]] = math.sqrt(0.5), -math.sqrt(0.5)
+            np.testing.assert_allclose(
+                full[index] @ antisymmetric, detuning[index] * antisymmetric, atol=1e-15
+            )
 
     def test_symmetric_basis_rows_are_orthonormal(self):
         for which in SUBSPACE_LABELS:

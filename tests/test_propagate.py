@@ -19,16 +19,24 @@ from rydgate.model import (
     standard_schedule,
     time_optimal_schedule,
 )
+from rydgate import experiments, stochastic
+from rydgate.model import COMPUTATIONAL_INDICES, V0
 from rydgate.propagate import (
     _CHUNK,
     EXACT,
     SUBSTEPPED,
     IntegratorConfig,
+    SectorBlocks,
+    computational_diagonal,
     convergence_check,
     evolution_operator,
+    ordered_product,
     propagate_density,
     propagate_state,
     resolve_config,
+    sector_step,
+    sector_system,
+    sector_unitary,
 )
 
 V = 2.0 * math.pi
@@ -351,3 +359,112 @@ class TestConvergence:
                 standard_schedule(1.0, V), basis_state("00"), IntegratorConfig()
             )
 
+
+
+def oracle_unitary(rabi, detuning, phase, v, t) -> np.ndarray:
+    """kron-assembled H and scipy expm, one element at a time."""
+    return expm(-1j * kron_hamiltonian(rabi, detuning, phase, v) * t)
+
+
+def random_drive(rng, shape):
+    """A stack of drives with the edge cases rabi = 0, detuning = 0 and both."""
+    rabi = rng.uniform(0.0, 8.0, shape)
+    detuning = rng.uniform(-4.0, 4.0, shape)
+    phase = rng.uniform(-math.pi, math.pi, shape)
+    v = rng.uniform(0.0, 10.0, shape)
+    # Element 0 has no drive, element 1 no detuning, element 2 neither.
+    rabi.reshape(-1)[0:3:2] = 0.0
+    detuning.reshape(-1)[1:3] = 0.0
+    return rabi, detuning, phase, v
+
+
+class TestSectorCore:
+    """The sector-native step core against kron + scipy expm of the 9x9 operator."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_steps_match_expm_of_full_operator(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        drive = random_drive(rng, (3, 5))
+        t = rng.uniform(0.0, 2.0, (3, 5))
+        actual = sector_unitary(sector_step(sector_system(*drive), t))
+        assert actual.shape == (3, 5, 9, 9)
+        for index in np.ndindex(3, 5):
+            expected = oracle_unitary(*(x[index] for x in drive), t[index])
+            np.testing.assert_allclose(actual[index], expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [1e-9, 50.0, 400.0])
+    def test_short_and_long_durations(self, t):
+        drive = random_drive(np.random.default_rng(910), (6,))
+        actual = sector_unitary(sector_step(sector_system(*drive), t))
+        for index in range(6):
+            expected = oracle_unitary(*(x[index] for x in drive), t)
+            np.testing.assert_allclose(actual[index], expected, rtol=0.0, atol=1e-12)
+
+    def test_durations_broadcast_against_the_stack(self):
+        rng = np.random.default_rng(911)
+        drive = random_drive(rng, (4,))
+        t = rng.uniform(0.1, 3.0, (3, 1))
+        actual = sector_unitary(sector_step(sector_system(*drive), t))
+        assert actual.shape == (3, 4, 9, 9)
+        for i, k in np.ndindex(3, 4):
+            expected = oracle_unitary(*(x[k] for x in drive), t[i, 0])
+            np.testing.assert_allclose(actual[i, k], expected, rtol=0.0, atol=1e-12)
+
+    def test_zero_duration_is_identity(self):
+        drive = random_drive(np.random.default_rng(912), (5,))
+        actual = sector_unitary(sector_step(sector_system(*drive), 0.0))
+        np.testing.assert_allclose(actual, np.broadcast_to(np.eye(9), actual.shape), atol=1e-15)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 8])
+    def test_ordered_product_matches_sequential_product(self, count):
+        rng = np.random.default_rng(913 + count)
+        drive = random_drive(rng, (2, count))
+        steps = sector_step(sector_system(*drive), rng.uniform(0.1, 1.0, (2, count)))
+        full = sector_unitary(steps)
+        product = sector_unitary(ordered_product(steps))
+        assert product.shape == (2, 9, 9)
+        for row in range(2):
+            expected = np.eye(9, dtype=complex)
+            for k in range(count):
+                expected = full[row, k] @ expected
+            np.testing.assert_allclose(product[row], expected, rtol=0.0, atol=1e-13)
+
+    def test_block_product_is_the_product_of_unitaries(self):
+        rng = np.random.default_rng(920)
+        system = sector_system(*random_drive(rng, (4,)))
+        a, b = sector_step(system, 0.3), sector_step(system, 1.1)
+        np.testing.assert_allclose(
+            sector_unitary(a @ b), sector_unitary(a) @ sector_unitary(b), rtol=0.0, atol=1e-13
+        )
+        assert isinstance(a.at(np.s_[1:]), SectorBlocks)
+
+    def test_computational_diagonal_is_what_the_scatter_places(self):
+        rng = np.random.default_rng(921)
+        steps = sector_step(sector_system(*random_drive(rng, (2, 3))), rng.uniform(0, 2, (2, 3)))
+        full = sector_unitary(steps)
+        np.testing.assert_array_equal(
+            computational_diagonal(steps), full[..., COMPUTATIONAL_INDICES, COMPUTATIONAL_INDICES]
+        )
+
+    def test_no_nine_state_eigh(self, monkeypatch):
+        """Every unitary consumer diagonalises sector blocks only."""
+        original = np.linalg.eigh
+        sizes = set()
+
+        def recording_eigh(matrix, *args, **kwargs):
+            sizes.add(np.shape(matrix)[-1])
+            return original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        evolution_operator(standard_schedule(1.65, V))
+        for kind in ("noisy", "thermal", "phase-driven"):
+            schedule = modulated_schedule(kind, 8)
+            config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=8)
+            evolution_operator(schedule, config)
+            propagate_state(schedule, basis_state("11"), config)
+        propagate_density(standard_schedule(1.0, V), np.eye(9) / 9.0, DecaySpec(gamma=0.0))
+        experiments.scan_kappa([0.5, 1.65])
+        experiments.run_actuating_scan(eta_list=(1.0,), phase_count=3, duration_count=4)
+        spec = NoiseSpec(eta_omega=0.05, eta_delta=0.05, substeps=4, seed=1)
+        stochastic.monte_carlo_gate_fidelity(1.65, V0, spec, 3)
+        assert sizes == {3}

@@ -1,19 +1,22 @@
 """Tests for noise sampling, Monte-Carlo averages, and thermal fidelity."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from rydgate import stochastic
 from rydgate.errors import InvalidParameterError
-from rydgate.model import NoiseSpec, ThermalSpec, standard_schedule
+from rydgate.model import MAX_SUBSTEPS, NoiseSpec, ThermalSpec, standard_schedule
 from rydgate.stochastic import (
+    MAX_TRIALS,
     monte_carlo_gate_fidelity,
     sample_noise_trace,
     thermal_gate_fidelity,
 )
-from rydgate.metrics import gate_outcome
-from rydgate.propagate import evolution_operator
+from rydgate.metrics import compensated_cz_target, gate_fidelity, gate_outcome
+from rydgate.propagate import SUBSTEPPED, IntegratorConfig, evolution_operator
 
 V = 2.0 * math.pi
 
@@ -100,6 +103,72 @@ class TestMonteCarlo:
         }
         assert payload["generator"] == "PCG64"
         assert len(payload["fidelities"]) == 2
+
+
+def replayed_fidelities(spec: NoiseSpec, trials: int) -> list:
+    """One evolution_operator per trial of the schedule reseeded with that
+    trial's SeedSequence seed, scored by gate_fidelity."""
+    schedule = standard_schedule(1.65, V)
+    nominal = gate_outcome(evolution_operator(schedule))
+    target = compensated_cz_target(nominal.phases["01"], nominal.phases["10"])
+    config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=spec.substeps)
+    seeds = np.random.SeedSequence(spec.seed).generate_state(trials, dtype=np.uint64)
+    return [
+        gate_fidelity(
+            evolution_operator(
+                dataclasses.replace(schedule, noise=dataclasses.replace(spec, seed=int(seed))),
+                config,
+            ),
+            target,
+        )
+        for seed in seeds
+    ]
+
+
+class TestBatchedTrials:
+    """Monte-Carlo trials stacked in batches against one replay per trial."""
+
+    # 4 segments x 16 substeps: 32 trials fill one batch of 2048 blocks.
+    SPEC = NoiseSpec(eta_omega=0.05, eta_delta=0.04, substeps=16, seed=31)
+    BATCH = stochastic._BATCH_BLOCKS // (4 * 16)
+
+    def test_each_trial_equals_its_replay(self):
+        result = monte_carlo_gate_fidelity(1.65, V, self.SPEC, 5)
+        np.testing.assert_allclose(
+            result.fidelities, replayed_fidelities(self.SPEC, 5), rtol=0.0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("trials", [1, BATCH - 1, BATCH, BATCH + 1])
+    def test_trials_do_not_depend_on_the_batch_split(self, trials):
+        longest = monte_carlo_gate_fidelity(1.65, V, self.SPEC, self.BATCH + 1)
+        result = monte_carlo_gate_fidelity(1.65, V, self.SPEC, trials)
+        assert result.fidelities == longest.fidelities[:trials]
+        assert result.mean_fidelity == pytest.approx(np.mean(result.fidelities), abs=1e-15)
+
+    @pytest.mark.parametrize("blocks", [64 * 3 - 1, 64 * 3, 64 * 3 + 1, 64])
+    def test_batch_bound_does_not_change_trials(self, blocks, monkeypatch):
+        reference = monte_carlo_gate_fidelity(1.65, V, self.SPEC, 7).fidelities
+        monkeypatch.setattr(stochastic, "_BATCH_BLOCKS", blocks)
+        assert monte_carlo_gate_fidelity(1.65, V, self.SPEC, 7).fidelities == reference
+
+    @pytest.mark.parametrize("blocks", [1, 5, 63])
+    def test_trial_longer_than_a_batch_is_split_along_time(self, blocks, monkeypatch):
+        monkeypatch.setattr(stochastic, "_BATCH_BLOCKS", blocks)
+        result = monte_carlo_gate_fidelity(1.65, V, self.SPEC, 3)
+        np.testing.assert_allclose(
+            result.fidelities, replayed_fidelities(self.SPEC, 3), rtol=0.0, atol=1e-12
+        )
+
+    def test_rejects_trials_above_limit(self):
+        with pytest.raises(InvalidParameterError, match="trials must lie in"):
+            monte_carlo_gate_fidelity(1.65, V, self.SPEC, MAX_TRIALS + 1)
+        with pytest.raises(InvalidParameterError, match="trials must lie in"):
+            monte_carlo_gate_fidelity(1.65, V, NoiseSpec(), MAX_TRIALS + 1)
+
+    def test_noise_substeps_above_limit_rejected(self):
+        NoiseSpec(substeps=MAX_SUBSTEPS)
+        with pytest.raises(InvalidParameterError, match="noise substeps"):
+            NoiseSpec(substeps=MAX_SUBSTEPS + 1)
 
 
 class TestThermal:
