@@ -34,8 +34,6 @@ from .model import (
     V0,
     DecaySpec,
     NoiseSpec,
-    PulseSegment,
-    Schedule,
     ThermalSpec,
     basis_state,
     cyclic_segment_duration,
@@ -46,11 +44,12 @@ from .model import (
 from .propagate import (
     SUBSTEPPED,
     IntegratorConfig,
+    batch_rows,
     computational_diagonal,
     evolution_operator,
-    ordered_product,
     propagate_density,
     propagate_state,
+    sector_product,
     sector_step,
     sector_system,
     sector_unitary,
@@ -160,20 +159,12 @@ def run_dynamics(
     return ScanResult(axes=axes, rows=rows, metadata=metadata)
 
 
-# Grid points per stacked batch of scan_kappa. It bounds the working
-# memory of one batch (about 170 kB per operator stack) for any grid
-# length; larger batches raised peak memory without saving time.
-_SCAN_CHUNK = 32
-
-
 def scan_kappa(kappa_grid, v: float = V0) -> ScanResult:
     """Gate summary for each drive-to-interaction ratio on the grid.
 
-    Each point is the four-segment standard_schedule(kappa, v). The grid
-    is evaluated in stacks of up to _SCAN_CHUNK points: one sector
-    eigensystem over (points x segments), one sector_step with per-point
-    durations, the ordered product of the segments, and one
-    gate_summary of the stack. Raises
+    Each point is the four-segment standard_schedule(kappa, v). The
+    grid is evaluated as one stack: one sector_product over
+    (points x segments) and one gate_summary of the operators. Raises
     UndefinedPhaseError when any point leaves a computational state
     behind.
     """
@@ -183,36 +174,13 @@ def scan_kappa(kappa_grid, v: float = V0) -> ScanResult:
     # Validates every point as standard_schedule would.
     durations = np.array([cyclic_segment_duration(kappa, v) for kappa in grid])
     rabi = np.array(grid) * v
-    phases = np.array(standard_phases())
-    columns = [
-        "kappa",
-        "delta_gamma",
-        "return_00",
-        "return_01",
-        "return_10",
-        "return_11",
-        "fidelity",
-        "leakage",
-    ]
-    rows = []
-    for first in range(0, len(grid), _SCAN_CHUNK):
-        chunk = slice(first, first + _SCAN_CHUNK)
-        system = sector_system(rabi[chunk, None], -v / 2.0, phases, v)
-        steps = sector_step(system, durations[chunk, None])
-        summary = gate_summary(sector_unitary(ordered_product(steps)))
-        for kappa, delta_gamma, returns, fidelity, leakage in zip(
-            grid[chunk],
-            summary["delta_gamma"].tolist(),
-            summary["return_probabilities"].tolist(),
-            summary["fidelity"].tolist(),
-            summary["leakage"].tolist(),
-        ):
-            row = {"kappa": kappa, "delta_gamma": delta_gamma}
-            for label, probability in zip(COMPUTATIONAL_LABELS, returns):
-                row[f"return_{label}"] = probability
-            row["fidelity"] = fidelity
-            row["leakage"] = leakage
-            rows.append(row)
+    product = sector_product(rabi[:, None], -v / 2.0, standard_phases(), v, durations[:, None])
+    summary = gate_summary(sector_unitary(product))
+    returns = [f"return_{label}" for label in COMPUTATIONAL_LABELS]
+    columns = ["kappa", "delta_gamma"] + returns + ["fidelity", "leakage"]
+    fields = ("delta_gamma", "return_probabilities", "fidelity", "leakage")
+    table = np.column_stack([grid] + [summary[name] for name in fields])
+    rows = [dict(zip(columns, values)) for values in table.tolist()]
     metadata = _metadata(columns=columns, grids={"kappa": grid, "v": float(v)})
     return ScanResult(axes={"kappa": grid}, rows=rows, metadata=metadata)
 
@@ -377,15 +345,14 @@ class InterferometerSpec:
         grid = tuple(float(k) for k in np.atleast_1d(np.asarray(self.kappa_grid)))
         if not grid:
             raise InvalidParameterError("kappa grid must not be empty")
-        if any(k <= 0.0 for k in grid):
-            raise InvalidParameterError("kappa values must be positive")
         object.__setattr__(self, "kappa_grid", grid)
-        if self.v <= 0.0:
-            raise InvalidParameterError(f"interaction must be positive, got {self.v}")
-        if self.reference_kappa <= 0.0:
-            raise InvalidParameterError(
-                f"reference kappa must be positive, got {self.reference_kappa}"
-            )
+        for name, value in [("kappa", k) for k in grid] + [
+            ("interaction", self.v),
+            ("reference kappa", self.reference_kappa),
+            ("drive kappa * interaction", max(grid) * self.v),
+        ]:
+            if not 0.0 < value < math.inf:
+                raise InvalidParameterError(f"{name} must be positive and finite, got {value}")
 
 
 def run_interferometer(spec: InterferometerSpec) -> ScanResult:
@@ -393,30 +360,22 @@ def run_interferometer(spec: InterferometerSpec) -> ScanResult:
 
     Starts in |10>, applies the beamsplitter to the second atom, one
     interaction segment of fixed duration, and the beamsplitter again,
-    then reads out the |10> and |11> populations.
+    then reads out the |10> and |11> populations. The segments of the
+    whole grid form one sector_product stack.
     """
     duration = cyclic_segment_duration(spec.reference_kappa, spec.v)
     splitter = preparation_operator()
-    initial = basis_state("10")
+    kappas = np.array(spec.kappa_grid)
+    product = sector_product(kappas[:, None] * spec.v, -spec.v / 2.0, 0.0, spec.v, duration)
+    prepared = splitter @ basis_state("10")
+    # Row k is splitter @ U_k @ prepared, the final state of grid point k.
+    final = (sector_unitary(product) @ prepared) @ splitter.T
+    populations = np.abs(final[:, 3:5]) ** 2
     columns = ["kappa", "p10", "p11"]
-    rows = []
-    for kappa in spec.kappa_grid:
-        segment = PulseSegment(
-            rabi=kappa * spec.v,
-            detuning=-spec.v / 2.0,
-            phase=0.0,
-            duration=duration,
-        )
-        schedule = Schedule(segments=(segment,), interaction=spec.v)
-        operator = evolution_operator(schedule)
-        final = splitter @ (operator @ (splitter @ initial))
-        rows.append(
-            {
-                "kappa": float(kappa),
-                "p10": float(abs(final[3]) ** 2),
-                "p11": float(abs(final[4]) ** 2),
-            }
-        )
+    rows = [
+        {"kappa": kappa, "p10": p10, "p11": p11}
+        for kappa, (p10, p11) in zip(spec.kappa_grid, populations.tolist())
+    ]
     metadata = _metadata(
         columns=columns,
         grids={
@@ -516,11 +475,6 @@ def _cell_fidelity(amplitudes: np.ndarray) -> np.ndarray:
     return np.where(returned, compensated_fidelity(amplitudes), 0.0)
 
 
-# Composite cells per stacked batch of run_actuating_scan; it bounds the
-# working memory of one batch (about 3 MB) for any grid.
-_ACTUATE_CELLS = 2048
-
-
 def run_actuating_scan(
     eta_list=(0.5, 1.0, 2.0, 3.0, 4.0),
     threshold: float = 0.96,
@@ -557,9 +511,8 @@ def run_actuating_scan(
     if not (0.0 < lo < hi < math.inf):
         raise InvalidParameterError(f"bad duration range {duration_range}")
     durations = np.linspace(lo, hi, int(duration_count))
-    # Durations per stacked batch, so that a batch holds at most
-    # _ACTUATE_CELLS cells.
-    width = max(1, _ACTUATE_CELLS // phases.size ** (2 if independent_phases else 1))
+    # Durations per stacked batch, within the sector_product step budget.
+    width = batch_rows(phases.size ** (2 if independent_phases else 1))
 
     columns = ["eta", "v", "qualifying_cells", "mean_duration", "actuating"]
     rows = []

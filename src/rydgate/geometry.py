@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, RootNotFoundError
 from .hamiltonian import check_subspace
-from .model import ALTERNATE_PHASE, V0, PulseSegment, cyclic_segment_duration
-from .propagate import sector_step, sector_system
+from .model import V0, PulseSegment, cyclic_segment_duration, standard_phases
+from .propagate import sector_product, sector_step, sector_system
 
 __all__ = [
     "TwoLevelParams",
@@ -235,10 +235,8 @@ def composite_return_probability(kappa: float, v: float = V0) -> float:
     """|10> return probability after the four-pulse two-level composite.
 
     The composite is the standard four segments, with drive phases
-    alternating between 0 and ALTERNATE_PHASE.
+    standard_phases(), as one sector_product.
     """
-    u_a = sector_evolution("10", kappa, v, 0.0)
-    u_b = sector_evolution("10", kappa, v, ALTERNATE_PHASE)
-    pair = u_b @ u_a
-    composite = pair @ pair
-    return float(abs(composite[0, 0]) ** 2)
+    t11, _ = periods(kappa, v)
+    product = sector_product(kappa * v, -v / 2.0, standard_phases(), v, t11)
+    return float(abs(product.pair[0, 0]) ** 2)

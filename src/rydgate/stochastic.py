@@ -6,9 +6,12 @@ x -> (1 + eta * r) * x with r drawn from [-1, 1]. Traces are fully
 reproducible from the seed; the drive channel is always drawn before
 the detuning channel.
 
-Monte-Carlo trials are evaluated as stacks: the noise traces of a batch
+Monte-Carlo trials are evaluated as stacks: the noisy drives of a batch
 of trials form one drive array over (trials x segments x substeps),
-whose sector steps are multiplied per trial by `ordered_product`.
+multiplied per trial by `propagate.sector_product`. A batch holds as
+many whole trials as the product's step budget allows
+(`propagate.batch_rows`), so a trial's operator is the same in any
+batch.
 """
 
 from __future__ import annotations
@@ -24,10 +27,9 @@ from .model import NoiseSpec, Schedule, ThermalSpec, standard_schedule
 from .propagate import (
     SUBSTEPPED,
     IntegratorConfig,
+    batch_rows,
     evolution_operator,
-    ordered_product,
-    sector_step,
-    sector_system,
+    sector_product,
     sector_unitary,
 )
 
@@ -36,12 +38,6 @@ GENERATOR_NAME = "PCG64"
 # Largest trial count of one Monte-Carlo average. It keeps the per-trial
 # seeds and fidelities within a few tens of MB.
 MAX_TRIALS = 2**20
-
-# Substep blocks per stacked Monte-Carlo batch. Whole trials are stacked
-# up to this many substeps (a trial longer than that is split along
-# time), which bounds the working memory of a batch to about a MB for
-# any trial count.
-_BATCH_BLOCKS = 2048
 
 
 def sample_noise_trace(spec: NoiseSpec, segment_count: int):
@@ -59,6 +55,18 @@ def sample_noise_trace(spec: NoiseSpec, segment_count: int):
     raw_omega = rng.uniform(-1.0, 1.0, size=shape)
     raw_delta = rng.uniform(-1.0, 1.0, size=shape)
     return 1.0 + spec.eta_omega * raw_omega, 1.0 + spec.eta_delta * raw_delta
+
+
+def noisy_drive(schedule: Schedule, spec: NoiseSpec):
+    """Drive strength and detuning of each noise substep of the schedule.
+
+    Returns arrays of shape (segments, spec.substeps): each segment's
+    value x times the multipliers 1 + eta * r of spec's noise trace.
+    """
+    omega, delta = sample_noise_trace(spec, len(schedule.segments))
+    rabi = np.array([s.rabi for s in schedule.segments])[:, None] * omega
+    detuning = np.array([s.detuning for s in schedule.segments])[:, None] * delta
+    return rabi, detuning
 
 
 @dataclass(frozen=True)
@@ -96,25 +104,15 @@ def _noisy_operators(schedule: Schedule, spec: NoiseSpec, seeds) -> np.ndarray:
     """Evolution operators of the schedule under the noise trace of each seed.
 
     Each operator equals evolution_operator of the schedule with the
-    noise spec reseeded, up to rounding in the order of the products.
+    noise spec reseeded.
     """
-    segments = schedule.segments
-    substeps = int(spec.substeps)
-    traces = [sample_noise_trace(replace(spec, seed=int(seed)), len(segments)) for seed in seeds]
+    drives = [noisy_drive(schedule, replace(spec, seed=int(seed))) for seed in seeds]
     # (trials, segments, substeps), flattened to one time axis per trial.
-    rabi = np.array([s.rabi for s in segments])[:, None] * np.stack([t[0] for t in traces])
-    detuning = np.array([s.detuning for s in segments])[:, None] * np.stack([t[1] for t in traces])
-    rabi, detuning = rabi.reshape(len(seeds), -1), detuning.reshape(len(seeds), -1)
-    phase = np.repeat([s.phase for s in segments], substeps)
-    dt = np.repeat([s.duration / substeps for s in segments], substeps)
-    width = max(1, _BATCH_BLOCKS // len(seeds))
-    total = None
-    for first in range(0, dt.size, width):
-        part = slice(first, first + width)
-        system = sector_system(rabi[:, part], detuning[:, part], phase[part], schedule.interaction)
-        product = ordered_product(sector_step(system, dt[part]))
-        total = product if total is None else product @ total
-    return sector_unitary(total)
+    rabi, detuning = (np.stack(channel).reshape(len(seeds), -1) for channel in zip(*drives))
+    substeps = int(spec.substeps)
+    phase = np.repeat([s.phase for s in schedule.segments], substeps)
+    dt = np.repeat([s.duration / substeps for s in schedule.segments], substeps)
+    return sector_unitary(sector_product(rabi, detuning, phase, schedule.interaction, dt))
 
 
 def monte_carlo_gate_fidelity(
@@ -125,8 +123,9 @@ def monte_carlo_gate_fidelity(
     Every trial is scored against the noise-free schedule's own
     compensated controlled-phase target. Per-trial seeds derive from
     spec.seed through a seed sequence, so individual trials can be
-    replayed in isolation. Trials run in stacked batches of up to
-    _BATCH_BLOCKS substeps; trials may number 1 to MAX_TRIALS.
+    replayed in isolation. Trials run in stacked batches of as many
+    whole trials as propagate.batch_rows allows; trials may number 1 to
+    MAX_TRIALS.
     """
     if not 1 <= int(trials) <= MAX_TRIALS:
         raise InvalidParameterError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
@@ -146,7 +145,7 @@ def monte_carlo_gate_fidelity(
     trial_seeds = np.random.SeedSequence(spec.seed).generate_state(
         trials, dtype=np.uint64
     )
-    batch = max(1, _BATCH_BLOCKS // (len(nominal_schedule.segments) * int(spec.substeps)))
+    batch = batch_rows(len(nominal_schedule.segments) * int(spec.substeps))
     fidelities = []
     for first in range(0, trials, batch):
         operators = _noisy_operators(nominal_schedule, spec, trial_seeds[first : first + batch])
@@ -170,6 +169,7 @@ def thermal_gate_fidelity(
     oscillations per segment period. Zero temperature reproduces the
     noise-free fidelity exactly.
     """
+    config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=int(substeps))
     schedule, nominal_operator, target = _nominal_gate(kappa, v)
     if thermal.temperature == 0.0:
         return gate_fidelity(nominal_operator, target)
@@ -179,6 +179,5 @@ def thermal_gate_fidelity(
         segment_period = schedule.segments[0].duration
         rate = 50.0 * (2.0 * math.pi / segment_period)
         thermal = replace(thermal, vibration_rate=rate)
-    config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=int(substeps))
     operator = evolution_operator(replace(schedule, thermal=thermal), config)
     return gate_fidelity(operator, target)

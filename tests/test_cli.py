@@ -340,6 +340,12 @@ class TestOtherCommands:
                 (["actuate", "--tmin", "0"], "need 0 < --tmin < --tmax"),
                 (["noise-map", "--substeps", "100000000000000"], "noise substeps"),
                 (["noise-map", "--trials", "100000000000000"], "trials must lie in"),
+                (["thermal-map", "--dsteps", "1", "--tsteps", "1",
+                  "--substeps", "1000000000000000"], "substeps per segment must lie in"),
+                (["decay", "--rabi", "5", "--rsteps", "1",
+                  "--to-substeps", "1000000000000000"], "substeps per segment must lie in"),
+                (["dynamics", "--kappa", "1.65", "--samples", "100000000000"],
+                 "samples per segment must lie in"),
             ]
         ],
     )

@@ -13,7 +13,6 @@ from rydgate.experiments import (
     REFERENCE_KAPPA,
     InterferometerSpec,
     ScanResult,
-    _SCAN_CHUNK,
     _cell_fidelity,
     interior_extrema,
     preparation_operator,
@@ -35,9 +34,10 @@ from rydgate.model import (
     PulseSegment,
     Schedule,
     basis_state,
+    cyclic_segment_duration,
     standard_schedule,
 )
-from rydgate.propagate import evolution_operator
+from rydgate.propagate import batch_rows, evolution_operator
 
 V = 2.0 * math.pi
 
@@ -115,8 +115,9 @@ class TestScanKappa:
             scan_kappa([], V)
 
     def test_matches_per_point_oracle(self):
-        # Longer than one stacked chunk, and holding the reference ratio.
-        grid = np.sort(np.append(np.linspace(0.2, 5.0, _SCAN_CHUNK + 40), REFERENCE_KAPPA))
+        # Longer than one stacked batch of 4-segment rows, and holding the
+        # reference ratio.
+        grid = np.sort(np.append(np.linspace(0.2, 5.0, batch_rows(4) + 40), REFERENCE_KAPPA))
         result = scan_kappa(grid, V)
         assert len(result.rows) == grid.size
         for kappa, row in zip(grid, result.rows):
@@ -226,6 +227,33 @@ class TestInterferometer:
             InterferometerSpec(kappa_grid=(1.0,), v=-1.0)
         with pytest.raises(InvalidParameterError):
             InterferometerSpec(kappa_grid=(0.0,))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                InterferometerSpec(kappa_grid=(1.0, bad))
+            with pytest.raises(InvalidParameterError):
+                InterferometerSpec(kappa_grid=(1.0,), v=bad)
+            with pytest.raises(InvalidParameterError):
+                InterferometerSpec(kappa_grid=(1.0,), reference_kappa=bad)
+        with pytest.raises(InvalidParameterError, match="drive kappa"):
+            InterferometerSpec(kappa_grid=(1e200,), v=1e200)
+
+    def test_rows_match_per_point_oracle(self):
+        # Longer than one stacked batch of single-segment rows.
+        grid = np.linspace(0.5, 5.0, batch_rows(1) + 40)
+        spec = InterferometerSpec(kappa_grid=tuple(grid))
+        result = run_interferometer(spec)
+        splitter = preparation_operator()
+        duration = cyclic_segment_duration(spec.reference_kappa, spec.v)
+        assert len(result.rows) == grid.size
+        for kappa, row in zip(grid, result.rows):
+            segment = PulseSegment(
+                rabi=kappa * spec.v, detuning=-spec.v / 2.0, phase=0.0, duration=duration
+            )
+            operator = evolution_operator(Schedule(segments=(segment,), interaction=spec.v))
+            final = splitter @ (operator @ (splitter @ basis_state("10")))
+            assert row["kappa"] == kappa
+            assert row["p10"] == pytest.approx(abs(final[3]) ** 2, rel=0.0, abs=1e-12)
+            assert row["p11"] == pytest.approx(abs(final[4]) ** 2, rel=0.0, abs=1e-12)
 
 
 class TestDecayCurves:

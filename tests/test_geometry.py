@@ -22,7 +22,7 @@ from rydgate.geometry import (
     u11_lab_frame,
 )
 from rydgate.hamiltonian import build_full
-from rydgate.model import PulseSegment
+from rydgate.model import ALTERNATE_PHASE, PulseSegment
 
 V = 2.0 * math.pi
 KAPPAS = (0.335, 0.5, 1.0, 1.65, 3.0)
@@ -200,3 +200,14 @@ class TestComposite:
 
     def test_return_probability_below_one_off_root(self):
         assert composite_return_probability(0.8) < 0.999
+
+    @pytest.mark.parametrize("kappa", [None, 0.2, 0.8] + list(KAPPAS))
+    def test_return_probability_matches_sector_evolution_product(self, kappa):
+        kappa = composite_cyclic_root() if kappa is None else kappa
+        pair = sector_evolution("10", kappa, V, ALTERNATE_PHASE) @ sector_evolution(
+            "10", kappa, V, 0.0
+        )
+        expected = abs((pair @ pair)[0, 0]) ** 2
+        assert composite_return_probability(kappa, V) == pytest.approx(
+            expected, rel=0.0, abs=1e-12
+        )

@@ -19,8 +19,8 @@ from rydgate.model import (
     standard_schedule,
     time_optimal_schedule,
 )
-from rydgate import experiments, stochastic
-from rydgate.model import COMPUTATIONAL_INDICES, V0
+from rydgate import experiments, propagate, stochastic
+from rydgate.model import COMPUTATIONAL_INDICES, MAX_SUBSTEPS, V0
 from rydgate.propagate import (
     _CHUNK,
     EXACT,
@@ -34,6 +34,7 @@ from rydgate.propagate import (
     propagate_density,
     propagate_state,
     resolve_config,
+    sector_product,
     sector_step,
     sector_system,
     sector_unitary,
@@ -151,6 +152,13 @@ class TestConfig:
     def test_rejects_nonpositive_counts(self, field):
         with pytest.raises(InvalidParameterError):
             IntegratorConfig(**{field: 0})
+
+    @pytest.mark.parametrize("field", ["substeps_per_segment", "samples_per_segment"])
+    def test_rejects_counts_above_limit(self, field):
+        IntegratorConfig(**{field: MAX_SUBSTEPS})
+        for count in (MAX_SUBSTEPS + 1, 10**15):
+            with pytest.raises(InvalidParameterError, match=str(MAX_SUBSTEPS)):
+                IntegratorConfig(**{field: count})
 
     def test_auto_mode_follows_modulations(self):
         plain = standard_schedule(1.65, V)
@@ -428,6 +436,33 @@ class TestSectorCore:
             for k in range(count):
                 expected = full[row, k] @ expected
             np.testing.assert_allclose(product[row], expected, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("blocks", [1, 3, 5, 12, 2048])
+    def test_sector_product_matches_sequential_product(self, blocks, monkeypatch):
+        # Rows of 5 steps: the budget slices a row along time, batches
+        # rows whole, or holds the whole stack.
+        monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
+        rng = np.random.default_rng(930)
+        rabi, detuning, phase, v = random_drive(rng, (2, 3, 5))
+        dt = rng.uniform(0.1, 1.0, 5)
+        product = sector_unitary(sector_product(rabi, detuning, phase[0, 0], v, dt))
+        assert product.shape == (2, 3, 9, 9)
+        for index in np.ndindex(2, 3):
+            expected = np.eye(9, dtype=complex)
+            for k in range(5):
+                step = (rabi[index][k], detuning[index][k], phase[0, 0][k], v[index][k], dt[k])
+                expected = oracle_unitary(*step) @ expected
+            np.testing.assert_allclose(product[index], expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("blocks", [5, 10, 15, 2048])
+    def test_sector_product_rows_do_not_depend_on_the_batch(self, blocks, monkeypatch):
+        rng = np.random.default_rng(931)
+        drive = random_drive(rng, (7, 5))
+        dt = rng.uniform(0.1, 1.0, (7, 5))
+        reference = sector_product(*drive, dt)
+        monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
+        for actual, expected in zip(sector_product(*drive, dt), reference):
+            np.testing.assert_array_equal(actual, expected)
 
     def test_block_product_is_the_product_of_unitaries(self):
         rng = np.random.default_rng(920)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rydgate import stochastic
+from rydgate import propagate
 from rydgate.errors import InvalidParameterError
 from rydgate.model import MAX_SUBSTEPS, NoiseSpec, ThermalSpec, standard_schedule
 from rydgate.stochastic import (
@@ -130,7 +130,7 @@ class TestBatchedTrials:
 
     # 4 segments x 16 substeps: 32 trials fill one batch of 2048 blocks.
     SPEC = NoiseSpec(eta_omega=0.05, eta_delta=0.04, substeps=16, seed=31)
-    BATCH = stochastic._BATCH_BLOCKS // (4 * 16)
+    BATCH = propagate._BATCH_BLOCKS // (4 * 16)
 
     def test_each_trial_equals_its_replay(self):
         result = monte_carlo_gate_fidelity(1.65, V, self.SPEC, 5)
@@ -148,12 +148,12 @@ class TestBatchedTrials:
     @pytest.mark.parametrize("blocks", [64 * 3 - 1, 64 * 3, 64 * 3 + 1, 64])
     def test_batch_bound_does_not_change_trials(self, blocks, monkeypatch):
         reference = monte_carlo_gate_fidelity(1.65, V, self.SPEC, 7).fidelities
-        monkeypatch.setattr(stochastic, "_BATCH_BLOCKS", blocks)
+        monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
         assert monte_carlo_gate_fidelity(1.65, V, self.SPEC, 7).fidelities == reference
 
     @pytest.mark.parametrize("blocks", [1, 5, 63])
     def test_trial_longer_than_a_batch_is_split_along_time(self, blocks, monkeypatch):
-        monkeypatch.setattr(stochastic, "_BATCH_BLOCKS", blocks)
+        monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
         result = monte_carlo_gate_fidelity(1.65, V, self.SPEC, 3)
         np.testing.assert_allclose(
             result.fidelities, replayed_fidelities(self.SPEC, 3), rtol=0.0, atol=1e-12
