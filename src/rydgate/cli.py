@@ -26,7 +26,7 @@ from . import experiments
 from ._version import __version__
 from .errors import ConfigError, InvalidParameterError, NumericError
 from .experiments import InterferometerSpec, ScanResult
-from .model import normalize_units
+from .model import MAX_SUBSTEPS, normalize_units
 
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "RYDGATE_SEED"
@@ -128,6 +128,16 @@ def _schedule(args, config: dict, kappa_default=None):
     return kappa, v
 
 
+def _count(flag: str, value, limit: int) -> int:
+    """value as an int in [1, limit], or a ConfigError naming the flag."""
+    count = _integer(value, flag)
+    if count < 1:
+        raise ConfigError(f"{flag} must be >= 1, got {count}")
+    if count > limit:
+        raise ConfigError(f"{flag} must be <= {limit}, got {count}")
+    return count
+
+
 def _grid(low, high, steps, rule=None) -> np.ndarray:
     """np.linspace(low, high, steps) once its inputs pass the boundary checks.
 
@@ -142,11 +152,7 @@ def _grid(low, high, steps, rule=None) -> np.ndarray:
     for flag, value in ((low_flag, low), (high_flag, high)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
-    steps = _integer(steps, steps_flag)
-    if steps < 1:
-        raise ConfigError(f"{steps_flag} must be >= 1, got {steps}")
-    if steps > MAX_GRID_STEPS:
-        raise ConfigError(f"{steps_flag} must be <= {MAX_GRID_STEPS}, got {steps}")
+    steps = _count(steps_flag, steps, MAX_GRID_STEPS)
     if rule is not None and not rule[1](low, high):
         raise ConfigError(f"bad grid from {low} to {high}: need {rule[0]}")
     if not math.isfinite(high - low):
@@ -188,7 +194,8 @@ def cmd_gate(args, config: dict):
 
 def cmd_dynamics(args, config: dict):
     kappa, v = _schedule(args, config)
-    return experiments.run_dynamics(kappa, v, samples_per_segment=args.samples)
+    samples = _count("--samples", args.samples, MAX_SUBSTEPS)
+    return experiments.run_dynamics(kappa, v, samples_per_segment=samples)
 
 
 def cmd_scan_kappa(args, config: dict):
@@ -235,7 +242,7 @@ def cmd_thermal_map(args, config: dict):
         exponent_mode=exponent_mode,
         kappa=kappa,
         v=v,
-        substeps=args.substeps,
+        substeps=_count("--substeps", args.substeps, MAX_SUBSTEPS),
     )
 
 
@@ -260,7 +267,7 @@ def cmd_decay(args, config: dict):
         rabi_frequencies=rabi,
         multiplier_grid=multipliers,
         compare_time_optimal=not args.no_time_optimal,
-        time_optimal_substeps=args.to_substeps,
+        time_optimal_substeps=_count("--to-substeps", args.to_substeps, MAX_SUBSTEPS),
     )
 
 

@@ -215,15 +215,15 @@ BASE_DECAY_RATE = 2.0 * math.pi * 0.01
 class DecaySpec:
     """Amplitude decay of the Rydberg level, applied per excited atom.
 
-    gamma is the decay rate (>= 0); from_multiplier(m) gives
+    gamma is the decay rate (finite, >= 0); from_multiplier(m) gives
     gamma = m * BASE_DECAY_RATE.
     """
 
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma >= 0.0:
-            raise InvalidParameterError(f"decay rate must be >= 0, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise InvalidParameterError(f"decay rate must be finite and >= 0, got {self.gamma}")
 
     @classmethod
     def from_multiplier(cls, multiplier: float) -> "DecaySpec":

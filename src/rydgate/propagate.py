@@ -1,41 +1,24 @@
-"""Time evolution of pulse schedules through one shared step loop.
+"""Time evolution of pulse schedules through one sector product.
 
-`_steps` walks a schedule as a sequence of step operators. The three
-engines (`evolution_operator`, `propagate_state`, `propagate_density`)
-only differ in how they apply a step and what they record at the
-sampled ones. Plain schedules (no modulations) propagate exactly: each
-segment's constant drive is exponentiated once, and that exponential is
-reapplied for every sampling interval of the segment. Modulated
-schedules (noise, thermal vibration, phase drive) use
-midpoint-exponential substeps: the drive is evaluated at each substep
-midpoint and exponentiated exactly over the substep. Noise is piecewise
-constant per substep, so with the substep count pinned to the noise
-trace the substepped result is itself exact.
+Plain schedules (no modulations) propagate exactly: each segment's
+constant drive is exponentiated once. Modulated schedules (noise,
+thermal vibration, phase drive) use midpoint-exponential substeps: the
+drive is evaluated at each substep midpoint and exponentiated exactly
+over the substep. Noise is piecewise constant per substep, so with the
+substep count pinned to the noise trace the substepped result is exact.
 
-Unitary steps never build or diagonalise a 9x9 operator. The drive
-leaves the sectors {00}, {01,0r}, {10,r0}, {11,R,rr} and the
-antisymmetric state invariant, so `sector_system` takes the eigensystem
-of each block (the shared 2x2 block in closed form, the 3x3 block by
-one batched real `eigh`), `sector_step` turns it and a duration into
-`SectorBlocks`, and `sector_unitary` scatters the blocks into 9x9
-operators. Sector operators multiply block by block; `ordered_product`
-takes the time-ordered product of a stack with a log-depth tree of
-pairwise products. Only the decayed density path builds the full
-non-Hermitian operator and takes its scipy `expm`.
+No step builds a 9x9 operator. The drive leaves the sectors {00},
+{01,0r}, {10,r0}, {11,R,rr} and the antisymmetric state invariant, and
+so does decay (-i gamma per excited atom). `sector_step` exponentiates
+the blocks of a unitary step (the 2x2 block in closed form, the 3x3
+block by a batched real `eigh`), `decayed_step` those of a decayed one
+(a stacked scipy `expm`), and `sector_unitary` scatters blocks to 9x9.
 
-`sector_product` is the one gate-operator product, used by both modes
-of `evolution_operator`, the Monte-Carlo trials, `scan_kappa`, the
-interferometer and the composite return probability. It multiplies the
-steps of a drive stacked over any shape S along a time-ordered step
-axis, in batches of at most `_BATCH_BLOCKS` steps: whole rows are
-batched and never split, so a row's product does not depend on its
-batch, and a longer row is sliced along time. The state and density
-engines instead stream batches of at most `_CHUNK` substeps, apply
-each step in order, and record the sampled ones.
-
-Dissipative evolution propagates a density matrix under the effective
-non-Hermitian operator, rho -> M rho M^dagger with
-M = exp(-i H_eff dt); lost trace is reported, never renormalized.
+`sector_product` is the one time-ordered product, for every engine and
+every scan. The sampled engines take it over the intervals between
+samples and then the running product of the intervals; a density at a
+sample is M rho M^dagger for the product M of the steps so far (there
+are no jump terms), and lost trace is never renormalized.
 """
 
 from __future__ import annotations
@@ -48,19 +31,15 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import IntegratorFailureError, InvalidParameterError, ModeError
-from .hamiltonian import apply_decay, drive_hamiltonian, sector_hamiltonian, thermal_interaction
+from .hamiltonian import sector_hamiltonian, thermal_interaction
 from .model import DIMENSION, MAX_SUBSTEPS, DecaySpec, Schedule, check_density, check_state
 
 EXACT = "exact-segment"
 SUBSTEPPED = "substepped"
 
-# Substeps per streamed batch of propagate_state and propagate_density.
-# It bounds the working memory of their 9x9 step stacks (a few MB)
-# independently of the substep count.
-_CHUNK = 256
-
-# Steps per batch of sector_product. It bounds the working memory of
-# one batch to a few MB for any stack shape and step count.
+# Steps per batch of sector_product, and sampled operators per batch
+# of the engines that scatter them to 9x9. It bounds the working memory
+# of one batch to a few MB for any stack shape and step count.
 _BATCH_BLOCKS = 2048
 
 # Trace growth beyond this bound marks a failed dissipative integration.
@@ -136,18 +115,6 @@ def _segment_substeps(schedule: Schedule, config: IntegratorConfig) -> int:
     return int(config.substeps_per_segment)
 
 
-def spectral_step(values: np.ndarray, vectors: np.ndarray, t) -> np.ndarray:
-    """exp(-i H t) from the eigensystem (values, vectors) of a Hermitian H.
-
-    values and vectors may carry leading stack axes, as returned by
-    np.linalg.eigh on a stack of operators; the result is stacked alike.
-    t is one duration, or an array of durations, one per operator, whose
-    shape broadcasts to S + (1,) for a stack of shape S.
-    """
-    phases = np.exp(-1j * values * t)[..., None, :]
-    return (vectors * phases) @ vectors.conj().swapaxes(-1, -2)
-
-
 class SectorSystem(NamedTuple):
     """Eigensystem of drive_hamiltonian by sector, stacked over a shape S.
 
@@ -221,7 +188,8 @@ def sector_step(system: SectorSystem, t) -> SectorBlocks:
     pair[..., 1, 1] = common * (cosine - 1j * half_detuning * sine)
     pair[..., 0, 1] = -1j * common * coupling * sine
     pair[..., 1, 0] = -1j * common * np.conj(coupling) * sine
-    triple = spectral_step(system.values, system.vectors, t[..., None])
+    phases = np.exp(-1j * system.values * t[..., None])[..., None, :]
+    triple = (system.vectors * phases) @ system.vectors.conj().swapaxes(-1, -2)
     anti = np.exp(-1j * detuning * t)[..., None, None]
     return SectorBlocks(pair, triple, anti)
 
@@ -250,12 +218,38 @@ def batch_rows(width: int) -> int:
     return max(1, _BATCH_BLOCKS // int(width))
 
 
-def sector_product(rabi, detuning, phase, v, dt) -> SectorBlocks:
+# Excited atoms of |11>, |R> and |rr>.
+_TRIPLE_EXCITATIONS = np.diag([0.0, 1.0, 2.0])
+
+
+def decayed_step(rabi, detuning, phase, v, dt, gamma: float) -> SectorBlocks:
+    """exp(-i H_eff dt) in sector form, H_eff = H - i gamma (excited atoms).
+
+    H is drive_hamiltonian(rabi, detuning, phase, v). Decay adds -i gamma
+    on |0r>, -i gamma diag(0, 1, 2) to the gauged triple block (it
+    commutes with the gauge) and -i gamma to the antisymmetric state.
+    Both blocks go through one stacked 5x5 block-diagonal scipy expm,
+    which stays finite at any gamma dt and takes no 2x2 closed form.
+    """
+    blocks = sector_hamiltonian(rabi, detuning, phase, v)
+    generator = np.zeros(blocks.pair.shape[:-2] + (5, 5), dtype=complex)
+    generator[..., :2, :2] = blocks.pair
+    generator[..., 1, 1] -= 1j * gamma
+    generator[..., 2:, 2:] = blocks.triple - 1j * gamma * _TRIPLE_EXCITATIONS
+    dt = np.asarray(dt, dtype=float)[..., None, None]
+    step = expm(-1j * dt * generator)
+    triple = blocks.gauge[..., :, None] * step[..., 2:, 2:] * blocks.gauge.conj()[..., None, :]
+    anti = np.exp(-1j * dt * generator[..., 1:2, 1:2])
+    return SectorBlocks(step[..., :2, :2], triple, anti)
+
+
+def sector_product(rabi, detuning, phase, v, dt, gamma: float = 0.0) -> SectorBlocks:
     """Time-ordered product of the steps exp(-i H dt) of a drive stack.
 
     The drive (rabi, detuning, phase, v) of drive_hamiltonian and the
     step lengths dt broadcast to S + (T,), where T is the time-ordered
     step axis, first step first; the product has the stack shape S.
+    A decay rate gamma > 0 takes decayed_step for every step.
     Each batch holds at most _BATCH_BLOCKS steps. Whole rows (the T
     steps of one stack element) are batched together and never split,
     so a row's product is the same in any batch; a row longer than the
@@ -265,7 +259,7 @@ def sector_product(rabi, detuning, phase, v, dt) -> SectorBlocks:
     shape = np.broadcast_shapes(*(x.shape for x in drive))
     # One batch needs no reshaping, which saves a gate call about 80 us.
     if math.prod(shape) <= _BATCH_BLOCKS:
-        return _stack_product(*drive)
+        return _stack_product(*drive, gamma)
     *stack, steps = shape
     rows = [np.broadcast_to(x, shape).reshape(-1, steps) for x in drive]
     count = batch_rows(steps)
@@ -276,7 +270,7 @@ def sector_product(rabi, detuning, phase, v, dt) -> SectorBlocks:
         total = None
         for start in range(0, steps, width):
             part = (row[first : first + count, start : start + width] for row in rows)
-            product = _stack_product(*part)
+            product = _stack_product(*part, gamma)
             total = product if total is None else product @ total
         batches.append(total)
     return SectorBlocks(
@@ -284,9 +278,13 @@ def sector_product(rabi, detuning, phase, v, dt) -> SectorBlocks:
     )
 
 
-def _stack_product(rabi, detuning, phase, v, dt) -> SectorBlocks:
+def _stack_product(rabi, detuning, phase, v, dt, gamma) -> SectorBlocks:
     """sector_product of a stack that fits in one batch."""
-    return ordered_product(sector_step(sector_system(rabi, detuning, phase, v), dt))
+    if gamma == 0.0:
+        steps = sector_step(sector_system(rabi, detuning, phase, v), dt)
+    else:
+        steps = decayed_step(rabi, detuning, phase, v, dt, gamma)
+    return ordered_product(steps)
 
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -319,80 +317,127 @@ def computational_diagonal(blocks: SectorBlocks) -> np.ndarray:
     return np.stack((np.ones_like(single), single, single, blocks.triple[..., 0, 0]), axis=-1)
 
 
-def _unitary_steps(drive, dt) -> np.ndarray:
-    """9x9 step operators exp(-i H dt) for a drive (rabi, detuning, phase, v)."""
-    return sector_unitary(sector_step(sector_system(*drive), dt))
-
-
 def _segment_drive(schedule: Schedule):
     """The drive (rabi, detuning, phase, v) as arrays over the segments,
-    and the segment durations."""
+    the segment durations, and the segment start times as a column."""
     rabi, detuning, phase, durations = np.array(
         [(s.rabi, s.detuning, s.phase, s.duration) for s in schedule.segments], dtype=float
     ).reshape(-1, 4).T
-    return (rabi, detuning, phase, schedule.interaction), durations
+    starts = np.concatenate(([0.0], np.cumsum(durations)))[:-1, None]
+    return (rabi, detuning, phase, schedule.interaction), durations, starts
 
 
-def _substep_drives(schedule: Schedule, steps: int, chunk: int = _CHUNK):
-    """Yield (t_start, dt, first, drive) for each batch of midpoint substeps.
-
-    Each segment splits into batches of up to `chunk` of its `steps`
-    substeps. t_start is the start of the segment, dt its substep length
-    and first the index of the batch's first substep in the segment;
-    drive is (rabi, detuning, phase, v) evaluated at the substep
-    midpoints, each an array with one element per substep or a scalar.
-    """
+def _substep_drive(schedule: Schedule, steps: int):
+    """(rabi, detuning, phase, v, dt) of `steps` equal substeps per
+    segment: the drive at each substep midpoint and the substep length,
+    each a (segments, steps) array even where nothing is modulated."""
     from .stochastic import noisy_drive
 
-    noise = None if schedule.noise is None else noisy_drive(schedule, schedule.noise)
-    t_start = 0.0
-    for seg_index, segment in enumerate(schedule.segments):
-        dt = segment.duration / steps
-        detuning, phase, interaction = segment.detuning, segment.phase, schedule.interaction
-        for first in range(0, steps, chunk):
-            last = min(first + chunk, steps)
-            t_mid = t_start + (np.arange(first, last) + 0.5) * dt
-            # rabi is always an array, so every substep gets its own
-            # operator even when nothing is modulated.
-            rabi = np.full(last - first, segment.rabi)
-            if noise is not None:
-                rabi = noise[0][seg_index, first:last]
-                detuning = noise[1][seg_index, first:last]
-            if schedule.phase_drive is not None:
-                phase = schedule.phase_drive.phase_at(t_mid)
-            if schedule.thermal is not None:
-                interaction = thermal_interaction(t_mid, schedule.interaction, schedule.thermal)
-            yield t_start, dt, first, (rabi, detuning, phase, interaction)
-        t_start += segment.duration
+    (rabi, detuning, phase, v), durations, starts = _segment_drive(schedule)
+    dt = (durations / steps)[:, None]
+    t_mid = starts + np.arange(0.5, steps) * dt
+    rabi, detuning, phase = rabi[:, None], detuning[:, None], phase[:, None]
+    if schedule.noise is not None:
+        rabi, detuning = noisy_drive(schedule, schedule.noise)
+    if schedule.phase_drive is not None:
+        phase = schedule.phase_drive.phase_at(t_mid)
+    if schedule.thermal is not None:
+        v = thermal_interaction(t_mid, schedule.interaction, schedule.thermal)
+    # t_mid sets the full shape where nothing is modulated.
+    return np.broadcast_arrays(rabi, detuning, phase, v, dt, t_mid)[:5]
 
 
-def _steps(schedule: Schedule, config: IntegratorConfig, samples: int, exponentiate):
-    """Yield (t, step operator, sampled) for every step through the schedule.
-
-    t is the time at the end of the step. In exact mode each constant
-    segment is split into `samples` equal steps that share one
-    exponential, and every step is sampled; the segments are
-    exponentiated as one stack. In substepped mode each substep
-    exponentiates the drive at its midpoint, and every stride-th
-    substep plus the last of each segment is sampled.
-    `exponentiate(drive, dt)` maps a drive (rabi, detuning, phase, v) of
-    arrays and the step lengths, one or one per element, to the stacked
-    step operators.
-    """
+def evolution_operator(
+    schedule: Schedule, config: IntegratorConfig | None = None
+) -> np.ndarray:
+    """Full 9x9 evolution operator: the sector_product of the segments
+    of a plain schedule, or of every midpoint substep of a modulated one."""
+    config = resolve_config(schedule, config)
+    if not schedule.segments:
+        return np.eye(DIMENSION, dtype=complex)
     if config.mode == EXACT:
-        drive, durations = _segment_drive(schedule)
+        drive, dt, _ = _segment_drive(schedule)
+        return sector_unitary(sector_product(*drive, dt))
+    drive = _substep_drive(schedule, _segment_substeps(schedule, config))
+    return sector_unitary(sector_product(*(x.reshape(-1) for x in drive)))
+
+
+def _sampled_operators(schedule: Schedule, config: IntegratorConfig, gamma: float = 0.0):
+    """Sample times over (segments, intervals), and the batches of
+    _running_operators that map the initial state to them.
+
+    Exact mode samples each of samples_per_segment equal steps per
+    segment, which share one exponential. Substepped mode samples every
+    stride-th substep, stride = max(1, substeps // samples), and the
+    last of each segment. The steps between samples are the rows of one
+    sector_product over (segments, intervals, stride), a short last
+    interval padded with zero-length, zero-drive (identity) steps.
+    """
+    samples = config.samples_per_segment
+    drive, durations, starts = _segment_drive(schedule)
+    if config.mode == EXACT:
         dt = durations / samples
-        t_start = 0.0
-        for segment, step, step_dt in zip(schedule.segments, exponentiate(drive, dt), dt):
-            for k in range(samples):
-                yield t_start + (k + 1) * step_dt, step, True
-            t_start += segment.duration
+        rows = (np.asarray(x)[..., None, None] for x in (*drive, dt))
+        ends = np.arange(1, samples + 1)
+    else:
+        steps = _segment_substeps(schedule, config)
+        stride = max(1, steps // samples)
+        count = -(-steps // stride)
+        pad = ((0, 0), (0, count * stride - steps))
+        drive = _substep_drive(schedule, steps)
+        rows = (np.pad(x, pad).reshape(len(x), count, stride) for x in drive)
+        dt = durations / steps
+        ends = np.minimum(np.arange(1, count + 1) * stride, steps)
+    times = starts + ends * dt[:, None]
+    return times, _running_operators(sector_product(*rows, gamma), times.shape)
+
+
+def _running_operators(intervals: SectorBlocks, shape):
+    """Yield (k, operators) per batch: the 9x9 products of all steps up to
+    the ends of intervals k, k + 1, ..., stacked over (segments, batch).
+
+    intervals broadcasts to shape = (segments, intervals). The segment
+    products give the operator at the start of each segment; the running
+    product then goes along the interval axis for all segments at once,
+    in batches of at most _BATCH_BLOCKS operators.
+    """
+    segments, count = shape
+    if not segments:
         return
-    steps = _segment_substeps(schedule, config)
-    stride = max(1, steps // samples)
-    for t_start, dt, first, drive in _substep_drives(schedule, steps):
-        for k, step in enumerate(exponentiate(drive, dt), first):
-            yield t_start + (k + 1) * dt, step, (k + 1) % stride == 0 or k == steps - 1
+    intervals = SectorBlocks(*(np.broadcast_to(b, shape + b.shape[2:]) for b in intervals))
+    identity = SectorBlocks(*(np.eye(b.shape[-1], dtype=complex) for b in intervals))
+    width = batch_rows(segments)
+    batches = [intervals.at(np.s_[:, k : k + width]) for k in range(0, count, width)]
+    totals = identity
+    for batch in batches:
+        totals = ordered_product(batch) @ totals
+    starts = [identity]
+    for segment in range(segments - 1):
+        starts.append(totals.at(segment) @ starts[-1])
+    running = [np.stack(b) for b in zip(*starts)]
+    for first, batch in zip(range(0, count, width), batches):
+        operators = SectorBlocks(*(np.empty(b.shape, dtype=complex) for b in batch))
+        for block, product, previous in zip(batch, operators, running):
+            for k in range(block.shape[1]):
+                previous = np.matmul(block[:, k], previous, out=product[:, k])
+        running = [product[:, -1] for product in operators]
+        yield first, sector_unitary(operators)
+
+
+def _sampled(schedule, config, evolve, gamma=0.0) -> PropagationResult:
+    """The records at t = 0 (evolving by the identity) and at every sample.
+    evolve(operators) maps 9x9 operators stacked over (segments, k) to
+    the evolved states or densities, their populations and norms."""
+    times, batches = _sampled_operators(schedule, config, gamma)
+    populations, norms = np.empty((1 + times.size, DIMENSION)), np.empty(1 + times.size)
+    final, populations[0], norms[0] = (x[0, 0] for x in evolve(np.eye(DIMENSION)[None, None]))
+    sampled = populations[1:].reshape(times.shape + (DIMENSION,)), norms[1:].reshape(times.shape)
+    for first, full in batches:
+        evolved, *records = evolve(full)
+        for target, record in zip(sampled, records):
+            target[:, first : first + record.shape[1]] = record
+        final = evolved[-1, -1]
+    return PropagationResult(final, np.append(0.0, times), populations, norms)
 
 
 def propagate_state(
@@ -405,95 +450,43 @@ def propagate_state(
     if abs(norm - 1.0) > 1e-9:
         raise InvalidParameterError(f"initial state must be normalized, norm = {norm}")
 
-    times = [0.0]
-    populations = [np.abs(psi) ** 2]
-    norms = [norm]
-    for t, step, sampled in _steps(
-        schedule, config, config.samples_per_segment, _unitary_steps
-    ):
-        psi = step @ psi
-        if sampled:
-            times.append(t)
-            populations.append(np.abs(psi) ** 2)
-            norms.append(float(np.linalg.norm(psi)))
+    def evolve(full):
+        states = full @ psi
+        return states, np.abs(states) ** 2, np.linalg.norm(states, axis=-1)
 
-    return PropagationResult(
-        final_state=psi,
-        times=np.array(times),
-        populations=np.array(populations),
-        norms=np.array(norms),
-    )
-
-
-def evolution_operator(
-    schedule: Schedule, config: IntegratorConfig | None = None
-) -> np.ndarray:
-    """Full 9x9 evolution operator of the schedule.
-
-    The `sector_product` of the segment exponentials of a plain
-    schedule, or of the midpoint substeps of every segment of a
-    modulated one.
-    """
-    config = resolve_config(schedule, config)
-    if not schedule.segments:
-        return np.eye(DIMENSION, dtype=complex)
-    if config.mode == EXACT:
-        drive, dt = _segment_drive(schedule)
-    else:
-        steps = _segment_substeps(schedule, config)
-        parts = [
-            np.broadcast_arrays(*drive, dt)
-            for _, dt, _, drive in _substep_drives(schedule, steps, chunk=steps)
-        ]
-        *drive, dt = (np.concatenate(column) for column in zip(*parts))
-    return sector_unitary(sector_product(*drive, dt))
+    return _sampled(schedule, config, evolve)
 
 
 def propagate_density(
-    schedule: Schedule,
-    initial,
-    decay: DecaySpec,
-    config: IntegratorConfig | None = None,
+    schedule: Schedule, initial, decay: DecaySpec, config: IntegratorConfig | None = None
 ) -> PropagationResult:
     """Evolve a density matrix under the decay-modified schedule.
 
     Uses rho -> M rho M^dagger with M = exp(-i H_eff dt); the trace is
-    monitored and a growth beyond 1e-7 aborts the integration.
+    checked at every sample, and a non-finite trace or a growth beyond
+    TRACE_GROWTH_TOL between samples aborts the integration.
     """
     config = resolve_config(schedule, config)
     rho = check_density(initial)
 
-    times = [0.0]
-    populations = [np.real(np.diag(rho)).copy()]
-    traces = [float(rho.trace().real)]
+    def evolve(full):
+        densities = full @ rho @ full.conj().swapaxes(-1, -2)
+        diagonal = np.diagonal(densities, axis1=-2, axis2=-1)
+        return densities, diagonal.real, diagonal.sum(axis=-1).real
 
-    def exponentiate(drive, dt: float) -> np.ndarray:
-        if decay.gamma == 0.0:
-            return _unitary_steps(drive, dt)
-        generator = apply_decay(drive_hamiltonian(*drive), decay)
-        return expm(-1j * generator * np.asarray(dt)[..., None, None])
-
-    for t, m, sampled in _steps(
-        schedule, config, config.samples_per_segment, exponentiate
-    ):
-        rho = m @ rho @ m.conj().T
-        if not sampled:
-            continue
-        trace = float(rho.trace().real)
-        if trace > traces[-1] + TRACE_GROWTH_TOL:
-            raise IntegratorFailureError(
-                f"density trace grew from {traces[-1]} to {trace} at t = {t}"
-            )
-        times.append(t)
-        populations.append(np.real(np.diag(rho)).copy())
-        traces.append(trace)
-
-    return PropagationResult(
-        final_state=rho,
-        times=np.array(times),
-        populations=np.array(populations),
-        norms=np.array(traces),
-    )
+    result = _sampled(schedule, config, evolve, decay.gamma)
+    times, traces = result.times, result.norms
+    broken = np.flatnonzero(~np.isfinite(traces))
+    if broken.size:
+        k = broken[0]
+        raise IntegratorFailureError(f"density trace {traces[k]} is not finite at t = {times[k]}")
+    grew = np.flatnonzero(traces[1:] > traces[:-1] + TRACE_GROWTH_TOL)
+    if grew.size:
+        k = grew[0]
+        raise IntegratorFailureError(
+            f"density trace grew from {traces[k]} to {traces[k + 1]} at t = {times[k + 1]}"
+        )
+    return result
 
 
 def convergence_check(

@@ -14,6 +14,7 @@ import pytest
 from rydgate import experiments
 from rydgate.cli import MAX_GRID_STEPS, build_parser, main
 from rydgate.errors import UndefinedPhaseError
+from rydgate.model import MAX_SUBSTEPS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -291,6 +292,19 @@ class TestOtherCommands:
         assert lines[0] == "curve,gamma_multiplier,gamma,fidelity"
         assert len(lines) == 3
 
+    def test_decay_overflow_exits_three(self, tmp_path, capsys):
+        # gamma dt near 1e297 overflows the step exponentials to NaN: a
+        # numeric error, never a nan fidelity row.
+        out = tmp_path / "decay.csv"
+        code = run_cli(
+            ["decay", "--rabi", "5", "--rsteps", "2", "--rmax", "1e300",
+             "--no-time-optimal", "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error:" in err and "not finite" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_actuate(self, capsys):
         code = run_cli(
             ["actuate", "--etas", "1", "--phase-count", "6",
@@ -341,11 +355,11 @@ class TestOtherCommands:
                 (["noise-map", "--substeps", "100000000000000"], "noise substeps"),
                 (["noise-map", "--trials", "100000000000000"], "trials must lie in"),
                 (["thermal-map", "--dsteps", "1", "--tsteps", "1",
-                  "--substeps", "1000000000000000"], "substeps per segment must lie in"),
+                  "--substeps", "1000000000000000"], f"--substeps must be <= {MAX_SUBSTEPS}"),
                 (["decay", "--rabi", "5", "--rsteps", "1",
-                  "--to-substeps", "1000000000000000"], "substeps per segment must lie in"),
+                  "--to-substeps", "1000000000000000"], f"--to-substeps must be <= {MAX_SUBSTEPS}"),
                 (["dynamics", "--kappa", "1.65", "--samples", "100000000000"],
-                 "samples per segment must lie in"),
+                 f"--samples must be <= {MAX_SUBSTEPS}"),
             ]
         ],
     )

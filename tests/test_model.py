@@ -169,6 +169,14 @@ class TestSpecs:
         with pytest.raises(InvalidParameterError):
             DecaySpec(gamma=-0.1)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_decay_rejects_non_finite_rates(self, value):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            DecaySpec(gamma=value)
+        if value > 0.0:
+            with pytest.raises(InvalidParameterError, match="finite"):
+                DecaySpec.from_multiplier(value)
+
     def test_phase_drive_evaluation(self):
         drive = PhaseDriveSpec(amplitude=2.0, angular_rate=3.0, offset=0.5)
         assert drive.phase_at(0.0) == pytest.approx(2.0 * math.cos(-0.5))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rydgate.errors import InvalidParameterError, ModeError
+from rydgate.errors import IntegratorFailureError, InvalidParameterError, ModeError
 from rydgate.model import (
     EXCITATION_COUNT,
     DecaySpec,
@@ -21,14 +21,15 @@ from rydgate.model import (
 )
 from rydgate import experiments, propagate, stochastic
 from rydgate.model import COMPUTATIONAL_INDICES, MAX_SUBSTEPS, V0
+from rydgate.hamiltonian import apply_decay, drive_hamiltonian
 from rydgate.propagate import (
-    _CHUNK,
     EXACT,
     SUBSTEPPED,
     IntegratorConfig,
     SectorBlocks,
     computational_diagonal,
     convergence_check,
+    decayed_step,
     evolution_operator,
     ordered_product,
     propagate_density,
@@ -78,9 +79,20 @@ def engine_schedule(kind: str, rng) -> Schedule:
 
 ENGINE_KINDS = ("plain", "noisy", "thermal", "phase-driven")
 
-# Substep counts around the engine's batch size, so the last batch of a
-# segment is full, short by one, or a single substep.
-CHUNK_EDGE_SUBSTEPS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1)
+# (substeps, samples per segment, step budget of a batch) at the edges
+# of the sample intervals: a stride that divides the substeps, one that
+# does not (a padded last interval), more samples than substeps, one
+# sample per segment, and rows one step shorter and longer than the
+# budget, which must then slice a row or split the sampled operators.
+SAMPLE_EDGES = [
+    pytest.param(12, 4, None, id="stride-divides"),
+    pytest.param(13, 4, None, id="padded-last-interval"),
+    pytest.param(6, 9, None, id="samples-exceed-substeps"),
+    pytest.param(7, 1, None, id="one-sample"),
+    pytest.param(15, 1, 16, id="row-below-budget"),
+    pytest.param(17, 1, 16, id="row-above-budget"),
+    pytest.param(17, 17, 16, id="samples-above-budget"),
+]
 
 
 def modulated_schedule(kind: str, substeps: int) -> Schedule:
@@ -105,7 +117,8 @@ def kron_hamiltonian(rabi, detuning, phase, v) -> np.ndarray:
 def oracle_step_operators(schedule: Schedule, substeps: int, gamma: float = 0.0):
     """Scalar midpoint rule, one substep at a time: the modulations are
     evaluated from their closed forms, H is built with kron, and every
-    step is a scipy expm of the (decay-modified) H."""
+    step is a scipy expm of the (decay-modified) H. Yields (t, k, step)
+    with t the end of the step and k its index in the segment."""
     from rydgate.stochastic import sample_noise_trace
 
     noise = schedule.noise
@@ -132,8 +145,43 @@ def oracle_step_operators(schedule: Schedule, substeps: int, gamma: float = 0.0)
                 v = v * (distance / length) ** 6
             h = kron_hamiltonian(rabi, detuning, phase, v)
             h = h - 1j * gamma * np.diag(EXCITATION_COUNT.astype(float))
-            yield expm(-1j * h * dt)
+            yield t_start + (k + 1) * dt, k, expm(-1j * h * dt)
         t_start += segment.duration
+
+
+def oracle_history(schedule: Schedule, substeps: int, samples: int, initial, gamma=0.0):
+    """Times, populations and norms (or traces) of the oracle steps applied
+    one at a time to a state or a density, at the engine's sample rule:
+    every stride-th substep and the last of each segment, with
+    stride = max(1, substeps // samples), after the initial record."""
+    stride = max(1, substeps // samples)
+    current = initial
+    records = []
+
+    def record(t):
+        if current.ndim == 1:
+            records.append((t, np.abs(current) ** 2, np.linalg.norm(current)))
+        else:
+            records.append((t, np.real(np.diag(current)), np.trace(current).real))
+
+    record(0.0)
+    for t, k, step in oracle_step_operators(schedule, substeps, gamma):
+        if current.ndim == 1:
+            current = step @ current
+        else:
+            current = step @ current @ step.conj().T
+        if (k + 1) % stride == 0 or k == substeps - 1:
+            record(t)
+    times, populations, norms = (np.array(column) for column in zip(*records))
+    return times, populations, norms, current
+
+
+def assert_history_matches_oracle(result, oracle):
+    times, populations, norms, final = oracle
+    np.testing.assert_allclose(result.times, times, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(result.populations, populations, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(result.norms, norms, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(result.final_state, final, rtol=0.0, atol=1e-12)
 
 
 class TestConfig:
@@ -248,16 +296,64 @@ class TestStatePropagation:
                 result.populations[count * samples], expected, rtol=0.0, atol=1e-10
             )
 
-    @pytest.mark.parametrize("substeps", CHUNK_EDGE_SUBSTEPS)
+    # One substep per segment, and for the four-segment schedules a row
+    # of 32 steps one step longer (31) and shorter (33) than the budget.
+    @pytest.mark.parametrize("substeps, blocks", [(1, None), (7, None), (8, 31), (8, 33)])
     @pytest.mark.parametrize("kind", ("noisy", "thermal", "phase-driven"))
-    def test_substepped_operator_matches_scalar_oracle(self, kind, substeps):
+    def test_substepped_operator_matches_scalar_oracle(self, kind, substeps, blocks, monkeypatch):
+        if blocks is not None:
+            monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
         schedule = modulated_schedule(kind, substeps)
         config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=substeps)
         expected = np.eye(9, dtype=complex)
-        for step in oracle_step_operators(schedule, substeps):
+        for _, _, step in oracle_step_operators(schedule, substeps):
             expected = step @ expected
         actual = evolution_operator(schedule, config)
         np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("substeps, samples, blocks", SAMPLE_EDGES)
+    @pytest.mark.parametrize("kind", ("noisy", "thermal", "phase-driven"))
+    def test_sampled_states_match_scalar_oracle(
+        self, kind, substeps, samples, blocks, monkeypatch
+    ):
+        if blocks is not None:
+            monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
+        schedule = modulated_schedule(kind, substeps)
+        config = IntegratorConfig(
+            mode=SUBSTEPPED, substeps_per_segment=substeps, samples_per_segment=samples
+        )
+        psi = random_state(np.random.default_rng(80))
+        result = propagate_state(schedule, psi, config)
+        assert_history_matches_oracle(result, oracle_history(schedule, substeps, samples, psi))
+
+    @pytest.mark.parametrize("samples, blocks", [(1, None), (3, None), (5, 2)])
+    def test_exact_samples_match_repeated_steps(self, samples, blocks, monkeypatch):
+        # Each segment splits into `samples` equal steps, all sampled.
+        if blocks is not None:
+            monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
+        rng = np.random.default_rng(81)
+        schedule = random_schedule(rng)
+        psi = random_state(rng)
+        result = propagate_state(schedule, psi, IntegratorConfig(samples_per_segment=samples))
+        current, t_start, populations, times = psi, 0.0, [np.abs(psi) ** 2], [0.0]
+        for segment in schedule.segments:
+            dt = segment.duration / samples
+            step = oracle_unitary(segment.rabi, segment.detuning, segment.phase, schedule.interaction, dt)
+            for k in range(samples):
+                current = step @ current
+                populations.append(np.abs(current) ** 2)
+                times.append(t_start + (k + 1) * dt)
+            t_start += segment.duration
+        np.testing.assert_allclose(result.populations, populations, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(result.times, times)
+        np.testing.assert_allclose(result.final_state, current, rtol=0.0, atol=1e-12)
+
+    def test_empty_schedule_records_only_the_initial_state(self):
+        psi = basis_state("11")
+        result = propagate_state(Schedule(segments=(), interaction=V), psi)
+        np.testing.assert_array_equal(result.times, [0.0])
+        np.testing.assert_array_equal(result.final_state, psi)
+        np.testing.assert_array_equal(result.populations, [np.abs(psi) ** 2])
 
     def test_evolution_operator_is_unitary(self):
         u = evolution_operator(standard_schedule(0.7, V))
@@ -308,20 +404,41 @@ class TestDensityPropagation:
         final_rho = propagate_density(schedule, rho, DecaySpec(gamma=0.0)).final_state
         assert np.max(np.abs(final_rho - np.outer(final_psi, final_psi.conj()))) < 1e-10
 
-    @pytest.mark.parametrize("substeps", CHUNK_EDGE_SUBSTEPS)
+    @pytest.mark.parametrize("substeps, samples, blocks", SAMPLE_EDGES)
     @pytest.mark.parametrize("kind", ("noisy", "thermal", "phase-driven"))
-    def test_decayed_substeps_match_scalar_oracle(self, kind, substeps):
+    def test_decayed_substeps_match_scalar_oracle(
+        self, kind, substeps, samples, blocks, monkeypatch
+    ):
+        if blocks is not None:
+            monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
         schedule = modulated_schedule(kind, substeps)
         config = IntegratorConfig(
-            mode=SUBSTEPPED, substeps_per_segment=substeps, samples_per_segment=1
+            mode=SUBSTEPPED, substeps_per_segment=substeps, samples_per_segment=samples
         )
         decay = DecaySpec.from_multiplier(5.0)
         psi = random_state(np.random.default_rng(79))
-        expected = np.outer(psi, psi.conj())
-        result = propagate_density(schedule, expected, decay, config)
-        for step in oracle_step_operators(schedule, substeps, decay.gamma):
-            expected = step @ expected @ step.conj().T
-        np.testing.assert_allclose(result.final_state, expected, rtol=0.0, atol=1e-12)
+        rho = np.outer(psi, psi.conj())
+        result = propagate_density(schedule, rho, decay, config)
+        oracle = oracle_history(schedule, substeps, samples, rho, decay.gamma)
+        assert_history_matches_oracle(result, oracle)
+
+    def test_trace_growth_fails_at_its_first_sample(self, monkeypatch):
+        # Decayed steps scaled by 1.01 make the trace grow from the start.
+        original = propagate.expm
+        monkeypatch.setattr(propagate, "expm", lambda matrix: 1.01 * original(matrix))
+        schedule = standard_schedule(1.65, V)
+        psi = basis_state("11")
+        first = schedule.segments[0].duration / 100
+        with pytest.raises(IntegratorFailureError, match=rf"grew from 1\.0 to .* at t = {first}$"):
+            propagate_density(schedule, np.outer(psi, psi), DecaySpec(gamma=1e-3))
+
+    def test_non_finite_trace_fails_loudly(self):
+        # gamma dt near 1e297 overflows the step exponential to NaN.
+        psi = basis_state("11")
+        with pytest.raises(IntegratorFailureError, match="not finite"):
+            propagate_density(
+                standard_schedule(1.65, V), np.outer(psi, psi), DecaySpec.from_multiplier(1e300)
+            )
 
     def test_trace_never_increases_under_decay(self):
         schedule = standard_schedule(1.65, V)
@@ -482,15 +599,20 @@ class TestSectorCore:
         )
 
     def test_no_nine_state_eigh(self, monkeypatch):
-        """Every unitary consumer diagonalises sector blocks only."""
-        original = np.linalg.eigh
-        sizes = set()
+        """Every consumer diagonalises or exponentiates sector blocks only."""
+        original_eigh, original_expm = np.linalg.eigh, propagate.expm
+        sizes, expm_sizes = set(), set()
 
         def recording_eigh(matrix, *args, **kwargs):
             sizes.add(np.shape(matrix)[-1])
-            return original(matrix, *args, **kwargs)
+            return original_eigh(matrix, *args, **kwargs)
+
+        def recording_expm(matrix):
+            expm_sizes.add(np.shape(matrix)[-1])
+            return original_expm(matrix)
 
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(propagate, "expm", recording_expm)
         evolution_operator(standard_schedule(1.65, V))
         for kind in ("noisy", "thermal", "phase-driven"):
             schedule = modulated_schedule(kind, 8)
@@ -502,4 +624,63 @@ class TestSectorCore:
         experiments.run_actuating_scan(eta_list=(1.0,), phase_count=3, duration_count=4)
         spec = NoiseSpec(eta_omega=0.05, eta_delta=0.05, substeps=4, seed=1)
         stochastic.monte_carlo_gate_fidelity(1.65, V0, spec, 3)
-        assert sizes == {3}
+        assert sizes == {3} and not expm_sizes
+        experiments.run_decay_curves(multiplier_grid=[0.0, 5.0], time_optimal_substeps=8)
+        assert sizes == {3} and expm_sizes and 9 not in expm_sizes
+
+
+def decay_oracle(drive, dt, gamma) -> np.ndarray:
+    """scipy expm of the full decay-modified 9x9 operator."""
+    return expm(-1j * apply_decay(drive_hamiltonian(*drive), DecaySpec(gamma=gamma)) * dt)
+
+
+class TestDecayedStep:
+    """decayed_step against expm of apply_decay(drive_hamiltonian(...))."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 5.0])
+    def test_matches_expm_of_full_operator(self, gamma):
+        rng = np.random.default_rng(940)
+        drive = random_drive(rng, (6,))
+        dt = rng.uniform(0.0, 2.0, 6)
+        actual = sector_unitary(decayed_step(*drive, dt, gamma))
+        for index in range(6):
+            expected = decay_oracle([x[index] for x in drive], dt[index], gamma)
+            np.testing.assert_allclose(actual[index], expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("phase", [0.0, 1.1])
+    def test_pair_block_exceptional_point(self, phase):
+        # Detuning 0 and rabi = gamma: w^2 = |c|^2 + (Delta - i gamma)^2 / 4 = 0.
+        gamma = 0.8
+        drive = (gamma, 0.0, phase, 2.0)
+        for dt in (0.1, 1.0, 7.0):
+            actual = sector_unitary(decayed_step(*drive, dt, gamma))
+            np.testing.assert_allclose(
+                actual, decay_oracle(drive, dt, gamma), rtol=0.0, atol=1e-12
+            )
+
+    def test_long_duration(self):
+        drive = random_drive(np.random.default_rng(941), (4,))
+        actual = sector_unitary(decayed_step(*drive, 400.0, 0.05))
+        for index in range(4):
+            expected = decay_oracle([x[index] for x in drive], 400.0, 0.05)
+            np.testing.assert_allclose(actual[index], expected, rtol=0.0, atol=1e-12)
+
+    def test_large_decay_stays_finite(self):
+        # Multiplier 1e5 over a 5 MHz segment: gamma dt is about 620.
+        gamma = DecaySpec.from_multiplier(1e5).gamma
+        schedule = standard_schedule(1.65, 2.0 * math.pi * 5.0 / 1.65, units="mhz")
+        for segment in schedule.segments:
+            drive = (segment.rabi, segment.detuning, segment.phase, schedule.interaction)
+            actual = sector_unitary(decayed_step(*drive, segment.duration, gamma))
+            assert np.all(np.isfinite(actual))
+            expected = decay_oracle(drive, segment.duration, gamma)
+            np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
+
+    def test_large_decay_curve_matches_the_full_operator_path(self):
+        # The value the full 9x9 expm path gives for this curve point.
+        result = experiments.run_decay_curves(
+            rabi_frequencies=(2.0 * math.pi * 5.0,),
+            multiplier_grid=[1e5],
+            compare_time_optimal=False,
+        )
+        assert result.rows[0]["fidelity"] == pytest.approx(0.44917705961784343, abs=1e-9)
