@@ -59,12 +59,36 @@ from .stochastic import monte_carlo_gate_fidelity, thermal_gate_fidelity
 REFERENCE_KAPPA = 1.65
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+# Rows that ScanResult.write_rows formats at once, which bounds the
+# memory its formatted cells take.
+_CSV_ROWS = 256
+
+
+def _integer_text(value) -> str:
+    return str(int(value))
+
+
+def _float_text(value) -> str:
     return format(float(value), ".12g")
+
+
+def _cell_formatter(kind):
+    """CSV text of a cell of type kind: text as is, integers in full,
+    anything else as a float to 12 significant digits."""
+    if issubclass(kind, str):
+        return str
+    if issubclass(kind, (int, np.integer)):
+        return _integer_text
+    return _float_text
+
+
+def _format_column(values) -> list:
+    """The cells of one column as CSV text, with one formatter for a
+    column whose cells all take the same one."""
+    formatters = {_cell_formatter(kind) for kind in set(map(type, values))}
+    if len(formatters) == 1:
+        return list(map(formatters.pop(), values))
+    return [_cell_formatter(type(value))(value) for value in values]
 
 
 @dataclass(frozen=True)
@@ -82,12 +106,14 @@ class ScanResult:
         return list(self.rows[0]) if self.rows else []
 
     def write_rows(self, stream) -> None:
-        """Write the header and rows as CSV text to an open stream."""
+        """Write the header and rows as CSV text to an open stream,
+        formatting _CSV_ROWS rows at a time column by column."""
         writer = csv.writer(stream)
         names = self.columns()
         writer.writerow(names)
-        for row in self.rows:
-            writer.writerow([_format_cell(row[name]) for name in names])
+        for first in range(0, len(self.rows), _CSV_ROWS):
+            rows = self.rows[first : first + _CSV_ROWS]
+            writer.writerows(zip(*(_format_column([row[n] for row in rows]) for n in names)))
 
     def to_csv(self, path) -> Path:
         """Write rows as CSV and the metadata as a sibling .meta.json."""

@@ -12,7 +12,8 @@ No step builds a 9x9 operator. The drive leaves the sectors {00},
 so does decay (-i gamma per excited atom). `sector_step` exponentiates
 the blocks of a unitary step (the 2x2 block in closed form, the 3x3
 block by a batched real `eigh`), `decayed_step` those of a decayed one
-(a stacked scipy `expm`), and `sector_unitary` scatters blocks to 9x9.
+(each block by the stacked scaling-and-squaring `expm` of this module),
+and `sector_unitary` scatters blocks to 9x9.
 
 `sector_product` is the one time-ordered product, for every engine and
 every scan. The sampled engines take it over the intervals between
@@ -28,7 +29,8 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
+# Unused: kept while perfbench/run.py:measure_imports needs scipy.linalg imported.
+import scipy.linalg  # noqa: F401
 
 from .errors import IntegratorFailureError, InvalidParameterError, ModeError
 from .hamiltonian import sector_hamiltonian, thermal_interaction
@@ -218,7 +220,66 @@ def batch_rows(width: int) -> int:
     return max(1, _BATCH_BLOCKS // int(width))
 
 
-# Excited atoms of |11>, |R> and |rr>.
+# Taylor coefficients of expm's degree-12 polynomial, and the largest
+# 1-norm it takes unscaled: there the first neglected term theta^13 / 13!
+# is the unit roundoff 2^-53.
+_TAYLOR = [1.0 / math.factorial(k) for k in range(13)]
+_THETA = (2.0**-53 * math.factorial(13)) ** (1.0 / 13)
+
+# From a 1-norm of 2^53 on, rounding the generator's entries moves the
+# exponent by order 1, so no digit of the exponential is known: expm
+# gives NaN there, as for a non-finite matrix, after at most 55 squarings.
+_EXPM_NORM_LIMIT = 2.0**53
+
+
+def _soa_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of two stacks of n x n matrices held matrix axes first,
+    (n, n, N). The sum over the inner index is written out, so a
+    product's arithmetic does not depend on the rest of the stack."""
+    total = a[:, 0, None] * b[None, 0]
+    for k in range(1, a.shape[1]):
+        total += a[:, k, None] * b[None, k]
+    return total
+
+
+def expm(matrix) -> np.ndarray:
+    """exp of each matrix of a stack (..., n, n) of small matrices.
+
+    Scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 3 (2003);
+    Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)): each
+    matrix A is scaled by its own 2^-s, s = ceil(log2(|A|_1 / _THETA))
+    clipped at 0, the degree-12 Taylor polynomial of the scaled matrix is
+    evaluated in the powers up to A^4 (Paterson-Stockmeyer), and the
+    result is squared s times. The squarings are masked per matrix, so no
+    matrix's arithmetic depends on the rest of the stack. A matrix that is
+    not finite, or has a 1-norm of _EXPM_NORM_LIMIT or more, gives NaN.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    shape, n = matrix.shape, matrix.shape[-1]
+    a = np.ascontiguousarray(np.moveaxis(matrix.reshape(-1, n, n), 0, -1))
+    norm = np.abs(a).sum(axis=0).max(axis=0)
+    valid = norm < _EXPM_NORM_LIMIT
+    squarings = np.ceil(np.log2(np.maximum(np.where(valid, norm, 0.0) / _THETA, 1.0))).astype(int)
+    # A new array: `a` may be a view of the caller's matrix.
+    a = np.where(valid, a, 0.0) * np.ldexp(1.0, -squarings)
+    a2 = _soa_product(a, a)
+    a3 = _soa_product(a2, a)
+    a4 = _soa_product(a2, a2)
+    eye = np.eye(n)[..., None]
+    c = _TAYLOR
+    x = c[8] * eye + c[9] * a + c[10] * a2 + c[11] * a3 + c[12] * a4
+    x = c[4] * eye + c[5] * a + c[6] * a2 + c[7] * a3 + _soa_product(a4, x)
+    # The identity last, so a small matrix keeps the digits of A.
+    x = c[1] * a + c[2] * a2 + c[3] * a3 + _soa_product(a4, x)
+    x += eye
+    for k in range(squarings.max(initial=0)):
+        x = np.where(k < squarings, _soa_product(x, x), x)
+    x[:, :, ~valid] = np.nan
+    return np.moveaxis(x, -1, 0).reshape(shape)
+
+
+# Excited atoms of |01>, |0r> and of |11>, |R>, |rr>.
+_PAIR_EXCITATIONS = np.diag([0.0, 1.0])
 _TRIPLE_EXCITATIONS = np.diag([0.0, 1.0, 2.0])
 
 
@@ -228,19 +289,20 @@ def decayed_step(rabi, detuning, phase, v, dt, gamma: float) -> SectorBlocks:
     H is drive_hamiltonian(rabi, detuning, phase, v). Decay adds -i gamma
     on |0r>, -i gamma diag(0, 1, 2) to the gauged triple block (it
     commutes with the gauge) and -i gamma to the antisymmetric state.
-    Both blocks go through one stacked 5x5 block-diagonal scipy expm,
-    which stays finite at any gamma dt and takes no 2x2 closed form.
+    The pair and triple blocks each go through one stacked `expm`. It
+    takes no 2x2 closed form, so a large gamma dt (620, say) stays
+    finite; a generator dt H_eff that is not finite or has a 1-norm of
+    2^53 or more (_EXPM_NORM_LIMIT) gives a NaN step.
     """
     blocks = sector_hamiltonian(rabi, detuning, phase, v)
-    generator = np.zeros(blocks.pair.shape[:-2] + (5, 5), dtype=complex)
-    generator[..., :2, :2] = blocks.pair
-    generator[..., 1, 1] -= 1j * gamma
-    generator[..., 2:, 2:] = blocks.triple - 1j * gamma * _TRIPLE_EXCITATIONS
+    pair = blocks.pair - 1j * gamma * _PAIR_EXCITATIONS
+    triple = blocks.triple - 1j * gamma * _TRIPLE_EXCITATIONS
     dt = np.asarray(dt, dtype=float)[..., None, None]
-    step = expm(-1j * dt * generator)
-    triple = blocks.gauge[..., :, None] * step[..., 2:, 2:] * blocks.gauge.conj()[..., None, :]
-    anti = np.exp(-1j * dt * generator[..., 1:2, 1:2])
-    return SectorBlocks(step[..., :2, :2], triple, anti)
+    pair_step = expm(-1j * dt * pair)
+    triple_step = expm(-1j * dt * triple)
+    triple_step = blocks.gauge[..., :, None] * triple_step * blocks.gauge.conj()[..., None, :]
+    anti = np.exp(-1j * dt * pair[..., 1:2, 1:2])
+    return SectorBlocks(pair_step, triple_step, anti)
 
 
 def sector_product(rabi, detuning, phase, v, dt, gamma: float = 0.0) -> SectorBlocks:
@@ -463,8 +525,9 @@ def propagate_density(
     """Evolve a density matrix under the decay-modified schedule.
 
     Uses rho -> M rho M^dagger with M = exp(-i H_eff dt); the trace is
-    checked at every sample, and a non-finite trace or a growth beyond
-    TRACE_GROWTH_TOL between samples aborts the integration.
+    checked at every sample. A non-finite trace (from a NaN step), a
+    trace that underflows to 0 (decay keeps e^{-gamma t} > 0 of it) or a
+    growth beyond TRACE_GROWTH_TOL between samples aborts the integration.
     """
     config = resolve_config(schedule, config)
     rho = check_density(initial)
@@ -479,7 +542,17 @@ def propagate_density(
     broken = np.flatnonzero(~np.isfinite(traces))
     if broken.size:
         k = broken[0]
-        raise IntegratorFailureError(f"density trace {traces[k]} is not finite at t = {times[k]}")
+        raise IntegratorFailureError(
+            f"density trace {traces[k]} is not finite at t = {times[k]}: a step generator"
+            " dt H_eff is not finite or has a 1-norm of 2^53 or more"
+        )
+    lost = np.flatnonzero(traces == 0.0)
+    if lost.size and traces[0] > 0.0:
+        k = lost[0]
+        raise IntegratorFailureError(
+            f"density trace {traces[0]} is lost: the decayed product underflowed to trace 0"
+            f" at t = {times[k]}"
+        )
     grew = np.flatnonzero(traces[1:] > traces[:-1] + TRACE_GROWTH_TOL)
     if grew.size:
         k = grew[0]

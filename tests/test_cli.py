@@ -293,8 +293,9 @@ class TestOtherCommands:
         assert len(lines) == 3
 
     def test_decay_overflow_exits_three(self, tmp_path, capsys):
-        # gamma dt near 1e297 overflows the step exponentials to NaN: a
-        # numeric error, never a nan fidelity row.
+        # gamma dt near 1e297 is beyond the 1-norm limit 2^53 of the step
+        # exponential, which gives NaN steps: a numeric error, never a nan
+        # fidelity row.
         out = tmp_path / "decay.csv"
         code = run_cli(
             ["decay", "--rabi", "5", "--rsteps", "2", "--rmax", "1e300",
@@ -303,6 +304,7 @@ class TestOtherCommands:
         assert code == 3
         err = capsys.readouterr().err
         assert "error:" in err and "not finite" in err and "Traceback" not in err
+        assert "1-norm of 2^53" in err
         assert not out.exists()
 
     def test_actuate(self, capsys):

@@ -1,13 +1,18 @@
 """Tests for the experiment pipelines and their CSV export."""
 
+import io
 import itertools
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import expm
 
+from rydgate import experiments
 from rydgate.errors import InvalidParameterError, UndefinedPhaseError
 from rydgate.experiments import (
     REFERENCE_KAPPA,
@@ -62,6 +67,29 @@ class TestScanResult:
     def test_columns_fall_back_to_first_row(self):
         result = ScanResult(axes={}, rows=[{"a": 1, "b": 2}], metadata={})
         assert result.columns() == ["a", "b"]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 256])
+    def test_csv_text_is_pinned_for_every_cell_type(self, chunk, monkeypatch):
+        # Formatting runs in chunks of rows, column by column; the text
+        # stays the same for any chunk size, also for a mixed column.
+        monkeypatch.setattr(experiments, "_CSV_ROWS", chunk)
+        rows = [
+            {"name": "a,b", "trials": 100, "big": 10**13 + 1, "x": -0.0, "mixed": 1},
+            {"name": "c", "trials": np.int64(7), "big": np.int64(2**62), "x": float("nan"),
+             "mixed": 0.5},
+            {"name": "d", "trials": 0, "big": -(10**15), "x": np.float64(1.0 / 3.0),
+             "mixed": "text"},
+            {"name": "", "trials": True, "big": 12, "x": 1e-300, "mixed": np.float32(0.1)},
+        ]
+        stream = io.StringIO()
+        ScanResult(axes={}, rows=rows).write_rows(stream)
+        assert stream.getvalue() == (
+            "name,trials,big,x,mixed\r\n"
+            '"a,b",100,10000000000001,-0,1\r\n'
+            "c,7,4611686018427387904,nan,0.5\r\n"
+            "d,0,-1000000000000000,0.333333333333,text\r\n"
+            ",1,12,1e-300,0.10000000149\r\n"
+        )
 
 
 class TestInteriorExtrema:
@@ -269,6 +297,30 @@ class TestDecayCurves:
         assert fidelities[1] == pytest.approx(0.9980476256, abs=1e-9)
         assert fidelities[2] == pytest.approx(0.9922146233, abs=1e-9)
         assert result.rows[1]["gamma"] == pytest.approx(5.0 * 2.0 * math.pi * 0.01)
+
+    def test_runs_no_scipy_function(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg.expm was called")
+
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        scipy_files = set()
+
+        def record(frame, event, arg):
+            if event == "call" and f"{os.sep}scipy{os.sep}" in frame.f_code.co_filename:
+                scipy_files.add(frame.f_code.co_filename)
+
+        sys.setprofile(record)
+        try:
+            result = run_decay_curves(
+                rabi_frequencies=(2.0 * math.pi * 5.0,),
+                multiplier_grid=[0.0, 5.0],
+                time_optimal_substeps=8,
+            )
+        finally:
+            sys.setprofile(None)
+        assert not scipy_files
+        assert [row["curve"] for row in result.rows] == ["geo-5mhz"] * 2 + ["time-optimal"] * 2
+        assert result.rows[1]["fidelity"] == pytest.approx(0.9980476256, abs=1e-9)
 
     def test_faster_drive_decays_less(self):
         result = run_decay_curves(

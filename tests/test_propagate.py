@@ -433,12 +433,24 @@ class TestDensityPropagation:
             propagate_density(schedule, np.outer(psi, psi), DecaySpec(gamma=1e-3))
 
     def test_non_finite_trace_fails_loudly(self):
-        # gamma dt near 1e297 overflows the step exponential to NaN.
+        # gamma dt near 1e297 is far beyond the 1-norm limit 2^53 of the
+        # step exponential, which gives a NaN step there.
         psi = basis_state("11")
-        with pytest.raises(IntegratorFailureError, match="not finite"):
+        with pytest.raises(IntegratorFailureError, match="not finite .* 1-norm of 2\\^53"):
             propagate_density(
                 standard_schedule(1.65, V), np.outer(psi, psi), DecaySpec.from_multiplier(1e300)
             )
+
+    def test_underflowed_trace_fails_loudly(self):
+        # |rr> alone keeps e^{-4 gamma t} of the trace: at gamma = 200 it
+        # underflows to 0 before t = 1, which is a numeric failure.
+        schedule = Schedule(
+            segments=(PulseSegment(rabi=0.0, detuning=1.0, phase=0.0, duration=1.0),),
+            interaction=V,
+        )
+        rr = basis_state("rr")
+        with pytest.raises(IntegratorFailureError, match=r"trace 1\.0 is lost: .* at t = 0\.9"):
+            propagate_density(schedule, np.outer(rr, rr), DecaySpec(gamma=200.0))
 
     def test_trace_never_increases_under_decay(self):
         schedule = standard_schedule(1.65, V)
@@ -571,14 +583,16 @@ class TestSectorCore:
                 expected = oracle_unitary(*step) @ expected
             np.testing.assert_allclose(product[index], expected, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.7])
     @pytest.mark.parametrize("blocks", [5, 10, 15, 2048])
-    def test_sector_product_rows_do_not_depend_on_the_batch(self, blocks, monkeypatch):
+    def test_sector_product_rows_do_not_depend_on_the_batch(self, blocks, gamma, monkeypatch):
+        # With decay the rows' steps take 0 to 6 squarings in expm.
         rng = np.random.default_rng(931)
         drive = random_drive(rng, (7, 5))
         dt = rng.uniform(0.1, 1.0, (7, 5))
-        reference = sector_product(*drive, dt)
+        reference = sector_product(*drive, dt, gamma)
         monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
-        for actual, expected in zip(sector_product(*drive, dt), reference):
+        for actual, expected in zip(sector_product(*drive, dt, gamma), reference):
             np.testing.assert_array_equal(actual, expected)
 
     def test_block_product_is_the_product_of_unitaries(self):
@@ -626,7 +640,82 @@ class TestSectorCore:
         stochastic.monte_carlo_gate_fidelity(1.65, V0, spec, 3)
         assert sizes == {3} and not expm_sizes
         experiments.run_decay_curves(multiplier_grid=[0.0, 5.0], time_optimal_substeps=8)
-        assert sizes == {3} and expm_sizes and 9 not in expm_sizes
+        assert sizes == {3} and expm_sizes == {2, 3}
+
+
+def contracting_generators(rng, size, norms) -> np.ndarray:
+    """Stacked -i H - gamma N, with H random Hermitian, N = diag(0, 1, ...)
+    and gamma in [0, 2), each scaled to the 1-norm given in norms."""
+    count = len(norms)
+    h = rng.normal(size=(count, size, size)) + 1j * rng.normal(size=(count, size, size))
+    decay = rng.uniform(0.0, 2.0, (count, 1, 1)) * np.diag(np.arange(size, dtype=float))
+    generators = -1j * (h + h.conj().swapaxes(-1, -2)) - decay
+    return generators * (norms / np.abs(generators).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+def counting_products(monkeypatch) -> list:
+    """Record each stacked matrix product expm makes."""
+    products, original = [], propagate._soa_product
+    monkeypatch.setattr(
+        propagate, "_soa_product", lambda a, b: products.append(a.shape) or original(a, b)
+    )
+    return products
+
+
+class TestExpm:
+    """propagate.expm against scipy.linalg.expm, one matrix at a time.
+
+    The tolerance is 1e-12 of the norm, and 1e-12 from norm 1 on."""
+
+    NORMS = np.geomspace(1e-8, 1e3, 89)
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_matches_scipy_from_tiny_to_large_norms(self, size):
+        squarings = np.ceil(np.log2(np.maximum(self.NORMS / propagate._THETA, 1.0)))
+        assert set(squarings) == set(range(13))
+        generators = contracting_generators(np.random.default_rng(950 + size), size, self.NORMS)
+        actual = propagate.expm(generators)
+        assert actual.shape == generators.shape
+        for generator, norm, result in zip(generators, self.NORMS, actual):
+            tolerance = 1e-12 * min(norm, 1.0)
+            np.testing.assert_allclose(result, expm(generator), rtol=0.0, atol=tolerance)
+
+    @pytest.mark.parametrize("dt", [0.1, 1.0, 7.0, 400.0])
+    def test_exceptional_point(self, dt):
+        # -i dt H_eff, H_eff = [[0, c], [c*, -i gamma]] with |c| = gamma / 2,
+        # has one double eigenvalue and is not diagonalisable.
+        gamma, c = 0.8, 0.4 * np.exp(1.1j)
+        generator = -1j * dt * np.array([[0.0, c], [np.conj(c), -1j * gamma]])
+        actual = propagate.expm(generator)
+        np.testing.assert_allclose(actual, expm(generator), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3, 3), (4, 3, 3)])
+    def test_leaves_its_input_unchanged(self, shape):
+        rng = np.random.default_rng(954)
+        generator = rng.normal(size=shape) * 20.0 + 1j * rng.normal(size=shape)
+        before = generator.copy()
+        propagate.expm(generator)
+        np.testing.assert_array_equal(generator, before)
+
+    def test_a_matrix_gives_the_same_bits_in_any_stack(self):
+        generators = contracting_generators(np.random.default_rng(953), 3, self.NORMS)
+        whole = propagate.expm(generators.reshape(89, 1, 3, 3))[:, 0]
+        for part in (np.s_[0], np.s_[88], np.s_[30:47], np.s_[::7]):
+            np.testing.assert_array_equal(propagate.expm(generators[part]), whole[part])
+
+    def test_matrices_beyond_range_give_nan_within_55_squarings(self, monkeypatch):
+        products = counting_products(monkeypatch)
+        largest = 2.0**53 - 2.0
+        values = [-1.0, -largest, -(2.0**53), -1e300, np.inf, np.nan]
+        stack = np.array([np.diag([value, 0.0]) for value in values], dtype=complex)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            result = propagate.expm(stack)
+        np.testing.assert_allclose(result[0], np.diag([math.exp(-1.0), 1.0]), rtol=1e-15)
+        np.testing.assert_array_equal(result[1], np.diag([0.0, 1.0]))
+        assert np.isnan(result[2:]).all()
+        # Five products for the polynomial, then 55 squarings for the
+        # largest 1-norm below 2^53.
+        assert len(products) == 5 + 55
 
 
 def decay_oracle(drive, dt, gamma) -> np.ndarray:
@@ -675,6 +764,15 @@ class TestDecayedStep:
             assert np.all(np.isfinite(actual))
             expected = decay_oracle(drive, segment.duration, gamma)
             np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
+
+    def test_non_finite_generator_gives_a_nan_step(self, monkeypatch):
+        # gamma dt = 1e308 * 10 overflows -i dt H_eff to inf: the pair and
+        # triple steps are NaN, taken without squarings.
+        products = counting_products(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = decayed_step(1.0, 0.0, 0.3, 2.0, 10.0, 1e308)
+        assert np.isnan(step.pair).all() and np.isnan(step.triple).all()
+        assert len(products) == 2 * 5
 
     def test_large_decay_curve_matches_the_full_operator_path(self):
         # The value the full 9x9 expm path gives for this curve point.
