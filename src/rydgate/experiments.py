@@ -45,14 +45,14 @@ from .propagate import (
     SUBSTEPPED,
     IntegratorConfig,
     batch_rows,
+    check_finite,
     computational_diagonal,
     evolution_operator,
+    propagate_basis,
     propagate_density,
-    propagate_state,
     sector_product,
-    sector_step,
-    sector_system,
     sector_unitary,
+    unitary_step,
 )
 from .stochastic import monte_carlo_gate_fidelity, thermal_gate_fidelity
 
@@ -161,18 +161,18 @@ def run_dynamics(
     schedule = standard_schedule(kappa, v)
     config = IntegratorConfig(samples_per_segment=samples_per_segment)
     columns = ["initial", "t"] + [f"P{label}" for label in BASIS_LABELS] + ["norm"]
-    rows = []
-    times = None
-    for label in COMPUTATIONAL_LABELS:
-        result = propagate_state(schedule, basis_state(label), config)
-        times = result.times
-        for t, pops, norm in zip(result.times, result.populations, result.norms):
-            row = {"initial": label, "t": float(t)}
-            row.update(
-                {f"P{name}": float(p) for name, p in zip(BASIS_LABELS, pops)}
-            )
-            row["norm"] = float(norm)
-            rows.append(row)
+    result = propagate_basis(schedule, COMPUTATIONAL_INDICES, config)
+    times = result.times
+    # Rows by initial state, then time: the columns t, P*, norm as one table.
+    table = np.column_stack(
+        (
+            np.tile(times, len(COMPUTATIONAL_LABELS)),
+            result.populations.swapaxes(0, 1).reshape(-1, len(BASIS_LABELS)),
+            result.norms.T.reshape(-1),
+        )
+    )
+    labels = [label for label in COMPUTATIONAL_LABELS for _ in times]
+    rows = [dict(zip(columns, (label, *values))) for label, values in zip(labels, table.tolist())]
     axes = {
         "initial": list(COMPUTATIONAL_LABELS),
         "t": [float(t) for t in times],
@@ -396,6 +396,7 @@ def run_interferometer(spec: InterferometerSpec) -> ScanResult:
     prepared = splitter @ basis_state("10")
     # Row k is splitter @ U_k @ prepared, the final state of grid point k.
     final = (sector_unitary(product) @ prepared) @ splitter.T
+    check_finite(final, "interferometer state", "kappa", kappas)
     populations = np.abs(final[:, 3:5]) ** 2
     columns = ["kappa", "p10", "p11"]
     rows = [
@@ -533,6 +534,8 @@ def run_actuating_scan(
             f"phase and duration counts must be >= 1, got {phase_count}, {duration_count}"
         )
     phases = np.linspace(-math.pi, math.pi, int(phase_count), endpoint=False)
+    # Step 0 is the phase-0 segment; step k + 1 has phases[k].
+    step_phases = np.concatenate(([0.0], phases))
     lo, hi = float(duration_range[0]), float(duration_range[1])
     if not (0.0 < lo < hi < math.inf):
         raise InvalidParameterError(f"bad duration range {duration_range}")
@@ -545,18 +548,18 @@ def run_actuating_scan(
     for eta in etas:
         v = eta * V0
         rabi = REFERENCE_KAPPA * (V0 if mode == "fixed-omega" else v)
-        # Step 0 is the phase-0 segment; step k + 1 has phases[k].
-        system = sector_system(rabi, -v / 2.0, np.concatenate(([0.0], phases)), v)
         counts = np.zeros(durations.size, dtype=int)
         for first in range(0, durations.size, width):
             chunk = slice(first, first + width)
-            steps = sector_step(system, durations[chunk, None])
+            steps = unitary_step(rabi, -v / 2.0, step_phases, v, durations[chunk, None])
             pairs = steps.at(np.s_[:, 1:]) @ steps.at(np.s_[:, :1])
             if independent_phases:
                 cells = pairs.at(np.s_[:, :, None]) @ pairs.at(np.s_[:, None])
             else:
                 cells = pairs @ pairs
-            fidelities = _cell_fidelity(computational_diagonal(cells))
+            amplitudes = computational_diagonal(cells)
+            check_finite(amplitudes, f"a composite cell at v = {v}", "duration", durations[chunk])
+            fidelities = _cell_fidelity(amplitudes)
             fidelities = fidelities.reshape(fidelities.shape[0], -1)
             counts[chunk] = np.count_nonzero(fidelities > threshold, axis=1)
         qualifying = np.repeat(durations, counts)

@@ -10,16 +10,15 @@ span{11,1r,r1,rr}. The last one splits further into span{11,R,rr} with
 R = (|1r> + |r1>)/sqrt(2) and the antisymmetric state
 (|1r> - |r1>)/sqrt(2), which the drive does not couple.
 
-`drive_hamiltonian` writes the full operator and `sector_hamiltonian`
-its sector blocks. Every engine exponentiates the blocks, decayed steps
-included; the full operator and `apply_decay` are the oracles the tests
-hold the blocks to.
+`drive_hamiltonian` writes the full operator, and `gauged_blocks` with
+`sector_gauge` its sector blocks. Every engine exponentiates the blocks,
+decayed steps included; the full operator and `apply_decay` are the
+oracles the tests hold the blocks to.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +37,8 @@ __all__ = [
     "check_subspace",
     "build_full",
     "drive_hamiltonian",
-    "SectorHamiltonian",
-    "sector_hamiltonian",
+    "sector_gauge",
+    "gauged_blocks",
     "build_subspace",
     "subspace_basis",
     "apply_decay",
@@ -104,57 +103,46 @@ def build_full(segment: PulseSegment, v: float) -> np.ndarray:
 _GAUGE_POWERS = np.arange(3.0)
 
 
-class SectorHamiltonian(NamedTuple):
-    """drive_hamiltonian on its invariant sectors, stacked over the input shape S.
+def sector_gauge(phase) -> np.ndarray:
+    """The gauge (1, e^{-i phase}, e^{-2i phase}) of the sector blocks,
+    stacked on a first axis: (3, *shape of phase). The block B of
+    gauged_blocks is G B G^dagger at the phase, G = diag(gauge) (its
+    leading 2 x 2 part for the pair block)."""
+    return np.exp(-1j * np.multiply.outer(_GAUGE_POWERS, phase))
 
-    pair (S, 2, 2) is the block on {|01>,|0r>}, which equals the block on
-    {|10>,|r0>}. triple (S, 3, 3) is the block on {|11>,|R>,|rr>} with the
-    drive phase gauged out, so it is real: the block itself is
-    G triple G^dagger with G = diag(gauge) = diag(1, e^{-i phase},
-    e^{-2i phase}). |00> has energy 0 and the antisymmetric state the
-    detuning, pair[..., 1, 1].
+
+def gauged_blocks(rabi, detuning, v, shape):
+    """The real sector blocks of drive_hamiltonian at phase 0, held matrix
+    axes first over a shape the inputs broadcast to: pair (2, 2, *shape)
+    on {|01>,|0r>}, which equals the block on {|10>,|r0>}, and triple
+    (3, 3, *shape) on {|11>,|R>,|rr>}.
+
+    The drive coupling is rabi / 2, enhanced by sqrt(2) on both links of
+    the triple, and |rr> carries V + 2 Delta. |00> has energy 0 and the
+    antisymmetric state the detuning.
     """
-
-    pair: np.ndarray
-    triple: np.ndarray
-    gauge: np.ndarray
-
-
-def sector_hamiltonian(rabi, detuning, phase, v) -> SectorHamiltonian:
-    """Sector blocks of drive_hamiltonian(rabi, detuning, phase, v).
-
-    The inputs broadcast as in drive_hamiltonian. In the {11,R,rr} block
-    the drive coupling is enhanced by sqrt(2) on both links, and |rr>
-    carries V + 2 Delta.
-    """
-    shape = np.broadcast_shapes(np.shape(rabi), np.shape(detuning), np.shape(phase), np.shape(v))
-    coupling = 0.5 * rabi * np.exp(1j * phase)
-    pair = np.zeros(shape + (2, 2), dtype=complex)
-    pair[..., 0, 1] = coupling
-    pair[..., 1, 0] = np.conj(coupling)
-    pair[..., 1, 1] = detuning
+    shape = tuple(shape)
+    pair = np.zeros((2, 2) + shape)
+    pair[0, 1] = pair[1, 0] = 0.5 * rabi
+    pair[1, 1] = detuning
     link = rabi / math.sqrt(2.0)
-    triple = np.zeros(shape + (3, 3))
-    triple[..., 0, 1] = triple[..., 1, 0] = link
-    triple[..., 1, 2] = triple[..., 2, 1] = link
-    triple[..., 1, 1] = detuning
-    triple[..., 2, 2] = (detuning + detuning) + v
-    gauge = np.exp(-1j * np.multiply.outer(np.broadcast_to(phase, shape), _GAUGE_POWERS))
-    return SectorHamiltonian(pair, triple, gauge)
+    triple = np.zeros((3, 3) + shape)
+    triple[0, 1] = triple[1, 0] = link
+    triple[1, 2] = triple[2, 1] = link
+    triple[1, 1] = detuning
+    triple[2, 2] = (detuning + detuning) + v
+    return pair, triple
 
 
 def build_subspace(which: str, segment: PulseSegment, v: float) -> np.ndarray:
     """Hamiltonian restricted to one invariant sector.
 
     "01" and "10" give the 2x2 block on {|01>,|0r>} or {|10>,|r0>};
-    "11" gives the 3x3 block on {|11>,|R>,|rr>}. Each is the block of
-    `sector_hamiltonian`, in the phase of the full operator.
+    "11" gives the 3x3 block on {|11>,|R>,|rr>}, in the phase of the
+    full operator.
     """
-    check_subspace(which)
-    blocks = sector_hamiltonian(segment.rabi, segment.detuning, segment.phase, v)
-    if which == "11":
-        return blocks.gauge[:, None] * blocks.triple * blocks.gauge.conj()
-    return blocks.pair
+    basis = subspace_basis(which)
+    return basis @ build_full(segment, v) @ basis.T
 
 
 def subspace_basis(which: str) -> np.ndarray:

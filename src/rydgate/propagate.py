@@ -9,11 +9,15 @@ substep count pinned to the noise trace the substepped result is exact.
 
 No step builds a 9x9 operator. The drive leaves the sectors {00},
 {01,0r}, {10,r0}, {11,R,rr} and the antisymmetric state invariant, and
-so does decay (-i gamma per excited atom). `sector_step` exponentiates
-the blocks of a unitary step (the 2x2 block in closed form, the 3x3
-block by a batched real `eigh`), `decayed_step` those of a decayed one
-(each block by the stacked scaling-and-squaring `expm` of this module),
-and `sector_unitary` scatters blocks to 9x9.
+so does decay (-i gamma per excited atom). Blocks are held matrix axes
+first (`SectorBlocks`), and `SectorBlocks.__matmul__` is the one block
+product. `unitary_step` exponentiates the blocks of a unitary step: the
+2x2 block in closed form, the real gauged 3x3 block {11,R,rr} as
+cos x - i sin x by scaling and squaring of its Taylor series, with no
+eigendecomposition. `decayed_step` exponentiates each block of a
+decayed step by the stacked `expm` of this module, which shares that
+scaling and squaring. `sector_unitary` and `computational_diagonal`
+are the only conversions to the 9x9 layout.
 
 `sector_product` is the one time-ordered product, for every engine and
 every scan. The sampled engines take it over the intervals between
@@ -33,7 +37,7 @@ import numpy as np
 import scipy.linalg  # noqa: F401
 
 from .errors import IntegratorFailureError, InvalidParameterError, ModeError
-from .hamiltonian import sector_hamiltonian, thermal_interaction
+from .hamiltonian import gauged_blocks, sector_gauge, thermal_interaction
 from .model import DIMENSION, MAX_SUBSTEPS, DecaySpec, Schedule, check_density, check_state
 
 EXACT = "exact-segment"
@@ -43,6 +47,20 @@ SUBSTEPPED = "substepped"
 # of the engines that scatter them to 9x9. It bounds the working memory
 # of one batch to a few MB for any stack shape and step count.
 _BATCH_BLOCKS = 2048
+
+# What a NaN step means, for the errors that report one.
+NAN_STEP = "a step generator dt H is not finite or has a 1-norm of 2^53 or more"
+
+
+def check_finite(values, what: str, name: str, axis) -> None:
+    """Raise IntegratorFailureError at the first entry of axis whose
+    values (along the first axis of values) are not finite: a NaN step."""
+    broken = np.flatnonzero(~np.isfinite(values).reshape(len(values), -1).all(axis=1))
+    if broken.size:
+        raise IntegratorFailureError(
+            f"{what} is not finite at {name} = {axis[broken[0]]}: {NAN_STEP}"
+        )
+
 
 # Trace growth beyond this bound marks a failed dissipative integration.
 TRACE_GROWTH_TOL = 1e-7
@@ -117,28 +135,14 @@ def _segment_substeps(schedule: Schedule, config: IntegratorConfig) -> int:
     return int(config.substeps_per_segment)
 
 
-class SectorSystem(NamedTuple):
-    """Eigensystem of drive_hamiltonian by sector, stacked over a shape S.
-
-    pair (S, 2, 2) is the Hamiltonian block shared by {01,0r} and
-    {10,r0}, exponentiated in closed form. values (S, 3) and vectors
-    (S, 3, 3) are the eigensystem of the {11,R,rr} block. The energies of
-    |00> (0) and of the antisymmetric state (the detuning, pair[..., 1, 1])
-    need no solve.
-    """
-
-    pair: np.ndarray
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 class SectorBlocks(NamedTuple):
-    """Operators in sector form, stacked over a shape S.
+    """Operators in sector form, held matrix axes first over a stack shape S.
 
-    pair (S, 2, 2) acts alike on {|01>,|0r>} and {|10>,|r0>}, triple
-    (S, 3, 3) on {|11>,|R>,|rr>}, and anti (S, 1, 1) on the
-    antisymmetric state; |00> is left unchanged. `a @ b` multiplies
-    block by block, and indexing with `at` selects along the stack axes.
+    pair (2, 2, *S) acts alike on {|01>,|0r>} and {|10>,|r0>}, triple
+    (3, 3, *S) on {|11>,|R>,|rr>}, and anti (*S) on the antisymmetric
+    state; |00> is left unchanged. `a @ b` multiplies block by block (the
+    stack shapes broadcast and must have the same rank), and indexing
+    with `at` selects along the stack axes.
     """
 
     pair: np.ndarray
@@ -146,54 +150,206 @@ class SectorBlocks(NamedTuple):
     anti: np.ndarray
 
     def __matmul__(self, other: "SectorBlocks") -> "SectorBlocks":
-        return SectorBlocks(*(a @ b for a, b in zip(self, other)))
+        return SectorBlocks(
+            _product(self.pair, other.pair),
+            _product(self.triple, other.triple),
+            self.anti * other.anti,
+        )
 
     def at(self, index) -> "SectorBlocks":
-        return SectorBlocks(*(block[index] for block in self))
+        index = index if isinstance(index, tuple) else (index,)
+        matrices = (slice(None), slice(None)) + index
+        return SectorBlocks(self.pair[matrices], self.triple[matrices], self.anti[index])
 
 
-def sector_system(rabi, detuning, phase, v) -> SectorSystem:
-    """Sector eigensystem of drive_hamiltonian(rabi, detuning, phase, v).
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of n x n matrices held matrix axes first,
+    (n, n, *S). The sum over the inner index is written out, so a
+    product's arithmetic does not depend on the rest of the stack."""
+    total = a[:, 0, None] * b[None, 0]
+    for k in range(1, len(b)):
+        total += a[:, k, None] * b[None, k]
+    return total
 
-    The inputs broadcast to the stack shape. The {11,R,rr} block is
-    diagonalised real, with its drive phase gauged out, by one batched
-    eigh; the gauge goes back into the eigenvectors.
+
+# Taylor coefficients of the degree-12 polynomial of exp, and the largest
+# 1-norm it takes unscaled: there the first neglected term theta^13 / 13!
+# is the unit roundoff 2^-53.
+_TAYLOR = [1.0 / math.factorial(k) for k in range(13)]
+_THETA = (2.0**-53 * math.factorial(13)) ** (1.0 / 13)
+
+# From a 1-norm of 2^53 on, rounding the generator's entries moves the
+# exponent by order 1, so no digit of the exponential is known: such a
+# generator gives NaN, as a non-finite one does, after at most 55 squarings.
+_EXPM_NORM_LIMIT = 2.0**53
+
+
+def _scaling_and_squaring(generator: np.ndarray, polynomial) -> np.ndarray:
+    """exp of each matrix A of a stack (n, n, *S) held matrix axes first,
+    as polynomial(2^-s A) squared s times.
+
+    Scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 3 (2003);
+    Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)): each
+    matrix takes its own s = ceil(log2(|A|_1 / _THETA)), clipped at 0, so
+    the polynomial, of degree 12, sees a 1-norm of at most _THETA. The
+    squarings are masked per matrix, so no matrix's arithmetic depends on
+    the rest of the stack. A matrix that is not finite, or has a 1-norm of
+    _EXPM_NORM_LIMIT or more, gives NaN.
     """
-    blocks = sector_hamiltonian(rabi, detuning, phase, v)
-    values, vectors = np.linalg.eigh(blocks.triple)
-    return SectorSystem(blocks.pair, values, blocks.gauge[..., :, None] * vectors)
+    norm = np.abs(generator).sum(axis=0).max(axis=0)
+    valid = norm < _EXPM_NORM_LIMIT
+    # Masking only where a matrix is out of range gives the same bits.
+    masked = not valid.all()
+    if masked:
+        generator, norm = np.where(valid, generator, 0.0), np.where(valid, norm, 0.0)
+    squarings = np.ceil(np.log2(np.maximum(norm / _THETA, 1.0))).astype(int)
+    # A new array: the generator may be a view of the caller's matrix.
+    x = polynomial(generator * np.ldexp(1.0, -squarings))
+    rounds = squarings.max(initial=0)
+    shared = squarings.min(initial=rounds)
+    for k in range(rounds):
+        square = _product(x, x)
+        x = square if k < shared else np.where(k < squarings, square, x)
+    if masked:
+        x[:, :, ~valid] = np.nan
+    return x
 
 
-def sector_step(system: SectorSystem, t) -> SectorBlocks:
-    """exp(-i H t) in sector form for the sector eigensystem of H.
+def _taylor(a: np.ndarray) -> np.ndarray:
+    """The degree-12 Taylor polynomial of exp(a), evaluated by
+    Paterson-Stockmeyer in the powers up to a^4, the identity added last
+    so that a small matrix keeps the digits of a."""
+    a2 = _product(a, a)
+    a3 = _product(a2, a)
+    a4 = _product(a2, a2)
+    eye = np.eye(len(a)).reshape(a.shape[:2] + (1,) * (a.ndim - 2))
+    c = _TAYLOR
+    x = c[8] * eye + c[9] * a + c[10] * a2 + c[11] * a3 + c[12] * a4
+    x = c[4] * eye + c[5] * a + c[6] * a2 + c[7] * a3 + _product(a4, x)
+    x = c[1] * a + c[2] * a2 + c[3] * a3 + _product(a4, x)
+    x += eye
+    return x
 
-    t is one duration or an array of durations that broadcasts against
-    the stack shape S of the system; the blocks take the broadcast
-    shape. The {01,0r} block is
-    e^{-i Delta t / 2} (cos(w t) - i sin(w t) / w (H - Delta / 2))
-    with w = sqrt(|c|^2 + Delta^2 / 4) for the coupling c; the
-    antisymmetric state picks up e^{-i Delta t}.
+
+def expm(matrix) -> np.ndarray:
+    """exp of each matrix of a stack (n, n, *S) of small matrices held
+    matrix axes first, in the same layout.
+
+    The degree-12 Taylor polynomial by scaling and squaring
+    (_scaling_and_squaring). A matrix that is not finite, or has a 1-norm
+    of 2^53 (_EXPM_NORM_LIMIT) or more, gives NaN.
     """
-    t = np.asarray(t, dtype=float)
-    coupling = system.pair[..., 0, 1]
-    detuning = system.pair[..., 1, 1].real
-    half_detuning = 0.5 * detuning
-    rate = np.hypot(np.abs(coupling), half_detuning)
-    angle = rate * t
-    # sin(w t) / w. It only multiplies the coupling and the detuning, so
-    # where w = 0 (both are 0) any finite value will do.
-    sine = np.sin(angle) / np.where(rate > 0.0, rate, 1.0)
-    cosine = np.cos(angle)
-    common = np.exp(-1j * half_detuning * t)
-    pair = np.empty(angle.shape + (2, 2), dtype=complex)
-    pair[..., 0, 0] = common * (cosine + 1j * half_detuning * sine)
-    pair[..., 1, 1] = common * (cosine - 1j * half_detuning * sine)
-    pair[..., 0, 1] = -1j * common * coupling * sine
-    pair[..., 1, 0] = -1j * common * np.conj(coupling) * sine
-    phases = np.exp(-1j * system.values * t[..., None])[..., None, :]
-    triple = (system.vectors * phases) @ system.vectors.conj().swapaxes(-1, -2)
-    anti = np.exp(-1j * detuning * t)[..., None, None]
-    return SectorBlocks(pair, triple, anti)
+    return _scaling_and_squaring(np.asarray(matrix, dtype=complex), _taylor)
+
+
+# The Taylor coefficients of exp(-i x) = cos x - i x (sin x / x) as
+# series in y = x^2: row 0 holds (-1)^k / (2k)! of cos, row 1
+# (-1)^k / (2k + 1)! of sin x / x, column k the power y^k. To y^6 the
+# rows hold the degree-12 polynomial and one more term.
+_SERIES = np.array([[(-1.0) ** k / math.factorial(2 * k + row) for k in range(7)] for row in (0, 1)])
+# The identity terms of the two rows, as (3, 3, 2) constants.
+_LOW_IDENTITY = np.eye(3)[:, :, None] * _SERIES[:, 0]
+_HIGH_IDENTITY = np.eye(3)[:, :, None] * _SERIES[:, 3]
+
+
+def _rotation(x: np.ndarray) -> np.ndarray:
+    """exp(-i x) = cos x - i sin x for a stack of real 3 x 3 matrices
+    (3, 3, *S) of 1-norm at most _THETA.
+
+    Both series are evaluated at once, stacked on a new axis, by
+    Paterson-Stockmeyer in y, y^2 and y^3 in real arithmetic:
+    (a_0 + a_1 y + a_2 y^2) + y^3 (a_3 + a_4 y + a_5 y^2 + a_6 y^3).
+    """
+    y = _product(x, x)
+    y2 = _product(y, y)
+    y3 = _product(y2, y)
+    rank = (1,) * (x.ndim - 2)
+    powers = np.empty((3, 3, 1, 3) + x.shape[2:])
+    powers[:, :, 0, 0], powers[:, :, 0, 1], powers[:, :, 0, 2] = y, y2, y3
+    terms = _SERIES[:, 4:].reshape((2, 3) + rank) * powers
+    high = terms[:, :, :, 0] + terms[:, :, :, 1]
+    high += terms[:, :, :, 2]
+    high += _HIGH_IDENTITY.reshape((3, 3, 2) + rank)
+    terms = _SERIES[:, 1:3].reshape((2, 2) + rank) * powers[:, :, :, :2]
+    series = terms[:, :, :, 0] + terms[:, :, :, 1]
+    series += _product(y3[:, :, None], high)
+    series += _LOW_IDENTITY.reshape((3, 3, 2) + rank)
+    return series[:, :, 0] - 1j * _product(x, series[:, :, 1])
+
+
+_TINY = np.finfo(float).tiny
+_EYE2 = np.eye(2)
+
+# Entry (j, k) of a block picks up e^{-i (j - k) phase} from the gauge:
+# indices into (1, e^{-i phase}, e^{-2i phase}, e^{i phase}, e^{2i phase}).
+_GAUGE_ENTRIES = np.array([[0, 3, 4], [1, 0, 3], [2, 1, 0]])
+
+
+def _gauged_step_blocks(rabi, detuning, phase, v, dt):
+    """The real blocks of H dt at phase 0 (gauged_blocks of rabi dt,
+    detuning dt and v dt, as H is linear in them) on the shape of those
+    inputs at the rank of the stack shape S; S; and the factors
+    (3, 3, *S) e^{-i (j - k) phase} that gauge a block to the phase,
+    exactly 1 on the diagonal."""
+    dt = np.asarray(dt, dtype=float)
+    rabi, shift, v = rabi * dt, detuning * dt, v * dt
+    phase = np.asarray(phase, dtype=float)
+    drive, shape = np.broadcast(rabi, shift, v).shape, np.broadcast(rabi, shift, v, phase).shape
+    rank = (1,) * len(shape)
+    gauge = sector_gauge(phase.reshape(rank[phase.ndim :] + phase.shape))
+    factors = np.concatenate((gauge, gauge[1:].conj()))[_GAUGE_ENTRIES]
+    return (*gauged_blocks(rabi, shift, v, rank[len(drive) :] + drive), shape, factors)
+
+
+def unitary_step(rabi, detuning, phase, v, dt) -> SectorBlocks:
+    """exp(-i H dt) in sector form for H = drive_hamiltonian(rabi,
+    detuning, phase, v); the inputs broadcast to the stack shape S.
+
+    Only the gauge depends on the phase, so the blocks are exponentiated
+    at phase 0 on the shape of the other inputs, then gauged. The
+    {01,0r} block is e^{-i Delta dt / 2} (cos(w dt) - i sin(w dt) / w
+    (H - Delta / 2)) with w = sqrt(|c|^2 + Delta^2 / 4) for the coupling
+    c, and the antisymmetric state picks up e^{-i Delta dt}. The triple
+    block x = T dt is real, and cos x - i sin x goes through
+    _scaling_and_squaring: a step whose x is not finite or has a 1-norm
+    of 2^53 or more is NaN there.
+    """
+    pair, triple, shape, factors = _gauged_step_blocks(rabi, detuning, phase, v, dt)
+    shift = pair[1, 1]
+    half = 0.5 * shift
+    angle = np.hypot(pair[0, 1], half)
+    # sin(w dt) / (w dt). It only multiplies the coupling and the
+    # detuning, so below the smallest normal float (where both are
+    # smaller still) any finite value will do.
+    sine = np.sin(angle) / np.maximum(angle, _TINY)
+    eye = _EYE2.reshape(pair.shape[:2] + (1,) * (pair.ndim - 2))
+    # e^{-i half} (cos - i sine (B - half)) for the gauged pair block B.
+    pair = np.exp(-1j * half) * (np.cos(angle) * eye - 1j * sine * (pair - half * eye))
+    anti = np.empty(shape, dtype=complex)
+    anti[...] = np.exp(-1j * shift)
+    return SectorBlocks(pair * factors[:2, :2], _scaling_and_squaring(triple, _rotation) * factors, anti)
+
+
+def decayed_step(rabi, detuning, phase, v, dt, gamma: float) -> SectorBlocks:
+    """exp(-i H_eff dt) in sector form, H_eff = H - i gamma (excited atoms).
+
+    H is drive_hamiltonian(rabi, detuning, phase, v). Decay adds -i gamma
+    on |0r>, -i gamma diag(0, 1, 2) to the triple block and -i gamma to
+    the antisymmetric state; it commutes with the gauge. The pair and
+    triple blocks each go through one stacked `expm`. It takes no 2x2
+    closed form, so a large gamma dt (620, say) stays finite; a generator
+    dt H_eff that is not finite or has a 1-norm of 2^53 or more
+    (_EXPM_NORM_LIMIT) gives a NaN step.
+    """
+    pair, triple, shape, factors = _gauged_step_blocks(rabi, detuning, phase, v, dt)
+    pair, triple = pair.astype(complex), triple.astype(complex)
+    decay = gamma * np.asarray(dt, dtype=float)
+    pair[1, 1] -= 1j * decay
+    triple[1, 1] -= 1j * decay
+    triple[2, 2] -= 2j * decay
+    anti = np.empty(shape, dtype=complex)
+    anti[...] = np.exp(-1j * pair[1, 1])
+    return SectorBlocks(expm(-1j * pair) * factors[:2, :2], expm(-1j * triple) * factors, anti)
 
 
 def ordered_product(steps: SectorBlocks) -> SectorBlocks:
@@ -203,106 +359,37 @@ def ordered_product(steps: SectorBlocks) -> SectorBlocks:
     until one is left, so a stack of n steps takes log2(n) stacked
     products. The result drops the last stack axis.
     """
-    return SectorBlocks(*(_pairwise_product(block) for block in steps))
+    while steps.anti.shape[-1] > 1:
+        paired = steps.at(np.s_[..., 1::2]) @ steps.at(np.s_[..., 0:-1:2])
+        if steps.anti.shape[-1] % 2:
+            paired = SectorBlocks(
+                *(np.concatenate((p, s[..., -1:]), axis=-1) for p, s in zip(paired, steps))
+            )
+        steps = paired
+    return steps.at(np.s_[..., 0])
 
 
-def _pairwise_product(stack: np.ndarray) -> np.ndarray:
-    while stack.shape[-3] > 1:
-        paired = stack[..., 1::2, :, :] @ stack[..., 0:-1:2, :, :]
-        if stack.shape[-3] % 2:
-            paired = np.concatenate((paired, stack[..., -1:, :, :]), axis=-3)
-        stack = paired
-    return stack[..., 0, :, :]
+def running_product(steps: SectorBlocks) -> SectorBlocks:
+    """The products of the first k + 1 steps of a stack, for each k along
+    its last stack axis, first step first.
+
+    Doubling (Hillis & Steele): after the round of span d every entry
+    holds the product of up to 2 d steps ending at it, so n steps take
+    log2(n) stacked products.
+    """
+    span = 1
+    while span < steps.anti.shape[-1]:
+        later = steps.at(np.s_[..., span:]) @ steps.at(np.s_[..., :-span])
+        steps = SectorBlocks(
+            *(np.concatenate((s[..., :span], l), axis=-1) for s, l in zip(steps, later))
+        )
+        span *= 2
+    return steps
 
 
 def batch_rows(width: int) -> int:
     """Rows of `width` blocks that one batch of _BATCH_BLOCKS holds, at least 1."""
     return max(1, _BATCH_BLOCKS // int(width))
-
-
-# Taylor coefficients of expm's degree-12 polynomial, and the largest
-# 1-norm it takes unscaled: there the first neglected term theta^13 / 13!
-# is the unit roundoff 2^-53.
-_TAYLOR = [1.0 / math.factorial(k) for k in range(13)]
-_THETA = (2.0**-53 * math.factorial(13)) ** (1.0 / 13)
-
-# From a 1-norm of 2^53 on, rounding the generator's entries moves the
-# exponent by order 1, so no digit of the exponential is known: expm
-# gives NaN there, as for a non-finite matrix, after at most 55 squarings.
-_EXPM_NORM_LIMIT = 2.0**53
-
-
-def _soa_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products of two stacks of n x n matrices held matrix axes first,
-    (n, n, N). The sum over the inner index is written out, so a
-    product's arithmetic does not depend on the rest of the stack."""
-    total = a[:, 0, None] * b[None, 0]
-    for k in range(1, a.shape[1]):
-        total += a[:, k, None] * b[None, k]
-    return total
-
-
-def expm(matrix) -> np.ndarray:
-    """exp of each matrix of a stack (..., n, n) of small matrices.
-
-    Scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 3 (2003);
-    Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)): each
-    matrix A is scaled by its own 2^-s, s = ceil(log2(|A|_1 / _THETA))
-    clipped at 0, the degree-12 Taylor polynomial of the scaled matrix is
-    evaluated in the powers up to A^4 (Paterson-Stockmeyer), and the
-    result is squared s times. The squarings are masked per matrix, so no
-    matrix's arithmetic depends on the rest of the stack. A matrix that is
-    not finite, or has a 1-norm of _EXPM_NORM_LIMIT or more, gives NaN.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    shape, n = matrix.shape, matrix.shape[-1]
-    a = np.ascontiguousarray(np.moveaxis(matrix.reshape(-1, n, n), 0, -1))
-    norm = np.abs(a).sum(axis=0).max(axis=0)
-    valid = norm < _EXPM_NORM_LIMIT
-    squarings = np.ceil(np.log2(np.maximum(np.where(valid, norm, 0.0) / _THETA, 1.0))).astype(int)
-    # A new array: `a` may be a view of the caller's matrix.
-    a = np.where(valid, a, 0.0) * np.ldexp(1.0, -squarings)
-    a2 = _soa_product(a, a)
-    a3 = _soa_product(a2, a)
-    a4 = _soa_product(a2, a2)
-    eye = np.eye(n)[..., None]
-    c = _TAYLOR
-    x = c[8] * eye + c[9] * a + c[10] * a2 + c[11] * a3 + c[12] * a4
-    x = c[4] * eye + c[5] * a + c[6] * a2 + c[7] * a3 + _soa_product(a4, x)
-    # The identity last, so a small matrix keeps the digits of A.
-    x = c[1] * a + c[2] * a2 + c[3] * a3 + _soa_product(a4, x)
-    x += eye
-    for k in range(squarings.max(initial=0)):
-        x = np.where(k < squarings, _soa_product(x, x), x)
-    x[:, :, ~valid] = np.nan
-    return np.moveaxis(x, -1, 0).reshape(shape)
-
-
-# Excited atoms of |01>, |0r> and of |11>, |R>, |rr>.
-_PAIR_EXCITATIONS = np.diag([0.0, 1.0])
-_TRIPLE_EXCITATIONS = np.diag([0.0, 1.0, 2.0])
-
-
-def decayed_step(rabi, detuning, phase, v, dt, gamma: float) -> SectorBlocks:
-    """exp(-i H_eff dt) in sector form, H_eff = H - i gamma (excited atoms).
-
-    H is drive_hamiltonian(rabi, detuning, phase, v). Decay adds -i gamma
-    on |0r>, -i gamma diag(0, 1, 2) to the gauged triple block (it
-    commutes with the gauge) and -i gamma to the antisymmetric state.
-    The pair and triple blocks each go through one stacked `expm`. It
-    takes no 2x2 closed form, so a large gamma dt (620, say) stays
-    finite; a generator dt H_eff that is not finite or has a 1-norm of
-    2^53 or more (_EXPM_NORM_LIMIT) gives a NaN step.
-    """
-    blocks = sector_hamiltonian(rabi, detuning, phase, v)
-    pair = blocks.pair - 1j * gamma * _PAIR_EXCITATIONS
-    triple = blocks.triple - 1j * gamma * _TRIPLE_EXCITATIONS
-    dt = np.asarray(dt, dtype=float)[..., None, None]
-    pair_step = expm(-1j * dt * pair)
-    triple_step = expm(-1j * dt * triple)
-    triple_step = blocks.gauge[..., :, None] * triple_step * blocks.gauge.conj()[..., None, :]
-    anti = np.exp(-1j * dt * pair[..., 1:2, 1:2])
-    return SectorBlocks(pair_step, triple_step, anti)
 
 
 def sector_product(rabi, detuning, phase, v, dt, gamma: float = 0.0) -> SectorBlocks:
@@ -318,7 +405,7 @@ def sector_product(rabi, detuning, phase, v, dt, gamma: float = 0.0) -> SectorBl
     budget is sliced along time and its slices multiplied in order.
     """
     drive = [np.asarray(x, dtype=float) for x in (rabi, detuning, phase, v, dt)]
-    shape = np.broadcast_shapes(*(x.shape for x in drive))
+    shape = np.broadcast(*drive).shape
     # One batch needs no reshaping, which saves a gate call about 80 us.
     if math.prod(shape) <= _BATCH_BLOCKS:
         return _stack_product(*drive, gamma)
@@ -336,30 +423,31 @@ def sector_product(rabi, detuning, phase, v, dt, gamma: float = 0.0) -> SectorBl
             total = product if total is None else product @ total
         batches.append(total)
     return SectorBlocks(
-        *(np.concatenate(b).reshape(tuple(stack) + b[0].shape[1:]) for b in zip(*batches))
+        *(np.concatenate(b, axis=-1).reshape(b[0].shape[:-1] + tuple(stack)) for b in zip(*batches))
     )
 
 
 def _stack_product(rabi, detuning, phase, v, dt, gamma) -> SectorBlocks:
     """sector_product of a stack that fits in one batch."""
     if gamma == 0.0:
-        steps = sector_step(sector_system(rabi, detuning, phase, v), dt)
-    else:
-        steps = decayed_step(rabi, detuning, phase, v, dt, gamma)
-    return ordered_product(steps)
+        return ordered_product(unitary_step(rabi, detuning, phase, v, dt))
+    return ordered_product(decayed_step(rabi, detuning, phase, v, dt, gamma))
 
 
 _SQRT_HALF = math.sqrt(0.5)
 
 
 def sector_unitary(blocks: SectorBlocks) -> np.ndarray:
-    """The stacked 9x9 operators that the sector blocks describe.
+    """The stacked 9x9 operators (*S, 9, 9) that the sector blocks describe.
 
     |1r> and |r1> each carry half of R = (|1r> + |r1>)/sqrt(2) and of the
     antisymmetric state, so their entries mix the triple and anti blocks.
     """
-    pair, triple, anti = blocks
-    full = np.zeros(anti.shape[:-2] + (DIMENSION, DIMENSION), dtype=complex)
+    anti = blocks.anti
+    # The blocks with their matrix axes last, as views.
+    axes = tuple(range(2, anti.ndim + 2)) + (0, 1)
+    pair, triple = (block.transpose(axes) for block in blocks[:2])
+    full = np.zeros(anti.shape + (DIMENSION, DIMENSION), dtype=complex)
     full[..., 0, 0] = 1.0
     full[..., 1:3, 1:3] = pair
     full[..., 3::3, 3::3] = pair
@@ -367,16 +455,16 @@ def sector_unitary(blocks: SectorBlocks) -> np.ndarray:
     full[..., 4::4, 4::4] = triple[..., ::2, ::2]
     full[..., 4::4, 5::2] = _SQRT_HALF * triple[..., ::2, 1:2]
     full[..., 5::2, 4::4] = _SQRT_HALF * triple[..., 1:2, ::2]
-    full[..., 5, 5] = full[..., 7, 7] = 0.5 * (triple[..., 1, 1] + anti[..., 0, 0])
-    full[..., 5, 7] = full[..., 7, 5] = 0.5 * (triple[..., 1, 1] - anti[..., 0, 0])
+    full[..., 5, 5] = full[..., 7, 7] = 0.5 * (triple[..., 1, 1] + anti)
+    full[..., 5, 7] = full[..., 7, 5] = 0.5 * (triple[..., 1, 1] - anti)
     return full
 
 
 def computational_diagonal(blocks: SectorBlocks) -> np.ndarray:
     """The amplitudes (a00, a01, a10, a11) that sector_unitary(blocks)
     puts on the computational diagonal, stacked on a last axis."""
-    single = blocks.pair[..., 0, 0]
-    return np.stack((np.ones_like(single), single, single, blocks.triple[..., 0, 0]), axis=-1)
+    single = blocks.pair[0, 0]
+    return np.stack((np.ones_like(single), single, single, blocks.triple[0, 0]), axis=-1)
 
 
 def _segment_drive(schedule: Schedule):
@@ -456,50 +544,42 @@ def _sampled_operators(schedule: Schedule, config: IntegratorConfig, gamma: floa
 
 def _running_operators(intervals: SectorBlocks, shape):
     """Yield (k, operators) per batch: the 9x9 products of all steps up to
-    the ends of intervals k, k + 1, ..., stacked over (segments, batch).
-
-    intervals broadcasts to shape = (segments, intervals). The segment
-    products give the operator at the start of each segment; the running
-    product then goes along the interval axis for all segments at once,
-    in batches of at most _BATCH_BLOCKS operators.
+    the ends of intervals k, k + 1, ... of the time-ordered intervals,
+    which broadcast to shape = (segments, intervals), taken flat. A batch
+    holds at most _BATCH_BLOCKS operators: the running product of its
+    intervals times the last operator of the batch before.
     """
-    segments, count = shape
-    if not segments:
-        return
-    intervals = SectorBlocks(*(np.broadcast_to(b, shape + b.shape[2:]) for b in intervals))
-    identity = SectorBlocks(*(np.eye(b.shape[-1], dtype=complex) for b in intervals))
-    width = batch_rows(segments)
-    batches = [intervals.at(np.s_[:, k : k + width]) for k in range(0, count, width)]
-    totals = identity
-    for batch in batches:
-        totals = ordered_product(batch) @ totals
-    starts = [identity]
-    for segment in range(segments - 1):
-        starts.append(totals.at(segment) @ starts[-1])
-    running = [np.stack(b) for b in zip(*starts)]
-    for first, batch in zip(range(0, count, width), batches):
-        operators = SectorBlocks(*(np.empty(b.shape, dtype=complex) for b in batch))
-        for block, product, previous in zip(batch, operators, running):
-            for k in range(block.shape[1]):
-                previous = np.matmul(block[:, k], previous, out=product[:, k])
-        running = [product[:, -1] for product in operators]
+    intervals = SectorBlocks(
+        *(np.broadcast_to(b, b.shape[: b.ndim - 2] + shape).reshape(b.shape[: b.ndim - 2] + (-1,))
+          for b in intervals)
+    )
+    carry = SectorBlocks(np.eye(2)[..., None], np.eye(3)[..., None], np.ones(1))
+    for first in range(0, math.prod(shape), _BATCH_BLOCKS):
+        operators = running_product(intervals.at(np.s_[first : first + _BATCH_BLOCKS])) @ carry
+        carry = operators.at(np.s_[-1:])
         yield first, sector_unitary(operators)
 
 
 def _sampled(schedule, config, evolve, gamma=0.0) -> PropagationResult:
     """The records at t = 0 (evolving by the identity) and at every sample.
-    evolve(operators) maps 9x9 operators stacked over (segments, k) to
-    the evolved states or densities, their populations and norms."""
+    evolve(operators) maps a stack of 9x9 operators to the evolved states
+    or densities and their records, populations and norms, each with its
+    own trailing shape."""
     times, batches = _sampled_operators(schedule, config, gamma)
-    populations, norms = np.empty((1 + times.size, DIMENSION)), np.empty(1 + times.size)
-    final, populations[0], norms[0] = (x[0, 0] for x in evolve(np.eye(DIMENSION)[None, None]))
-    sampled = populations[1:].reshape(times.shape + (DIMENSION,)), norms[1:].reshape(times.shape)
+    final, *initial = (x[0] for x in evolve(np.eye(DIMENSION)[None]))
+    records = [np.empty((1 + times.size,) + x.shape, dtype=x.dtype) for x in initial]
+    for record, x in zip(records, initial):
+        record[0] = x
     for first, full in batches:
-        evolved, *records = evolve(full)
-        for target, record in zip(sampled, records):
-            target[:, first : first + record.shape[1]] = record
-        final = evolved[-1, -1]
-    return PropagationResult(final, np.append(0.0, times), populations, norms)
+        evolved, *values = evolve(full)
+        for record, value in zip(records, values):
+            record[1 + first : 1 + first + len(value)] = value
+        final = evolved[-1]
+    return PropagationResult(final, np.append(0.0, times), *records)
+
+
+def _state_records(states):
+    return states, np.abs(states) ** 2, np.linalg.norm(states, axis=-1)
 
 
 def propagate_state(
@@ -511,12 +591,28 @@ def propagate_state(
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > 1e-9:
         raise InvalidParameterError(f"initial state must be normalized, norm = {norm}")
+    return _sampled(schedule, config, lambda full: _state_records(full @ psi))
 
-    def evolve(full):
-        states = full @ psi
-        return states, np.abs(states) ** 2, np.linalg.norm(states, axis=-1)
 
-    return _sampled(schedule, config, evolve)
+def propagate_basis(
+    schedule: Schedule, indices, config: IntegratorConfig | None = None
+) -> PropagationResult:
+    """propagate_state of each basis state of `indices`, in one propagation.
+
+    The operators do not depend on the state, and the state they evolve
+    from basis state j is their column j. final_state is (m, 9) for m
+    indices, populations (samples, m, 9) and norms (samples, m).
+    """
+    config = resolve_config(schedule, config)
+    indices = [int(j) for j in indices]
+    if not all(0 <= j < DIMENSION for j in indices):
+        raise InvalidParameterError(f"basis indices must lie in [0, {DIMENSION}), got {indices}")
+    # Rows of contiguous states, as propagate_state holds them.
+    return _sampled(
+        schedule,
+        config,
+        lambda full: _state_records(np.ascontiguousarray(full.swapaxes(-1, -2)[..., indices, :])),
+    )
 
 
 def propagate_density(
@@ -539,13 +635,7 @@ def propagate_density(
 
     result = _sampled(schedule, config, evolve, decay.gamma)
     times, traces = result.times, result.norms
-    broken = np.flatnonzero(~np.isfinite(traces))
-    if broken.size:
-        k = broken[0]
-        raise IntegratorFailureError(
-            f"density trace {traces[k]} is not finite at t = {times[k]}: a step generator"
-            " dt H_eff is not finite or has a 1-norm of 2^53 or more"
-        )
+    check_finite(traces, "density trace", "t", times)
     lost = np.flatnonzero(traces == 0.0)
     if lost.size and traces[0] > 0.0:
         k = lost[0]

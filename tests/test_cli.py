@@ -307,6 +307,36 @@ class TestOtherCommands:
         assert "1-norm of 2^53" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["interfere", "--min", "1", "--max", "1e300", "--steps", "3"],
+            ["actuate", "--etas", "1", "--phase-count", "4", "--duration-count", "5",
+             "--tmax", "1e300"],
+            ["actuate", "--etas", "1e300", "--phase-count", "4", "--duration-count", "5"],
+        ],
+    )
+    def test_steps_beyond_the_norm_limit_exit_three(self, args, tmp_path, capsys):
+        # Drive times duration far beyond the 1-norm limit 2^53 of the step
+        # exponential gives NaN steps: a numeric error, never a nan row.
+        out = tmp_path / "out.csv"
+        code = run_cli(args + ["--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error:" in err and "not finite" in err and "Traceback" not in err
+        assert "1-norm of 2^53" in err
+        assert not out.exists()
+
+    def test_interfere_with_many_squarings(self, capsys):
+        # kappa 1e6 takes the unitary steps with the most squarings of
+        # the command's reach: the rows stay finite.
+        code = run_cli(["interfere", "--min", "1", "--max", "1e6", "--steps", "3"])
+        assert code == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 3
+        for row in rows:
+            assert all(0.0 <= float(p) <= 1.0 for p in row.split(",")[1:])
+
     def test_actuate(self, capsys):
         code = run_cli(
             ["actuate", "--etas", "1", "--phase-count", "6",

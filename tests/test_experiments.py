@@ -121,6 +121,24 @@ class TestDynamics:
             ))
             assert total <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("samples", [1, 5, 600])
+    def test_rows_equal_one_propagation_per_initial_state(self, samples):
+        # One propagation gives each state's record as an operator column:
+        # the same bits as propagate_state of that basis state.
+        from rydgate.model import BASIS_LABELS, COMPUTATIONAL_LABELS, basis_state, standard_schedule
+        from rydgate.propagate import IntegratorConfig, propagate_state
+
+        result = run_dynamics(1.65, V, samples_per_segment=samples)
+        config = IntegratorConfig(samples_per_segment=samples)
+        rows = iter(result.rows)
+        for label in COMPUTATIONAL_LABELS:
+            alone = propagate_state(standard_schedule(1.65, V), basis_state(label), config)
+            for t, populations, norm in zip(alone.times, alone.populations, alone.norms):
+                row = next(rows)
+                assert row["initial"] == label and row["t"] == t and row["norm"] == norm
+                assert [row[f"P{name}"] for name in BASIS_LABELS] == populations.tolist()
+        assert next(rows, None) is None
+
     def test_double_occupation_is_visited(self):
         result = run_dynamics(1.65, V, samples_per_segment=25)
         doubly = [row["Prr"] for row in result.rows if row["initial"] == "11"]

@@ -13,7 +13,8 @@ from rydgate.hamiltonian import (
     build_subspace,
     drive_hamiltonian,
     is_hermitian,
-    sector_hamiltonian,
+    gauged_blocks,
+    sector_gauge,
     subspace_basis,
     thermal_interaction,
 )
@@ -149,17 +150,22 @@ class TestSubspaces:
             rng.uniform(-math.pi, math.pi, shape),
             rng.uniform(0.0, 9.0, shape),
         )
-        blocks = sector_hamiltonian(rabi, detuning, phase, v)
-        assert np.isrealobj(blocks.triple)
+        pair, triple = gauged_blocks(rabi, detuning, v, shape)
+        assert np.isrealobj(pair) and np.isrealobj(triple)
+        gauge = sector_gauge(phase)
         full = drive_hamiltonian(rabi, detuning, phase, v)
         pair_basis, triple_basis = subspace_basis("01"), subspace_basis("11")
         for index in np.ndindex(*shape):
+            # Blocks hold their matrix axes first.
+            matrices = (slice(None), slice(None)) + index
+            g = np.diag(gauge[(slice(None),) + index])
             np.testing.assert_allclose(
-                blocks.pair[index], pair_basis @ full[index] @ pair_basis.T, atol=1e-15
+                g[:2, :2] @ pair[matrices] @ g[:2, :2].conj(),
+                pair_basis @ full[index] @ pair_basis.T,
+                atol=1e-15,
             )
-            gauged = np.diag(blocks.gauge[index]) @ blocks.triple[index]
             np.testing.assert_allclose(
-                gauged @ np.diag(blocks.gauge[index]).conj(),
+                g @ triple[matrices] @ g.conj(),
                 triple_basis @ full[index] @ triple_basis.T,
                 atol=1e-12,
             )

@@ -19,9 +19,9 @@ from rydgate.model import (
     standard_schedule,
     time_optimal_schedule,
 )
-from rydgate import experiments, propagate, stochastic
+from rydgate import experiments, geometry, propagate, stochastic
 from rydgate.model import COMPUTATIONAL_INDICES, MAX_SUBSTEPS, V0
-from rydgate.hamiltonian import apply_decay, drive_hamiltonian
+from rydgate.hamiltonian import apply_decay, drive_hamiltonian, gauged_blocks
 from rydgate.propagate import (
     EXACT,
     SUBSTEPPED,
@@ -36,9 +36,8 @@ from rydgate.propagate import (
     propagate_state,
     resolve_config,
     sector_product,
-    sector_step,
-    sector_system,
     sector_unitary,
+    unitary_step,
 )
 
 V = 2.0 * math.pi
@@ -355,6 +354,27 @@ class TestStatePropagation:
         np.testing.assert_array_equal(result.final_state, psi)
         np.testing.assert_array_equal(result.populations, [np.abs(psi) ** 2])
 
+    @pytest.mark.parametrize("kind", ["plain", "thermal"])
+    def test_basis_states_in_one_propagation(self, kind):
+        if kind == "plain":
+            schedule, config = standard_schedule(1.65, V), IntegratorConfig(samples_per_segment=7)
+        else:
+            schedule = modulated_schedule("thermal", 9)
+            config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=9, samples_per_segment=4)
+        indices = (8, 0, 4)
+        result = propagate.propagate_basis(schedule, indices, config)
+        assert result.populations.shape == (len(result.times), 3, 9)
+        for column, index in enumerate(indices):
+            alone = propagate_state(schedule, basis_state(index), config)
+            np.testing.assert_array_equal(result.times, alone.times)
+            np.testing.assert_array_equal(result.final_state[column], alone.final_state)
+            np.testing.assert_array_equal(result.populations[:, column], alone.populations)
+            np.testing.assert_array_equal(result.norms[:, column], alone.norms)
+
+    def test_basis_indices_are_checked(self):
+        with pytest.raises(InvalidParameterError):
+            propagate.propagate_basis(standard_schedule(1.65, V), [9])
+
     def test_evolution_operator_is_unitary(self):
         u = evolution_operator(standard_schedule(0.7, V))
         assert np.max(np.abs(u.conj().T @ u - np.eye(9))) < 1e-12
@@ -503,6 +523,14 @@ def oracle_unitary(rabi, detuning, phase, v, t) -> np.ndarray:
     return expm(-1j * kron_hamiltonian(rabi, detuning, phase, v) * t)
 
 
+def triple_squarings(drive, dt) -> np.ndarray:
+    """The squarings the step core takes for the triple block of each step."""
+    rabi, detuning, _, v = drive
+    _, generator = gauged_blocks(rabi * dt, detuning * dt, v * dt, np.shape(dt))
+    norm = np.abs(generator).sum(axis=0).max(axis=0)
+    return np.ceil(np.log2(np.maximum(norm / propagate._THETA, 1.0))).astype(int)
+
+
 def random_drive(rng, shape):
     """A stack of drives with the edge cases rabi = 0, detuning = 0 and both."""
     rabi = rng.uniform(0.0, 8.0, shape)
@@ -523,7 +551,7 @@ class TestSectorCore:
         rng = np.random.default_rng(900 + seed)
         drive = random_drive(rng, (3, 5))
         t = rng.uniform(0.0, 2.0, (3, 5))
-        actual = sector_unitary(sector_step(sector_system(*drive), t))
+        actual = sector_unitary(unitary_step(*drive, t))
         assert actual.shape == (3, 5, 9, 9)
         for index in np.ndindex(3, 5):
             expected = oracle_unitary(*(x[index] for x in drive), t[index])
@@ -532,7 +560,7 @@ class TestSectorCore:
     @pytest.mark.parametrize("t", [1e-9, 50.0, 400.0])
     def test_short_and_long_durations(self, t):
         drive = random_drive(np.random.default_rng(910), (6,))
-        actual = sector_unitary(sector_step(sector_system(*drive), t))
+        actual = sector_unitary(unitary_step(*drive, t))
         for index in range(6):
             expected = oracle_unitary(*(x[index] for x in drive), t)
             np.testing.assert_allclose(actual[index], expected, rtol=0.0, atol=1e-12)
@@ -541,7 +569,7 @@ class TestSectorCore:
         rng = np.random.default_rng(911)
         drive = random_drive(rng, (4,))
         t = rng.uniform(0.1, 3.0, (3, 1))
-        actual = sector_unitary(sector_step(sector_system(*drive), t))
+        actual = sector_unitary(unitary_step(*drive, t))
         assert actual.shape == (3, 4, 9, 9)
         for i, k in np.ndindex(3, 4):
             expected = oracle_unitary(*(x[k] for x in drive), t[i, 0])
@@ -549,14 +577,53 @@ class TestSectorCore:
 
     def test_zero_duration_is_identity(self):
         drive = random_drive(np.random.default_rng(912), (5,))
-        actual = sector_unitary(sector_step(sector_system(*drive), 0.0))
+        actual = sector_unitary(unitary_step(*drive, 0.0))
         np.testing.assert_allclose(actual, np.broadcast_to(np.eye(9), actual.shape), atol=1e-15)
+
+    def test_steps_are_unitary(self):
+        # Durations up to 3, the longest step of the default scans (the
+        # actuating scan), take up to 8 squarings here. The defect grows as
+        # 2^s times the unit roundoff: about 2e-12 at 14 squarings.
+        rng = np.random.default_rng(960)
+        drive = random_drive(rng, (200,))
+        dt = np.geomspace(1e-3, 3.0, 200)
+        assert set(triple_squarings(drive, dt)) == set(range(9))
+        full = sector_unitary(unitary_step(*drive, dt))
+        defect = np.abs(full @ full.conj().swapaxes(-1, -2) - np.eye(9)).max()
+        assert defect <= 1e-13
+
+    def test_a_step_gives_the_same_bits_alone_and_in_a_mixed_stack(self):
+        rng = np.random.default_rng(962)
+        drive = random_drive(rng, (48,))
+        dt = np.geomspace(1e-3, 3e4, 48)
+        squarings = triple_squarings(drive, dt)
+        assert squarings.min() == 0 and squarings.max() >= 20
+        whole = unitary_step(*drive, dt)
+        for k in range(48):
+            alone = unitary_step(*(x[k : k + 1] for x in drive), dt[k : k + 1])
+            for actual, expected in zip(alone, whole.at(np.s_[k : k + 1])):
+                np.testing.assert_array_equal(actual, expected)
+
+    def test_generators_beyond_range_give_nan_within_55_squarings(self, monkeypatch):
+        products = counting_products(monkeypatch)
+        # With no drive and no detuning, |v dt| is the 1-norm of the
+        # triple generator.
+        v = -np.array([1.0, 2.0**53 - 2.0, 2.0**53, 1e300, np.inf])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            step = unitary_step(0.0, 0.0, 0.3, v, 1.0)
+        assert np.isfinite(step.triple[..., :2]).all()
+        np.testing.assert_allclose(step.triple[2, 2, 0], np.exp(1j), rtol=0.0, atol=1e-15)
+        assert np.isnan(step.triple[..., 2:]).all()
+        np.testing.assert_array_equal(step.pair, np.broadcast_to(np.eye(2)[..., None], (2, 2, 5)))
+        # Five products for the series, then 55 squarings for the largest
+        # 1-norm below 2^53.
+        assert len(products) == 5 + 55
 
     @pytest.mark.parametrize("count", [1, 2, 3, 7, 8])
     def test_ordered_product_matches_sequential_product(self, count):
         rng = np.random.default_rng(913 + count)
         drive = random_drive(rng, (2, count))
-        steps = sector_step(sector_system(*drive), rng.uniform(0.1, 1.0, (2, count)))
+        steps = unitary_step(*drive, rng.uniform(0.1, 1.0, (2, count)))
         full = sector_unitary(steps)
         product = sector_unitary(ordered_product(steps))
         assert product.shape == (2, 9, 9)
@@ -597,8 +664,8 @@ class TestSectorCore:
 
     def test_block_product_is_the_product_of_unitaries(self):
         rng = np.random.default_rng(920)
-        system = sector_system(*random_drive(rng, (4,)))
-        a, b = sector_step(system, 0.3), sector_step(system, 1.1)
+        drive = random_drive(rng, (4,))
+        a, b = unitary_step(*drive, 0.3), unitary_step(*drive, 1.1)
         np.testing.assert_allclose(
             sector_unitary(a @ b), sector_unitary(a) @ sector_unitary(b), rtol=0.0, atol=1e-13
         )
@@ -606,26 +673,27 @@ class TestSectorCore:
 
     def test_computational_diagonal_is_what_the_scatter_places(self):
         rng = np.random.default_rng(921)
-        steps = sector_step(sector_system(*random_drive(rng, (2, 3))), rng.uniform(0, 2, (2, 3)))
+        steps = unitary_step(*random_drive(rng, (2, 3)), rng.uniform(0, 2, (2, 3)))
         full = sector_unitary(steps)
         np.testing.assert_array_equal(
             computational_diagonal(steps), full[..., COMPUTATIONAL_INDICES, COMPUTATIONAL_INDICES]
         )
 
     def test_no_nine_state_eigh(self, monkeypatch):
-        """Every consumer diagonalises or exponentiates sector blocks only."""
-        original_eigh, original_expm = np.linalg.eigh, propagate.expm
-        sizes, expm_sizes = set(), set()
+        """Every consumer exponentiates sector blocks only, and no eigh runs."""
+        original_expm = propagate.expm
+        eigh_calls, expm_sizes = [], set()
 
-        def recording_eigh(matrix, *args, **kwargs):
-            sizes.add(np.shape(matrix)[-1])
-            return original_eigh(matrix, *args, **kwargs)
+        def refuse_eigh(matrix, *args, **kwargs):
+            eigh_calls.append(np.shape(matrix))
+            raise AssertionError("np.linalg.eigh was called")
 
         def recording_expm(matrix):
-            expm_sizes.add(np.shape(matrix)[-1])
+            # Stacks hold their matrix axes first.
+            expm_sizes.add(np.shape(matrix)[0])
             return original_expm(matrix)
 
-        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(np.linalg, "eigh", refuse_eigh)
         monkeypatch.setattr(propagate, "expm", recording_expm)
         evolution_operator(standard_schedule(1.65, V))
         for kind in ("noisy", "thermal", "phase-driven"):
@@ -636,11 +704,16 @@ class TestSectorCore:
         propagate_density(standard_schedule(1.0, V), np.eye(9) / 9.0, DecaySpec(gamma=0.0))
         experiments.scan_kappa([0.5, 1.65])
         experiments.run_actuating_scan(eta_list=(1.0,), phase_count=3, duration_count=4)
+        experiments.run_actuating_scan(
+            eta_list=(1.0,), phase_count=3, duration_count=4, independent_phases=True
+        )
+        for which in ("01", "11"):
+            geometry.sector_evolution(which, 1.65, V, 0.3)
         spec = NoiseSpec(eta_omega=0.05, eta_delta=0.05, substeps=4, seed=1)
         stochastic.monte_carlo_gate_fidelity(1.65, V0, spec, 3)
-        assert sizes == {3} and not expm_sizes
+        assert not eigh_calls and not expm_sizes
         experiments.run_decay_curves(multiplier_grid=[0.0, 5.0], time_optimal_substeps=8)
-        assert sizes == {3} and expm_sizes == {2, 3}
+        assert not eigh_calls and expm_sizes == {2, 3}
 
 
 def contracting_generators(rng, size, norms) -> np.ndarray:
@@ -655,11 +728,16 @@ def contracting_generators(rng, size, norms) -> np.ndarray:
 
 def counting_products(monkeypatch) -> list:
     """Record each stacked matrix product expm makes."""
-    products, original = [], propagate._soa_product
+    products, original = [], propagate._product
     monkeypatch.setattr(
-        propagate, "_soa_product", lambda a, b: products.append(a.shape) or original(a, b)
+        propagate, "_product", lambda a, b: products.append(a.shape) or original(a, b)
     )
     return products
+
+
+def matrices_first(stack) -> np.ndarray:
+    """A stack (N, n, n) held matrix axes first, (n, n, N)."""
+    return np.moveaxis(stack, 0, -1)
 
 
 class TestExpm:
@@ -674,11 +752,11 @@ class TestExpm:
         squarings = np.ceil(np.log2(np.maximum(self.NORMS / propagate._THETA, 1.0)))
         assert set(squarings) == set(range(13))
         generators = contracting_generators(np.random.default_rng(950 + size), size, self.NORMS)
-        actual = propagate.expm(generators)
-        assert actual.shape == generators.shape
-        for generator, norm, result in zip(generators, self.NORMS, actual):
+        actual = propagate.expm(matrices_first(generators))
+        assert actual.shape == (size, size, len(generators))
+        for k, (generator, norm) in enumerate(zip(generators, self.NORMS)):
             tolerance = 1e-12 * min(norm, 1.0)
-            np.testing.assert_allclose(result, expm(generator), rtol=0.0, atol=tolerance)
+            np.testing.assert_allclose(actual[..., k], expm(generator), rtol=0.0, atol=tolerance)
 
     @pytest.mark.parametrize("dt", [0.1, 1.0, 7.0, 400.0])
     def test_exceptional_point(self, dt):
@@ -689,7 +767,7 @@ class TestExpm:
         actual = propagate.expm(generator)
         np.testing.assert_allclose(actual, expm(generator), rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(2, 2), (1, 3, 3), (4, 3, 3)])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3, 1), (3, 3, 4)])
     def test_leaves_its_input_unchanged(self, shape):
         rng = np.random.default_rng(954)
         generator = rng.normal(size=shape) * 20.0 + 1j * rng.normal(size=shape)
@@ -698,21 +776,25 @@ class TestExpm:
         np.testing.assert_array_equal(generator, before)
 
     def test_a_matrix_gives_the_same_bits_in_any_stack(self):
-        generators = contracting_generators(np.random.default_rng(953), 3, self.NORMS)
-        whole = propagate.expm(generators.reshape(89, 1, 3, 3))[:, 0]
+        generators = matrices_first(
+            contracting_generators(np.random.default_rng(953), 3, self.NORMS)
+        )
+        whole = propagate.expm(generators.reshape(3, 3, 89, 1))[..., 0]
         for part in (np.s_[0], np.s_[88], np.s_[30:47], np.s_[::7]):
-            np.testing.assert_array_equal(propagate.expm(generators[part]), whole[part])
+            np.testing.assert_array_equal(
+                propagate.expm(generators[:, :, part]), whole[:, :, part]
+            )
 
     def test_matrices_beyond_range_give_nan_within_55_squarings(self, monkeypatch):
         products = counting_products(monkeypatch)
         largest = 2.0**53 - 2.0
         values = [-1.0, -largest, -(2.0**53), -1e300, np.inf, np.nan]
-        stack = np.array([np.diag([value, 0.0]) for value in values], dtype=complex)
+        stack = matrices_first(np.array([np.diag([value, 0.0]) for value in values], dtype=complex))
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             result = propagate.expm(stack)
-        np.testing.assert_allclose(result[0], np.diag([math.exp(-1.0), 1.0]), rtol=1e-15)
-        np.testing.assert_array_equal(result[1], np.diag([0.0, 1.0]))
-        assert np.isnan(result[2:]).all()
+        np.testing.assert_allclose(result[..., 0], np.diag([math.exp(-1.0), 1.0]), rtol=1e-15)
+        np.testing.assert_array_equal(result[..., 1], np.diag([0.0, 1.0]))
+        assert np.isnan(result[..., 2:]).all()
         # Five products for the polynomial, then 55 squarings for the
         # largest 1-norm below 2^53.
         assert len(products) == 5 + 55
