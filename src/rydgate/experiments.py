@@ -23,8 +23,8 @@ from .metrics import (
     OVERLAP_TOL,
     compensated_fidelity,
     conditional_state_fidelity,
+    diagonal_summary,
     gate_outcome,
-    gate_summary,
 )
 from .model import (
     BASE_DECAY_RATE,
@@ -189,8 +189,10 @@ def scan_kappa(kappa_grid, v: float = V0) -> ScanResult:
     """Gate summary for each drive-to-interaction ratio on the grid.
 
     Each point is the four-segment standard_schedule(kappa, v). The
-    grid is evaluated as one stack: one sector_product over
-    (points x segments) and one gate_summary of the operators. Raises
+    grid is evaluated in batches of as many whole points as one
+    sector_product batch holds (propagate.batch_rows), each scored by
+    diagonal_summary from its computational diagonal without a 9x9
+    operator, so only the rows grow with the grid. Raises
     UndefinedPhaseError when any point leaves a computational state
     behind.
     """
@@ -200,13 +202,18 @@ def scan_kappa(kappa_grid, v: float = V0) -> ScanResult:
     # Validates every point as standard_schedule would.
     durations = np.array([cyclic_segment_duration(kappa, v) for kappa in grid])
     rabi = np.array(grid) * v
-    product = sector_product(rabi[:, None], -v / 2.0, standard_phases(), v, durations[:, None])
-    summary = gate_summary(sector_unitary(product))
+    phases = standard_phases()
     returns = [f"return_{label}" for label in COMPUTATIONAL_LABELS]
     columns = ["kappa", "delta_gamma"] + returns + ["fidelity", "leakage"]
     fields = ("delta_gamma", "return_probabilities", "fidelity", "leakage")
-    table = np.column_stack([grid] + [summary[name] for name in fields])
-    rows = [dict(zip(columns, values)) for values in table.tolist()]
+    rows = []
+    count = batch_rows(len(phases))
+    for first in range(0, len(grid), count):
+        points = np.s_[first : first + count, None]
+        product = sector_product(rabi[points], -v / 2.0, phases, v, durations[points])
+        summary = diagonal_summary(computational_diagonal(product))
+        table = np.column_stack([grid[first : first + count]] + [summary[name] for name in fields])
+        rows.extend(dict(zip(columns, values)) for values in table.tolist())
     metadata = _metadata(columns=columns, grids={"kappa": grid, "v": float(v)})
     return ScanResult(axes={"kappa": grid}, rows=rows, metadata=metadata)
 

@@ -205,7 +205,25 @@ def gate_summary(operators) -> dict:
         raise InvalidParameterError(
             f"expected 9x9 operators, got shape {operators.shape}"
         )
-    amplitudes = operators[..., _COMPUTATIONAL, _COMPUTATIONAL]
+    block = operators[..., _COMPUTATIONAL[:, None], _COMPUTATIONAL]
+    retained = np.sum(np.abs(block) ** 2, axis=-2)
+    return _summary(operators[..., _COMPUTATIONAL, _COMPUTATIONAL], retained)
+
+
+def diagonal_summary(amplitudes) -> dict:
+    """gate_summary of operators whose 4x4 computational block is
+    diagonal, as every sector-form operator's is, from the diagonal
+    amplitudes (a00, a01, a10, a11) on a last axis
+    (propagate.computational_diagonal). Each computational column then
+    keeps |a|^2 in the subspace, so the leakage is 1 - mean |a|^2; every
+    field equals gate_summary's of the 9x9 operators bit for bit."""
+    return _summary(np.asarray(amplitudes, dtype=complex))
+
+
+def _summary(amplitudes, retained=None) -> dict:
+    """The gate_summary fields from the computational diagonal
+    amplitudes and the subspace population retained by each
+    computational column (|a|^2 when None)."""
     magnitudes = np.abs(amplitudes)
     stranded = np.argwhere(magnitudes <= OVERLAP_TOL)
     if stranded.size:
@@ -214,15 +232,15 @@ def gate_summary(operators) -> dict:
             f"state |{COMPUTATIONAL_LABELS[first[-1]]}> does not return "
             f"(amplitude {magnitudes[first]:.3e})"
         )
+    populations = magnitudes**2
+    retained = populations if retained is None else retained
     phases = np.angle(np.conj(amplitudes))
-    block = operators[..., _COMPUTATIONAL[:, None], _COMPUTATIONAL]
-    retained = np.sum(np.abs(block) ** 2, axis=-2)
     return {
         "phases": phases,
         "delta_gamma": wrap_controlled_phase(
             phases[..., 3] - phases[..., 2] - phases[..., 1]
         ),
-        "return_probabilities": np.minimum(1.0, magnitudes**2),
+        "return_probabilities": np.minimum(1.0, populations),
         "fidelity": compensated_fidelity(amplitudes),
         "leakage": np.maximum(0.0, 1.0 - np.mean(retained, axis=-1)),
     }

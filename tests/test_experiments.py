@@ -33,16 +33,17 @@ from rydgate.experiments import (
     superposition_state,
 )
 from rydgate.hamiltonian import build_full
-from rydgate.metrics import gate_outcome
+from rydgate.metrics import gate_outcome, gate_summary
 from rydgate.model import (
     COMPUTATIONAL_INDICES,
     PulseSegment,
     Schedule,
     basis_state,
     cyclic_segment_duration,
+    standard_phases,
     standard_schedule,
 )
-from rydgate.propagate import batch_rows, evolution_operator
+from rydgate.propagate import batch_rows, evolution_operator, sector_product, sector_unitary
 
 V = 2.0 * math.pi
 
@@ -176,6 +177,21 @@ class TestScanKappa:
             assert set(row) == set(expected)
             for name, value in expected.items():
                 assert row[name] == pytest.approx(value, abs=1e-12), (kappa, name)
+
+    def test_rows_equal_the_nine_by_nine_summary_of_one_stack(self):
+        # Scored in batches from the computational diagonal, bit for bit
+        # as gate_summary scores the 9x9 operators of the whole grid.
+        grid = np.linspace(0.3, 4.0, 2 * batch_rows(4) + 17)
+        durations = np.array([cyclic_segment_duration(k, V) for k in grid])
+        product = sector_product(
+            grid[:, None] * V, -V / 2.0, standard_phases(), V, durations[:, None]
+        )
+        summary = gate_summary(sector_unitary(product))
+        fields = ("delta_gamma", "return_probabilities", "fidelity", "leakage")
+        expected = np.column_stack([grid] + [summary[name] for name in fields])
+        result = scan_kappa(grid, V)
+        actual = np.array([[row[name] for name in result.columns()] for row in result.rows])
+        np.testing.assert_array_equal(actual, expected)
 
     @pytest.mark.parametrize("kappa", [-1.0, 0.0, math.inf, math.nan, 1e200])
     def test_bad_point_rejected(self, kappa):

@@ -13,6 +13,7 @@ from rydgate.metrics import (
     compensated_cz_target,
     conditional_state_fidelity,
     controlled_phase,
+    diagonal_summary,
     gate_fidelity,
     gate_outcome,
     gate_summary,
@@ -21,7 +22,12 @@ from rydgate.metrics import (
     wrap_controlled_phase,
 )
 from rydgate.model import basis_state, standard_schedule
-from rydgate.propagate import evolution_operator
+from rydgate.propagate import (
+    computational_diagonal,
+    evolution_operator,
+    sector_product,
+    sector_unitary,
+)
 
 V = 2.0 * math.pi
 
@@ -225,6 +231,29 @@ class TestGateOutcome:
                 rtol=0,
                 atol=1e-15,
             )
+
+    def test_diagonal_summary_equals_the_nine_by_nine_summary(self):
+        # Sector-form operators of random drives over a (3, 50) stack.
+        rng = np.random.default_rng(78)
+        shape = (3, 50, 4)
+        product = sector_product(
+            rng.uniform(0.0, 8.0, shape),
+            rng.uniform(-4.0, 4.0, shape),
+            rng.uniform(-math.pi, math.pi, shape),
+            rng.uniform(0.0, 10.0, shape),
+            rng.uniform(0.0, 0.5, shape),
+        )
+        full = gate_summary(sector_unitary(product))
+        diagonal = diagonal_summary(computational_diagonal(product))
+        assert set(diagonal) == set(full)
+        for name, value in full.items():
+            np.testing.assert_array_equal(diagonal[name], value, err_msg=name)
+
+    def test_diagonal_summary_rejects_a_stranded_state(self):
+        amplitudes = np.ones((3, 4), dtype=complex)
+        amplitudes[1, 2] = 1e-7
+        with pytest.raises(UndefinedPhaseError, match=r"\|10> does not return"):
+            diagonal_summary(amplitudes)
 
     def test_one_stranded_operator_rejects_the_stack(self):
         stranded = np.eye(9, dtype=complex)

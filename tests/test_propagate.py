@@ -24,6 +24,8 @@ from rydgate.model import COMPUTATIONAL_INDICES, MAX_SUBSTEPS, V0
 from rydgate.hamiltonian import apply_decay, drive_hamiltonian, gauged_blocks
 from rydgate.propagate import (
     EXACT,
+    MAGNUS4,
+    MIDPOINT,
     SUBSTEPPED,
     IntegratorConfig,
     SectorBlocks,
@@ -113,11 +115,21 @@ def kron_hamiltonian(rabi, detuning, phase, v) -> np.ndarray:
     return full
 
 
-def oracle_step_operators(schedule: Schedule, substeps: int, gamma: float = 0.0):
-    """Scalar midpoint rule, one substep at a time: the modulations are
+# The Gauss nodes of a substep, as fractions of its length, and the
+# weights 1/4 +- sqrt(3)/6 of the fourth-order commutator-free Magnus rule.
+GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+MAGNUS4_WEIGHTS = (0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0)
+
+
+def oracle_step_operators(
+    schedule: Schedule, substeps: int, gamma: float = 0.0, integrator=MIDPOINT
+):
+    """Scalar substep rule, one substep at a time: the modulations are
     evaluated from their closed forms, H is built with kron, and every
-    step is a scipy expm of the (decay-modified) H. Yields (t, k, step)
-    with t the end of the step and k its index in the segment."""
+    exponential is a scipy expm of the (decay-modified) H. MIDPOINT takes
+    exp(-i H(t_mid) dt); MAGNUS4 takes exp(-i dt (a2 H1 + a1 H2))
+    exp(-i dt (a1 H1 + a2 H2)) for H at the Gauss nodes. Yields (t, k,
+    step) with t the end of the substep and k its index in the segment."""
     from rydgate.stochastic import sample_noise_trace
 
     noise = schedule.noise
@@ -126,29 +138,39 @@ def oracle_step_operators(schedule: Schedule, substeps: int, gamma: float = 0.0)
     for index, segment in enumerate(schedule.segments):
         dt = segment.duration / substeps
         for k in range(substeps):
-            t = t_start + (k + 0.5) * dt
-            rabi, detuning = segment.rabi, segment.detuning
-            phase, v = segment.phase, schedule.interaction
-            if multipliers is not None:
-                rabi *= multipliers[0][index, k]
-                detuning *= multipliers[1][index, k]
-            if schedule.phase_drive is not None:
-                drive = schedule.phase_drive
-                phase = drive.amplitude * math.cos(drive.angular_rate * t - drive.offset)
-            if schedule.thermal is not None:
-                spec = schedule.thermal
-                length = spec.equilibrium_distance * spec.waist
-                distance = length + spec.amplitude * spec.waist * math.sin(
-                    spec.vibration_rate * t
-                )
-                v = v * (distance / length) ** 6
-            h = kron_hamiltonian(rabi, detuning, phase, v)
-            h = h - 1j * gamma * np.diag(EXCITATION_COUNT.astype(float))
-            yield t_start + (k + 1) * dt, k, expm(-1j * h * dt)
+
+            def hamiltonian(t):
+                rabi, detuning = segment.rabi, segment.detuning
+                phase, v = segment.phase, schedule.interaction
+                if multipliers is not None:
+                    rabi *= multipliers[0][index, k]
+                    detuning *= multipliers[1][index, k]
+                if schedule.phase_drive is not None:
+                    drive = schedule.phase_drive
+                    phase = drive.amplitude * math.cos(drive.angular_rate * t - drive.offset)
+                if schedule.thermal is not None:
+                    spec = schedule.thermal
+                    length = spec.equilibrium_distance * spec.waist
+                    distance = length + spec.amplitude * spec.waist * math.sin(
+                        spec.vibration_rate * t
+                    )
+                    v = v * (distance / length) ** 6
+                h = kron_hamiltonian(rabi, detuning, phase, v)
+                return h - 1j * gamma * np.diag(EXCITATION_COUNT.astype(float))
+
+            if integrator == MIDPOINT:
+                step = expm(-1j * hamiltonian(t_start + (k + 0.5) * dt) * dt)
+            else:
+                h1, h2 = (hamiltonian(t_start + (k + node) * dt) for node in GAUSS_NODES)
+                a1, a2 = MAGNUS4_WEIGHTS
+                step = expm(-1j * dt * (a2 * h1 + a1 * h2)) @ expm(-1j * dt * (a1 * h1 + a2 * h2))
+            yield t_start + (k + 1) * dt, k, step
         t_start += segment.duration
 
 
-def oracle_history(schedule: Schedule, substeps: int, samples: int, initial, gamma=0.0):
+def oracle_history(
+    schedule: Schedule, substeps: int, samples: int, initial, gamma=0.0, integrator=MIDPOINT
+):
     """Times, populations and norms (or traces) of the oracle steps applied
     one at a time to a state or a density, at the engine's sample rule:
     every stride-th substep and the last of each segment, with
@@ -164,7 +186,7 @@ def oracle_history(schedule: Schedule, substeps: int, samples: int, initial, gam
             records.append((t, np.real(np.diag(current)), np.trace(current).real))
 
     record(0.0)
-    for t, k, step in oracle_step_operators(schedule, substeps, gamma):
+    for t, k, step in oracle_step_operators(schedule, substeps, gamma, integrator):
         if current.ndim == 1:
             current = step @ current
         else:
@@ -206,6 +228,19 @@ class TestConfig:
         for count in (MAX_SUBSTEPS + 1, 10**15):
             with pytest.raises(InvalidParameterError, match=str(MAX_SUBSTEPS)):
                 IntegratorConfig(**{field: count})
+
+    def test_integrator_defaults_to_midpoint(self):
+        assert IntegratorConfig().integrator == MIDPOINT
+        assert resolve_config(time_optimal_schedule(), None).integrator == MIDPOINT
+
+    def test_rejects_unknown_integrator(self):
+        with pytest.raises(ModeError, match="unknown integrator 'rk4'"):
+            IntegratorConfig(mode=SUBSTEPPED, integrator="rk4")
+
+    def test_magnus4_requires_substepped_mode(self):
+        IntegratorConfig(mode=SUBSTEPPED, integrator=MAGNUS4)
+        with pytest.raises(ModeError, match="requires substepped mode"):
+            IntegratorConfig(integrator=MAGNUS4)
 
     def test_auto_mode_follows_modulations(self):
         plain = standard_schedule(1.65, V)
@@ -325,6 +360,45 @@ class TestStatePropagation:
         result = propagate_state(schedule, psi, config)
         assert_history_matches_oracle(result, oracle_history(schedule, substeps, samples, psi))
 
+    @pytest.mark.parametrize("substeps, blocks", [(1, None), (7, None), (8, 31), (8, 33)])
+    @pytest.mark.parametrize("kind", ("noisy", "thermal", "phase-driven"))
+    def test_magnus4_operator_matches_scalar_oracle(self, kind, substeps, blocks, monkeypatch):
+        # A row of 8 substeps is 16 exponentials per segment, 64 per
+        # schedule: the budgets slice it one step short of and past 32.
+        if blocks is not None:
+            monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
+        schedule = modulated_schedule(kind, substeps)
+        config = IntegratorConfig(
+            mode=SUBSTEPPED, substeps_per_segment=substeps, integrator=MAGNUS4
+        )
+        expected = np.eye(9, dtype=complex)
+        for _, _, step in oracle_step_operators(schedule, substeps, integrator=MAGNUS4):
+            expected = step @ expected
+        actual = evolution_operator(schedule, config)
+        np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("substeps, samples, blocks", SAMPLE_EDGES)
+    @pytest.mark.parametrize("kind", ("noisy", "thermal", "phase-driven"))
+    def test_magnus4_samples_match_scalar_oracle(
+        self, kind, substeps, samples, blocks, monkeypatch
+    ):
+        # Samples fall only at substep ends, so the pair of exponentials
+        # of a substep is never split across sample intervals, and a
+        # padded interval holds whole identity pairs.
+        if blocks is not None:
+            monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
+        schedule = modulated_schedule(kind, substeps)
+        config = IntegratorConfig(
+            mode=SUBSTEPPED,
+            substeps_per_segment=substeps,
+            samples_per_segment=samples,
+            integrator=MAGNUS4,
+        )
+        psi = random_state(np.random.default_rng(82))
+        result = propagate_state(schedule, psi, config)
+        oracle = oracle_history(schedule, substeps, samples, psi, integrator=MAGNUS4)
+        assert_history_matches_oracle(result, oracle)
+
     @pytest.mark.parametrize("samples, blocks", [(1, None), (3, None), (5, 2)])
     def test_exact_samples_match_repeated_steps(self, samples, blocks, monkeypatch):
         # Each segment splits into `samples` equal steps, all sampled.
@@ -442,6 +516,28 @@ class TestDensityPropagation:
         oracle = oracle_history(schedule, substeps, samples, rho, decay.gamma)
         assert_history_matches_oracle(result, oracle)
 
+    @pytest.mark.parametrize("substeps, samples, blocks", SAMPLE_EDGES)
+    @pytest.mark.parametrize("kind", ("noisy", "thermal", "phase-driven"))
+    def test_magnus4_decayed_substeps_match_scalar_oracle(
+        self, kind, substeps, samples, blocks, monkeypatch
+    ):
+        # Each exponential of a substep carries half of its decay.
+        if blocks is not None:
+            monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
+        schedule = modulated_schedule(kind, substeps)
+        config = IntegratorConfig(
+            mode=SUBSTEPPED,
+            substeps_per_segment=substeps,
+            samples_per_segment=samples,
+            integrator=MAGNUS4,
+        )
+        decay = DecaySpec.from_multiplier(5.0)
+        psi = random_state(np.random.default_rng(83))
+        rho = np.outer(psi, psi.conj())
+        result = propagate_density(schedule, rho, decay, config)
+        oracle = oracle_history(schedule, substeps, samples, rho, decay.gamma, MAGNUS4)
+        assert_history_matches_oracle(result, oracle)
+
     def test_trace_growth_fails_at_its_first_sample(self, monkeypatch):
         # Decayed steps scaled by 1.01 make the trace grow from the start.
         original = propagate.expm
@@ -509,6 +605,28 @@ class TestConvergence:
         assert report.initial_substeps == 50
         assert report.converged_substeps > 50
         assert report.distance < 1e-8
+        assert report.integrator == MAGNUS4
+
+    @pytest.mark.parametrize("integrator", [MIDPOINT, MAGNUS4])
+    def test_refines_with_magnus4_and_reruns_from_its_report(self, integrator):
+        schedule, psi = time_optimal_schedule(), experiments.superposition_state()
+        config = IntegratorConfig(
+            mode=SUBSTEPPED,
+            substeps_per_segment=200,
+            convergence_tolerance=1e-6,
+            integrator=integrator,
+        )
+        report = convergence_check(schedule, psi, config)
+        # Fourth order: 2.4e-6 from 200 to 400 substeps, 1.1e-7 from 400
+        # to 800; the midpoint rule needs 6,400.
+        assert (report.converged_substeps, report.integrator) == (800, MAGNUS4)
+        certified = dataclasses.replace(
+            config, integrator=report.integrator, substeps_per_segment=report.converged_substeps
+        )
+        coarse = propagate_state(schedule, psi, certified).final_state
+        finer = dataclasses.replace(certified, substeps_per_segment=4 * report.converged_substeps)
+        fine = propagate_state(schedule, psi, finer).final_state
+        assert np.linalg.norm(coarse - fine) < report.distance
 
     def test_requires_substepped_mode(self):
         with pytest.raises(ModeError):
