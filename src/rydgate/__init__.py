@@ -72,6 +72,7 @@ from .metrics import (
     compensated_fidelity,
     conditional_state_fidelity,
     controlled_phase,
+    diagonal_fidelity,
     diagonal_summary,
     gate_fidelity,
     gate_outcome,

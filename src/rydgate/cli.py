@@ -25,8 +25,8 @@ import numpy as np
 from . import experiments
 from ._version import __version__
 from .errors import ConfigError, InvalidParameterError, NumericError
-from .experiments import InterferometerSpec, ScanResult
-from .model import MAX_SUBSTEPS, normalize_units
+from .experiments import REFERENCE_KAPPA, InterferometerSpec, ScanResult
+from .model import MAX_SUBSTEPS, cyclic_segment_duration, normalize_units
 
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "RYDGATE_SEED"
@@ -263,6 +263,11 @@ def cmd_decay(args, config: dict):
         ("--rmax >= 0", lambda low, high: high >= 0.0),
     )
     rabi = tuple(2.0 * math.pi * f for f in args.rabi)
+    for f, omega in zip(args.rabi, rabi):
+        try:  # each curve's schedule check, here naming the flag
+            cyclic_segment_duration(REFERENCE_KAPPA, omega / REFERENCE_KAPPA)
+        except InvalidParameterError as exc:
+            raise ConfigError(f"--rabi must be > 0 with a finite gate duration, got {f}") from exc
     return experiments.run_decay_curves(
         rabi_frequencies=rabi,
         multiplier_grid=multipliers,

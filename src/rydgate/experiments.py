@@ -35,7 +35,6 @@ from .model import (
     DecaySpec,
     NoiseSpec,
     ThermalSpec,
-    basis_state,
     cyclic_segment_duration,
     standard_phases,
     standard_schedule,
@@ -51,7 +50,6 @@ from .propagate import (
     propagate_basis,
     propagate_density,
     sector_product,
-    sector_unitary,
     unitary_step,
 )
 from .stochastic import monte_carlo_gate_fidelity, thermal_gate_fidelity
@@ -393,18 +391,17 @@ def run_interferometer(spec: InterferometerSpec) -> ScanResult:
 
     Starts in |10>, applies the beamsplitter to the second atom, one
     interaction segment of fixed duration, and the beamsplitter again,
-    then reads out the |10> and |11> populations. The segments of the
-    whole grid form one sector_product stack.
+    then reads out the |10> and |11> populations, |a10 -+ a11|^2 / 4 from
+    the segment's diagonal amplitudes a10, a11. The segments of the whole
+    grid form one sector_product stack.
     """
     duration = cyclic_segment_duration(spec.reference_kappa, spec.v)
-    splitter = preparation_operator()
     kappas = np.array(spec.kappa_grid)
     product = sector_product(kappas[:, None] * spec.v, -spec.v / 2.0, 0.0, spec.v, duration)
-    prepared = splitter @ basis_state("10")
-    # Row k is splitter @ U_k @ prepared, the final state of grid point k.
-    final = (sector_unitary(product) @ prepared) @ splitter.T
-    check_finite(final, "interferometer state", "kappa", kappas)
-    populations = np.abs(final[:, 3:5]) ** 2
+    amplitudes = computational_diagonal(product)[:, 2:]
+    check_finite(amplitudes, "interferometer state", "kappa", kappas)
+    a10, a11 = amplitudes.T
+    populations = np.abs(np.column_stack((a10 - a11, a10 + a11))) ** 2 / 4.0
     columns = ["kappa", "p10", "p11"]
     rows = [
         {"kappa": kappa, "p10": p10, "p11": p11}

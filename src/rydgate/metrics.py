@@ -108,6 +108,16 @@ def gate_fidelity(actual, target) -> float:
     return float(_score(abs(np.trace(block @ target.conj().T))))
 
 
+def diagonal_fidelity(amplitudes, target) -> np.ndarray:
+    """gate_fidelity of operators with a diagonal computational block, from
+    its amplitudes (a00, a01, a10, a11) on a last axis over any stack, against
+    a diagonal unitary target t given by its diagonal: |sum_j a_j conj(t_j)| / 4."""
+    target = np.asarray(target, dtype=complex)
+    if target.shape != (4,) or np.max(np.abs(np.abs(target) ** 2 - 1.0)) > 1e-6:
+        raise InvalidParameterError(f"target must be a unitary diagonal of 4 entries, got {target}")
+    return _score(np.abs(np.sum(np.asarray(amplitudes, dtype=complex) * target.conj(), axis=-1)))
+
+
 def _score(overlap):
     """Fidelity from the trace overlap magnitude |tr(M T^dagger)|."""
     return np.minimum(1.0, overlap / 4.0)

@@ -550,20 +550,23 @@ def _magnus4_drive(rabi, detuning, phase, v, dt):
     return np.abs(coupling), weighted(detuning), np.angle(coupling), weighted(v), 0.5 * dt
 
 
-def evolution_operator(
-    schedule: Schedule, config: IntegratorConfig | None = None
-) -> np.ndarray:
-    """Full 9x9 evolution operator: the sector_product of the segments
-    of a plain schedule in exact mode, or of the exponentials of every
-    substep of the config's integrator in substepped mode."""
+def evolution_blocks(schedule: Schedule, config: IntegratorConfig | None = None) -> SectorBlocks:
+    """The evolution operator in sector form: the sector_product of the segments
+    of a plain schedule in exact mode, or of the exponentials of every substep of
+    the config's integrator in substepped mode; identity blocks if there are none."""
     config = resolve_config(schedule, config)
     if not schedule.segments:
-        return np.eye(DIMENSION, dtype=complex)
+        return SectorBlocks(*(np.eye(n, dtype=complex) for n in (2, 3)), np.ones((), complex))
     if config.mode == EXACT:
         drive, dt, _ = _segment_drive(schedule)
-        return sector_unitary(sector_product(*drive, dt))
+        return sector_product(*drive, dt)
     drive = _substep_drive(schedule, _segment_substeps(schedule, config), config.integrator)
-    return sector_unitary(sector_product(*(x.reshape(-1) for x in drive)))
+    return sector_product(*(x.reshape(-1) for x in drive))
+
+
+def evolution_operator(schedule: Schedule, config: IntegratorConfig | None = None) -> np.ndarray:
+    """Full 9x9 evolution operator: sector_unitary of evolution_blocks."""
+    return sector_unitary(evolution_blocks(schedule, config))
 
 
 def _sampled_operators(schedule: Schedule, config: IntegratorConfig, gamma: float = 0.0):

@@ -6,12 +6,14 @@ x -> (1 + eta * r) * x with r drawn from [-1, 1]. Traces are fully
 reproducible from the seed; the drive channel is always drawn before
 the detuning channel.
 
-Monte-Carlo trials are evaluated as stacks: the noisy drives of a batch
-of trials form one drive array over (trials x segments x substeps),
-multiplied per trial by `propagate.sector_product`. A batch holds as
-many whole trials as the product's step budget allows
-(`propagate.batch_rows`), so a trial's operator is the same in any
-batch.
+Fidelities are scored in sector form, with no 9x9 operator: each
+computational state returns with a phase, so `metrics.diagonal_fidelity`
+scores the computational diagonal against the diagonal of the noise-free
+schedule's compensated target. Monte-Carlo trials run as stacks: the
+noisy drives of a batch of trials form one drive array over (trials x
+segments x substeps), multiplied per trial by `propagate.sector_product`.
+A batch holds as many whole trials as `propagate.batch_rows` allows, so
+a trial's fidelity is the same in any batch.
 """
 
 from __future__ import annotations
@@ -22,15 +24,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError
-from .metrics import compensated_cz_target, gate_fidelity, gate_outcome
+from .metrics import compensated_cz_target, diagonal_fidelity, diagonal_summary
 from .model import NoiseSpec, Schedule, ThermalSpec, standard_schedule
 from .propagate import (
     SUBSTEPPED,
     IntegratorConfig,
     batch_rows,
-    evolution_operator,
+    computational_diagonal,
+    evolution_blocks,
     sector_product,
-    sector_unitary,
 )
 
 GENERATOR_NAME = "PCG64"
@@ -92,27 +94,24 @@ class MonteCarloResult:
 
 
 def _nominal_gate(kappa: float, v: float):
-    """Noise-free schedule, its operator, and its compensated target."""
+    """Noise-free schedule, its computational diagonal, and the diagonal of its
+    compensated target; raises UndefinedPhaseError if a state does not return."""
     schedule = standard_schedule(kappa, v)
-    operator = evolution_operator(schedule)
-    nominal = gate_outcome(operator)
-    target = compensated_cz_target(nominal.phases["01"], nominal.phases["10"])
-    return schedule, operator, target
+    amplitudes = computational_diagonal(evolution_blocks(schedule))
+    phases = diagonal_summary(amplitudes)["phases"]
+    return schedule, amplitudes, np.diagonal(compensated_cz_target(phases[1], phases[2]))
 
 
-def _noisy_operators(schedule: Schedule, spec: NoiseSpec, seeds) -> np.ndarray:
-    """Evolution operators of the schedule under the noise trace of each seed.
-
-    Each operator equals evolution_operator of the schedule with the
-    noise spec reseeded.
-    """
+def _noisy_diagonals(schedule: Schedule, spec: NoiseSpec, seeds) -> np.ndarray:
+    """Computational diagonals (trials, 4) of the schedule under the noise
+    trace of each seed, each that of evolution_blocks with the spec reseeded."""
     drives = [noisy_drive(schedule, replace(spec, seed=int(seed))) for seed in seeds]
     # (trials, segments, substeps), flattened to one time axis per trial.
     rabi, detuning = (np.stack(channel).reshape(len(seeds), -1) for channel in zip(*drives))
     substeps = int(spec.substeps)
     phase = np.repeat([s.phase for s in schedule.segments], substeps)
     dt = np.repeat([s.duration / substeps for s in schedule.segments], substeps)
-    return sector_unitary(sector_product(rabi, detuning, phase, schedule.interaction, dt))
+    return computational_diagonal(sector_product(rabi, detuning, phase, schedule.interaction, dt))
 
 
 def monte_carlo_gate_fidelity(
@@ -130,10 +129,10 @@ def monte_carlo_gate_fidelity(
     if not 1 <= int(trials) <= MAX_TRIALS:
         raise InvalidParameterError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
     trials = int(trials)
-    nominal_schedule, nominal_operator, target = _nominal_gate(kappa, v)
+    schedule, nominal, target = _nominal_gate(kappa, v)
 
     if spec.eta_omega == 0.0 and spec.eta_delta == 0.0:
-        fidelity = gate_fidelity(nominal_operator, target)
+        fidelity = float(diagonal_fidelity(nominal, target))
         return MonteCarloResult(
             mean_fidelity=fidelity,
             std_fidelity=0.0,
@@ -142,15 +141,12 @@ def monte_carlo_gate_fidelity(
             seed=int(spec.seed),
         )
 
-    trial_seeds = np.random.SeedSequence(spec.seed).generate_state(
-        trials, dtype=np.uint64
+    trial_seeds = np.random.SeedSequence(spec.seed).generate_state(trials, dtype=np.uint64)
+    batch = batch_rows(len(schedule.segments) * int(spec.substeps))
+    batches = (trial_seeds[first : first + batch] for first in range(0, trials, batch))
+    values = np.concatenate(
+        [diagonal_fidelity(_noisy_diagonals(schedule, spec, seeds), target) for seeds in batches]
     )
-    batch = batch_rows(len(nominal_schedule.segments) * int(spec.substeps))
-    fidelities = []
-    for first in range(0, trials, batch):
-        operators = _noisy_operators(nominal_schedule, spec, trial_seeds[first : first + batch])
-        fidelities.extend(gate_fidelity(operator, target) for operator in operators)
-    values = np.array(fidelities)
     return MonteCarloResult(
         mean_fidelity=float(values.mean()),
         std_fidelity=float(values.std()),
@@ -170,14 +166,11 @@ def thermal_gate_fidelity(
     noise-free fidelity exactly.
     """
     config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=int(substeps))
-    schedule, nominal_operator, target = _nominal_gate(kappa, v)
-    if thermal.temperature == 0.0:
-        return gate_fidelity(nominal_operator, target)
-
-    rate = thermal.vibration_rate
-    if rate is None:
-        segment_period = schedule.segments[0].duration
-        rate = 50.0 * (2.0 * math.pi / segment_period)
-        thermal = replace(thermal, vibration_rate=rate)
-    operator = evolution_operator(replace(schedule, thermal=thermal), config)
-    return gate_fidelity(operator, target)
+    schedule, amplitudes, target = _nominal_gate(kappa, v)
+    if thermal.temperature != 0.0:
+        if thermal.vibration_rate is None:
+            period = schedule.segments[0].duration
+            thermal = replace(thermal, vibration_rate=50.0 * (2.0 * math.pi / period))
+        blocks = evolution_blocks(replace(schedule, thermal=thermal), config)
+        amplitudes = computational_diagonal(blocks)
+    return float(diagonal_fidelity(amplitudes, target))

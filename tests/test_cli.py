@@ -371,6 +371,12 @@ class TestOtherCommands:
                 (["decay", "--rmax", "inf"], "--rmax must be finite"),
                 (["decay", "--rmax", "-1"], "need --rmax >= 0"),
                 (["decay", "--rsteps", "0"], "--rsteps must be >= 1"),
+                (["decay", "--rabi", "5,0"], "--rabi must be > 0"),
+                (["decay", "--rabi", "-5"], "--rabi must be > 0"),
+                (["decay", "--rabi=-inf"], "--rabi must be > 0"),
+                (["decay", "--rabi", "inf"], "--rabi must be > 0"),
+                (["decay", "--rabi", "nan"], "--rabi must be > 0"),
+                (["decay", "--rabi", "1e-320"], "--rabi must be > 0"),
                 (["noise-map", "--eta-max", "inf"], "--eta-max must be finite"),
                 (["noise-map", "--eta-max", "0.06"], "need 0 < --eta-max <= 0.05"),
                 (["noise-map", "--steps", "0"], "--steps must be >= 1"),

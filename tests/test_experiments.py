@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 from scipy.linalg import expm
 
-from rydgate import experiments
+from rydgate import experiments, metrics, propagate
 from rydgate.errors import InvalidParameterError, UndefinedPhaseError
 from rydgate.experiments import (
     REFERENCE_KAPPA,
@@ -316,6 +316,31 @@ class TestInterferometer:
             assert row["kappa"] == kappa
             assert row["p10"] == pytest.approx(abs(final[3]) ** 2, rel=0.0, abs=1e-12)
             assert row["p11"] == pytest.approx(abs(final[4]) ** 2, rel=0.0, abs=1e-12)
+
+
+class TestScoredFromSectorForm:
+    def test_noise_thermal_and_interferometer_build_no_nine_by_nine_operator(
+        self, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a 9x9 operator was built or scored")
+
+        patched = 0
+        for original in (propagate.sector_unitary, metrics.gate_fidelity):
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] != "rydgate":
+                    continue
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, refuse)
+                        patched += 1
+        assert patched >= 3
+        with pytest.raises(AssertionError, match="9x9"):
+            evolution_operator(standard_schedule(REFERENCE_KAPPA, V))
+        noise = run_noise_map([0.0, 0.02], [0.01], trials=3, substeps=4)
+        thermal = run_thermal_map([6.0], [0.0, 10.0], substeps=10)
+        interfere = run_interferometer(InterferometerSpec(kappa_grid=(1.0, 1.65, 2.0)))
+        assert [len(r.rows) for r in (noise, thermal, interfere)] == [2, 2, 3]
 
 
 class TestDecayCurves:

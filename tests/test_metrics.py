@@ -13,6 +13,7 @@ from rydgate.metrics import (
     compensated_cz_target,
     conditional_state_fidelity,
     controlled_phase,
+    diagonal_fidelity,
     diagonal_summary,
     gate_fidelity,
     gate_outcome,
@@ -133,6 +134,61 @@ class TestGateFidelity:
     def test_rejects_bad_shape(self):
         with pytest.raises(InvalidParameterError):
             gate_fidelity(np.eye(3), np.eye(4, dtype=complex))
+
+
+
+class TestDiagonalFidelity:
+    """diagonal_fidelity against gate_fidelity of the 9x9 operators."""
+
+    @staticmethod
+    def _operators(rng, shape):
+        # Sector-form operators of random four-step drives over a stack.
+        shape = shape + (4,)
+        return sector_product(
+            rng.uniform(0.0, 8.0, shape),
+            rng.uniform(-4.0, 4.0, shape),
+            rng.uniform(-math.pi, math.pi, shape),
+            rng.uniform(0.0, 10.0, shape),
+            rng.uniform(0.0, 0.5, shape),
+        )
+
+    @staticmethod
+    def _target(rng):
+        return ideal_controlled_phase(*rng.uniform(-math.pi, math.pi, 3))
+
+    def test_stack_equals_gate_fidelity_of_each_operator(self):
+        rng = np.random.default_rng(15)
+        product = self._operators(rng, (3, 40))
+        full = sector_unitary(product)
+        for _ in range(3):
+            target = self._target(rng)
+            stacked = diagonal_fidelity(computational_diagonal(product), np.diag(target))
+            assert stacked.shape == (3, 40)
+            expected = [[gate_fidelity(u, target) for u in row] for row in full]
+            np.testing.assert_allclose(stacked, expected, rtol=0.0, atol=1e-15)
+
+    def test_single_operator_equals_gate_fidelity(self):
+        rng = np.random.default_rng(16)
+        product = self._operators(rng, ())
+        target = self._target(rng)
+        single = diagonal_fidelity(computational_diagonal(product), np.diag(target))
+        assert single.shape == ()
+        assert single == pytest.approx(
+            gate_fidelity(sector_unitary(product), target), rel=0.0, abs=1e-15
+        )
+
+    def test_identity_against_cz(self):
+        cz = np.array([1.0, 1.0, 1.0, -1.0])
+        assert diagonal_fidelity(np.ones(4), cz) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "target",
+        [[1.0, 1.0, 1.0, 0.5], np.eye(4), [1.0, 1.0, 1.0]],
+        ids=["non-unitary", "matrix", "short"],
+    )
+    def test_rejects_a_bad_target(self, target):
+        with pytest.raises(InvalidParameterError):
+            diagonal_fidelity(np.ones(4), target)
 
 
 class TestStateFidelity:

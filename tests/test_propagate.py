@@ -453,6 +453,25 @@ class TestStatePropagation:
         u = evolution_operator(standard_schedule(0.7, V))
         assert np.max(np.abs(u.conj().T @ u - np.eye(9))) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["exact", "midpoint", "magnus4", "empty"])
+    def test_evolution_blocks_scatter_to_the_evolution_operator(self, kind):
+        thermal = ThermalSpec(equilibrium_distance=4.0, temperature=20.0, vibration_rate=40.0)
+        warm = dataclasses.replace(standard_schedule(1.65, V), thermal=thermal)
+        schedule, config = {
+            "exact": (standard_schedule(1.65, V), None),
+            "midpoint": (warm, IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=30)),
+            "magnus4": (
+                time_optimal_schedule(),
+                IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=30, integrator=MAGNUS4),
+            ),
+            "empty": (Schedule(segments=(), interaction=V), None),
+        }[kind]
+        operator = evolution_operator(schedule, config)
+        blocks = propagate.evolution_blocks(schedule, config)
+        np.testing.assert_array_equal(sector_unitary(blocks), operator)
+        if kind == "empty":
+            np.testing.assert_array_equal(operator, np.eye(9))
+
 
 class TestNoiseHandling:
     def test_noisy_evolution_is_reproducible(self):

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from rydgate import propagate
-from rydgate.errors import InvalidParameterError
+from rydgate import propagate, stochastic
+from rydgate.errors import InvalidParameterError, UndefinedPhaseError
 from rydgate.model import MAX_SUBSTEPS, NoiseSpec, ThermalSpec, standard_schedule
 from rydgate.stochastic import (
     MAX_TRIALS,
@@ -89,6 +89,17 @@ class TestMonteCarlo:
     def test_rejects_nonpositive_trials(self):
         with pytest.raises(InvalidParameterError):
             monte_carlo_gate_fidelity(1.65, V, NoiseSpec(), 0)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.02])
+    def test_a_nominal_gate_that_strands_a_state_is_rejected(self, eta, monkeypatch):
+        # The nominal triple block sends |11> to |R>: no phase to compensate.
+        stranded = propagate.SectorBlocks(
+            np.eye(2, dtype=complex), np.eye(3, dtype=complex)[[1, 0, 2]], np.ones((), complex)
+        )
+        monkeypatch.setattr(stochastic, "evolution_blocks", lambda *args: stranded)
+        spec = NoiseSpec(eta_omega=eta, eta_delta=eta, substeps=4, seed=1)
+        with pytest.raises(UndefinedPhaseError, match=r"\|11> does not return"):
+            monte_carlo_gate_fidelity(1.65, V, spec, 2)
 
     def test_json_payload(self):
         result = monte_carlo_gate_fidelity(1.65, V, NoiseSpec(), 2)
@@ -200,6 +211,22 @@ class TestThermal:
         )
         assert thermal_gate_fidelity(1.65, V, cold) == pytest.approx(
             0.9992665659424076, abs=1e-9
+        )
+
+    @pytest.mark.parametrize("distance, temperature", [(4.0, 20.0), (6.0, 10.0), (8.0, 1.0)])
+    def test_equals_gate_fidelity_of_the_thermal_operator(self, distance, temperature):
+        schedule = standard_schedule(1.65, V)
+        nominal = gate_outcome(evolution_operator(schedule))
+        target = compensated_cz_target(nominal.phases["01"], nominal.phases["10"])
+        spec = ThermalSpec(
+            equilibrium_distance=distance,
+            temperature=temperature,
+            vibration_rate=50.0 * (2.0 * math.pi / schedule.segments[0].duration),
+        )
+        config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=200)
+        operator = evolution_operator(dataclasses.replace(schedule, thermal=spec), config)
+        assert thermal_gate_fidelity(1.65, V, spec, substeps=200) == pytest.approx(
+            gate_fidelity(operator, target), rel=0.0, abs=1e-15
         )
 
     def test_colder_is_better(self):
