@@ -171,19 +171,31 @@ def _kappa_grid(args, config: dict, low: float, high: float, steps: int) -> np.n
     )
 
 
+def _check_out(path) -> None:
+    """Reject an --out path that cannot name a file, before any work runs."""
+    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise ConfigError(f"--out must name a file in an existing directory, got {path}")
+
+
 def emit(result, args) -> None:
-    if isinstance(result, ScanResult):
+    """Write result to --out, or to stdout without it. A failed write
+    raises ConfigError."""
+    try:
+        if isinstance(result, ScanResult):
+            if args.out:
+                result.to_csv(args.out)
+            else:
+                result.write_rows(sys.stdout)
+            return
+        text = json.dumps(result, indent=2, sort_keys=True) + "\n"
         if args.out:
-            result.to_csv(args.out)
+            with open(args.out, "w") as handle:
+                handle.write(text)
         else:
-            result.write_rows(sys.stdout)
-        return
-    text = json.dumps(result, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+            sys.stdout.write(text)
+    except OSError as exc:
+        target = f"--out {args.out}" if args.out else "stdout"
+        raise ConfigError(f"cannot write {target}: {exc}") from exc
 
 
 def cmd_gate(args, config: dict):
@@ -427,6 +439,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        _check_out(args.out)
         config = load_config(args.config) if getattr(args, "config", None) else {}
         result = handler(args, config)
         emit(result, args)

@@ -1,8 +1,9 @@
 """Reproducible experiment pipelines built on the core modules.
 
-Each runner returns a ScanResult: a list of flat row dicts plus the
-axes that generated them and metadata sufficient to rerun the scan.
-ScanResult.to_csv writes the rows and drops the metadata next to the
+Each runner returns a ScanResult: the table of the scan as named
+columns (numpy arrays, or lists of text), plus the axes that generated
+them and metadata sufficient to rerun the scan. ScanResult.to_csv
+writes the table column by column and drops the metadata next to the
 CSV as a sibling .meta.json file.
 """
 
@@ -21,10 +22,10 @@ from .errors import InvalidParameterError
 from .geometry import chi
 from .metrics import (
     OVERLAP_TOL,
+    GateOutcome,
     compensated_fidelity,
     conditional_state_fidelity,
     diagonal_summary,
-    gate_outcome,
 )
 from .model import (
     BASE_DECAY_RATE,
@@ -46,7 +47,7 @@ from .propagate import (
     batch_rows,
     check_finite,
     computational_diagonal,
-    evolution_operator,
+    evolution_blocks,
     propagate_basis,
     propagate_density,
     sector_product,
@@ -62,59 +63,54 @@ REFERENCE_KAPPA = 1.65
 _CSV_ROWS = 256
 
 
-def _integer_text(value) -> str:
-    return str(int(value))
-
-
-def _float_text(value) -> str:
-    return format(float(value), ".12g")
-
-
-def _cell_formatter(kind):
-    """CSV text of a cell of type kind: text as is, integers in full,
-    anything else as a float to 12 significant digits."""
-    if issubclass(kind, str):
-        return str
-    if issubclass(kind, (int, np.integer)):
-        return _integer_text
-    return _float_text
-
-
-def _format_column(values) -> list:
-    """The cells of one column as CSV text, with one formatter for a
-    column whose cells all take the same one."""
-    formatters = {_cell_formatter(kind) for kind in set(map(type, values))}
-    if len(formatters) == 1:
-        return list(map(formatters.pop(), values))
-    return [_cell_formatter(type(value))(value) for value in values]
+def _cell_text(values):
+    """CSV text of the cells of one column: text as is, integers in
+    full and floats to 12 significant digits."""
+    if not isinstance(values, np.ndarray):
+        return values
+    if values.dtype.kind in "biu":
+        return map(str, map(int, values.tolist()))
+    return map("%.12g".__mod__, values.tolist())
 
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Rows of a scan plus the axes and metadata that produced them."""
+    """The table of a scan plus the axes and metadata that produced it.
+
+    table maps each column name, in table order, to a 1-D float or
+    integer numpy array or a list of str; all columns have one length.
+    """
 
     axes: dict
-    rows: list
+    table: dict
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        lengths = {name: len(values) for name, values in self.table.items()}
+        if len(set(lengths.values())) > 1:
+            raise InvalidParameterError(f"columns differ in length: {lengths}")
+
     def columns(self) -> list:
-        stored = self.metadata.get("columns")
-        if stored:
-            return list(stored)
-        return list(self.rows[0]) if self.rows else []
+        return list(self.table)
+
+    @property
+    def rows(self) -> list:
+        """The table as one dict per row, with Python scalars."""
+        values = [v.tolist() if isinstance(v, np.ndarray) else v for v in self.table.values()]
+        return [dict(zip(self.table, row)) for row in zip(*values)]
 
     def write_rows(self, stream) -> None:
-        """Write the header and rows as CSV text to an open stream,
+        """Write the header and the table as CSV text to an open stream,
         formatting _CSV_ROWS rows at a time column by column."""
         writer = csv.writer(stream)
-        names = self.columns()
-        writer.writerow(names)
-        for first in range(0, len(self.rows), _CSV_ROWS):
-            rows = self.rows[first : first + _CSV_ROWS]
-            writer.writerows(zip(*(_format_column([row[n] for row in rows]) for n in names)))
+        writer.writerow(self.table)
+        columns = list(self.table.values())
+        for first in range(0, len(columns[0]) if columns else 0, _CSV_ROWS):
+            rows = slice(first, first + _CSV_ROWS)
+            writer.writerows(zip(*(_cell_text(values[rows]) for values in columns)))
 
     def to_csv(self, path) -> Path:
-        """Write rows as CSV and the metadata as a sibling .meta.json."""
+        """Write the table as CSV and the metadata as a sibling .meta.json."""
         path = Path(path)
         with open(path, "w", newline="") as handle:
             self.write_rows(handle)
@@ -129,6 +125,11 @@ def _metadata(**extra) -> dict:
     base = {"tool": "rydgate", "version": __version__}
     base.update(extra)
     return base
+
+
+def _scan_result(axes: dict, table: dict, **metadata) -> ScanResult:
+    """A runner's table with its axes, and metadata that names its columns."""
+    return ScanResult(axes, table, _metadata(columns=list(table), **metadata))
 
 
 def superposition_state() -> np.ndarray:
@@ -158,29 +159,22 @@ def run_dynamics(
     """Populations over time for each computational initial state."""
     schedule = standard_schedule(kappa, v)
     config = IntegratorConfig(samples_per_segment=samples_per_segment)
-    columns = ["initial", "t"] + [f"P{label}" for label in BASIS_LABELS] + ["norm"]
     result = propagate_basis(schedule, COMPUTATIONAL_INDICES, config)
     times = result.times
-    # Rows by initial state, then time: the columns t, P*, norm as one table.
-    table = np.column_stack(
-        (
-            np.tile(times, len(COMPUTATIONAL_LABELS)),
-            result.populations.swapaxes(0, 1).reshape(-1, len(BASIS_LABELS)),
-            result.norms.T.reshape(-1),
-        )
-    )
-    labels = [label for label in COMPUTATIONAL_LABELS for _ in times]
-    rows = [dict(zip(columns, (label, *values))) for label, values in zip(labels, table.tolist())]
-    axes = {
-        "initial": list(COMPUTATIONAL_LABELS),
-        "t": [float(t) for t in times],
+    # Rows by initial state, then time.
+    populations = result.populations.swapaxes(0, 1).reshape(-1, len(BASIS_LABELS))
+    table = {
+        "initial": [label for label in COMPUTATIONAL_LABELS for _ in times],
+        "t": np.tile(times, len(COMPUTATIONAL_LABELS)),
+        **{f"P{label}": populations[:, k] for k, label in enumerate(BASIS_LABELS)},
+        "norm": result.norms.T.reshape(-1),
     }
-    metadata = _metadata(
-        columns=columns,
+    return _scan_result(
+        {"initial": list(COMPUTATIONAL_LABELS), "t": [float(t) for t in times]},
+        table,
         schedule=schedule.to_json_dict(),
         grids={"samples_per_segment": int(samples_per_segment)},
     )
-    return ScanResult(axes=axes, rows=rows, metadata=metadata)
 
 
 def scan_kappa(kappa_grid, v: float = V0) -> ScanResult:
@@ -190,7 +184,7 @@ def scan_kappa(kappa_grid, v: float = V0) -> ScanResult:
     grid is evaluated in batches of as many whole points as one
     sector_product batch holds (propagate.batch_rows), each scored by
     diagonal_summary from its computational diagonal without a 9x9
-    operator, so only the rows grow with the grid. Raises
+    operator, so only the table's columns grow with the grid. Raises
     UndefinedPhaseError when any point leaves a computational state
     behind.
     """
@@ -201,19 +195,23 @@ def scan_kappa(kappa_grid, v: float = V0) -> ScanResult:
     durations = np.array([cyclic_segment_duration(kappa, v) for kappa in grid])
     rabi = np.array(grid) * v
     phases = standard_phases()
-    returns = [f"return_{label}" for label in COMPUTATIONAL_LABELS]
-    columns = ["kappa", "delta_gamma"] + returns + ["fidelity", "leakage"]
     fields = ("delta_gamma", "return_probabilities", "fidelity", "leakage")
-    rows = []
+    batches = []
     count = batch_rows(len(phases))
     for first in range(0, len(grid), count):
         points = np.s_[first : first + count, None]
         product = sector_product(rabi[points], -v / 2.0, phases, v, durations[points])
         summary = diagonal_summary(computational_diagonal(product))
-        table = np.column_stack([grid[first : first + count]] + [summary[name] for name in fields])
-        rows.extend(dict(zip(columns, values)) for values in table.tolist())
-    metadata = _metadata(columns=columns, grids={"kappa": grid, "v": float(v)})
-    return ScanResult(axes={"kappa": grid}, rows=rows, metadata=metadata)
+        batches.append([summary[name] for name in fields])
+    delta_gamma, returns, fidelity, leakage = map(np.concatenate, zip(*batches))
+    table = {
+        "kappa": np.array(grid),
+        "delta_gamma": delta_gamma,
+        **{f"return_{label}": returns[:, k] for k, label in enumerate(COMPUTATIONAL_LABELS)},
+        "fidelity": fidelity,
+        "leakage": leakage,
+    }
+    return _scan_result({"kappa": grid}, table, grids={"kappa": grid, "v": float(v)})
 
 
 def run_noise_map(
@@ -240,8 +238,7 @@ def run_noise_map(
         raise InvalidParameterError("noise amplitude grids must not be empty")
     if int(seed) < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
-    columns = ["eta_omega", "eta_delta", "mean_fidelity", "std_fidelity", "trials"]
-    rows = []
+    results = []
     for i, eta_omega in enumerate(omega_axis):
         for j, eta_delta in enumerate(delta_axis):
             cell_seed = int(
@@ -255,18 +252,17 @@ def run_noise_map(
                 substeps=int(substeps),
                 seed=cell_seed,
             )
-            result = monte_carlo_gate_fidelity(kappa, v, spec, trials)
-            rows.append(
-                {
-                    "eta_omega": eta_omega,
-                    "eta_delta": eta_delta,
-                    "mean_fidelity": result.mean_fidelity,
-                    "std_fidelity": result.std_fidelity,
-                    "trials": result.trials,
-                }
-            )
-    metadata = _metadata(
-        columns=columns,
+            results.append(monte_carlo_gate_fidelity(kappa, v, spec, trials))
+    table = {
+        "eta_omega": np.repeat(omega_axis, len(delta_axis)),
+        "eta_delta": np.tile(delta_axis, len(omega_axis)),
+        "mean_fidelity": np.array([result.mean_fidelity for result in results]),
+        "std_fidelity": np.array([result.std_fidelity for result in results]),
+        "trials": np.array([result.trials for result in results]),
+    }
+    return _scan_result(
+        {"eta_omega": omega_axis, "eta_delta": delta_axis},
+        table,
         seed=int(seed),
         grids={
             "eta_omega": omega_axis,
@@ -276,11 +272,6 @@ def run_noise_map(
             "trials": int(trials),
             "substeps": int(substeps),
         },
-    )
-    return ScanResult(
-        axes={"eta_omega": omega_axis, "eta_delta": delta_axis},
-        rows=rows,
-        metadata=metadata,
     )
 
 
@@ -301,8 +292,7 @@ def run_thermal_map(
     temperatures = [float(t) for t in np.atleast_1d(temperature_grid)]
     if not distances or not temperatures:
         raise InvalidParameterError("distance and temperature grids must not be empty")
-    columns = ["distance", "temperature", "fidelity"]
-    rows = []
+    fidelities = []
     for distance in distances:
         for temperature in temperatures:
             spec = ThermalSpec(
@@ -310,16 +300,15 @@ def run_thermal_map(
                 temperature=temperature,
                 exponent_mode=exponent_mode,
             )
-            fidelity = thermal_gate_fidelity(kappa, v, spec, substeps=substeps)
-            rows.append(
-                {
-                    "distance": distance,
-                    "temperature": temperature,
-                    "fidelity": fidelity,
-                }
-            )
-    metadata = _metadata(
-        columns=columns,
+            fidelities.append(thermal_gate_fidelity(kappa, v, spec, substeps=substeps))
+    table = {
+        "distance": np.repeat(distances, len(temperatures)),
+        "temperature": np.tile(temperatures, len(distances)),
+        "fidelity": np.array(fidelities),
+    }
+    return _scan_result(
+        {"distance": distances, "temperature": temperatures},
+        table,
         grids={
             "distance": distances,
             "temperature": temperatures,
@@ -328,11 +317,6 @@ def run_thermal_map(
             "substeps": int(substeps),
             "exponent_mode": exponent_mode,
         },
-    )
-    return ScanResult(
-        axes={"distance": distances, "temperature": temperatures},
-        rows=rows,
-        metadata=metadata,
     )
 
 
@@ -401,14 +385,11 @@ def run_interferometer(spec: InterferometerSpec) -> ScanResult:
     amplitudes = computational_diagonal(product)[:, 2:]
     check_finite(amplitudes, "interferometer state", "kappa", kappas)
     a10, a11 = amplitudes.T
-    populations = np.abs(np.column_stack((a10 - a11, a10 + a11))) ** 2 / 4.0
-    columns = ["kappa", "p10", "p11"]
-    rows = [
-        {"kappa": kappa, "p10": p10, "p11": p11}
-        for kappa, (p10, p11) in zip(spec.kappa_grid, populations.tolist())
-    ]
-    metadata = _metadata(
-        columns=columns,
+    p10, p11 = np.abs(np.stack((a10 - a11, a10 + a11))) ** 2 / 4.0
+    table = {"kappa": kappas, "p10": p10, "p11": p11}
+    return _scan_result(
+        {"kappa": list(spec.kappa_grid)},
+        table,
         grids={
             "kappa": list(spec.kappa_grid),
             "v": float(spec.v),
@@ -416,7 +397,6 @@ def run_interferometer(spec: InterferometerSpec) -> ScanResult:
             "duration": float(duration),
         },
     )
-    return ScanResult(axes={"kappa": list(spec.kappa_grid)}, rows=rows, metadata=metadata)
 
 
 def run_decay_curves(
@@ -455,9 +435,8 @@ def run_decay_curves(
         )
         curves.append(("time-optimal", time_optimal_schedule(), config))
 
-    columns = ["curve", "gamma_multiplier", "gamma", "fidelity"]
-    rows = []
-    for name, schedule, config in curves:
+    fidelities = []
+    for _, schedule, config in curves:
         reference = propagate_density(
             schedule, rho_initial, DecaySpec(gamma=0.0), config
         ).final_state
@@ -465,16 +444,17 @@ def run_decay_curves(
             decayed = propagate_density(
                 schedule, rho_initial, DecaySpec.from_multiplier(multiplier), config
             ).final_state
-            rows.append(
-                {
-                    "curve": name,
-                    "gamma_multiplier": multiplier,
-                    "gamma": multiplier * BASE_DECAY_RATE,
-                    "fidelity": conditional_state_fidelity(decayed, reference),
-                }
-            )
-    metadata = _metadata(
-        columns=columns,
+            fidelities.append(conditional_state_fidelity(decayed, reference))
+    gamma_multiplier = np.tile(multipliers, len(curves))
+    table = {
+        "curve": [name for name, _, _ in curves for _ in multipliers],
+        "gamma_multiplier": gamma_multiplier,
+        "gamma": gamma_multiplier * BASE_DECAY_RATE,
+        "fidelity": np.array(fidelities),
+    }
+    return _scan_result(
+        {"curve": [name for name, _, _ in curves], "gamma_multiplier": multipliers},
+        table,
         grids={
             "gamma_multiplier": multipliers,
             "rabi_frequencies": [float(r) for r in rabi_frequencies],
@@ -482,14 +462,6 @@ def run_decay_curves(
             "compare_time_optimal": bool(compare_time_optimal),
             "time_optimal_substeps": int(time_optimal_substeps),
         },
-    )
-    return ScanResult(
-        axes={
-            "curve": [name for name, _, _ in curves],
-            "gamma_multiplier": multipliers,
-        },
-        rows=rows,
-        metadata=metadata,
     )
 
 
@@ -520,7 +492,7 @@ def run_actuating_scan(
     For each interaction strength v = eta * V0, sweeps the second-pulse
     phase and the common segment duration, builds the composite
     U(phi) U(0) U(phi) U(0), and collects the durations whose cells beat
-    the fidelity threshold. The row reports their mean duration and the
+    the fidelity threshold. Its row reports their mean duration and the
     actuating area v * 4 * mean duration. In fixed-omega mode the drive
     stays at the reference ratio times V0 while v varies; fixed-kappa
     mode rescales the drive with v. A quadratic fit of area against v
@@ -547,8 +519,7 @@ def run_actuating_scan(
     # Durations per stacked batch, within the sector_product step budget.
     width = batch_rows(phases.size ** (2 if independent_phases else 1))
 
-    columns = ["eta", "v", "qualifying_cells", "mean_duration", "actuating"]
-    rows = []
+    qualifying_cells, mean_durations = [], []
     for eta in etas:
         v = eta * V0
         rabi = REFERENCE_KAPPA * (V0 if mode == "fixed-omega" else v)
@@ -567,33 +538,34 @@ def run_actuating_scan(
             fidelities = fidelities.reshape(fidelities.shape[0], -1)
             counts[chunk] = np.count_nonzero(fidelities > threshold, axis=1)
         qualifying = np.repeat(durations, counts)
-        count = len(qualifying)
-        mean_duration = float(np.mean(qualifying)) if count else float("nan")
-        actuating = v * 4.0 * mean_duration if count else float("nan")
-        rows.append(
-            {
-                "eta": eta,
-                "v": float(v),
-                "qualifying_cells": count,
-                "mean_duration": mean_duration,
-                "actuating": actuating,
-            }
-        )
+        qualifying_cells.append(qualifying.size)
+        mean_durations.append(np.mean(qualifying) if qualifying.size else math.nan)
+    interactions = np.array(etas) * V0
+    mean_duration = np.array(mean_durations)
+    table = {
+        "eta": np.array(etas),
+        "v": interactions,
+        "qualifying_cells": np.array(qualifying_cells),
+        "mean_duration": mean_duration,
+        # nan where no cell qualifies, as the mean duration is.
+        "actuating": interactions * 4.0 * mean_duration,
+    }
 
-    valid = [(row["v"], row["actuating"]) for row in rows if row["qualifying_cells"] > 0]
+    valid = table["qualifying_cells"] > 0
     fit_coefficients = None
     relative_residual = None
-    if len(valid) >= 3:
-        v_values = np.array([v for v, _ in valid])
-        areas = np.array([a for _, a in valid])
+    if np.count_nonzero(valid) >= 3:
+        v_values = interactions[valid]
+        areas = table["actuating"][valid]
         coefficients = np.polyfit(v_values, areas, 2)
         predicted = np.polyval(coefficients, v_values)
         relative_residual = float(
             np.linalg.norm(areas - predicted) / np.linalg.norm(areas)
         )
         fit_coefficients = [float(c) for c in coefficients]
-    metadata = _metadata(
-        columns=columns,
+    return _scan_result(
+        {"eta": etas},
+        table,
         grids={
             "eta": etas,
             "v0": float(V0),
@@ -607,14 +579,13 @@ def run_actuating_scan(
         fit_coefficients=fit_coefficients,
         relative_residual=relative_residual,
     )
-    return ScanResult(axes={"eta": etas}, rows=rows, metadata=metadata)
 
 
 def run_gate(kappa: float, v: float = V0, units: str = "natural") -> dict:
     """Gate summary of the four-segment schedule as a JSON-ready dict."""
     schedule = standard_schedule(kappa, v, units=units)
-    outcome = gate_outcome(evolution_operator(schedule))
-    payload = outcome.to_json_dict()
+    summary = diagonal_summary(computational_diagonal(evolution_blocks(schedule)))
+    payload = GateOutcome.from_summary(summary).to_json_dict()
     payload["metadata"] = _metadata(
         schedule=schedule.to_json_dict(),
         sector_half_phase=float(chi(kappa)),

@@ -181,6 +181,20 @@ class GateOutcome:
     fidelity: float
     leakage: float
 
+    @classmethod
+    def from_summary(cls, summary: dict) -> GateOutcome:
+        """The outcome of one operator from its gate_summary or
+        diagonal_summary fields."""
+        return cls(
+            phases=dict(zip(COMPUTATIONAL_LABELS, summary["phases"].tolist())),
+            delta_gamma=float(summary["delta_gamma"]),
+            return_probabilities=dict(
+                zip(COMPUTATIONAL_LABELS, summary["return_probabilities"].tolist())
+            ),
+            fidelity=float(summary["fidelity"]),
+            leakage=float(summary["leakage"]),
+        )
+
     def to_json_dict(self) -> dict:
         return {
             "phases": {k: float(v) for k, v in self.phases.items()},
@@ -266,13 +280,4 @@ def gate_outcome(operator) -> GateOutcome:
         raise InvalidParameterError(
             f"expected a 9x9 operator, got shape {operator.shape}"
         )
-    summary = gate_summary(operator)
-    return GateOutcome(
-        phases=dict(zip(COMPUTATIONAL_LABELS, summary["phases"].tolist())),
-        delta_gamma=float(summary["delta_gamma"]),
-        return_probabilities=dict(
-            zip(COMPUTATIONAL_LABELS, summary["return_probabilities"].tolist())
-        ),
-        fidelity=float(summary["fidelity"]),
-        leakage=float(summary["leakage"]),
-    )
+    return GateOutcome.from_summary(gate_summary(operator))

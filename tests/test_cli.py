@@ -1,6 +1,7 @@
 """Tests for the rydgate command-line interface."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -10,9 +11,11 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rydgate import experiments
-from rydgate.cli import MAX_GRID_STEPS, build_parser, main
+from rydgate.cli import MAX_GRID_STEPS, _float_list, build_parser, main
 from rydgate.errors import UndefinedPhaseError
 from rydgate.model import MAX_SUBSTEPS
 
@@ -105,6 +108,30 @@ class TestExitCodes:
         monkeypatch.setattr(cli_module, "cmd_gate", broken)
         assert run_cli(["gate", "--kappa", "1.0"]) == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["directory", "missing parent"])
+    @pytest.mark.parametrize(
+        "argv, runner",
+        [(["gate", "--kappa", "1.65"], "run_gate"), (["scan-kappa", "--steps", "3"], "scan_kappa")],
+    )
+    def test_unwritable_out_exits_two_before_any_work(
+        self, argv, runner, target, tmp_path, monkeypatch, capsys
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran before --out was checked")
+
+        monkeypatch.setattr(experiments, runner, no_work)
+        out = tmp_path if target == "directory" else tmp_path / "absent" / "x.csv"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out") and "Traceback" not in err
+
+    def test_failed_write_exits_two(self, tmp_path, capsys):
+        # The CSV can be written, but its sibling .meta.json is a directory.
+        (tmp_path / "scan.meta.json").mkdir()
+        assert run_cli(["scan-kappa", "--steps", "3", "--out", str(tmp_path / "scan.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write --out") and "Traceback" not in err
 
 
 class TestParserReuse:
@@ -440,7 +467,7 @@ class TestGridStepLimit:
 
         def fake_scan(grid, v):
             seen["size"] = len(grid)
-            return experiments.ScanResult(axes={}, rows=[])
+            return experiments.ScanResult(axes={}, table={})
 
         monkeypatch.setattr(experiments, "scan_kappa", fake_scan)
         assert run_cli(["scan-kappa", "--steps", str(MAX_GRID_STEPS)]) == 0
@@ -562,3 +589,88 @@ def test_readme_command_lines_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+SUBCOMMANDS = next(
+    action for action in build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+).choices
+
+# Values every flag of a kind rejects, on top of the directory and the
+# missing parent for a path and an unknown word for a named choice.
+REJECTED_NUMBERS = ["0", "-1", "inf", "nan", str(10**18)]
+# Grids, trials, substeps and samples stay this small, so a call is quick.
+COUNT_CAP = 8
+# Placeholders for the paths of one test run; see test_cli_call_exits_cleanly.
+PATHS = {"out": "{file}", "config": "{config}"}
+BAD_PATHS = ["{directory}", "{missing}"]
+WORDS = {"units": ["natural", "mhz"]}
+
+accepted_floats = st.floats(0.01, 8.0).map(repr)
+
+
+def accepted_value(action):
+    if action.choices:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is int:
+        return st.integers(1, COUNT_CAP).map(str)
+    if action.type is float:
+        return accepted_floats
+    if action.type is _float_list:
+        return st.lists(accepted_floats, min_size=1, max_size=3).map(",".join)
+    if action.dest in PATHS:
+        return st.just(PATHS[action.dest])
+    return st.sampled_from(WORDS[action.dest])
+
+
+def rejected_value(action):
+    if action.dest in PATHS:
+        return st.sampled_from(BAD_PATHS)
+    if action.choices or action.dest in WORDS:
+        return st.just("bogus")
+    return st.sampled_from(REJECTED_NUMBERS)
+
+
+@st.composite
+def cli_calls(draw, command):
+    """argv for the subcommand, built from the parser's own actions: every
+    count flag, a subset of the others, and at most one rejected value."""
+    actions = [
+        action for action in SUBCOMMANDS[command]._actions
+        if not isinstance(action, argparse._HelpAction)
+    ]
+    # Count flags are always given, so no call runs a default grid.
+    chosen = [action for action in actions if action.type is int] + draw(
+        st.lists(st.sampled_from([a for a in actions if a.type is not int]), unique=True)
+    )
+    rejected = draw(st.none() | st.sampled_from(chosen)) if chosen else None
+    argv = [command]
+    for action in chosen:
+        argv.append(action.option_strings[-1])
+        if action.nargs != 0:
+            value = rejected_value if action is rejected else accepted_value
+            argv.append(draw(value(action)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "config.json").write_text("{}")
+    return {
+        "file": str(root / "out.csv"),
+        "config": str(root / "config.json"),
+        "directory": str(root),
+        "missing": str(root / "absent" / "out.csv"),
+    }
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@given(data=st.data())
+def test_cli_call_exits_cleanly(command, data, fuzz_paths):
+    argv = [part.format(**fuzz_paths) for part in data.draw(cli_calls(command))]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()

@@ -52,7 +52,7 @@ class TestScanResult:
     def test_csv_and_metadata_sibling(self, tmp_path):
         result = ScanResult(
             axes={"x": [1.0, 2.0]},
-            rows=[{"x": 1.0, "y": 0.5}, {"x": 2.0, "y": float("nan")}],
+            table={"x": np.array([1.0, 2.0]), "y": np.array([0.5, float("nan")])},
             metadata={"columns": ["x", "y"], "tool": "rydgate"},
         )
         path = tmp_path / "scan.csv"
@@ -65,32 +65,44 @@ class TestScanResult:
         meta = json.loads(meta_path.read_text())
         assert meta["tool"] == "rydgate"
 
-    def test_columns_fall_back_to_first_row(self):
-        result = ScanResult(axes={}, rows=[{"a": 1, "b": 2}], metadata={})
-        assert result.columns() == ["a", "b"]
+    def test_columns_keep_the_table_order(self):
+        table = {"b": np.array([1]), "a": np.array([2.0]), "c": ["x"]}
+        result = ScanResult(axes={}, table=table, metadata={"columns": ["a", "b", "c"]})
+        assert result.columns() == ["b", "a", "c"]
+        assert result.rows == [{"b": 1, "a": 2.0, "c": "x"}]
+        assert type(result.rows[0]["b"]) is int and type(result.rows[0]["a"]) is float
+
+    def test_columns_of_unequal_length_are_rejected(self):
+        with pytest.raises(InvalidParameterError, match="length"):
+            ScanResult(axes={}, table={"a": np.zeros(2), "b": ["x"]})
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 256])
     def test_csv_text_is_pinned_for_every_cell_type(self, chunk, monkeypatch):
         # Formatting runs in chunks of rows, column by column; the text
-        # stays the same for any chunk size, also for a mixed column.
+        # stays the same for any chunk size.
         monkeypatch.setattr(experiments, "_CSV_ROWS", chunk)
-        rows = [
-            {"name": "a,b", "trials": 100, "big": 10**13 + 1, "x": -0.0, "mixed": 1},
-            {"name": "c", "trials": np.int64(7), "big": np.int64(2**62), "x": float("nan"),
-             "mixed": 0.5},
-            {"name": "d", "trials": 0, "big": -(10**15), "x": np.float64(1.0 / 3.0),
-             "mixed": "text"},
-            {"name": "", "trials": True, "big": 12, "x": 1e-300, "mixed": np.float32(0.1)},
-        ]
+        table = {
+            "name": ["a,b", "c", "d", ""],
+            "trials": np.array([100, 7, 0, 1], dtype=np.int64),
+            "big": np.array([10**13 + 1, 2**62, -(10**15), 12]),
+            "flag": np.array([True, False, True, True]),
+            "x": np.array([-0.0, float("nan"), 1.0 / 3.0, 1e-300]),
+            "single": np.array([0.1, 0.5, 1.0, 2.0], dtype=np.float32),
+        }
         stream = io.StringIO()
-        ScanResult(axes={}, rows=rows).write_rows(stream)
+        ScanResult(axes={}, table=table).write_rows(stream)
         assert stream.getvalue() == (
-            "name,trials,big,x,mixed\r\n"
-            '"a,b",100,10000000000001,-0,1\r\n'
-            "c,7,4611686018427387904,nan,0.5\r\n"
-            "d,0,-1000000000000000,0.333333333333,text\r\n"
-            ",1,12,1e-300,0.10000000149\r\n"
+            "name,trials,big,flag,x,single\r\n"
+            '"a,b",100,10000000000001,1,-0,0.10000000149\r\n'
+            "c,7,4611686018427387904,0,nan,0.5\r\n"
+            "d,0,-1000000000000000,1,0.333333333333,1\r\n"
+            ",1,12,1,1e-300,2\r\n"
         )
+
+    def test_empty_table_writes_an_empty_header(self):
+        stream = io.StringIO()
+        ScanResult(axes={}, table={}).write_rows(stream)
+        assert stream.getvalue() == "\r\n"
 
 
 class TestInteriorExtrema:
@@ -540,6 +552,16 @@ class TestActuatingScan:
 
 
 class TestGateSummary:
+    @pytest.mark.parametrize("kappa", [0.3, 0.8, 1.65, 2.2, 3.0])
+    @pytest.mark.parametrize("units", ["natural", "mhz"])
+    def test_payload_equals_the_9x9_oracle(self, kappa, units):
+        # run_gate scores the sector form; the 9x9 operator's gate_outcome
+        # is the oracle, and its JSON must match exactly.
+        payload = run_gate(kappa, V, units=units)
+        del payload["metadata"]
+        operator = evolution_operator(standard_schedule(kappa, V, units=units))
+        assert payload == gate_outcome(operator).to_json_dict()
+
     def test_payload_fields(self):
         payload = run_gate(1.65, V)
         assert payload["delta_gamma"] == pytest.approx(-3.1514260051, abs=1e-9)
