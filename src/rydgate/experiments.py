@@ -51,7 +51,7 @@ from .propagate import (
     propagate_basis,
     propagate_density,
     sector_product,
-    unitary_step,
+    sector_step,
 )
 from .stochastic import monte_carlo_gate_fidelity, thermal_gate_fidelity
 
@@ -110,14 +110,24 @@ class ScanResult:
             writer.writerows(zip(*(_cell_text(values[rows]) for values in columns)))
 
     def to_csv(self, path) -> Path:
-        """Write the table as CSV and the metadata as a sibling .meta.json."""
+        """Write the table as CSV and the metadata as a sibling .meta.json.
+        A failed write removes the files it opened, so no CSV is left
+        without its metadata, and raises."""
         path = Path(path)
-        with open(path, "w", newline="") as handle:
-            self.write_rows(handle)
         meta_path = path.with_suffix(".meta.json")
-        with open(meta_path, "w") as handle:
-            json.dump(self.metadata, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        opened = []
+        try:
+            with open(path, "w", newline="") as handle:
+                opened.append(path)
+                self.write_rows(handle)
+            with open(meta_path, "w") as handle:
+                opened.append(meta_path)
+                json.dump(self.metadata, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+        except BaseException:
+            for written in opened:
+                written.unlink(missing_ok=True)
+            raise
         return meta_path
 
 
@@ -526,7 +536,7 @@ def run_actuating_scan(
         counts = np.zeros(durations.size, dtype=int)
         for first in range(0, durations.size, width):
             chunk = slice(first, first + width)
-            steps = unitary_step(rabi, -v / 2.0, step_phases, v, durations[chunk, None])
+            steps = sector_step(rabi, -v / 2.0, step_phases, v, durations[chunk, None])
             pairs = steps.at(np.s_[:, 1:]) @ steps.at(np.s_[:, :1])
             if independent_phases:
                 cells = pairs.at(np.s_[:, :, None]) @ pairs.at(np.s_[:, None])

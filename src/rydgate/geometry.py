@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InvalidParameterError, RootNotFoundError
 from .hamiltonian import check_subspace
 from .model import V0, PulseSegment, cyclic_segment_duration, standard_phases
-from .propagate import sector_product, unitary_step
+from .propagate import sector_product, sector_step
 
 __all__ = [
     "TwoLevelParams",
@@ -144,7 +144,7 @@ def sector_evolution(
     """Numeric sector propagator, the oracle for the closed forms.
 
     The sector block of one drive segment's propagator from the step
-    core (`propagate.unitary_step`: the pair block in closed form, the
+    core (`propagate.sector_step`: the pair block in closed form, the
     triple block as cos x - i sin x by scaling and squaring), which the
     tests hold to scipy expm of the full nine-state operator. Defaults to one holonomy period. For
     the three-level "11" sector the result is restricted to the
@@ -155,7 +155,7 @@ def sector_evolution(
     if duration is None:
         duration = periods(kappa, v)[0]
     segment = PulseSegment(rabi=kappa * v, detuning=-v / 2.0, phase=phi, duration=duration)
-    steps = unitary_step(segment.rabi, segment.detuning, segment.phase, v, segment.duration)
+    steps = sector_step(segment.rabi, segment.detuning, segment.phase, v, segment.duration)
     if which == "11":
         return steps.triple[np.ix_([0, 2], [0, 2])]
     return steps.pair

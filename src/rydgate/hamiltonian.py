@@ -11,9 +11,10 @@ R = (|1r> + |r1>)/sqrt(2) and the antisymmetric state
 (|1r> - |r1>)/sqrt(2), which the drive does not couple.
 
 `drive_hamiltonian` writes the full operator, and `gauged_blocks` with
-`sector_gauge` its sector blocks. Every engine exponentiates the blocks,
-decayed steps included; the full operator and `apply_decay` are the
-oracles the tests hold the blocks to.
+`sector_gauge` its sector blocks, where a complex detuning Delta - i
+gamma is decay. Every engine exponentiates the blocks, decayed steps
+included; the full operator and `apply_decay` are the oracles the tests
+hold the blocks to.
 """
 
 from __future__ import annotations
@@ -112,21 +113,25 @@ def sector_gauge(phase) -> np.ndarray:
 
 
 def gauged_blocks(rabi, detuning, v, shape):
-    """The real sector blocks of drive_hamiltonian at phase 0, held matrix
+    """The sector blocks of drive_hamiltonian at phase 0, held matrix
     axes first over a shape the inputs broadcast to: pair (2, 2, *shape)
     on {|01>,|0r>}, which equals the block on {|10>,|r0>}, and triple
     (3, 3, *shape) on {|11>,|R>,|rr>}.
 
     The drive coupling is rabi / 2, enhanced by sqrt(2) on both links of
     the triple, and |rr> carries V + 2 Delta. |00> has energy 0 and the
-    antisymmetric state the detuning.
+    antisymmetric state the detuning. The blocks take the dtype of the
+    inputs: real for a real drive, complex for a complex detuning
+    Delta - i gamma, which puts apply_decay's -i gamma per excited atom
+    on pair[1, 1], triple[1, 1] and triple[2, 2] = 2 (Delta - i gamma) + V.
     """
     shape = tuple(shape)
-    pair = np.zeros((2, 2) + shape)
+    dtype = np.result_type(rabi, detuning, v, float)
+    pair = np.zeros((2, 2) + shape, dtype)
     pair[0, 1] = pair[1, 0] = 0.5 * rabi
     pair[1, 1] = detuning
     link = rabi / math.sqrt(2.0)
-    triple = np.zeros((3, 3) + shape)
+    triple = np.zeros((3, 3) + shape, dtype)
     triple[0, 1] = triple[1, 0] = link
     triple[1, 2] = triple[2, 1] = link
     triple[1, 1] = detuning

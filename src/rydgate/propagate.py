@@ -12,16 +12,18 @@ their steps. Noise is piecewise constant per substep, so with the
 substep count pinned to the noise trace either result is exact.
 
 No step builds a 9x9 operator. The drive leaves the sectors {00},
-{01,0r}, {10,r0}, {11,R,rr} and the antisymmetric state invariant, and
-so does decay (-i gamma per excited atom). Blocks are held matrix axes
-first (`SectorBlocks`), and `SectorBlocks.__matmul__` is the one block
-product. `unitary_step` exponentiates the blocks of a unitary step: the
-2x2 block in closed form, the real gauged 3x3 block {11,R,rr} as
-cos x - i sin x by scaling and squaring of its Taylor series, with no
-eigendecomposition. `decayed_step` exponentiates each block of a
-decayed step by the stacked `expm` of this module, which shares that
-scaling and squaring. `sector_unitary` and `computational_diagonal`
-are the only conversions to the 9x9 layout.
+{01,0r}, {10,r0}, {11,R,rr} and the antisymmetric state invariant.
+Blocks are held matrix axes first (`SectorBlocks`), and
+`SectorBlocks.__matmul__` is the one block product. `sector_step` is
+the one step: decay (-i gamma per excited atom) is the imaginary part
+of a complex detuning Delta - i gamma, since the drive puts the
+detuning once per excited atom. A real detuning takes the 2x2 block in
+closed form and the real gauged 3x3 block {11,R,rr} as cos x - i sin x
+by scaling and squaring of its Taylor series, with no
+eigendecomposition; a complex one takes each block through the stacked
+`expm` of this module, which shares that scaling and squaring.
+`sector_unitary` and `computational_diagonal` are the only conversions
+to the 9x9 layout.
 
 `sector_product` is the one time-ordered product, for every engine and
 every scan. The sampled engines take it over the intervals between
@@ -302,71 +304,55 @@ _EYE2 = np.eye(2)
 _GAUGE_ENTRIES = np.array([[0, 3, 4], [1, 0, 3], [2, 1, 0]])
 
 
-def _gauged_step_blocks(rabi, detuning, phase, v, dt):
-    """The real blocks of H dt at phase 0 (gauged_blocks of rabi dt,
-    detuning dt and v dt, as H is linear in them) on the shape of those
-    inputs at the rank of the stack shape S; S; and the factors
-    (3, 3, *S) e^{-i (j - k) phase} that gauge a block to the phase,
-    exactly 1 on the diagonal."""
+def _pair_rotation(pair: np.ndarray) -> np.ndarray:
+    """exp(-i B) for a stack of real 2 x 2 blocks B (2, 2, *S) with
+    coupling c = B[0, 1] and shift Delta = B[1, 1], in closed form:
+    e^{-i Delta / 2} (cos w - i sin w / w (B - Delta / 2)), w =
+    sqrt(c^2 + Delta^2 / 4)."""
+    half = 0.5 * pair[1, 1]
+    angle = np.hypot(pair[0, 1], half)
+    # sin(w) / w. It only multiplies the coupling and the shift, so below
+    # the smallest normal float (where both are smaller still) any
+    # finite value will do.
+    sine = np.sin(angle) / np.maximum(angle, _TINY)
+    eye = _EYE2.reshape(pair.shape[:2] + (1,) * (pair.ndim - 2))
+    return np.exp(-1j * half) * (np.cos(angle) * eye - 1j * sine * (pair - half * eye))
+
+
+def sector_step(rabi, detuning, phase, v, dt) -> SectorBlocks:
+    """exp(-i H dt) in sector form for H = drive_hamiltonian(rabi,
+    detuning, phase, v); the inputs broadcast to the stack shape S.
+
+    A complex detuning Delta - i gamma gives the decayed step: H carries
+    the detuning once per excited atom, so it is then apply_decay of the
+    drive at Delta, and gamma may vary along the stack like any input.
+
+    Only the gauge depends on the phase, so the blocks of H dt (linear
+    in rabi dt, detuning dt and v dt) are exponentiated at phase 0 on
+    the shape of the other inputs, then gauged; the antisymmetric state
+    picks up e^{-i Delta dt}. A real detuning takes the pair block in
+    closed form (_pair_rotation) and the real triple block x as
+    cos x - i sin x by _scaling_and_squaring. A complex one takes both
+    blocks through the stacked `expm`: with no closed form a large
+    gamma dt (620, say) stays finite, and a complex series would make
+    the real case slower. A generator that is not finite or has a
+    1-norm of 2^53 or more gives a NaN step.
+    """
     dt = np.asarray(dt, dtype=float)
     rabi, shift, v = rabi * dt, detuning * dt, v * dt
     phase = np.asarray(phase, dtype=float)
     drive, shape = np.broadcast(rabi, shift, v).shape, np.broadcast(rabi, shift, v, phase).shape
     rank = (1,) * len(shape)
+    pair, triple = gauged_blocks(rabi, shift, v, rank[len(drive) :] + drive)
+    if np.iscomplexobj(pair):
+        pair, triple = expm(-1j * pair), expm(-1j * triple)
+    else:
+        pair, triple = _pair_rotation(pair), _scaling_and_squaring(triple, _rotation)
     gauge = sector_gauge(phase.reshape(rank[phase.ndim :] + phase.shape))
     factors = np.concatenate((gauge, gauge[1:].conj()))[_GAUGE_ENTRIES]
-    return (*gauged_blocks(rabi, shift, v, rank[len(drive) :] + drive), shape, factors)
-
-
-def unitary_step(rabi, detuning, phase, v, dt) -> SectorBlocks:
-    """exp(-i H dt) in sector form for H = drive_hamiltonian(rabi,
-    detuning, phase, v); the inputs broadcast to the stack shape S.
-
-    Only the gauge depends on the phase, so the blocks are exponentiated
-    at phase 0 on the shape of the other inputs, then gauged. The
-    {01,0r} block is e^{-i Delta dt / 2} (cos(w dt) - i sin(w dt) / w
-    (H - Delta / 2)) with w = sqrt(|c|^2 + Delta^2 / 4) for the coupling
-    c, and the antisymmetric state picks up e^{-i Delta dt}. The triple
-    block x = T dt is real, and cos x - i sin x goes through
-    _scaling_and_squaring: a step whose x is not finite or has a 1-norm
-    of 2^53 or more is NaN there.
-    """
-    pair, triple, shape, factors = _gauged_step_blocks(rabi, detuning, phase, v, dt)
-    shift = pair[1, 1]
-    half = 0.5 * shift
-    angle = np.hypot(pair[0, 1], half)
-    # sin(w dt) / (w dt). It only multiplies the coupling and the
-    # detuning, so below the smallest normal float (where both are
-    # smaller still) any finite value will do.
-    sine = np.sin(angle) / np.maximum(angle, _TINY)
-    eye = _EYE2.reshape(pair.shape[:2] + (1,) * (pair.ndim - 2))
-    # e^{-i half} (cos - i sine (B - half)) for the gauged pair block B.
-    pair = np.exp(-1j * half) * (np.cos(angle) * eye - 1j * sine * (pair - half * eye))
     anti = np.empty(shape, dtype=complex)
     anti[...] = np.exp(-1j * shift)
-    return SectorBlocks(pair * factors[:2, :2], _scaling_and_squaring(triple, _rotation) * factors, anti)
-
-
-def decayed_step(rabi, detuning, phase, v, dt, gamma: float) -> SectorBlocks:
-    """exp(-i H_eff dt) in sector form, H_eff = H - i gamma (excited atoms).
-
-    H is drive_hamiltonian(rabi, detuning, phase, v). Decay adds -i gamma
-    on |0r>, -i gamma diag(0, 1, 2) to the triple block and -i gamma to
-    the antisymmetric state; it commutes with the gauge. The pair and
-    triple blocks each go through one stacked `expm`. It takes no 2x2
-    closed form, so a large gamma dt (620, say) stays finite; a generator
-    dt H_eff that is not finite or has a 1-norm of 2^53 or more
-    (_EXPM_NORM_LIMIT) gives a NaN step.
-    """
-    pair, triple, shape, factors = _gauged_step_blocks(rabi, detuning, phase, v, dt)
-    pair, triple = pair.astype(complex), triple.astype(complex)
-    decay = gamma * np.asarray(dt, dtype=float)
-    pair[1, 1] -= 1j * decay
-    triple[1, 1] -= 1j * decay
-    triple[2, 2] -= 2j * decay
-    anti = np.empty(shape, dtype=complex)
-    anti[...] = np.exp(-1j * pair[1, 1])
-    return SectorBlocks(expm(-1j * pair) * factors[:2, :2], expm(-1j * triple) * factors, anti)
+    return SectorBlocks(pair * factors[:2, :2], triple * factors, anti)
 
 
 def ordered_product(steps: SectorBlocks) -> SectorBlocks:
@@ -409,23 +395,24 @@ def batch_rows(width: int) -> int:
     return max(1, _BATCH_BLOCKS // int(width))
 
 
-def sector_product(rabi, detuning, phase, v, dt, gamma: float = 0.0) -> SectorBlocks:
-    """Time-ordered product of the steps exp(-i H dt) of a drive stack.
+def sector_product(rabi, detuning, phase, v, dt) -> SectorBlocks:
+    """Time-ordered product of the sector_step of a drive stack.
 
     The drive (rabi, detuning, phase, v) of drive_hamiltonian and the
     step lengths dt broadcast to S + (T,), where T is the time-ordered
     step axis, first step first; the product has the stack shape S.
-    A decay rate gamma > 0 takes decayed_step for every step.
+    A complex detuning Delta - i gamma stays complex: decayed steps.
     Each batch holds at most _BATCH_BLOCKS steps. Whole rows (the T
     steps of one stack element) are batched together and never split,
     so a row's product is the same in any batch; a row longer than the
     budget is sliced along time and its slices multiplied in order.
     """
-    drive = [np.asarray(x, dtype=float) for x in (rabi, detuning, phase, v, dt)]
+    rabi, phase, v, dt = (np.asarray(x, dtype=float) for x in (rabi, phase, v, dt))
+    drive = [rabi, np.asarray(detuning, dtype=np.result_type(detuning, float)), phase, v, dt]
     shape = np.broadcast(*drive).shape
     # One batch needs no reshaping, which saves a gate call about 80 us.
     if math.prod(shape) <= _BATCH_BLOCKS:
-        return _stack_product(*drive, gamma)
+        return ordered_product(sector_step(*drive))
     *stack, steps = shape
     rows = [np.broadcast_to(x, shape).reshape(-1, steps) for x in drive]
     count = batch_rows(steps)
@@ -436,19 +423,12 @@ def sector_product(rabi, detuning, phase, v, dt, gamma: float = 0.0) -> SectorBl
         total = None
         for start in range(0, steps, width):
             part = (row[first : first + count, start : start + width] for row in rows)
-            product = _stack_product(*part, gamma)
+            product = ordered_product(sector_step(*part))
             total = product if total is None else product @ total
         batches.append(total)
     return SectorBlocks(
         *(np.concatenate(b, axis=-1).reshape(b[0].shape[:-1] + tuple(stack)) for b in zip(*batches))
     )
-
-
-def _stack_product(rabi, detuning, phase, v, dt, gamma) -> SectorBlocks:
-    """sector_product of a stack that fits in one batch."""
-    if gamma == 0.0:
-        return ordered_product(unitary_step(rabi, detuning, phase, v, dt))
-    return ordered_product(decayed_step(rabi, detuning, phase, v, dt, gamma))
 
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -586,7 +566,7 @@ def _sampled_operators(schedule: Schedule, config: IntegratorConfig, gamma: floa
     drive, durations, starts = _segment_drive(schedule)
     if config.mode == EXACT:
         dt = durations / samples
-        rows = (np.asarray(x)[..., None, None] for x in (*drive, dt))
+        rabi, detuning, *rows = (np.asarray(x)[..., None, None] for x in (*drive, dt))
         ends = np.arange(1, samples + 1)
     else:
         steps = _segment_substeps(schedule, config)
@@ -594,11 +574,14 @@ def _sampled_operators(schedule: Schedule, config: IntegratorConfig, gamma: floa
         count = -(-steps // stride)
         pad = ((0, 0), (0, count * stride - steps), (0, 0))
         drive = _substep_drive(schedule, steps, config.integrator)
-        rows = (np.pad(x, pad).reshape(len(x), count, -1) for x in drive)
+        rabi, detuning, *rows = (np.pad(x, pad).reshape(len(x), count, -1) for x in drive)
         dt = durations / steps
         ends = np.minimum(np.arange(1, count + 1) * stride, steps)
+    if gamma > 0.0:
+        # Decay is -i gamma per excited atom: the imaginary part of the detuning.
+        detuning = detuning - 1j * gamma
     times = starts + ends * dt[:, None]
-    return times, _running_operators(sector_product(*rows, gamma), times.shape)
+    return times, _running_operators(sector_product(rabi, detuning, *rows), times.shape)
 
 
 def _running_operators(intervals: SectorBlocks, shape):

@@ -133,6 +133,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write --out") and "Traceback" not in err
 
+    @pytest.mark.parametrize("failure", ["metadata", "rows"])
+    def test_failed_write_leaves_neither_file(self, failure, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "scan.csv"
+        if failure == "metadata":
+            (tmp_path / "scan.meta.json").mkdir()
+        else:
+            def full_disk(self, handle):
+                handle.write("kappa\n")
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(experiments.ScanResult, "write_rows", full_disk)
+        assert run_cli(["scan-kappa", "--steps", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write --out")
+        assert not any(p.is_file() for p in tmp_path.iterdir())
+
 
 class TestParserReuse:
     def test_one_parser_serves_every_call(self, monkeypatch, capsys):

@@ -31,15 +31,14 @@ from rydgate.propagate import (
     SectorBlocks,
     computational_diagonal,
     convergence_check,
-    decayed_step,
     evolution_operator,
     ordered_product,
     propagate_density,
     propagate_state,
     resolve_config,
     sector_product,
+    sector_step,
     sector_unitary,
-    unitary_step,
 )
 
 V = 2.0 * math.pi
@@ -688,7 +687,7 @@ class TestSectorCore:
         rng = np.random.default_rng(900 + seed)
         drive = random_drive(rng, (3, 5))
         t = rng.uniform(0.0, 2.0, (3, 5))
-        actual = sector_unitary(unitary_step(*drive, t))
+        actual = sector_unitary(sector_step(*drive, t))
         assert actual.shape == (3, 5, 9, 9)
         for index in np.ndindex(3, 5):
             expected = oracle_unitary(*(x[index] for x in drive), t[index])
@@ -697,7 +696,7 @@ class TestSectorCore:
     @pytest.mark.parametrize("t", [1e-9, 50.0, 400.0])
     def test_short_and_long_durations(self, t):
         drive = random_drive(np.random.default_rng(910), (6,))
-        actual = sector_unitary(unitary_step(*drive, t))
+        actual = sector_unitary(sector_step(*drive, t))
         for index in range(6):
             expected = oracle_unitary(*(x[index] for x in drive), t)
             np.testing.assert_allclose(actual[index], expected, rtol=0.0, atol=1e-12)
@@ -706,7 +705,7 @@ class TestSectorCore:
         rng = np.random.default_rng(911)
         drive = random_drive(rng, (4,))
         t = rng.uniform(0.1, 3.0, (3, 1))
-        actual = sector_unitary(unitary_step(*drive, t))
+        actual = sector_unitary(sector_step(*drive, t))
         assert actual.shape == (3, 4, 9, 9)
         for i, k in np.ndindex(3, 4):
             expected = oracle_unitary(*(x[k] for x in drive), t[i, 0])
@@ -714,7 +713,7 @@ class TestSectorCore:
 
     def test_zero_duration_is_identity(self):
         drive = random_drive(np.random.default_rng(912), (5,))
-        actual = sector_unitary(unitary_step(*drive, 0.0))
+        actual = sector_unitary(sector_step(*drive, 0.0))
         np.testing.assert_allclose(actual, np.broadcast_to(np.eye(9), actual.shape), atol=1e-15)
 
     def test_steps_are_unitary(self):
@@ -725,7 +724,7 @@ class TestSectorCore:
         drive = random_drive(rng, (200,))
         dt = np.geomspace(1e-3, 3.0, 200)
         assert set(triple_squarings(drive, dt)) == set(range(9))
-        full = sector_unitary(unitary_step(*drive, dt))
+        full = sector_unitary(sector_step(*drive, dt))
         defect = np.abs(full @ full.conj().swapaxes(-1, -2) - np.eye(9)).max()
         assert defect <= 1e-13
 
@@ -735,9 +734,9 @@ class TestSectorCore:
         dt = np.geomspace(1e-3, 3e4, 48)
         squarings = triple_squarings(drive, dt)
         assert squarings.min() == 0 and squarings.max() >= 20
-        whole = unitary_step(*drive, dt)
+        whole = sector_step(*drive, dt)
         for k in range(48):
-            alone = unitary_step(*(x[k : k + 1] for x in drive), dt[k : k + 1])
+            alone = sector_step(*(x[k : k + 1] for x in drive), dt[k : k + 1])
             for actual, expected in zip(alone, whole.at(np.s_[k : k + 1])):
                 np.testing.assert_array_equal(actual, expected)
 
@@ -747,7 +746,7 @@ class TestSectorCore:
         # triple generator.
         v = -np.array([1.0, 2.0**53 - 2.0, 2.0**53, 1e300, np.inf])
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            step = unitary_step(0.0, 0.0, 0.3, v, 1.0)
+            step = sector_step(0.0, 0.0, 0.3, v, 1.0)
         assert np.isfinite(step.triple[..., :2]).all()
         np.testing.assert_allclose(step.triple[2, 2, 0], np.exp(1j), rtol=0.0, atol=1e-15)
         assert np.isnan(step.triple[..., 2:]).all()
@@ -760,7 +759,7 @@ class TestSectorCore:
     def test_ordered_product_matches_sequential_product(self, count):
         rng = np.random.default_rng(913 + count)
         drive = random_drive(rng, (2, count))
-        steps = unitary_step(*drive, rng.uniform(0.1, 1.0, (2, count)))
+        steps = sector_step(*drive, rng.uniform(0.1, 1.0, (2, count)))
         full = sector_unitary(steps)
         product = sector_unitary(ordered_product(steps))
         assert product.shape == (2, 9, 9)
@@ -794,15 +793,16 @@ class TestSectorCore:
         rng = np.random.default_rng(931)
         drive = random_drive(rng, (7, 5))
         dt = rng.uniform(0.1, 1.0, (7, 5))
-        reference = sector_product(*drive, dt, gamma)
+        drive = decayed(drive, gamma) if gamma else drive
+        reference = sector_product(*drive, dt)
         monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
-        for actual, expected in zip(sector_product(*drive, dt, gamma), reference):
+        for actual, expected in zip(sector_product(*drive, dt), reference):
             np.testing.assert_array_equal(actual, expected)
 
     def test_block_product_is_the_product_of_unitaries(self):
         rng = np.random.default_rng(920)
         drive = random_drive(rng, (4,))
-        a, b = unitary_step(*drive, 0.3), unitary_step(*drive, 1.1)
+        a, b = sector_step(*drive, 0.3), sector_step(*drive, 1.1)
         np.testing.assert_allclose(
             sector_unitary(a @ b), sector_unitary(a) @ sector_unitary(b), rtol=0.0, atol=1e-13
         )
@@ -810,7 +810,7 @@ class TestSectorCore:
 
     def test_computational_diagonal_is_what_the_scatter_places(self):
         rng = np.random.default_rng(921)
-        steps = unitary_step(*random_drive(rng, (2, 3)), rng.uniform(0, 2, (2, 3)))
+        steps = sector_step(*random_drive(rng, (2, 3)), rng.uniform(0, 2, (2, 3)))
         full = sector_unitary(steps)
         np.testing.assert_array_equal(
             computational_diagonal(steps), full[..., COMPUTATIONAL_INDICES, COMPUTATIONAL_INDICES]
@@ -937,20 +937,26 @@ class TestExpm:
         assert len(products) == 5 + 55
 
 
+def decayed(drive, gamma):
+    """The drive with decay gamma as the imaginary part of its detuning."""
+    rabi, detuning, *rest = drive
+    return (rabi, np.asarray(detuning) - 1j * gamma, *rest)
+
+
 def decay_oracle(drive, dt, gamma) -> np.ndarray:
     """scipy expm of the full decay-modified 9x9 operator."""
     return expm(-1j * apply_decay(drive_hamiltonian(*drive), DecaySpec(gamma=gamma)) * dt)
 
 
 class TestDecayedStep:
-    """decayed_step against expm of apply_decay(drive_hamiltonian(...))."""
+    """sector_step at a complex detuning against expm of apply_decay(drive_hamiltonian(...))."""
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 5.0])
     def test_matches_expm_of_full_operator(self, gamma):
         rng = np.random.default_rng(940)
         drive = random_drive(rng, (6,))
         dt = rng.uniform(0.0, 2.0, 6)
-        actual = sector_unitary(decayed_step(*drive, dt, gamma))
+        actual = sector_unitary(sector_step(*decayed(drive, gamma), dt))
         for index in range(6):
             expected = decay_oracle([x[index] for x in drive], dt[index], gamma)
             np.testing.assert_allclose(actual[index], expected, rtol=0.0, atol=1e-12)
@@ -961,14 +967,14 @@ class TestDecayedStep:
         gamma = 0.8
         drive = (gamma, 0.0, phase, 2.0)
         for dt in (0.1, 1.0, 7.0):
-            actual = sector_unitary(decayed_step(*drive, dt, gamma))
+            actual = sector_unitary(sector_step(*decayed(drive, gamma), dt))
             np.testing.assert_allclose(
                 actual, decay_oracle(drive, dt, gamma), rtol=0.0, atol=1e-12
             )
 
     def test_long_duration(self):
         drive = random_drive(np.random.default_rng(941), (4,))
-        actual = sector_unitary(decayed_step(*drive, 400.0, 0.05))
+        actual = sector_unitary(sector_step(*decayed(drive, 0.05), 400.0))
         for index in range(4):
             expected = decay_oracle([x[index] for x in drive], 400.0, 0.05)
             np.testing.assert_allclose(actual[index], expected, rtol=0.0, atol=1e-12)
@@ -979,7 +985,7 @@ class TestDecayedStep:
         schedule = standard_schedule(1.65, 2.0 * math.pi * 5.0 / 1.65, units="mhz")
         for segment in schedule.segments:
             drive = (segment.rabi, segment.detuning, segment.phase, schedule.interaction)
-            actual = sector_unitary(decayed_step(*drive, segment.duration, gamma))
+            actual = sector_unitary(sector_step(*decayed(drive, gamma), segment.duration))
             assert np.all(np.isfinite(actual))
             expected = decay_oracle(drive, segment.duration, gamma)
             np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
@@ -989,7 +995,7 @@ class TestDecayedStep:
         # triple steps are NaN, taken without squarings.
         products = counting_products(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
-            step = decayed_step(1.0, 0.0, 0.3, 2.0, 10.0, 1e308)
+            step = sector_step(1.0, -1e308j, 0.3, 2.0, 10.0)
         assert np.isnan(step.pair).all() and np.isnan(step.triple).all()
         assert len(products) == 2 * 5
 

@@ -11,9 +11,11 @@ from unittest import mock
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from rydgate import propagate
 from rydgate.experiments import superposition_state
+from rydgate.hamiltonian import apply_decay, drive_hamiltonian
 from rydgate.model import (
     DecaySpec,
     NoiseSpec,
@@ -28,9 +30,11 @@ from rydgate.propagate import (
     MIDPOINT,
     SUBSTEPPED,
     IntegratorConfig,
+    evolution_blocks,
     evolution_operator,
     propagate_density,
     sector_product,
+    sector_step,
     sector_unitary,
 )
 
@@ -49,6 +53,30 @@ plain_schedule = st.builds(
     segments=st.lists(segment, min_size=1, max_size=3).map(tuple),
     interaction=st.floats(0.0, 10.0, **finite),
 )
+# Any valid plain schedule, over the whole range of finite floats.
+valid_schedule = st.builds(
+    Schedule,
+    segments=st.lists(
+        st.builds(
+            PulseSegment,
+            rabi=st.floats(min_value=0.0, **finite),
+            detuning=st.floats(**finite),
+            phase=st.floats(**finite),
+            duration=st.floats(min_value=0.0, exclude_min=True, **finite),
+        ),
+        max_size=4,
+    ).map(tuple),
+    interaction=st.floats(min_value=0.0, **finite),
+    units=st.sampled_from(["natural", "mhz", "MHz", "megahertz"]),
+)
+# A drive (rabi, detuning, phase, v) and a decay rate.
+drives = st.tuples(
+    st.floats(0.0, 8.0, **finite),
+    st.floats(-4.0, 4.0, **finite),
+    st.floats(-math.pi, math.pi, **finite),
+    st.floats(0.0, 10.0, **finite),
+)
+rates = st.floats(0.0, 5.0, **finite)
 
 
 def magnus4(substeps: int, **fields) -> IntegratorConfig:
@@ -202,9 +230,55 @@ class TestBatchSplit:
             np.broadcast_to(rng.uniform(0.01, 0.2, (rows, substeps, 1)), nodes),
         )
         steps = [x.reshape(rows, -1) for x in propagate._magnus4_drive(*drive)]
+        if gamma:
+            steps[1] = steps[1] - 1j * gamma
         with mock.patch.object(propagate, "_BATCH_BLOCKS", budget):
-            stacked = sector_product(*steps, gamma)
+            stacked = sector_product(*steps)
             for row in range(rows):
-                alone = sector_product(*(x[row] for x in steps), gamma)
+                alone = sector_product(*(x[row] for x in steps))
                 for block, single in zip(stacked, alone):
                     np.testing.assert_array_equal(block[..., row], single)
+
+
+class TestDecayAsComplexDetuning:
+    """Decay gamma is the imaginary part of the detuning, Delta - i gamma."""
+
+    @given(drive=drives, gamma=rates)
+    def test_full_operator_is_apply_decay(self, drive, gamma):
+        rabi, detuning, phase, v = drive
+        decayed = drive_hamiltonian(rabi, detuning - 1j * gamma, phase, v)
+        expected = apply_decay(drive_hamiltonian(*drive), DecaySpec(gamma))
+        np.testing.assert_array_equal(decayed, expected)
+
+    @given(drive=drives, gamma=rates, dt=st.floats(0.0, 2.0, **finite))
+    def test_step_matches_expm_of_the_decayed_operator(self, drive, gamma, dt):
+        rabi, detuning, phase, v = drive
+        actual = sector_unitary(sector_step(rabi, detuning - 1j * gamma, phase, v, dt))
+        generator = apply_decay(drive_hamiltonian(*drive), DecaySpec(gamma))
+        np.testing.assert_allclose(actual, expm(-1j * generator * dt), rtol=0.0, atol=1e-12)
+
+    @given(rows=st.integers(1, 9), steps=st.integers(1, 6), seed=st.integers(0, 2**32))
+    def test_a_rate_per_row_gives_each_row_its_bits_alone(self, rows, steps, seed):
+        rng = np.random.default_rng(seed)
+        shape = (rows, steps)
+        rabi, phase = rng.uniform(0.0, 8.0, shape), rng.uniform(-math.pi, math.pi, shape)
+        v, dt = rng.uniform(0.0, 10.0, shape), rng.uniform(0.01, 2.0, shape)
+        detuning = rng.uniform(-4.0, 4.0, shape) - 1j * rng.uniform(0.0, 5.0, (rows, 1))
+        drive = (rabi, detuning, phase, v, dt)
+        stacked = sector_product(*drive)
+        for row in range(rows):
+            alone = sector_product(*(x[row] for x in drive))
+            for block, single in zip(stacked, alone):
+                np.testing.assert_array_equal(block[..., row], single)
+
+
+class TestScheduleProperties:
+    @given(schedule=valid_schedule)
+    def test_json_round_trip(self, schedule):
+        assert Schedule.from_json(schedule.to_json()) == schedule
+
+    @given(schedule=plain_schedule, factor=st.floats(0.01, 100.0, **finite))
+    def test_rescaling_leaves_the_evolution_unchanged(self, schedule, factor):
+        expected = evolution_blocks(schedule)
+        for actual, block in zip(evolution_blocks(schedule.rescaled(factor)), expected):
+            np.testing.assert_allclose(actual, block, rtol=0.0, atol=1e-12)
