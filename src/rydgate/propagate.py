@@ -18,10 +18,13 @@ Blocks are held matrix axes first (`SectorBlocks`), and
 the one step: decay (-i gamma per excited atom) is the imaginary part
 of a complex detuning Delta - i gamma, since the drive puts the
 detuning once per excited atom. A real detuning takes the 2x2 block in
-closed form and the real gauged 3x3 block {11,R,rr} as cos x - i sin x
-by scaling and squaring of its Taylor series, with no
-eigendecomposition; a complex one takes each block through the stacked
-`expm` of this module, which shares that scaling and squaring.
+closed form and the real gauged 3x3 block {11,R,rr} as cos x - i sin x,
+with no eigendecomposition: each matrix takes the series its own 1-norm
+needs, a short series in x^2 for a small step (to x^4, x^6 or x^8, up
+to 1-norms of 0.0066, 0.0381 and 0.1150) and else the degree-12 series
+by scaling and squaring. A complex detuning takes each block through
+the stacked `expm` of this module, which shares that scaling and
+squaring.
 `sector_unitary` and `computational_diagonal` are the only conversions
 to the 9x9 layout.
 
@@ -35,6 +38,7 @@ are no jump terms), and lost trace is never renormalized.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -108,6 +112,13 @@ class IntegratorConfig:
                 raise InvalidParameterError(
                     f"{name} per segment must lie in [1, {MAX_SUBSTEPS}], got {count}"
                 )
+        # A tolerance that no distance can fall below would double the
+        # substeps of convergence_check up to MAX_SUBSTEPS before it fails.
+        tolerance = self.convergence_tolerance
+        if not (isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance > 0):
+            raise InvalidParameterError(
+                f"convergence_tolerance must be finite and > 0, got {self.convergence_tolerance}"
+            )
 
 
 @dataclass(frozen=True)
@@ -203,9 +214,15 @@ _THETA = (2.0**-53 * math.factorial(13)) ** (1.0 / 13)
 _EXPM_NORM_LIMIT = 2.0**53
 
 
-def _scaling_and_squaring(generator: np.ndarray, polynomial) -> np.ndarray:
+def _one_norm(a: np.ndarray) -> np.ndarray:
+    """The 1-norm (largest column sum of magnitudes) of each matrix of a
+    stack (n, n, *S) held matrix axes first; NaN for a matrix with a NaN."""
+    return np.abs(a).sum(axis=0).max(axis=0)
+
+
+def _scaling_and_squaring(generator: np.ndarray, norm: np.ndarray, polynomial) -> np.ndarray:
     """exp of each matrix A of a stack (n, n, *S) held matrix axes first,
-    as polynomial(2^-s A) squared s times.
+    as polynomial(2^-s A) squared s times; norm holds each |A|_1.
 
     Scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 3 (2003);
     Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)): each
@@ -213,9 +230,9 @@ def _scaling_and_squaring(generator: np.ndarray, polynomial) -> np.ndarray:
     the polynomial, of degree 12, sees a 1-norm of at most _THETA. The
     squarings are masked per matrix, so no matrix's arithmetic depends on
     the rest of the stack. A matrix that is not finite, or has a 1-norm of
-    _EXPM_NORM_LIMIT or more, gives NaN.
+    _EXPM_NORM_LIMIT or more, gives NaN. The caller passes the norms
+    (_one_norm), which the real step also reads for its series class.
     """
-    norm = np.abs(generator).sum(axis=0).max(axis=0)
     valid = norm < _EXPM_NORM_LIMIT
     # Masking only where a matrix is out of range gives the same bits.
     masked = not valid.all()
@@ -258,7 +275,8 @@ def expm(matrix) -> np.ndarray:
     (_scaling_and_squaring). A matrix that is not finite, or has a 1-norm
     of 2^53 (_EXPM_NORM_LIMIT) or more, gives NaN.
     """
-    return _scaling_and_squaring(np.asarray(matrix, dtype=complex), _taylor)
+    matrix = np.asarray(matrix, dtype=complex)
+    return _scaling_and_squaring(matrix, _one_norm(matrix), _taylor)
 
 
 # The Taylor coefficients of exp(-i x) = cos x - i x (sin x / x) as
@@ -270,30 +288,112 @@ _SERIES = np.array([[(-1.0) ** k / math.factorial(2 * k + row) for k in range(7)
 _LOW_IDENTITY = np.eye(3)[:, :, None] * _SERIES[:, 0]
 _HIGH_IDENTITY = np.eye(3)[:, :, None] * _SERIES[:, 3]
 
+# The short series: both rows to y^m take a real x of 1-norm up to
+# theta_m unscaled, where the first neglected term of cos,
+# theta_m^(2m + 2) / (2m + 2)!, is the unit roundoff 2^-53 (the rule of
+# _THETA): theta_2 = 0.0066, theta_3 = 0.0381, theta_4 = 0.1150.
+_SHORT_DEGREES = (2, 3, 4)
+_SHORT_THETAS = np.array(
+    [(2.0**-53 * math.factorial(2 * m + 2)) ** (1.0 / (2 * m + 2)) for m in _SHORT_DEGREES]
+)
+
 
 def _rotation(x: np.ndarray) -> np.ndarray:
     """exp(-i x) = cos x - i sin x for a stack of real 3 x 3 matrices
     (3, 3, *S) of 1-norm at most _THETA.
 
-    Both series are evaluated at once, stacked on a new axis, by
-    Paterson-Stockmeyer in y, y^2 and y^3 in real arithmetic:
-    (a_0 + a_1 y + a_2 y^2) + y^3 (a_3 + a_4 y + a_5 y^2 + a_6 y^3).
+    Both series are evaluated at once, stacked on an axis after the
+    matrix axes, by Paterson-Stockmeyer in y, y^2 and y^3 in real
+    arithmetic: (a_0 + a_1 y + a_2 y^2) + y^3 (a_3 + a_4 y + a_5 y^2 +
+    a_6 y^3). The sums accumulate in place, term by term in that order.
     """
     y = _product(x, x)
     y2 = _product(y, y)
     y3 = _product(y2, y)
     rank = (1,) * (x.ndim - 2)
-    powers = np.empty((3, 3, 1, 3) + x.shape[2:])
-    powers[:, :, 0, 0], powers[:, :, 0, 1], powers[:, :, 0, 2] = y, y2, y3
-    terms = _SERIES[:, 4:].reshape((2, 3) + rank) * powers
-    high = terms[:, :, :, 0] + terms[:, :, :, 1]
-    high += terms[:, :, :, 2]
+    # c[k] holds the coefficients of y^k of both series.
+    c = _SERIES.T.reshape((7, 2) + rank)
+    high = np.multiply(c[4], y[:, :, None])
+    term = np.multiply(c[5], y2[:, :, None])
+    high += term
+    high += np.multiply(c[6], y3[:, :, None], out=term)
     high += _HIGH_IDENTITY.reshape((3, 3, 2) + rank)
-    terms = _SERIES[:, 1:3].reshape((2, 2) + rank) * powers[:, :, :, :2]
-    series = terms[:, :, :, 0] + terms[:, :, :, 1]
+    series = np.multiply(c[1], y[:, :, None])
+    series += np.multiply(c[2], y2[:, :, None], out=term)
+    del term
     series += _product(y3[:, :, None], high)
     series += _LOW_IDENTITY.reshape((3, 3, 2) + rank)
-    return series[:, :, 0] - 1j * _product(x, series[:, :, 1])
+    # cos - 1j * sin, with the bits (signed zeros included) of that expression.
+    result = np.empty(x.shape, dtype=complex)
+    result.real = series[:, :, 0]
+    np.subtract(0.0, _product(x, series[:, :, 1]), out=result.imag)
+    return result
+
+
+def _short_rotation(x: np.ndarray, degree: int) -> np.ndarray:
+    """exp(-i x) for a stack of real 3 x 3 matrices (3, 3, *S) of 1-norm
+    at most the theta of degree in _SHORT_DEGREES: cos x and sin x / x
+    both to y^degree, y = x^2, from the shared powers y, ..., y^degree.
+
+    The sums run from the highest power down and accumulate in place,
+    cos in the real part of the result; the array of each power, once
+    used, takes the next terms, and the identity is added last so that
+    a small x keeps its digits. Degree m takes m + 1 products.
+    """
+    powers = [_product(x, x)]
+    for k in range(2, degree + 1):
+        # y^k = y^(k // 2) y^(k - k // 2); powers[j] holds y^(j + 1).
+        powers.append(_product(powers[k // 2 - 1], powers[k - k // 2 - 1]))
+    result = np.empty(x.shape, dtype=complex)
+    cos, term = result.real, powers.pop()
+    sine = _SERIES[1, degree] * term
+    np.multiply(_SERIES[0, degree], term, out=cos)
+    for k in range(degree - 1, 0, -1):
+        power = powers.pop()
+        cos += np.multiply(_SERIES[0, k], power, out=term)
+        sine += np.multiply(_SERIES[1, k], power, out=term)
+    # The powers are spent: free them before the last product.
+    del power, term
+    # The diagonals, as views: result and sine are contiguous.
+    result.reshape(9, -1)[::4].real += 1.0
+    sine.reshape(9, -1)[::4] += 1.0
+    np.subtract(0.0, _product(x, sine), out=result.imag)
+    return result
+
+
+def _real_rotation(x: np.ndarray) -> np.ndarray:
+    """exp(-i x) for a stack of real 3 x 3 matrices (3, 3, *S), each by
+    the series its own 1-norm needs.
+
+    A matrix of 1-norm up to theta_m (_SHORT_THETAS) takes the short
+    series of degree m; a larger, non-finite or out-of-range one takes
+    the degree-12 _rotation by _scaling_and_squaring. The norm is computed
+    once, for the class and the squarings. A stack in one class is taken
+    whole; a mixed one is gathered once per class and scattered once, so
+    no matrix's arithmetic depends on the rest of the stack.
+    """
+    norm = _one_norm(x)
+    # NaN sorts last, into the top class.
+    classes = np.searchsorted(_SHORT_THETAS, norm)
+    # The top class is the last, and an empty stack takes it.
+    top = len(_SHORT_DEGREES)
+    low = classes.min(initial=top)
+    high = top if low == top else classes.max()
+    if low == high:
+        return _class_rotation(x, norm, low)
+    result = np.empty(x.shape, dtype=complex)
+    for k in range(low, high + 1):
+        members = classes == k
+        if members.any():
+            result[:, :, members] = _class_rotation(x[:, :, members], norm[members], k)
+    return result
+
+
+def _class_rotation(x: np.ndarray, norm: np.ndarray, k) -> np.ndarray:
+    """exp(-i x) for a stack whose norms all fall in class k of _real_rotation."""
+    if k < len(_SHORT_DEGREES):
+        return _short_rotation(x, _SHORT_DEGREES[k])
+    return _scaling_and_squaring(x, norm, _rotation)
 
 
 _TINY = np.finfo(float).tiny
@@ -332,7 +432,8 @@ def sector_step(rabi, detuning, phase, v, dt) -> SectorBlocks:
     the shape of the other inputs, then gauged; the antisymmetric state
     picks up e^{-i Delta dt}. A real detuning takes the pair block in
     closed form (_pair_rotation) and the real triple block x as
-    cos x - i sin x by _scaling_and_squaring. A complex one takes both
+    cos x - i sin x by _real_rotation, each matrix by the series its own
+    1-norm needs. A complex one takes both
     blocks through the stacked `expm`: with no closed form a large
     gamma dt (620, say) stays finite, and a complex series would make
     the real case slower. A generator that is not finite or has a
@@ -347,7 +448,7 @@ def sector_step(rabi, detuning, phase, v, dt) -> SectorBlocks:
     if np.iscomplexobj(pair):
         pair, triple = expm(-1j * pair), expm(-1j * triple)
     else:
-        pair, triple = _pair_rotation(pair), _scaling_and_squaring(triple, _rotation)
+        pair, triple = _pair_rotation(pair), _real_rotation(triple)
     gauge = sector_gauge(phase.reshape(rank[phase.ndim :] + phase.shape))
     factors = np.concatenate((gauge, gauge[1:].conj()))[_GAUGE_ENTRIES]
     anti = np.empty(shape, dtype=complex)

@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from rydgate.errors import IntegratorFailureError, InvalidParameterError, ModeError
@@ -227,6 +230,18 @@ class TestConfig:
         for count in (MAX_SUBSTEPS + 1, 10**15):
             with pytest.raises(InvalidParameterError, match=str(MAX_SUBSTEPS)):
                 IntegratorConfig(**{field: count})
+
+    @pytest.mark.parametrize(
+        "tolerance", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, "1e-6", None]
+    )
+    def test_rejects_tolerances_no_distance_can_meet(self, tolerance):
+        # convergence_check would double the substeps to the limit and fail there.
+        with pytest.raises(InvalidParameterError, match="convergence_tolerance"):
+            IntegratorConfig(mode=SUBSTEPPED, convergence_tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", [5e-324, 1e-8, 1.0, 1e300, np.float32(1e-3), 2])
+    def test_accepts_finite_positive_tolerances(self, tolerance):
+        assert IntegratorConfig(convergence_tolerance=tolerance).convergence_tolerance == tolerance
 
     def test_integrator_defaults_to_midpoint(self):
         assert IntegratorConfig().integrator == MIDPOINT
@@ -935,6 +950,116 @@ class TestExpm:
         # Five products for the polynomial, then 55 squarings for the
         # largest 1-norm below 2^53.
         assert len(products) == 5 + 55
+
+
+def symmetric_with_norm(rng, norm: float) -> np.ndarray:
+    """A random real symmetric 3 x 3 matrix of 1-norm exactly norm.
+
+    Its entries are integer multiples of the last bit of norm, so every
+    column sum is exact; a random column sums to norm, the others less."""
+    mantissa, exponent = math.frexp(norm)
+    whole = int(mantissa * 2**53)
+    x = np.zeros((3, 3))
+    x[np.triu_indices(3, 1)] = rng.integers(-whole // 8, whole // 8, 3)
+    x += x.T
+    targets = rng.permutation([whole, 3 * (whole // 4), whole // 2])
+    diagonal = (targets - np.abs(x).sum(axis=0)) * rng.choice([-1.0, 1.0], 3)
+    return (x + np.diag(diagonal)) * 2.0 ** (exponent - 53)
+
+
+def unitarity_defect(u: np.ndarray) -> float:
+    return float(np.abs(u @ u.conj().T - np.eye(len(u))).max())
+
+
+# The products of each series class: m + 1 for the short series to y^m,
+# and 5 for the degree-12 series of the top class, here with no squaring.
+CLASS_PRODUCTS = (3, 4, 5, 5)
+
+
+class TestSizedSeries:
+    """The real triple step takes the series its own 1-norm needs:
+    degree m in y = x^2 up to theta_m (_SHORT_THETAS), else the degree-12
+    series by scaling and squaring."""
+
+    def test_thetas_follow_the_rule_of_the_top_class(self):
+        # The first neglected term of cos, theta^(2m + 2) / (2m + 2)!, is 2^-53.
+        np.testing.assert_allclose(propagate._SHORT_THETAS, [0.0066, 0.0381, 0.1150], atol=5e-5)
+        assert propagate._SHORT_THETAS[-1] < propagate._THETA
+
+    @pytest.mark.parametrize("index", range(3))
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    def test_each_class_edge_matches_scipy(self, index, side, monkeypatch):
+        # theta (1 - 2^-52) and theta take class m, theta (1 + 2^-52) the next.
+        norm = propagate._SHORT_THETAS[index] * (1.0 + side * 2.0**-52)
+        x = symmetric_with_norm(np.random.default_rng(970 + index), norm)
+        assert propagate._one_norm(x) == norm
+        products = counting_products(monkeypatch)
+        actual = propagate._real_rotation(x[..., None])[..., 0]
+        assert len(products) == CLASS_PRODUCTS[index + (side > 0)]
+        np.testing.assert_allclose(actual, expm(-1j * x), rtol=0.0, atol=1e-15)
+        assert unitarity_defect(actual) <= 1e-15
+
+    @given(norm=st.floats(1e-12, 0.3), seed=st.integers(0, 2**32))
+    def test_a_step_of_any_class_matches_scipy(self, norm, seed):
+        x = symmetric_with_norm(np.random.default_rng(seed), norm)
+        actual = propagate._real_rotation(x)
+        np.testing.assert_allclose(actual, expm(-1j * x), rtol=0.0, atol=1e-15)
+        assert unitarity_defect(actual) <= 1e-15
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_product_count_per_class(self, index, monkeypatch):
+        upper = (*propagate._SHORT_THETAS, propagate._THETA)[index]
+        x = symmetric_with_norm(np.random.default_rng(975), 0.9 * upper)
+        products = counting_products(monkeypatch)
+        propagate._real_rotation(np.stack([x, 0.5 * x], axis=-1))
+        assert len(products) == CLASS_PRODUCTS[index]
+
+    def test_a_matrix_gives_the_same_bits_alone_and_in_a_mixed_stack(self):
+        # Random drives from far below theta_2 to many squarings, every
+        # class edge, and generators that are NaN, infinite or of 1-norm
+        # 2^53 (no drive and no detuning: |v dt| is the 1-norm).
+        rng = np.random.default_rng(976)
+        rabi, detuning, phase, v = random_drive(rng, (40,))
+        dt = np.geomspace(1e-5, 30.0, 40)
+        edges = np.outer(propagate._SHORT_THETAS, 1.0 + np.array([-1.0, 0.0, 1.0]) * 2.0**-52)
+        extra = np.concatenate((edges.ravel(), [np.nan, np.inf, 2.0**53]))
+        rabi, detuning = (np.concatenate((x, np.zeros(len(extra)))) for x in (rabi, detuning))
+        phase = np.concatenate((phase, rng.uniform(-math.pi, math.pi, len(extra))))
+        v = np.concatenate((v, -extra))
+        dt = np.concatenate((dt, np.ones(len(extra))))
+        _, triple = gauged_blocks(rabi * dt, detuning * dt, v * dt, dt.shape)
+        norm = propagate._one_norm(triple)
+        classes = np.searchsorted(propagate._SHORT_THETAS, norm)
+        assert set(classes) == {0, 1, 2, 3} and np.isnan(norm).any()
+        # A two-axis stack: the classes are gathered along both.
+        drive = [x.reshape(4, -1) for x in (rabi, detuning, phase, v, dt)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            whole = sector_step(*drive)
+            for index in np.ndindex(drive[0].shape):
+                alone = sector_step(*(x[index] for x in drive))
+                for single, block in zip(alone, whole.at(index)):
+                    assert single.tobytes() == np.ascontiguousarray(block).tobytes()
+        out_of_range = ~(norm.reshape(4, -1) < 2.0**53)
+        assert np.isnan(whole.triple[..., out_of_range]).all()
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_a_short_series_matches_the_degree_12_series(self, index):
+        # Within the rounding of either: the series differ by less than 2^-53.
+        rng = np.random.default_rng(977)
+        norms = propagate._SHORT_THETAS[index] * np.geomspace(1e-3, 1.0, 9)
+        x = np.stack([symmetric_with_norm(rng, norm) for norm in norms], axis=-1)
+        short = propagate._short_rotation(x, propagate._SHORT_DEGREES[index])
+        top = propagate._scaling_and_squaring(x, propagate._one_norm(x), propagate._rotation)
+        np.testing.assert_allclose(short, top, rtol=0.0, atol=2e-16)
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4)])
+    def test_an_empty_stack_gives_empty_blocks(self, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step = sector_step(np.zeros(shape), np.zeros(shape), 0.3, 2.0, 0.1)
+            rotation = propagate._real_rotation(np.zeros((3, 3) + shape))
+        assert step.pair.shape == (2, 2) + shape and step.triple.shape == (3, 3) + shape
+        assert step.anti.shape == shape and rotation.shape == (3, 3) + shape
 
 
 def decayed(drive, gamma):

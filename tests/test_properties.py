@@ -15,8 +15,9 @@ from scipy.linalg import expm
 
 from rydgate import propagate
 from rydgate.experiments import superposition_state
-from rydgate.hamiltonian import apply_decay, drive_hamiltonian
+from rydgate.hamiltonian import apply_decay, build_full, drive_hamiltonian
 from rydgate.model import (
+    EXCITATION_COUNT,
     DecaySpec,
     NoiseSpec,
     PulseSegment,
@@ -282,3 +283,33 @@ class TestScheduleProperties:
         expected = evolution_blocks(schedule)
         for actual, block in zip(evolution_blocks(schedule.rescaled(factor)), expected):
             np.testing.assert_allclose(actual, block, rtol=0.0, atol=1e-12)
+
+
+# The invariant subspaces of the 9 states: {00}, {01, 0r}, {10, r0}, and
+# {11, 1r, r1, rr}, which holds the triple block and the antisymmetric state.
+SECTORS = ((0,), (1, 2), (3, 6), (4, 5, 7, 8))
+OUTSIDE_SECTORS = np.ones((9, 9), dtype=bool)
+for sector in SECTORS:
+    OUTSIDE_SECTORS[np.ix_(sector, sector)] = False
+durations = st.floats(0.0, 2.0, **finite)
+
+
+class TestSectorSymmetries:
+    @given(drive=drives, dt=durations)
+    def test_the_step_leaves_every_sector_invariant(self, drive, dt):
+        step = sector_unitary(sector_step(*drive, dt))
+        assert np.all(step[OUTSIDE_SECTORS] == 0.0)
+        rabi, detuning, phase, v = drive
+        full = expm(-1j * dt * build_full(PulseSegment(rabi, detuning, phase, 1.0), v))
+        assert np.abs(full[OUTSIDE_SECTORS]).max() <= 1e-15
+
+    @given(drive=drives, shift=st.floats(-math.pi, math.pi, **finite), dt=durations)
+    def test_a_phase_shift_is_a_single_atom_gauge(self, drive, shift, dt):
+        # U(phase + c) = D(c) U(phase) D(c)^dagger, D(c) = diag(e^{-i c n})
+        # for the excitation count n of each state.
+        rabi, detuning, phase, v = drive
+        gauge = np.exp(-1j * shift * EXCITATION_COUNT)
+        shifted = sector_unitary(sector_step(rabi, detuning, phase + shift, v, dt))
+        step = sector_unitary(sector_step(*drive, dt))
+        expected = gauge[:, None] * step * gauge.conj()[None, :]
+        np.testing.assert_allclose(shifted, expected, rtol=0.0, atol=1e-13)
