@@ -18,13 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .errors import InvalidParameterError
+from .errors import IntegratorFailureError, InvalidParameterError
 from .geometry import chi
 from .metrics import (
     OVERLAP_TOL,
     GateOutcome,
     compensated_fidelity,
-    conditional_state_fidelity,
     diagonal_summary,
 )
 from .model import (
@@ -43,15 +42,16 @@ from .model import (
 )
 from .propagate import (
     SUBSTEPPED,
+    TRACE_GROWTH_TOL,
     IntegratorConfig,
     batch_rows,
     check_finite,
     computational_diagonal,
     evolution_blocks,
     propagate_basis,
-    propagate_density,
     sector_product,
     sector_step,
+    sector_unitary,
 )
 from .stochastic import monte_carlo_gate_fidelity, thermal_gate_fidelity
 
@@ -418,49 +418,47 @@ def run_decay_curves(
 ) -> ScanResult:
     """Conditional state fidelity versus excited-level decay rate.
 
-    Each curve propagates the equal superposition of the computational
-    states as a density matrix and scores the surviving state against
-    the decay-free final state of the same schedule. The optional
-    comparison curve uses the single-segment phase-driven schedule.
+    Each curve evolves the equal superposition of the computational
+    states and scores the surviving state against the decay-free final
+    state of the same schedule. The optional comparison curve uses the
+    single-segment phase-driven schedule.
+
+    A curve is one evolution_blocks stack over the decay rates, the
+    decay-free rate first: the final density M rho M^dagger of a pure
+    state is pure (there are no jump terms), so each rate's final state
+    phi = M psi gives conditional_state_fidelity of its density as
+    |<phi_0|phi>|^2 / |phi|^2 (_decayed_fidelities).
     """
     if rabi_frequencies is None:
         rabi_frequencies = tuple(2.0 * math.pi * f for f in (5.0, 10.0, 20.0))
     if multiplier_grid is None:
         multiplier_grid = np.linspace(0.0, 10.0, 21)
     multipliers = [float(r) for r in np.atleast_1d(multiplier_grid)]
+    # Each distinct rate once, 0 (the reference) first; rows maps them back.
+    rates, rows = np.unique(
+        [0.0] + [DecaySpec.from_multiplier(m).gamma for m in multipliers], return_inverse=True
+    )
     initial = superposition_state()
-    rho_initial = np.outer(initial, initial.conj())
 
     curves = []
     for rabi in rabi_frequencies:
         name = f"geo-{rabi / (2.0 * math.pi):g}mhz"
         schedule = standard_schedule(kappa, rabi / kappa, units="mhz")
-        config = IntegratorConfig(samples_per_segment=1)
-        curves.append((name, schedule, config))
+        curves.append((name, schedule, None))
     if compare_time_optimal:
-        config = IntegratorConfig(
-            mode=SUBSTEPPED,
-            substeps_per_segment=int(time_optimal_substeps),
-            samples_per_segment=1,
-        )
+        config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=time_optimal_substeps)
         curves.append(("time-optimal", time_optimal_schedule(), config))
 
     fidelities = []
-    for _, schedule, config in curves:
-        reference = propagate_density(
-            schedule, rho_initial, DecaySpec(gamma=0.0), config
-        ).final_state
-        for multiplier in multipliers:
-            decayed = propagate_density(
-                schedule, rho_initial, DecaySpec.from_multiplier(multiplier), config
-            ).final_state
-            fidelities.append(conditional_state_fidelity(decayed, reference))
+    for name, schedule, config in curves:
+        states = (sector_unitary(evolution_blocks(schedule, config, rates)) @ initial)[rows]
+        fidelities.append(_decayed_fidelities(states, name, [0.0] + multipliers))
     gamma_multiplier = np.tile(multipliers, len(curves))
     table = {
         "curve": [name for name, _, _ in curves for _ in multipliers],
         "gamma_multiplier": gamma_multiplier,
         "gamma": gamma_multiplier * BASE_DECAY_RATE,
-        "fidelity": np.array(fidelities),
+        "fidelity": np.array(fidelities).reshape(-1),
     }
     return _scan_result(
         {"curve": [name for name, _, _ in curves], "gamma_multiplier": multipliers},
@@ -473,6 +471,35 @@ def run_decay_curves(
             "time_optimal_substeps": int(time_optimal_substeps),
         },
     )
+
+
+def _decayed_fidelities(states: np.ndarray, curve: str, multipliers) -> np.ndarray:
+    """Fidelity of each decayed final state states[1:] against the
+    decay-free states[0] of a curve, conditioned on survival.
+
+    multipliers names the decay multiplier of each state. The checks of
+    propagate_density hold for each: a surviving population |phi|^2 that
+    is not finite (a NaN step), is 0 (decay keeps e^{-gamma t} > 0 of it)
+    or exceeds 1 by more than TRACE_GROWTH_TOL raises
+    IntegratorFailureError naming the curve and the multiplier.
+    """
+    survival = np.sum(np.abs(states) ** 2, axis=-1)
+    what = f"the surviving population of curve {curve}"
+    check_finite(survival, what, "gamma multiplier", multipliers)
+    lost = np.flatnonzero(survival == 0.0)
+    if lost.size:
+        raise IntegratorFailureError(
+            f"{what} is lost: the decayed product underflowed to 0"
+            f" at gamma multiplier = {multipliers[lost[0]]}"
+        )
+    grew = np.flatnonzero(survival > 1.0 + TRACE_GROWTH_TOL)
+    if grew.size:
+        raise IntegratorFailureError(
+            f"{what} grew from 1 to {survival[grew[0]]}"
+            f" at gamma multiplier = {multipliers[grew[0]]}"
+        )
+    overlaps = states[1:] @ states[0].conj()
+    return np.abs(overlaps) ** 2 / survival[1:]
 
 
 def _cell_fidelity(amplitudes: np.ndarray) -> np.ndarray:

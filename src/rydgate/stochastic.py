@@ -165,7 +165,7 @@ def thermal_gate_fidelity(
     oscillations per segment period. Zero temperature reproduces the
     noise-free fidelity exactly.
     """
-    config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=int(substeps))
+    config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=substeps)
     schedule, amplitudes, target = _nominal_gate(kappa, v)
     if thermal.temperature != 0.0:
         if thermal.vibration_rate is None:

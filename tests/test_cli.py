@@ -349,6 +349,16 @@ class TestOtherCommands:
         assert "1-norm of 2^53" in err
         assert not out.exists()
 
+    def test_decay_overflow_with_the_substepped_curve_exits_three(self, capsys):
+        # As in CI: the geo curve's NaN steps fail first, naming it.
+        code = run_cli(
+            ["decay", "--rabi", "5", "--rsteps", "2", "--rmax", "1e300", "--to-substeps", "7"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error: the surviving population of curve geo-5mhz is not finite" in err
+        assert "gamma multiplier = 1e+300" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "args",
         [

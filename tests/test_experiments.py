@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -13,12 +14,13 @@ import scipy.linalg
 from scipy.linalg import expm
 
 from rydgate import experiments, metrics, propagate
-from rydgate.errors import InvalidParameterError, UndefinedPhaseError
+from rydgate.errors import IntegratorFailureError, InvalidParameterError, UndefinedPhaseError
 from rydgate.experiments import (
     REFERENCE_KAPPA,
     InterferometerSpec,
     ScanResult,
     _cell_fidelity,
+    _decayed_fidelities,
     interior_extrema,
     preparation_operator,
     preparation_rotation,
@@ -36,12 +38,14 @@ from rydgate.hamiltonian import build_full
 from rydgate.metrics import gate_outcome, gate_summary
 from rydgate.model import (
     COMPUTATIONAL_INDICES,
+    DecaySpec,
     PulseSegment,
     Schedule,
     basis_state,
     cyclic_segment_duration,
     standard_phases,
     standard_schedule,
+    time_optimal_schedule,
 )
 from rydgate.propagate import batch_rows, evolution_operator, sector_product, sector_unitary
 
@@ -392,6 +396,107 @@ class TestDecayCurves:
         assert not scipy_files
         assert [row["curve"] for row in result.rows] == ["geo-5mhz"] * 2 + ["time-optimal"] * 2
         assert result.rows[1]["fidelity"] == pytest.approx(0.9980476256, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "rabi, multipliers",
+        [
+            ((5.0, 10.3), [0.0, 5.0, 10.0]),
+            ((5.0,), [1e5, 0.0, 5.0]),
+            ((19.1,), [0.0]),
+        ],
+    )
+    def test_each_rate_matches_its_density_propagation(self, rabi, multipliers):
+        # The stacked curves against one propagate_density per rate, scored
+        # by conditional_state_fidelity as the curves once were.
+        result = run_decay_curves(
+            rabi_frequencies=tuple(2.0 * math.pi * f for f in rabi),
+            multiplier_grid=multipliers,
+            time_optimal_substeps=8,
+        )
+        psi = superposition_state()
+        rho = np.outer(psi, psi.conj())
+        expected = []
+        for f in rabi:
+            v = 2.0 * math.pi * f / REFERENCE_KAPPA
+            schedule = standard_schedule(REFERENCE_KAPPA, v, units="mhz")
+            expected.append((schedule, propagate.IntegratorConfig(samples_per_segment=1)))
+        config = propagate.IntegratorConfig(mode=propagate.SUBSTEPPED, substeps_per_segment=8)
+        expected.append((time_optimal_schedule(), config))
+        fidelities = []
+        for schedule, config in expected:
+            free = propagate.propagate_density(schedule, rho, DecaySpec(0.0), config)
+            reference = free.final_state
+            for multiplier in multipliers:
+                decay = DecaySpec.from_multiplier(multiplier)
+                decayed = propagate.propagate_density(schedule, rho, decay, config).final_state
+                fidelities.append(metrics.conditional_state_fidelity(decayed, reference))
+        np.testing.assert_allclose(result.table["fidelity"], fidelities, rtol=0.0, atol=1e-12)
+
+    def test_one_product_per_curve_and_no_density(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a density path ran")
+
+        monkeypatch.setattr(propagate, "propagate_density", refuse)
+        monkeypatch.setattr(metrics, "conditional_state_fidelity", refuse)
+        calls, original = [], propagate.sector_product
+        monkeypatch.setattr(
+            propagate, "sector_product", lambda *args: calls.append(1) or original(*args)
+        )
+        result = run_decay_curves(
+            rabi_frequencies=tuple(2.0 * math.pi * f for f in (5.0, 10.0, 20.0)),
+            multiplier_grid=np.linspace(0.0, 10.0, 21),
+            time_optimal_substeps=8,
+        )
+        assert len(result.axes["curve"]) == 4
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize(
+        "curve, options",
+        [
+            (
+                "geo-5mhz",
+                {"rabi_frequencies": (2.0 * math.pi * 5.0,), "compare_time_optimal": False},
+            ),
+            ("time-optimal", {"rabi_frequencies": (), "time_optimal_substeps": 7}),
+        ],
+    )
+    def test_nan_steps_name_the_curve_and_the_multiplier(self, curve, options):
+        # gamma dt near 1e297 is beyond the 1-norm limit 2^53 of the step
+        # exponential: NaN steps, never a nan fidelity.
+        message = (
+            f"the surviving population of curve {curve} is not finite at gamma multiplier"
+            f" = 1e+300: {propagate.NAN_STEP}"
+        )
+        with pytest.raises(IntegratorFailureError, match=re.escape(message)):
+            run_decay_curves(multiplier_grid=[0.0, 5.0, 1e300], **options)
+
+    def test_growing_survival_fails(self, monkeypatch):
+        # Decayed steps scaled by 1.01 make the surviving population grow.
+        original = propagate.expm
+        monkeypatch.setattr(propagate, "expm", lambda matrix: 1.01 * original(matrix))
+        with pytest.raises(
+            IntegratorFailureError,
+            match=r"population of curve geo-5mhz grew from 1 to .* at gamma multiplier = 0\.0$",
+        ):
+            run_decay_curves(
+                rabi_frequencies=(2.0 * math.pi * 5.0,),
+                multiplier_grid=[5.0],
+                compare_time_optimal=False,
+            )
+
+    def test_lost_survival_fails(self):
+        states = np.zeros((3, 9), dtype=complex)
+        states[:2, 0] = 1.0
+        with pytest.raises(
+            IntegratorFailureError, match=r"curve c is lost: .* at gamma multiplier = 7\.0$"
+        ):
+            _decayed_fidelities(states, "c", [0.0, 5.0, 7.0])
+
+    @pytest.mark.parametrize("substeps", [2.7, "8", None])
+    def test_rejects_substeps_that_are_not_integers(self, substeps):
+        # int() once truncated 2.7 to 2 substeps.
+        with pytest.raises(InvalidParameterError, match="substeps_per_segment must be an integer"):
+            run_decay_curves(multiplier_grid=[1.0], time_optimal_substeps=substeps)
 
     def test_faster_drive_decays_less(self):
         result = run_decay_curves(

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+import time
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ from scipy.linalg import expm
 
 from rydgate.errors import IntegratorFailureError, InvalidParameterError, ModeError
 from rydgate.model import (
+    BASE_DECAY_RATE,
     EXCITATION_COUNT,
     DecaySpec,
     NoiseSpec,
@@ -29,11 +32,14 @@ from rydgate.propagate import (
     EXACT,
     MAGNUS4,
     MIDPOINT,
+    NAN_STEP,
     SUBSTEPPED,
+    ConvergenceReport,
     IntegratorConfig,
     SectorBlocks,
     computational_diagonal,
     convergence_check,
+    evolution_blocks,
     evolution_operator,
     ordered_product,
     propagate_density,
@@ -230,6 +236,21 @@ class TestConfig:
         for count in (MAX_SUBSTEPS + 1, 10**15):
             with pytest.raises(InvalidParameterError, match=str(MAX_SUBSTEPS)):
                 IntegratorConfig(**{field: count})
+
+    @pytest.mark.parametrize("field", ["substeps_per_segment", "samples_per_segment"])
+    @pytest.mark.parametrize(
+        "count", ["many", None, 2.7, 2.0, np.float64(3.0), "3", True, False, 1 + 0j]
+    )
+    def test_rejects_counts_that_are_not_integers(self, field, count):
+        # int(count) raised ValueError on 'many' and TypeError on None, and
+        # kept 2.7, which the substep loop then truncated to 2.
+        with pytest.raises(InvalidParameterError, match=f"{field} must be an integer"):
+            IntegratorConfig(**{field: count})
+
+    @pytest.mark.parametrize("field", ["substeps_per_segment", "samples_per_segment"])
+    @pytest.mark.parametrize("count", [1, 7, np.int64(7), np.uint16(7), MAX_SUBSTEPS])
+    def test_accepts_integer_counts(self, field, count):
+        assert getattr(IntegratorConfig(**{field: count}), field) == count
 
     @pytest.mark.parametrize(
         "tolerance", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, "1e-6", None]
@@ -666,6 +687,132 @@ class TestConvergence:
             convergence_check(
                 standard_schedule(1.0, V), basis_state("00"), IntegratorConfig()
             )
+
+    def test_rejects_unnormalized_initial_state(self):
+        with pytest.raises(InvalidParameterError, match="must be normalized"):
+            convergence_check(
+                time_optimal_schedule(), 0.9 * basis_state("11"), IntegratorConfig(mode=SUBSTEPPED)
+            )
+
+    def test_nan_steps_fail_at_once(self):
+        # A drive of 1e300 puts every step generator's 1-norm beyond 2^53:
+        # NaN steps. The check once doubled them to 2^20 substeps (5.5 s)
+        # and then reported no convergence.
+        base = time_optimal_schedule()
+        segment = dataclasses.replace(base.segments[0], rabi=1e300)
+        schedule = dataclasses.replace(base, segments=(segment,))
+        config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=200)
+        start = time.perf_counter()
+        message = f"final state is not finite at substeps per segment = 200: {NAN_STEP}"
+        with pytest.raises(IntegratorFailureError, match=re.escape(message)):
+            convergence_check(schedule, experiments.superposition_state(), config)
+        assert time.perf_counter() - start < 1.0
+
+    def test_takes_final_states_without_sampling(self, monkeypatch):
+        # The report is the one that propagate_state's final states gave.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sampling engine ran")
+
+        monkeypatch.setattr(propagate, "_sampled", refuse)
+        config = IntegratorConfig(
+            mode=SUBSTEPPED, substeps_per_segment=200, convergence_tolerance=1e-6
+        )
+        psi = experiments.superposition_state()
+        report = convergence_check(time_optimal_schedule(), psi, config)
+        assert report == ConvergenceReport(
+            converged_substeps=800,
+            distance=pytest.approx(1.1083221088021073e-07, rel=1e-9),
+            initial_substeps=200,
+            integrator=MAGNUS4,
+        )
+
+    @pytest.mark.parametrize("substeps", [200, 400, 800, 1100])
+    def test_final_state_is_the_sampled_one(self, substeps):
+        # 1,100 MAGNUS4 substeps are 2,200 exponentials: a row sliced in two.
+        schedule, psi = time_optimal_schedule(), experiments.superposition_state()
+        config = IntegratorConfig(
+            mode=SUBSTEPPED,
+            substeps_per_segment=substeps,
+            samples_per_segment=1,
+            integrator=MAGNUS4,
+        )
+        sampled = propagate_state(schedule, psi, config).final_state
+        final = sector_unitary(evolution_blocks(schedule, config)) @ psi
+        np.testing.assert_allclose(final, sampled, rtol=0.0, atol=1e-15)
+
+
+class TestDecayStack:
+    """evolution_blocks over a stack of decay rates against propagate_density at each rate."""
+
+    # Multipliers 0, 5 and 1e5 (gamma dt near 620 on a 5 MHz segment).
+    RATES = [0.0, 5.0 * BASE_DECAY_RATE, 1e5 * BASE_DECAY_RATE]
+
+    @pytest.mark.parametrize(
+        "kind, config",
+        [
+            ("plain", IntegratorConfig(samples_per_segment=1)),
+            ("phase-driven", IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=8)),
+            (
+                "phase-driven",
+                IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=8, integrator=MAGNUS4),
+            ),
+            ("noisy", IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=8)),
+        ],
+    )
+    def test_rows_match_density_propagation(self, kind, config):
+        if kind == "plain":
+            schedule = standard_schedule(1.65, 2.0 * math.pi * 5.0 / 1.65, units="mhz")
+        else:
+            schedule = modulated_schedule(kind, 8)
+        operators = sector_unitary(evolution_blocks(schedule, config, self.RATES))
+        psi = random_state(np.random.default_rng(97))
+        rho = np.outer(psi, psi.conj())
+        for operator, gamma in zip(operators, self.RATES):
+            expected = propagate_density(schedule, rho, DecaySpec(gamma=gamma), config).final_state
+            actual = operator @ rho @ operator.conj().T
+            np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
+
+    def test_a_rate_has_the_same_bits_alone_and_in_any_chunk(self, monkeypatch):
+        schedule = time_optimal_schedule()
+        config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=8)
+        rates = np.linspace(0.0, 3.0, 7)
+        alone = [evolution_blocks(schedule, config, [gamma]) for gamma in rates]
+        # Two rows of 8 steps per batch: the rates are taken two at a time.
+        monkeypatch.setattr(propagate, "_BATCH_BLOCKS", 16)
+        stacked = evolution_blocks(schedule, config, rates)
+        for k, blocks in enumerate(alone):
+            for row, block in zip(blocks, stacked.at(np.s_[k : k + 1])):
+                np.testing.assert_array_equal(block, row)
+
+    @pytest.mark.parametrize("substeps", [8, 3000])
+    def test_builds_one_batch_of_complex_detunings_at_a_time(self, substeps, monkeypatch):
+        sizes, original = [], propagate.sector_product
+
+        def recording(rabi, detuning, *rest):
+            sizes.append(np.size(detuning))
+            return original(rabi, detuning, *rest)
+
+        monkeypatch.setattr(propagate, "sector_product", recording)
+        config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=substeps)
+        evolution_blocks(time_optimal_schedule(), config, np.linspace(0.0, 1.0, 5))
+        assert max(sizes) <= max(propagate._BATCH_BLOCKS, substeps)
+        # 5 rows of 8 steps are one batch; rows of 3,000 steps one each.
+        assert len(sizes) == (1 if substeps == 8 else 5)
+
+    @pytest.mark.parametrize("gamma", [[-1.0], [math.nan], [math.inf], [0.0, -1e-300]])
+    def test_rejects_rates_that_are_not_finite_and_non_negative(self, gamma):
+        with pytest.raises(InvalidParameterError, match="decay rates"):
+            evolution_blocks(standard_schedule(1.65, V), None, gamma)
+
+    def test_stack_shape_follows_the_rates(self):
+        for schedule in (standard_schedule(1.65, V), Schedule(segments=(), interaction=V)):
+            for rates in ([], [0.0, 1.0, 2.0]):
+                blocks = evolution_blocks(schedule, None, rates)
+                assert [b.shape for b in blocks] == [
+                    (2, 2, len(rates)), (3, 3, len(rates)), (len(rates),)
+                ]
+        empty = evolution_blocks(Schedule(segments=(), interaction=V), None, [0.0, 1.0])
+        np.testing.assert_array_equal(sector_unitary(empty), np.broadcast_to(np.eye(9), (2, 9, 9)))
 
 
 

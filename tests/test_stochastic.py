@@ -229,6 +229,13 @@ class TestThermal:
             gate_fidelity(operator, target), rel=0.0, abs=1e-15
         )
 
+    @pytest.mark.parametrize("substeps", [2.7, "200", None])
+    def test_rejects_substeps_that_are_not_integers(self, substeps):
+        # int() once truncated 2.7 to 2 substeps.
+        spec = ThermalSpec(equilibrium_distance=8.0, temperature=20.0)
+        with pytest.raises(InvalidParameterError, match="substeps_per_segment must be an integer"):
+            thermal_gate_fidelity(1.65, V, spec, substeps=substeps)
+
     def test_colder_is_better(self):
         warm = ThermalSpec(equilibrium_distance=8.0, temperature=20.0)
         cold = ThermalSpec(equilibrium_distance=8.0, temperature=1.0)
