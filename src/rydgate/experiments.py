@@ -35,6 +35,7 @@ from .model import (
     DecaySpec,
     NoiseSpec,
     ThermalSpec,
+    check_count,
     cyclic_segment_duration,
     standard_phases,
     standard_schedule,
@@ -246,8 +247,7 @@ def run_noise_map(
     delta_axis = [float(e) for e in np.atleast_1d(eta_delta_grid)]
     if not omega_axis or not delta_axis:
         raise InvalidParameterError("noise amplitude grids must not be empty")
-    if int(seed) < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    check_count("seed", seed, 0)
     results = []
     for i, eta_omega in enumerate(omega_axis):
         for j, eta_delta in enumerate(delta_axis):
@@ -259,7 +259,7 @@ def run_noise_map(
             spec = NoiseSpec(
                 eta_omega=eta_omega,
                 eta_delta=eta_delta,
-                substeps=int(substeps),
+                substeps=substeps,
                 seed=cell_seed,
             )
             results.append(monte_carlo_gate_fidelity(kappa, v, spec, trials))
@@ -542,17 +542,15 @@ def run_actuating_scan(
     etas = [float(e) for e in eta_list]
     if not etas or not all(math.isfinite(e) and e > 0.0 for e in etas):
         raise InvalidParameterError(f"eta list must be non-empty, finite and positive, got {etas}")
-    if int(phase_count) < 1 or int(duration_count) < 1:
-        raise InvalidParameterError(
-            f"phase and duration counts must be >= 1, got {phase_count}, {duration_count}"
-        )
-    phases = np.linspace(-math.pi, math.pi, int(phase_count), endpoint=False)
+    check_count("phase_count", phase_count, 1)
+    check_count("duration_count", duration_count, 1)
+    phases = np.linspace(-math.pi, math.pi, phase_count, endpoint=False)
     # Step 0 is the phase-0 segment; step k + 1 has phases[k].
     step_phases = np.concatenate(([0.0], phases))
     lo, hi = float(duration_range[0]), float(duration_range[1])
     if not (0.0 < lo < hi < math.inf):
         raise InvalidParameterError(f"bad duration range {duration_range}")
-    durations = np.linspace(lo, hi, int(duration_count))
+    durations = np.linspace(lo, hi, duration_count)
     # Durations per stacked batch, within the sector_product step budget.
     width = batch_rows(phases.size ** (2 if independent_phases else 1))
 

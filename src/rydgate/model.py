@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,6 +91,17 @@ def basis_state(label: str | int) -> np.ndarray:
     return state
 
 
+def check_count(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise InvalidParameterError naming the count unless it is an
+    integer (a numbers.Integral other than bool) in [low, high]: int()
+    would truncate a count of 2.7 to 2, and True would count as 1."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bound = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
+        raise InvalidParameterError(f"{name} must {bound}, got {value}")
+
+
 def check_state(amplitudes) -> np.ndarray:
     """Validate and return a state vector as a complex array of length 9."""
     state = np.asarray(amplitudes, dtype=complex)
@@ -157,12 +169,8 @@ class NoiseSpec:
         for name, value in (("eta_omega", self.eta_omega), ("eta_delta", self.eta_delta)):
             if not 0.0 <= value <= 0.05:
                 raise InvalidParameterError(f"{name} must lie in [0, 0.05], got {value}")
-        if not 1 <= int(self.substeps) <= MAX_SUBSTEPS:
-            raise InvalidParameterError(
-                f"noise substeps must lie in [1, {MAX_SUBSTEPS}], got {self.substeps}"
-            )
-        if int(self.seed) < 0:
-            raise InvalidParameterError(f"noise seed must be >= 0, got {self.seed}")
+        check_count("noise substeps", self.substeps, 1, MAX_SUBSTEPS)
+        check_count("noise seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -186,15 +194,18 @@ class ThermalSpec:
     exponent_mode: str = "literal"
 
     def __post_init__(self):
-        if not self.equilibrium_distance > 0.0:
+        # A non-finite distance, waist or rate would make the fidelity NaN.
+        for name in ("equilibrium_distance", "waist", "reference_temperature"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InvalidParameterError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
             raise InvalidParameterError(
-                f"equilibrium distance must be > 0, got {self.equilibrium_distance}"
+                f"temperature must be finite and >= 0, got {self.temperature}"
             )
-        if not self.temperature >= 0.0:
-            raise InvalidParameterError(f"temperature must be >= 0, got {self.temperature}")
-        if not self.reference_temperature > 0.0:
+        if self.vibration_rate is not None and not math.isfinite(self.vibration_rate):
             raise InvalidParameterError(
-                f"reference temperature must be > 0, got {self.reference_temperature}"
+                f"vibration_rate must be finite, got {self.vibration_rate}"
             )
         if self.exponent_mode not in ("literal", "physical"):
             raise ConfigError(

@@ -19,12 +19,12 @@ the one step: decay (-i gamma per excited atom) is the imaginary part
 of a complex detuning Delta - i gamma, since the drive puts the
 detuning once per excited atom. A real detuning takes the 2x2 block in
 closed form and the real gauged 3x3 block {11,R,rr} as cos x - i sin x,
-with no eigendecomposition: each matrix takes the series its own 1-norm
-needs, a short series in x^2 for a small step (to x^4, x^6 or x^8, up
-to 1-norms of 0.0066, 0.0381 and 0.1150) and else the degree-12 series
-by scaling and squaring. A complex detuning takes each block through
-the stacked `expm` of this module, which shares that scaling and
-squaring.
+with no eigendecomposition: each matrix takes the one series in x^2 to
+the degree its own 1-norm needs (to x^4, x^6, x^8 or x^12, up to
+1-norms of 0.0066, 0.0381, 0.1150 and 0.4384), and a larger 1-norm the
+top degree by scaling and squaring. A complex detuning takes each block
+through the stacked `expm` of this module, which shares that scaling
+and squaring.
 `sector_unitary` and `computational_diagonal` are the only conversions
 to the 9x9 layout.
 
@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +52,15 @@ import scipy.linalg  # noqa: F401
 
 from .errors import IntegratorFailureError, InvalidParameterError, ModeError
 from .hamiltonian import gauged_blocks, sector_gauge, thermal_interaction
-from .model import DIMENSION, MAX_SUBSTEPS, DecaySpec, Schedule, check_density, check_state
+from .model import (
+    DIMENSION,
+    MAX_SUBSTEPS,
+    DecaySpec,
+    Schedule,
+    check_count,
+    check_density,
+    check_state,
+)
 
 EXACT = "exact-segment"
 SUBSTEPPED = "substepped"
@@ -108,14 +117,7 @@ class IntegratorConfig:
         if self.mode == EXACT and self.integrator != MIDPOINT:
             raise ModeError(f"integrator {self.integrator!r} requires substepped mode")
         for name in ("substeps_per_segment", "samples_per_segment"):
-            count = getattr(self, name)
-            # Integers only: a count of 2.7 would be truncated where it is used.
-            if not isinstance(count, numbers.Integral) or isinstance(count, bool):
-                raise InvalidParameterError(f"{name} must be an integer, got {count!r}")
-            if not 1 <= count <= MAX_SUBSTEPS:
-                raise InvalidParameterError(
-                    f"{name} must lie in [1, {MAX_SUBSTEPS}], got {count}"
-                )
+            check_count(name, getattr(self, name), 1, MAX_SUBSTEPS)
         # A tolerance that no distance can fall below would double the
         # substeps of convergence_check up to MAX_SUBSTEPS before it fails.
         tolerance = self.convergence_tolerance
@@ -224,16 +226,19 @@ def _one_norm(a: np.ndarray) -> np.ndarray:
     return np.abs(a).sum(axis=0).max(axis=0)
 
 
-def _scaling_and_squaring(generator: np.ndarray, norm: np.ndarray, polynomial) -> np.ndarray:
+def _scaling_and_squaring(
+    generator: np.ndarray, norm: np.ndarray, polynomial, theta: float
+) -> np.ndarray:
     """exp of each matrix A of a stack (n, n, *S) held matrix axes first,
-    as polynomial(2^-s A) squared s times; norm holds each |A|_1.
+    as polynomial(2^-s A) squared s times; norm holds each |A|_1, and
+    theta is the largest 1-norm the polynomial takes unscaled.
 
     Scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 3 (2003);
     Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)): each
-    matrix takes its own s = ceil(log2(|A|_1 / _THETA)), clipped at 0, so
-    the polynomial, of degree 12, sees a 1-norm of at most _THETA. The
-    squarings are masked per matrix, so no matrix's arithmetic depends on
-    the rest of the stack. A matrix that is not finite, or has a 1-norm of
+    matrix takes its own s = ceil(log2(|A|_1 / theta)), clipped at 0, so
+    the polynomial sees a 1-norm of at most theta. The squarings are
+    masked per matrix, so no matrix's arithmetic depends on the rest of
+    the stack. A matrix that is not finite, or has a 1-norm of
     _EXPM_NORM_LIMIT or more, gives NaN. The caller passes the norms
     (_one_norm), which the real step also reads for its series class.
     """
@@ -242,7 +247,7 @@ def _scaling_and_squaring(generator: np.ndarray, norm: np.ndarray, polynomial) -
     masked = not valid.all()
     if masked:
         generator, norm = np.where(valid, generator, 0.0), np.where(valid, norm, 0.0)
-    squarings = np.ceil(np.log2(np.maximum(norm / _THETA, 1.0))).astype(int)
+    squarings = np.ceil(np.log2(np.maximum(norm / theta, 1.0))).astype(int)
     # A new array: the generator may be a view of the caller's matrix.
     x = polynomial(generator * np.ldexp(1.0, -squarings))
     rounds = squarings.max(initial=0)
@@ -280,64 +285,29 @@ def expm(matrix) -> np.ndarray:
     of 2^53 (_EXPM_NORM_LIMIT) or more, gives NaN.
     """
     matrix = np.asarray(matrix, dtype=complex)
-    return _scaling_and_squaring(matrix, _one_norm(matrix), _taylor)
+    return _scaling_and_squaring(matrix, _one_norm(matrix), _taylor, _THETA)
 
 
 # The Taylor coefficients of exp(-i x) = cos x - i x (sin x / x) as
 # series in y = x^2: row 0 holds (-1)^k / (2k)! of cos, row 1
-# (-1)^k / (2k + 1)! of sin x / x, column k the power y^k. To y^6 the
-# rows hold the degree-12 polynomial and one more term.
-_SERIES = np.array([[(-1.0) ** k / math.factorial(2 * k + row) for k in range(7)] for row in (0, 1)])
-# The identity terms of the two rows, as (3, 3, 2) constants.
-_LOW_IDENTITY = np.eye(3)[:, :, None] * _SERIES[:, 0]
-_HIGH_IDENTITY = np.eye(3)[:, :, None] * _SERIES[:, 3]
-
-# The short series: both rows to y^m take a real x of 1-norm up to
-# theta_m unscaled, where the first neglected term of cos,
-# theta_m^(2m + 2) / (2m + 2)!, is the unit roundoff 2^-53 (the rule of
-# _THETA): theta_2 = 0.0066, theta_3 = 0.0381, theta_4 = 0.1150.
-_SHORT_DEGREES = (2, 3, 4)
-_SHORT_THETAS = np.array(
-    [(2.0**-53 * math.factorial(2 * m + 2)) ** (1.0 / (2 * m + 2)) for m in _SHORT_DEGREES]
+# (-1)^k / (2k + 1)! of sin x / x, column k the power y^k.
+#
+# Both rows to y^m take a real x of 1-norm up to theta_m unscaled, where
+# the first neglected term of cos, theta_m^(2m + 2) / (2m + 2)!, is the
+# unit roundoff 2^-53 (the rule of _THETA): theta_2 = 0.0066,
+# theta_3 = 0.0381, theta_4 = 0.1150 and theta_6 = 0.4384. The top
+# degree takes every larger 1-norm by scaling and squaring at theta_6.
+_DEGREES = (2, 3, 4, 6)
+_THETAS = np.array([(2.0**-53 * math.factorial(2 * m + 2)) ** (1.0 / (2 * m + 2)) for m in _DEGREES])
+_SERIES = np.array(
+    [[(-1.0) ** k / math.factorial(2 * k + row) for k in range(_DEGREES[-1] + 1)] for row in (0, 1)]
 )
 
 
-def _rotation(x: np.ndarray) -> np.ndarray:
-    """exp(-i x) = cos x - i sin x for a stack of real 3 x 3 matrices
-    (3, 3, *S) of 1-norm at most _THETA.
-
-    Both series are evaluated at once, stacked on an axis after the
-    matrix axes, by Paterson-Stockmeyer in y, y^2 and y^3 in real
-    arithmetic: (a_0 + a_1 y + a_2 y^2) + y^3 (a_3 + a_4 y + a_5 y^2 +
-    a_6 y^3). The sums accumulate in place, term by term in that order.
-    """
-    y = _product(x, x)
-    y2 = _product(y, y)
-    y3 = _product(y2, y)
-    rank = (1,) * (x.ndim - 2)
-    # c[k] holds the coefficients of y^k of both series.
-    c = _SERIES.T.reshape((7, 2) + rank)
-    high = np.multiply(c[4], y[:, :, None])
-    term = np.multiply(c[5], y2[:, :, None])
-    high += term
-    high += np.multiply(c[6], y3[:, :, None], out=term)
-    high += _HIGH_IDENTITY.reshape((3, 3, 2) + rank)
-    series = np.multiply(c[1], y[:, :, None])
-    series += np.multiply(c[2], y2[:, :, None], out=term)
-    del term
-    series += _product(y3[:, :, None], high)
-    series += _LOW_IDENTITY.reshape((3, 3, 2) + rank)
-    # cos - 1j * sin, with the bits (signed zeros included) of that expression.
-    result = np.empty(x.shape, dtype=complex)
-    result.real = series[:, :, 0]
-    np.subtract(0.0, _product(x, series[:, :, 1]), out=result.imag)
-    return result
-
-
-def _short_rotation(x: np.ndarray, degree: int) -> np.ndarray:
+def _rotation(x: np.ndarray, degree: int) -> np.ndarray:
     """exp(-i x) for a stack of real 3 x 3 matrices (3, 3, *S) of 1-norm
-    at most the theta of degree in _SHORT_DEGREES: cos x and sin x / x
-    both to y^degree, y = x^2, from the shared powers y, ..., y^degree.
+    at most the theta of degree in _DEGREES: cos x and sin x / x both to
+    y^degree, y = x^2, from the shared powers y, ..., y^degree.
 
     The sums run from the highest power down and accumulate in place,
     cos in the real part of the result; the array of each power, once
@@ -369,35 +339,34 @@ def _real_rotation(x: np.ndarray) -> np.ndarray:
     """exp(-i x) for a stack of real 3 x 3 matrices (3, 3, *S), each by
     the series its own 1-norm needs.
 
-    A matrix of 1-norm up to theta_m (_SHORT_THETAS) takes the short
-    series of degree m; a larger, non-finite or out-of-range one takes
-    the degree-12 _rotation by _scaling_and_squaring. The norm is computed
-    once, for the class and the squarings. A stack in one class is taken
+    A matrix of 1-norm up to theta_m (_THETAS) takes the _rotation of
+    degree m; one above the top theta, non-finite or out of range takes
+    the top degree by _scaling_and_squaring. The norm is computed once,
+    for the class and the squarings. A stack in one class is taken
     whole; a mixed one is gathered once per class and scattered once, so
     no matrix's arithmetic depends on the rest of the stack.
     """
     norm = _one_norm(x)
-    # NaN sorts last, into the top class.
-    classes = np.searchsorted(_SHORT_THETAS, norm)
-    # The top class is the last, and an empty stack takes it.
-    top = len(_SHORT_DEGREES)
+    top = len(_DEGREES) - 1
+    # NaN sorts last, into the top class, and an empty stack takes it.
+    classes = np.searchsorted(_THETAS[:top], norm)
     low = classes.min(initial=top)
     high = top if low == top else classes.max()
-    if low == high:
-        return _class_rotation(x, norm, low)
-    result = np.empty(x.shape, dtype=complex)
+    # One class takes the stack whole: its members are all of it, as views.
+    result = None if low == high else np.empty(x.shape, dtype=complex)
     for k in range(low, high + 1):
-        members = classes == k
-        if members.any():
-            result[:, :, members] = _class_rotation(x[:, :, members], norm[members], k)
+        members = ... if result is None else classes == k
+        if result is not None and not members.any():
+            continue
+        if k < top:
+            part = _rotation(x[:, :, members], _DEGREES[k])
+        else:
+            series = partial(_rotation, degree=_DEGREES[top])
+            part = _scaling_and_squaring(x[:, :, members], norm[members], series, _THETAS[top])
+        if result is None:
+            return part
+        result[:, :, members] = part
     return result
-
-
-def _class_rotation(x: np.ndarray, norm: np.ndarray, k) -> np.ndarray:
-    """exp(-i x) for a stack whose norms all fall in class k of _real_rotation."""
-    if k < len(_SHORT_DEGREES):
-        return _short_rotation(x, _SHORT_DEGREES[k])
-    return _scaling_and_squaring(x, norm, _rotation)
 
 
 _TINY = np.finfo(float).tiny
@@ -436,12 +405,13 @@ def sector_step(rabi, detuning, phase, v, dt) -> SectorBlocks:
     the shape of the other inputs, then gauged; the antisymmetric state
     picks up e^{-i Delta dt}. A real detuning takes the pair block in
     closed form (_pair_rotation) and the real triple block x as
-    cos x - i sin x by _real_rotation, each matrix by the series its own
-    1-norm needs. A complex one takes both
-    blocks through the stacked `expm`: with no closed form a large
-    gamma dt (620, say) stays finite, and a complex series would make
-    the real case slower. A generator that is not finite or has a
-    1-norm of 2^53 or more gives a NaN step.
+    cos x - i sin x by _real_rotation, each matrix by the series of the
+    degree its own 1-norm needs, scaled and squared beyond the top
+    degree's. A complex one takes both blocks through the stacked
+    `expm`: with no closed form a large gamma dt (620, say) stays
+    finite, and a complex series would make the real case slower. A
+    generator that is not finite or has a 1-norm of 2^53 or more gives
+    a NaN step.
     """
     dt = np.asarray(dt, dtype=float)
     rabi, shift, v = rabi * dt, detuning * dt, v * dt

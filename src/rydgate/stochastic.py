@@ -23,9 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError
 from .metrics import compensated_cz_target, diagonal_fidelity, diagonal_summary
-from .model import NoiseSpec, Schedule, ThermalSpec, standard_schedule
+from .model import NoiseSpec, Schedule, ThermalSpec, check_count, standard_schedule
 from .propagate import (
     SUBSTEPPED,
     IntegratorConfig,
@@ -48,12 +47,9 @@ def sample_noise_trace(spec: NoiseSpec, segment_count: int):
     Returns (drive multipliers, detuning multipliers), drawn from a fresh
     generator seeded with spec.seed, so a seed always reproduces its trace.
     """
-    if int(segment_count) < 1:
-        raise InvalidParameterError(
-            f"segment count must be >= 1, got {segment_count}"
-        )
+    check_count("segment_count", segment_count, 1)
     rng = np.random.default_rng(spec.seed)
-    shape = (int(segment_count), int(spec.substeps))
+    shape = (segment_count, spec.substeps)
     raw_omega = rng.uniform(-1.0, 1.0, size=shape)
     raw_delta = rng.uniform(-1.0, 1.0, size=shape)
     return 1.0 + spec.eta_omega * raw_omega, 1.0 + spec.eta_delta * raw_delta
@@ -126,8 +122,7 @@ def monte_carlo_gate_fidelity(
     whole trials as propagate.batch_rows allows; trials may number 1 to
     MAX_TRIALS.
     """
-    if not 1 <= int(trials) <= MAX_TRIALS:
-        raise InvalidParameterError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
+    check_count("trials", trials, 1, MAX_TRIALS)
     trials = int(trials)
     schedule, nominal, target = _nominal_gate(kappa, v)
 

@@ -245,6 +245,14 @@ class TestNoiseMap:
         with pytest.raises(InvalidParameterError):
             run_noise_map(trials=1, substeps=4, **kwargs)
 
+    @pytest.mark.parametrize("field", ["trials", "seed", "substeps"])
+    @pytest.mark.parametrize("count", [2.7, 2.0, "3", None, True])
+    def test_rejects_counts_that_are_not_integers(self, field, count):
+        # int() once ran 2.7 substeps as 2 and True trials as 1.
+        counts = {"trials": 2, "seed": 3, "substeps": 4, field: count}
+        with pytest.raises(InvalidParameterError, match=f"{field} must be an integer"):
+            run_noise_map([0.01], [0.0], **counts)
+
 
 class TestThermalMap:
     def test_grid_rows(self):
@@ -640,6 +648,14 @@ class TestActuatingScan:
             assert expected, "grid too coarse: no cell qualifies"
             assert row["qualifying_cells"] == len(expected)
             assert row["mean_duration"] == pytest.approx(np.mean(expected), abs=1e-12)
+
+    @pytest.mark.parametrize("field", ["phase_count", "duration_count"])
+    @pytest.mark.parametrize("count", [2.7, 2.0, "3", None, True])
+    def test_rejects_counts_that_are_not_integers(self, field, count):
+        # int() once scanned 2.7 phases as 2 and True durations as 1.
+        counts = {"phase_count": 3, "duration_count": 4, field: count}
+        with pytest.raises(InvalidParameterError, match=f"{field} must be an integer"):
+            run_actuating_scan(eta_list=(1.0,), **counts)
 
     def test_independent_phases_superset(self):
         shared = run_actuating_scan(

@@ -177,6 +177,42 @@ class TestSpecs:
             with pytest.raises(InvalidParameterError, match="finite"):
                 DecaySpec.from_multiplier(value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("equilibrium_distance", math.inf),
+            ("equilibrium_distance", math.nan),
+            ("equilibrium_distance", 0.0),
+            ("waist", math.nan),
+            ("waist", math.inf),
+            ("waist", -1.0),
+            ("waist", 0.0),
+            ("reference_temperature", math.inf),
+            ("reference_temperature", math.nan),
+            ("reference_temperature", 0.0),
+            ("temperature", math.inf),
+            ("temperature", math.nan),
+            ("temperature", -1.0),
+            ("vibration_rate", math.inf),
+            ("vibration_rate", -math.inf),
+            ("vibration_rate", math.nan),
+        ],
+    )
+    def test_thermal_rejects_geometry_that_is_not_finite(self, field, value):
+        # An infinite distance, a NaN waist or an infinite rate once made the
+        # thermal fidelity NaN; an infinite temperature or a negative waist
+        # ended as a DegenerateGeometryError.
+        fields = {"equilibrium_distance": 8.0, "temperature": 20.0, field: value}
+        with pytest.raises(InvalidParameterError, match=field):
+            ThermalSpec(**fields)
+
+    def test_thermal_accepts_finite_geometry(self):
+        spec = ThermalSpec(
+            equilibrium_distance=8.0, temperature=0.0, vibration_rate=-3.0, waist=2.0,
+            reference_temperature=1e-3,
+        )
+        assert spec.amplitude == 0.0
+
     def test_phase_drive_evaluation(self):
         drive = PhaseDriveSpec(amplitude=2.0, angular_rate=3.0, offset=0.5)
         assert drive.phase_at(0.0) == pytest.approx(2.0 * math.cos(-0.5))

@@ -1,6 +1,7 @@
 """Tests for the exact and substepped evolution engines."""
 
 import dataclasses
+import functools
 import math
 import re
 import time
@@ -826,7 +827,7 @@ def triple_squarings(drive, dt) -> np.ndarray:
     rabi, detuning, _, v = drive
     _, generator = gauged_blocks(rabi * dt, detuning * dt, v * dt, np.shape(dt))
     norm = np.abs(generator).sum(axis=0).max(axis=0)
-    return np.ceil(np.log2(np.maximum(norm / propagate._THETA, 1.0))).astype(int)
+    return np.ceil(np.log2(np.maximum(norm / propagate._THETAS[-1], 1.0))).astype(int)
 
 
 def random_drive(rng, shape):
@@ -880,12 +881,12 @@ class TestSectorCore:
 
     def test_steps_are_unitary(self):
         # Durations up to 3, the longest step of the default scans (the
-        # actuating scan), take up to 8 squarings here. The defect grows as
+        # actuating scan), take up to 7 squarings here. The defect grows as
         # 2^s times the unit roundoff: about 2e-12 at 14 squarings.
         rng = np.random.default_rng(960)
         drive = random_drive(rng, (200,))
         dt = np.geomspace(1e-3, 3.0, 200)
-        assert set(triple_squarings(drive, dt)) == set(range(9))
+        assert set(triple_squarings(drive, dt)) == set(range(8))
         full = sector_unitary(sector_step(*drive, dt))
         defect = np.abs(full @ full.conj().swapaxes(-1, -2) - np.eye(9)).max()
         assert defect <= 1e-13
@@ -895,7 +896,7 @@ class TestSectorCore:
         drive = random_drive(rng, (48,))
         dt = np.geomspace(1e-3, 3e4, 48)
         squarings = triple_squarings(drive, dt)
-        assert squarings.min() == 0 and squarings.max() >= 20
+        assert squarings.min() == 0 and squarings.max() >= 19
         whole = sector_step(*drive, dt)
         for k in range(48):
             alone = sector_step(*(x[k : k + 1] for x in drive), dt[k : k + 1])
@@ -913,9 +914,9 @@ class TestSectorCore:
         np.testing.assert_allclose(step.triple[2, 2, 0], np.exp(1j), rtol=0.0, atol=1e-15)
         assert np.isnan(step.triple[..., 2:]).all()
         np.testing.assert_array_equal(step.pair, np.broadcast_to(np.eye(2)[..., None], (2, 2, 5)))
-        # Five products for the series, then 55 squarings for the largest
+        # Seven products for the series, then 55 squarings for the largest
         # 1-norm below 2^53.
-        assert len(products) == 5 + 55
+        assert len(products) == 7 + 55
 
     @pytest.mark.parametrize("count", [1, 2, 3, 7, 8])
     def test_ordered_product_matches_sequential_product(self, count):
@@ -1118,35 +1119,40 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.abs(u @ u.conj().T - np.eye(len(u))).max())
 
 
-# The products of each series class: m + 1 for the short series to y^m,
-# and 5 for the degree-12 series of the top class, here with no squaring.
-CLASS_PRODUCTS = (3, 4, 5, 5)
+# The products of each series class, m + 1 for the series to y^m in
+# _DEGREES (the top class here with no squaring), and of the top class
+# with one squaring.
+CLASS_PRODUCTS = (3, 4, 5, 7)
+EDGE_PRODUCTS = CLASS_PRODUCTS + (8,)
 
 
 class TestSizedSeries:
     """The real triple step takes the series its own 1-norm needs:
-    degree m in y = x^2 up to theta_m (_SHORT_THETAS), else the degree-12
-    series by scaling and squaring."""
+    degree m in y = x^2 (_DEGREES) up to theta_m (_THETAS), and the top
+    degree by scaling and squaring beyond."""
 
     def test_thetas_follow_the_rule_of_the_top_class(self):
         # The first neglected term of cos, theta^(2m + 2) / (2m + 2)!, is 2^-53.
-        np.testing.assert_allclose(propagate._SHORT_THETAS, [0.0066, 0.0381, 0.1150], atol=5e-5)
-        assert propagate._SHORT_THETAS[-1] < propagate._THETA
+        np.testing.assert_allclose(
+            propagate._THETAS, [0.0066, 0.0381, 0.1150, 0.4384], atol=5e-5
+        )
+        assert propagate._DEGREES == (2, 3, 4, 6)
 
-    @pytest.mark.parametrize("index", range(3))
+    @pytest.mark.parametrize("index", range(4))
     @pytest.mark.parametrize("side", [-1, 0, 1])
     def test_each_class_edge_matches_scipy(self, index, side, monkeypatch):
-        # theta (1 - 2^-52) and theta take class m, theta (1 + 2^-52) the next.
-        norm = propagate._SHORT_THETAS[index] * (1.0 + side * 2.0**-52)
+        # theta (1 - 2^-52) and theta take class m, theta (1 + 2^-52) the
+        # next: past the top theta, the top degree with one squaring.
+        norm = propagate._THETAS[index] * (1.0 + side * 2.0**-52)
         x = symmetric_with_norm(np.random.default_rng(970 + index), norm)
         assert propagate._one_norm(x) == norm
         products = counting_products(monkeypatch)
         actual = propagate._real_rotation(x[..., None])[..., 0]
-        assert len(products) == CLASS_PRODUCTS[index + (side > 0)]
+        assert len(products) == EDGE_PRODUCTS[index + (side > 0)]
         np.testing.assert_allclose(actual, expm(-1j * x), rtol=0.0, atol=1e-15)
         assert unitarity_defect(actual) <= 1e-15
 
-    @given(norm=st.floats(1e-12, 0.3), seed=st.integers(0, 2**32))
+    @given(norm=st.floats(1e-12, 0.5), seed=st.integers(0, 2**32))
     def test_a_step_of_any_class_matches_scipy(self, norm, seed):
         x = symmetric_with_norm(np.random.default_rng(seed), norm)
         actual = propagate._real_rotation(x)
@@ -1155,7 +1161,7 @@ class TestSizedSeries:
 
     @pytest.mark.parametrize("index", range(4))
     def test_product_count_per_class(self, index, monkeypatch):
-        upper = (*propagate._SHORT_THETAS, propagate._THETA)[index]
+        upper = propagate._THETAS[index]
         x = symmetric_with_norm(np.random.default_rng(975), 0.9 * upper)
         products = counting_products(monkeypatch)
         propagate._real_rotation(np.stack([x, 0.5 * x], axis=-1))
@@ -1163,12 +1169,13 @@ class TestSizedSeries:
 
     def test_a_matrix_gives_the_same_bits_alone_and_in_a_mixed_stack(self):
         # Random drives from far below theta_2 to many squarings, every
-        # class edge, and generators that are NaN, infinite or of 1-norm
-        # 2^53 (no drive and no detuning: |v dt| is the 1-norm).
+        # class edge (the top one included), and generators that are NaN,
+        # infinite or of 1-norm 2^53 (no drive and no detuning: |v dt| is
+        # the 1-norm).
         rng = np.random.default_rng(976)
         rabi, detuning, phase, v = random_drive(rng, (40,))
         dt = np.geomspace(1e-5, 30.0, 40)
-        edges = np.outer(propagate._SHORT_THETAS, 1.0 + np.array([-1.0, 0.0, 1.0]) * 2.0**-52)
+        edges = np.outer(propagate._THETAS, 1.0 + np.array([-1.0, 0.0, 1.0]) * 2.0**-52)
         extra = np.concatenate((edges.ravel(), [np.nan, np.inf, 2.0**53]))
         rabi, detuning = (np.concatenate((x, np.zeros(len(extra)))) for x in (rabi, detuning))
         phase = np.concatenate((phase, rng.uniform(-math.pi, math.pi, len(extra))))
@@ -1176,27 +1183,34 @@ class TestSizedSeries:
         dt = np.concatenate((dt, np.ones(len(extra))))
         _, triple = gauged_blocks(rabi * dt, detuning * dt, v * dt, dt.shape)
         norm = propagate._one_norm(triple)
-        classes = np.searchsorted(propagate._SHORT_THETAS, norm)
+        classes = np.searchsorted(propagate._THETAS[:-1], norm)
         assert set(classes) == {0, 1, 2, 3} and np.isnan(norm).any()
         # A two-axis stack: the classes are gathered along both.
-        drive = [x.reshape(4, -1) for x in (rabi, detuning, phase, v, dt)]
+        drive = [x.reshape(5, -1) for x in (rabi, detuning, phase, v, dt)]
         with np.errstate(over="ignore", invalid="ignore"):
             whole = sector_step(*drive)
             for index in np.ndindex(drive[0].shape):
                 alone = sector_step(*(x[index] for x in drive))
                 for single, block in zip(alone, whole.at(index)):
                     assert single.tobytes() == np.ascontiguousarray(block).tobytes()
-        out_of_range = ~(norm.reshape(4, -1) < 2.0**53)
+        out_of_range = ~(norm.reshape(5, -1) < 2.0**53)
         assert np.isnan(whole.triple[..., out_of_range]).all()
 
     @pytest.mark.parametrize("index", range(3))
     def test_a_short_series_matches_the_degree_12_series(self, index):
-        # Within the rounding of either: the series differ by less than 2^-53.
+        # Each lower degree against the top degree (12 in x) under scaling
+        # and squaring, within the rounding of either: the series differ
+        # by less than 2^-53.
         rng = np.random.default_rng(977)
-        norms = propagate._SHORT_THETAS[index] * np.geomspace(1e-3, 1.0, 9)
+        norms = propagate._THETAS[index] * np.geomspace(1e-3, 1.0, 9)
         x = np.stack([symmetric_with_norm(rng, norm) for norm in norms], axis=-1)
-        short = propagate._short_rotation(x, propagate._SHORT_DEGREES[index])
-        top = propagate._scaling_and_squaring(x, propagate._one_norm(x), propagate._rotation)
+        short = propagate._rotation(x, propagate._DEGREES[index])
+        top = propagate._scaling_and_squaring(
+            x,
+            propagate._one_norm(x),
+            functools.partial(propagate._rotation, degree=propagate._DEGREES[-1]),
+            propagate._THETAS[-1],
+        )
         np.testing.assert_allclose(short, top, rtol=0.0, atol=2e-16)
 
     @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4)])

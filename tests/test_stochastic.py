@@ -20,6 +20,10 @@ from rydgate.propagate import SUBSTEPPED, IntegratorConfig, evolution_operator
 
 V = 2.0 * math.pi
 
+# Counts that int() once truncated (2.7 to 2), took as 1 (True) or
+# failed on with a bare ValueError or TypeError.
+NOT_INTEGERS = ["many", None, 2.7, 2.0, np.float64(3.0), "3", True, False, 1 + 0j]
+
 
 class TestNoiseTrace:
     def test_shape_and_bounds(self):
@@ -55,6 +59,33 @@ class TestNoiseTrace:
     def test_rejects_empty_schedule(self):
         with pytest.raises(InvalidParameterError):
             sample_noise_trace(NoiseSpec(), 0)
+
+    @pytest.mark.parametrize("count", NOT_INTEGERS)
+    def test_rejects_segment_counts_that_are_not_integers(self, count):
+        with pytest.raises(InvalidParameterError, match="segment_count must be an integer"):
+            sample_noise_trace(NoiseSpec(), count)
+
+
+class TestCounts:
+    """Counts are integers (numbers.Integral, not bool) at the library boundary."""
+
+    @pytest.mark.parametrize("field", ["substeps", "seed"])
+    @pytest.mark.parametrize("count", NOT_INTEGERS)
+    def test_noise_spec_rejects_counts_that_are_not_integers(self, field, count):
+        with pytest.raises(InvalidParameterError, match=f"noise {field} must be an integer"):
+            NoiseSpec(**{field: count})
+
+    @pytest.mark.parametrize("count", NOT_INTEGERS)
+    def test_rejects_trials_that_are_not_integers(self, count):
+        for spec in (NoiseSpec(), NoiseSpec(eta_omega=0.01, substeps=4)):
+            with pytest.raises(InvalidParameterError, match="trials must be an integer"):
+                monte_carlo_gate_fidelity(1.65, V, spec, count)
+
+    def test_accepts_numpy_integers(self):
+        spec = NoiseSpec(eta_omega=0.01, substeps=np.int64(3), seed=np.uint64(7))
+        assert sample_noise_trace(spec, np.int32(2))[0].shape == (2, 3)
+        result = monte_carlo_gate_fidelity(1.65, V, spec, np.int64(2))
+        assert result.trials == 2 and len(result.fidelities) == 2
 
 
 class TestMonteCarlo:
