@@ -76,16 +76,15 @@ def basis_index(label: str) -> int:
 
 
 def basis_label(index: int) -> str:
-    if not 0 <= int(index) < DIMENSION:
-        raise InvalidParameterError(f"basis index {index} outside 0..8")
-    return BASIS_LABELS[int(index)]
+    return BASIS_LABELS[check_index("basis index", index, DIMENSION)]
 
 
 def basis_state(label: str | int) -> np.ndarray:
     """Unit state vector for a basis label (or raw index)."""
-    index = basis_index(label) if isinstance(label, str) else int(label)
-    if not 0 <= index < DIMENSION:
-        raise InvalidParameterError(f"basis index {index} outside 0..8")
+    if isinstance(label, str):
+        index = basis_index(label)
+    else:
+        index = check_index("basis index", label, DIMENSION)
     state = np.zeros(DIMENSION, dtype=complex)
     state[index] = 1.0
     return state
@@ -100,6 +99,13 @@ def check_count(name: str, value, low: int, high: int | None = None) -> None:
     if value < low or (high is not None and value > high):
         bound = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
         raise InvalidParameterError(f"{name} must {bound}, got {value}")
+
+
+def check_index(name: str, value, size: int) -> int:
+    """The index value as an int, after check_count in [0, size): int()
+    would take 4.9 as index 4 and True as index 1."""
+    check_count(name, value, 0, size - 1)
+    return int(value)
 
 
 def check_state(amplitudes) -> np.ndarray:

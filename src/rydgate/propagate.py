@@ -29,13 +29,14 @@ and squaring.
 to the 9x9 layout.
 
 `sector_product` is the one time-ordered product, for every engine and
-every scan. The sampled engines take it over the intervals between
-samples and then the running product of the intervals; a density at a
-sample is M rho M^dagger for the product M of the steps so far (there
-are no jump terms), and lost trace is never renormalized. What reads
-only final states takes `evolution_blocks`, which stacks decay rates on
-one axis, and applies it to the state: the decay curves and
-`convergence_check`.
+every scan. Each input keeps its own shape down to `sector_step`, so
+steps that differ only in phase share their exponential. The sampled
+engines take it over the intervals between samples and then the running
+product of the intervals; a density at a sample is M rho M^dagger for
+the product M of the steps so far (there are no jump terms), and lost
+trace is never renormalized. What reads only final states takes
+`evolution_blocks`, which stacks decay rates on one axis, and applies
+it to the state: the decay curves and `convergence_check`.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .model import (
     Schedule,
     check_count,
     check_density,
+    check_index,
     check_state,
 )
 
@@ -470,6 +472,16 @@ def batch_rows(width: int) -> int:
     return max(1, _BATCH_BLOCKS // int(width))
 
 
+def _rows(x: np.ndarray, shape) -> np.ndarray:
+    """An input that broadcasts to shape = S + (T,) as rows (prod S, T)
+    of the stack flattened, each axis left at size 1 where x does not
+    vary along it."""
+    x = x.reshape((1,) * (len(shape) - x.ndim) + x.shape)
+    if math.prod(x.shape[:-1]) == 1:
+        return x.reshape(1, -1)
+    return np.broadcast_to(x, shape[:-1] + x.shape[-1:]).reshape(-1, x.shape[-1])
+
+
 def sector_product(rabi, detuning, phase, v, dt) -> SectorBlocks:
     """Time-ordered product of the sector_step of a drive stack.
 
@@ -481,6 +493,9 @@ def sector_product(rabi, detuning, phase, v, dt) -> SectorBlocks:
     steps of one stack element) are batched together and never split,
     so a row's product is the same in any batch; a row longer than the
     budget is sliced along time and its slices multiplied in order.
+    Each input keeps its own shape: a batch takes rows and time slices
+    of an input only along the axes where it varies, so steps that
+    differ only in phase share their exponential in sector_step.
     """
     rabi, phase, v, dt = (np.asarray(x, dtype=float) for x in (rabi, phase, v, dt))
     drive = [rabi, np.asarray(detuning, dtype=np.result_type(detuning, float)), phase, v, dt]
@@ -489,15 +504,21 @@ def sector_product(rabi, detuning, phase, v, dt) -> SectorBlocks:
     if math.prod(shape) <= _BATCH_BLOCKS:
         return ordered_product(sector_step(*drive))
     *stack, steps = shape
-    rows = [np.broadcast_to(x, shape).reshape(-1, steps) for x in drive]
+    rows = [_rows(x, shape) for x in drive]
     count = batch_rows(steps)
     # The whole row when rows fit in a batch, else the budget.
     width = _BATCH_BLOCKS // count
     batches = []
-    for first in range(0, len(rows[0]), count):
+    for first in range(0, math.prod(stack), count):
         total = None
         for start in range(0, steps, width):
-            part = (row[first : first + count, start : start + width] for row in rows)
+            part = (
+                row[
+                    slice(first, first + count) if len(row) > 1 else slice(None),
+                    slice(start, start + width) if row.shape[1] > 1 else slice(None),
+                ]
+                for row in rows
+            )
             product = ordered_product(sector_step(*part))
             total = product if total is None else product @ total
         batches.append(total)
@@ -560,8 +581,15 @@ _MAGNUS4_WEIGHTS = 0.5 + np.array([1.0, -1.0]) * math.sqrt(3.0) / 3.0
 
 def _substep_drive(schedule: Schedule, steps: int, integrator: str):
     """(rabi, detuning, phase, v, dt) of the exponentials of `steps` equal
-    substeps per segment, each a (segments, steps, exponentials per
-    substep) array even where nothing is modulated, in time order.
+    substeps per segment, in time order over (segments, steps,
+    exponentials per substep).
+
+    Each input keeps size-1 axes where it does not vary: a drive that is
+    not modulated stays one value per segment, and v stays a scalar
+    without thermal vibration. The phase, which never reaches an
+    exponential, holds the full shape and so sets the step count; steps
+    that differ only in phase then share their exponential in
+    sector_step.
 
     MIDPOINT takes one exponential per substep: the drive at its midpoint
     over the substep length. MAGNUS4 takes two (_magnus4_drive)."""
@@ -578,9 +606,9 @@ def _substep_drive(schedule: Schedule, steps: int, integrator: str):
         phase = schedule.phase_drive.phase_at(t)
     if schedule.thermal is not None:
         v = thermal_interaction(t, schedule.interaction, schedule.thermal)
-    # t sets the full shape where nothing is modulated.
-    drive = np.broadcast_arrays(rabi, detuning, phase, v, dt, t)[:5]
-    return _magnus4_drive(*drive) if integrator == MAGNUS4 else drive
+    drive = (rabi, detuning, phase, v, dt)
+    rabi, detuning, phase, v, dt = _magnus4_drive(*drive) if integrator == MAGNUS4 else drive
+    return rabi, detuning, np.broadcast_to(phase, t.shape), v, dt
 
 
 def _magnus4_drive(rabi, detuning, phase, v, dt):
@@ -599,6 +627,8 @@ def _magnus4_drive(rabi, detuning, phase, v, dt):
     b1, b2 = _MAGNUS4_WEIGHTS
 
     def weighted(x):
+        # The sums need both nodes of x, even where it does not vary.
+        x = np.broadcast_to(x, np.shape(x)[:-1] + (2,))
         return np.stack((b1 * x[..., 0] + b2 * x[..., 1], b2 * x[..., 0] + b1 * x[..., 1]), axis=-1)
 
     coupling = weighted(rabi * np.exp(1j * phase))
@@ -618,7 +648,10 @@ def evolution_blocks(
     each exponential spans half a substep, decay included). The rates are
     taken as many at a time as one sector_product batch holds rows of the
     steps (one at a time for a row longer than a batch), so the complex
-    detunings of one batch of rows at most exist at once.
+    detunings of one batch of rows at most exist at once. In substepped
+    mode an input that does not vary over the steps stays size 1, so
+    under MIDPOINT steps that differ only in phase take one exponential
+    per rate and batch.
     """
     config = resolve_config(schedule, config)
     stack = ()
@@ -636,14 +669,12 @@ def evolution_blocks(
         drive = (*drive, dt)
     else:
         drive = _substep_drive(schedule, _segment_substeps(schedule, config), config.integrator)
-        drive = [x.reshape(-1) for x in drive]
+        shape = np.broadcast_shapes(*(np.shape(x) for x in drive))
+        # Flat steps for the inputs that vary; the others stay size 1.
+        drive = [np.reshape(np.broadcast_to(x, shape) if np.size(x) > 1 else x, -1) for x in drive]
     if gamma is None:
         return sector_product(*drive)
-    # Rows copied whole once for all rates. Views of the unmodulated inputs
-    # (stride 0) left the heap so small that glibc returned each batch's
-    # temporaries to the system: 1.5 M minor page faults at 200,000
-    # substeps and 21 rates, against 0.1 M with the copies.
-    rabi, detuning, *rest = (np.array(x) for x in drive)
+    rabi, detuning, *rest = drive
     count = batch_rows(np.broadcast(*drive).shape[-1])
     # No rates still make one (empty) product.
     parts = [
@@ -682,7 +713,7 @@ def _sampled_operators(schedule: Schedule, config: IntegratorConfig, gamma: floa
         stride = max(1, steps // samples)
         count = -(-steps // stride)
         pad = ((0, 0), (0, count * stride - steps), (0, 0))
-        drive = _substep_drive(schedule, steps, config.integrator)
+        drive = np.broadcast_arrays(*_substep_drive(schedule, steps, config.integrator))
         rabi, detuning, *rows = (np.pad(x, pad).reshape(len(x), count, -1) for x in drive)
         dt = durations / steps
         ends = np.minimum(np.arange(1, count + 1) * stride, steps)
@@ -761,9 +792,7 @@ def propagate_basis(
     indices, populations (samples, m, 9) and norms (samples, m).
     """
     config = resolve_config(schedule, config)
-    indices = [int(j) for j in indices]
-    if not all(0 <= j < DIMENSION for j in indices):
-        raise InvalidParameterError(f"basis indices must lie in [0, {DIMENSION}), got {indices}")
+    indices = [check_index("basis index", j, DIMENSION) for j in indices]
     # Rows of contiguous states, as propagate_state holds them.
     return _sampled(
         schedule,

@@ -63,6 +63,18 @@ class TestBasis:
         with pytest.raises(InvalidParameterError):
             basis_index("02")
 
+    @pytest.mark.parametrize("index", [4.9, True, np.bool_(True), 9, -1])
+    def test_indices_that_are_not_basis_indices_are_rejected(self, index):
+        # int() would take 4.9 as |11> (index 4) and True as |01>.
+        for convert in (basis_state, basis_label):
+            with pytest.raises(InvalidParameterError, match="basis index"):
+                convert(index)
+
+    @pytest.mark.parametrize("index", [4, np.int64(4), np.uint8(4)])
+    def test_integer_indices_of_any_integer_type_are_accepted(self, index):
+        assert basis_label(index) == "11"
+        np.testing.assert_array_equal(basis_state(index), basis_state("11"))
+
 
 class TestValidation:
     def test_check_state_accepts_unit_vector(self):

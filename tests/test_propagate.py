@@ -481,9 +481,17 @@ class TestStatePropagation:
             np.testing.assert_array_equal(result.populations[:, column], alone.populations)
             np.testing.assert_array_equal(result.norms[:, column], alone.norms)
 
-    def test_basis_indices_are_checked(self):
-        with pytest.raises(InvalidParameterError):
-            propagate.propagate_basis(standard_schedule(1.65, V), [9])
+    @pytest.mark.parametrize("index", [9, -1, 4.9, True])
+    def test_basis_indices_are_checked(self, index):
+        # int() would take 4.9 as |11> (index 4) and True as |01>.
+        with pytest.raises(InvalidParameterError, match="basis index"):
+            propagate.propagate_basis(standard_schedule(1.65, V), [0, index])
+
+    def test_basis_indices_of_numpy_integer_types_are_accepted(self):
+        schedule = standard_schedule(1.65, V)
+        result = propagate.propagate_basis(schedule, np.array([4, 0], dtype=np.int64))
+        expected = propagate.propagate_basis(schedule, [4, 0])
+        np.testing.assert_array_equal(result.final_state, expected.final_state)
 
     def test_evolution_operator_is_unitary(self):
         u = evolution_operator(standard_schedule(0.7, V))
@@ -1014,6 +1022,108 @@ class TestSectorCore:
         assert not eigh_calls and not expm_sizes
         experiments.run_decay_curves(multiplier_grid=[0.0, 5.0], time_optimal_substeps=8)
         assert not eigh_calls and expm_sizes == {2, 3}
+
+
+def compact_drive(rng, stack, steps, gamma=None):
+    """A drive for sector_product over stack + (steps,) whose inputs keep
+    size-1 axes: rabi varies along the first stack axis only, v along
+    the last, the phase along time only, and detuning and dt not at all,
+    unless decay rates gamma (one per element of the first stack axis)
+    make the detuning vary along it."""
+    rank = len(stack) + 1
+    first = (stack[:1] or (1,)) + (1,) * (rank - 1)
+    rabi = rng.uniform(0.0, 8.0, first)
+    v = rng.uniform(0.0, 10.0, (1,) * (rank - 2) + stack[-1:] + (1,))
+    detuning = rng.uniform(-4.0, 4.0)
+    if gamma is not None:
+        detuning = detuning - 1j * np.reshape(gamma, first)
+    return rabi, detuning, rng.uniform(-math.pi, math.pi, steps), v, rng.uniform(0.1, 1.0, (1,))
+
+
+def full_drive(drive):
+    """The drive with every input broadcast to the shape of the stack."""
+    shape = np.broadcast_shapes(*(np.shape(x) for x in drive))
+    return [np.broadcast_to(x, shape) for x in drive]
+
+
+def recording_expm(monkeypatch) -> list:
+    """The number of matrices of each stack that reaches propagate.expm."""
+    sizes, original = [], propagate.expm
+
+    def recording(matrix):
+        sizes.append(math.prod(np.shape(matrix)[2:]))
+        return original(matrix)
+
+    monkeypatch.setattr(propagate, "expm", recording)
+    return sizes
+
+
+class TestCompactInputs:
+    """Inputs that keep size-1 axes give the bits of inputs broadcast to the
+    whole stack, and steps that differ only in phase share their exponential."""
+
+    @pytest.mark.parametrize(
+        "stack, steps, blocks, gamma",
+        [
+            pytest.param((3,), 8, 2048, None, id="one-batch"),
+            pytest.param((7,), 5, 15, None, id="sliced-rows"),
+            pytest.param((3,), 11, 4, None, id="sliced-time"),
+            pytest.param((2, 3), 5, 10, None, id="two-stack-axes"),
+            pytest.param((4,), 6, 12, [0.0, 0.3, 5.0, 600.0], id="decay-rate-stack"),
+            pytest.param((1,), 11, 4, [0.7], id="no-input-varies-along-the-stack"),
+        ],
+    )
+    def test_compact_inputs_have_the_bits_of_full_ones(self, stack, steps, blocks, gamma, monkeypatch):
+        drive = compact_drive(np.random.default_rng(2101), stack, steps, gamma)
+        monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
+        actual, expected = sector_product(*drive), sector_product(*full_drive(drive))
+        assert actual.anti.shape == stack
+        for block, reference in zip(actual, expected):
+            np.testing.assert_array_equal(block, reference)
+
+    @pytest.mark.parametrize("kind", ["phase-driven", "thermal", "noisy"])
+    @pytest.mark.parametrize("integrator", [MIDPOINT, MAGNUS4])
+    @pytest.mark.parametrize("gamma", [None, [0.0, 0.4]])
+    def test_substep_drive_has_the_bits_of_the_full_drive(self, kind, integrator, gamma, monkeypatch):
+        # 4 segments of 8 substeps against a budget of 16 steps: every row
+        # is sliced along time.
+        schedule = modulated_schedule(kind, 8)
+        config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=8, integrator=integrator)
+        drives, original = [], propagate._substep_drive
+        monkeypatch.setattr(
+            propagate, "_substep_drive", lambda *args: drives.append(original(*args)) or drives[-1]
+        )
+        monkeypatch.setattr(propagate, "_BATCH_BLOCKS", 16)
+        actual = evolution_blocks(schedule, config, gamma)
+        # Each input at the full shape, the MAGNUS4 sums taken over it.
+        shape = (len(schedule.segments), 8, 2 if integrator == MAGNUS4 else 1)
+        magnus4 = propagate._magnus4_drive
+        monkeypatch.setattr(
+            propagate, "_magnus4_drive", lambda *x: magnus4(*(np.broadcast_to(y, shape) for y in x))
+        )
+        full = [np.broadcast_to(x, shape).reshape(-1) for x in original(schedule, 8, integrator)]
+        rabi, detuning, *rest = full
+        if gamma is not None:
+            detuning = detuning - 1j * np.reshape(gamma, (-1, 1))
+        for block, reference in zip(actual, sector_product(rabi, detuning, *rest)):
+            np.testing.assert_array_equal(block, reference)
+        assert any(np.size(x) < math.prod(shape) for x in drives[0])
+
+    def test_phase_only_steps_take_one_exponential_per_rate(self, monkeypatch):
+        # The time-optimal curve of the decay scan: 1,500 midpoint substeps
+        # whose only modulation is the drive phase.
+        sizes = recording_expm(monkeypatch)
+        multipliers = [0.0, 5.0, 10.0]
+        experiments.run_decay_curves(rabi_frequencies=(), multiplier_grid=multipliers)
+        # One pair and one triple block per rate.
+        assert sum(sizes) == 2 * len(multipliers)
+
+    def test_thermal_steps_take_one_exponential_each(self, monkeypatch):
+        sizes = recording_expm(monkeypatch)
+        schedule = modulated_schedule("thermal", 8)
+        config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=8)
+        evolution_blocks(schedule, config, [0.0, 0.5])
+        assert sum(sizes) == 2 * 2 * len(schedule.segments) * 8
 
 
 def contracting_generators(rng, size, norms) -> np.ndarray:
