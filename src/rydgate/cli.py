@@ -15,6 +15,7 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -80,10 +81,14 @@ def _integer(value, what: str) -> int:
 
 def _number(value, what: str) -> float:
     """value as a float, or a ConfigError naming what it sets."""
+    message = f"{what} must be a number, got {value!r}"
+    # float() would turn true into 1.0.
+    if isinstance(value, bool):
+        raise ConfigError(message)
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+        raise ConfigError(message) from exc
 
 
 def resolve_seed(args, config: dict) -> int:
@@ -423,15 +428,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Built by the first main() call and reused by every later one. It holds
-# no per-call state: defaults are immutable and handlers are looked up
-# by command name when a call runs.
+# glibc's allocator policy for a CLI process; the parameter numbers are
+# malloc.h's. By default glibc maps every array above 128 kB fresh and
+# returns the freed top of the heap to the OS, so each sector_product
+# batch faulted its 1-2 MB working set back in: after a warm-up call, a
+# sweep-batch noise-map call took 1,728-3,744 minor faults, actuate
+# 1,047-1,271, a thermal cell 401-436 and dynamics --samples 400
+# 1,174-1,200.
+# Sizing: arrays come from the heap up to _MMAP_THRESHOLD, above every
+# per-batch array (a batch holds at most 2,048 blocks, so a complex
+# (3, 3, 2048) stack is 295 kB, as is actuate's (3, 3, 42, 48) one), and
+# the heap keeps up to _TRIM_THRESHOLD of freed top, above a batch's
+# working set. Then each of those calls takes 0-3 faults, and a one-off
+# array above _MMAP_THRESHOLD is still mapped fresh and returned.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 4 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+def _keep_heap() -> None:
+    """Set the allocator policy above; a no-op without glibc's mallopt.
+
+    main() calls it once per process. Importing the package leaves the
+    host's allocator as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    except (AttributeError, OSError, TypeError):
+        pass
+
+
+# Built by the first main() call, which also sets the allocator policy,
+# and reused by every later one. It holds no per-call state: defaults are
+# immutable and handlers are looked up by command name when a call runs.
 _PARSER = None
 
 
 def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
+        _keep_heap()
         _PARSER = build_parser()
     try:
         args = _PARSER.parse_args(argv)

@@ -45,6 +45,7 @@ from .propagate import (
     SUBSTEPPED,
     TRACE_GROWTH_TOL,
     IntegratorConfig,
+    SectorBlocks,
     batch_rows,
     check_finite,
     computational_diagonal,
@@ -515,6 +516,23 @@ def _cell_fidelity(amplitudes: np.ndarray) -> np.ndarray:
     return np.where(returned, compensated_fidelity(amplitudes), 0.0)
 
 
+def _cell_amplitudes(pairs: SectorBlocks, independent_phases: bool) -> np.ndarray:
+    """computational_diagonal of the composite cells pairs @ pairs, or of
+    every pair of phases with independent_phases.
+
+    The diagonal reads only entry (0, 0) of each block, so each cell is
+    row 0 of its left factor times column 0 of its right: the same sum,
+    in the same order, as that entry of the full product.
+    """
+    left, right = pairs, pairs
+    if independent_phases:
+        left, right = pairs.at(np.s_[:, :, None]), pairs.at(np.s_[:, None])
+    cells = SectorBlocks(left.pair[:1], left.triple[:1], left.anti) @ SectorBlocks(
+        right.pair[:, :1], right.triple[:, :1], right.anti
+    )
+    return computational_diagonal(cells)
+
+
 def run_actuating_scan(
     eta_list=(0.5, 1.0, 2.0, 3.0, 4.0),
     threshold: float = 0.96,
@@ -563,11 +581,7 @@ def run_actuating_scan(
             chunk = slice(first, first + width)
             steps = sector_step(rabi, -v / 2.0, step_phases, v, durations[chunk, None])
             pairs = steps.at(np.s_[:, 1:]) @ steps.at(np.s_[:, :1])
-            if independent_phases:
-                cells = pairs.at(np.s_[:, :, None]) @ pairs.at(np.s_[:, None])
-            else:
-                cells = pairs @ pairs
-            amplitudes = computational_diagonal(cells)
+            amplitudes = _cell_amplitudes(pairs, independent_phases)
             check_finite(amplitudes, f"a composite cell at v = {v}", "duration", durations[chunk])
             fidelities = _cell_fidelity(amplitudes)
             fidelities = fidelities.reshape(fidelities.shape[0], -1)

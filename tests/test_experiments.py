@@ -19,6 +19,7 @@ from rydgate.experiments import (
     REFERENCE_KAPPA,
     InterferometerSpec,
     ScanResult,
+    _cell_amplitudes,
     _cell_fidelity,
     _decayed_fidelities,
     interior_extrema,
@@ -648,6 +649,26 @@ class TestActuatingScan:
             assert expected, "grid too coarse: no cell qualifies"
             assert row["qualifying_cells"] == len(expected)
             assert row["mean_duration"] == pytest.approx(np.mean(expected), abs=1e-12)
+
+    @pytest.mark.parametrize("independent", [False, True])
+    @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("durations", [(0.02, 3.0, 42), (1e-4, 0.05, 30)])
+    def test_cell_amplitudes_equal_the_full_product(self, independent, eta, durations):
+        # The short durations put triple blocks of every class of the
+        # cos/sin series into one stack.
+        v = eta * experiments.V0
+        phases = np.concatenate(([0.0], np.linspace(-math.pi, math.pi, 9, endpoint=False)))
+        steps = propagate.sector_step(
+            REFERENCE_KAPPA * experiments.V0, -v / 2.0, phases, v, np.linspace(*durations)[:, None]
+        )
+        pairs = steps.at(np.s_[:, 1:]) @ steps.at(np.s_[:, :1])
+        if independent:
+            full = pairs.at(np.s_[:, :, None]) @ pairs.at(np.s_[:, None])
+        else:
+            full = pairs @ pairs
+        np.testing.assert_array_equal(
+            _cell_amplitudes(pairs, independent), propagate.computational_diagonal(full)
+        )
 
     @pytest.mark.parametrize("field", ["phase_count", "duration_count"])
     @pytest.mark.parametrize("count", [2.7, 2.0, "3", None, True])
