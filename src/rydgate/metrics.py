@@ -25,6 +25,9 @@ TWO_PI = 2.0 * math.pi
 # Overlap magnitudes at or below this are treated as phase-free.
 OVERLAP_TOL = 1e-6
 
+# Largest unitarity defect a gate target may have.
+TARGET_UNITARITY_TOL = 1e-6
+
 
 def accumulated_phase(initial, final) -> float:
     """Phase acquired by final relative to initial.
@@ -102,7 +105,7 @@ def gate_fidelity(actual, target) -> float:
     if target.shape != (4, 4):
         raise InvalidParameterError(f"target must be 4x4, got shape {target.shape}")
     defect = np.max(np.abs(target.conj().T @ target - np.eye(4)))
-    if defect > 1e-6:
+    if defect > TARGET_UNITARITY_TOL:
         raise InvalidParameterError(f"target is not unitary (defect {defect:.3e})")
     block = _computational_block(np.asarray(actual, dtype=complex))
     return float(_score(abs(np.trace(block @ target.conj().T))))
@@ -113,7 +116,7 @@ def diagonal_fidelity(amplitudes, target) -> np.ndarray:
     its amplitudes (a00, a01, a10, a11) on a last axis over any stack, against
     a diagonal unitary target t given by its diagonal: |sum_j a_j conj(t_j)| / 4."""
     target = np.asarray(target, dtype=complex)
-    if target.shape != (4,) or np.max(np.abs(np.abs(target) ** 2 - 1.0)) > 1e-6:
+    if target.shape != (4,) or np.max(np.abs(np.abs(target) ** 2 - 1.0)) > TARGET_UNITARITY_TOL:
         raise InvalidParameterError(f"target must be a unitary diagonal of 4 entries, got {target}")
     return _score(np.abs(np.sum(np.asarray(amplitudes, dtype=complex) * target.conj(), axis=-1)))
 

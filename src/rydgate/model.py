@@ -101,6 +101,13 @@ def check_count(name: str, value, low: int, high: int | None = None) -> None:
         raise InvalidParameterError(f"{name} must {bound}, got {value}")
 
 
+def check_number(name: str, value) -> None:
+    """Raise InvalidParameterError naming the value unless it is a real
+    number (a numbers.Real other than bool): True would count as 1.0."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+
+
 def check_index(name: str, value, size: int) -> int:
     """The index value as an int, after check_count in [0, size): int()
     would take 4.9 as index 4 and True as index 1."""
@@ -152,6 +159,7 @@ class PulseSegment:
     def __post_init__(self):
         for name in ("rabi", "detuning", "phase", "duration"):
             value = getattr(self, name)
+            check_number(f"segment {name}", value)
             if not math.isfinite(value):
                 raise InvalidParameterError(f"segment {name} must be finite, got {value}")
         if not self.rabi >= 0.0:
@@ -239,6 +247,7 @@ class DecaySpec:
     gamma: float
 
     def __post_init__(self):
+        check_number("decay rate", self.gamma)
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise InvalidParameterError(f"decay rate must be finite and >= 0, got {self.gamma}")
 

@@ -1,6 +1,7 @@
 """Time evolution of pulse schedules through one sector product.
 
-Plain schedules (no modulations) propagate exactly: each segment's
+Exact mode, for plain schedules (no modulations), is one step per
+segment (samples_per_segment equal steps when sampling): each segment's
 constant drive is exponentiated once. Modulated schedules (noise,
 thermal vibration, phase drive) take substeps, by one of two
 integrators. MIDPOINT (the default, second order) exponentiates the
@@ -31,7 +32,7 @@ to the 9x9 layout.
 `sector_product` is the one time-ordered product, for every engine and
 every scan. Each input keeps its own shape down to `sector_step`, so
 steps that differ only in phase share their exponential. The sampled
-engines take it over the intervals between samples and then the running
+engine takes it over the intervals between samples and then the running
 product of the intervals; a density at a sample is M rho M^dagger for
 the product M of the steps so far (there are no jump terms), and lost
 trace is never renormalized. What reads only final states takes
@@ -42,7 +43,6 @@ it to the state: the decay curves and `convergence_check`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
@@ -56,11 +56,13 @@ from .hamiltonian import gauged_blocks, sector_gauge, thermal_interaction
 from .model import (
     DIMENSION,
     MAX_SUBSTEPS,
+    STATE_NORM_TOL,
     DecaySpec,
     Schedule,
     check_count,
     check_density,
     check_index,
+    check_number,
     check_state,
 )
 
@@ -97,7 +99,8 @@ TRACE_GROWTH_TOL = 1e-7
 class IntegratorConfig:
     """Propagation mode and resolution settings.
 
-    exact-segment mode is only legal for schedules without
+    exact-segment mode, one step per segment (samples_per_segment equal
+    steps when sampling), is only legal for schedules without
     time-dependent modulation. integrator picks the substep rule of
     substepped mode, MIDPOINT or MAGNUS4. samples_per_segment controls
     how densely population histories are recorded.
@@ -123,9 +126,10 @@ class IntegratorConfig:
         # A tolerance that no distance can fall below would double the
         # substeps of convergence_check up to MAX_SUBSTEPS before it fails.
         tolerance = self.convergence_tolerance
-        if not (isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance > 0):
+        check_number("convergence_tolerance", tolerance)
+        if not (math.isfinite(tolerance) and tolerance > 0):
             raise InvalidParameterError(
-                f"convergence_tolerance must be finite and > 0, got {self.convergence_tolerance}"
+                f"convergence_tolerance must be finite and > 0, got {tolerance}"
             )
 
 
@@ -165,7 +169,10 @@ def resolve_config(schedule: Schedule, config: IntegratorConfig | None) -> Integ
     return config
 
 
-def _segment_substeps(schedule: Schedule, config: IntegratorConfig) -> int:
+def _segment_substeps(schedule: Schedule, config: IntegratorConfig, exact: int = 1) -> int:
+    # Exact mode takes `exact` steps per segment: one, or one per sample.
+    if config.mode == EXACT:
+        return exact
     # Noise is piecewise constant per noise substep; pinning the
     # integration grid to it keeps the substepped evolution exact.
     if schedule.noise is not None:
@@ -561,13 +568,13 @@ def computational_diagonal(blocks: SectorBlocks) -> np.ndarray:
 
 
 def _segment_drive(schedule: Schedule):
-    """The drive (rabi, detuning, phase, v) as arrays over the segments,
-    the segment durations, and the segment start times as a column."""
+    """The drive (rabi, detuning, phase, v) and the durations as arrays over
+    (segments, 1, 1), v over (1, 1, 1), and the segment start times as a column."""
     rabi, detuning, phase, durations = np.array(
         [(s.rabi, s.detuning, s.phase, s.duration) for s in schedule.segments], dtype=float
-    ).reshape(-1, 4).T
+    ).reshape(-1, 4).T[..., None, None]
     starts = np.concatenate(([0.0], np.cumsum(durations)))[:-1, None]
-    return (rabi, detuning, phase, schedule.interaction), durations, starts
+    return (rabi, detuning, phase, np.full((1, 1, 1), schedule.interaction)), durations, starts
 
 
 # The Gauss nodes of a substep of length h, as fractions of h: its
@@ -581,34 +588,34 @@ _MAGNUS4_WEIGHTS = 0.5 + np.array([1.0, -1.0]) * math.sqrt(3.0) / 3.0
 
 def _substep_drive(schedule: Schedule, steps: int, integrator: str):
     """(rabi, detuning, phase, v, dt) of the exponentials of `steps` equal
-    substeps per segment, in time order over (segments, steps,
-    exponentials per substep).
+    substeps per segment, and the grid they broadcast to: (segments,
+    steps, exponentials per substep), in time order.
 
     Each input keeps size-1 axes where it does not vary: a drive that is
-    not modulated stays one value per segment, and v stays a scalar
+    not modulated stays one value per segment, and v stays size 1
     without thermal vibration. The phase, which never reaches an
-    exponential, holds the full shape and so sets the step count; steps
-    that differ only in phase then share their exponential in
-    sector_step.
+    exponential, takes the steps of the grid in the caller and so sets
+    the step count; steps that differ only in phase then share their
+    exponential in sector_step. Substep times are taken only for a
+    phase drive or thermal vibration.
 
     MIDPOINT takes one exponential per substep: the drive at its midpoint
     over the substep length. MAGNUS4 takes two (_magnus4_drive)."""
-    from .stochastic import noisy_drive
-
     (rabi, detuning, phase, v), durations, starts = _segment_drive(schedule)
-    dt = (durations / steps)[:, None, None]
+    dt = durations / steps
     nodes = _GAUSS_NODES if integrator == MAGNUS4 else _MIDPOINT_NODES
-    t = starts[..., None] + (np.arange(steps)[:, None] + nodes) * dt
-    rabi, detuning, phase = rabi[:, None, None], detuning[:, None, None], phase[:, None, None]
     if schedule.noise is not None:
+        from .stochastic import noisy_drive
         rabi, detuning = (x[..., None] for x in noisy_drive(schedule, schedule.noise))
-    if schedule.phase_drive is not None:
-        phase = schedule.phase_drive.phase_at(t)
-    if schedule.thermal is not None:
-        v = thermal_interaction(t, schedule.interaction, schedule.thermal)
+    if schedule.phase_drive is not None or schedule.thermal is not None:
+        t = starts[..., None] + (np.arange(steps)[:, None] + nodes) * dt
+        if schedule.phase_drive is not None:
+            phase = schedule.phase_drive.phase_at(t)
+        if schedule.thermal is not None:
+            v = thermal_interaction(t, schedule.interaction, schedule.thermal)
     drive = (rabi, detuning, phase, v, dt)
-    rabi, detuning, phase, v, dt = _magnus4_drive(*drive) if integrator == MAGNUS4 else drive
-    return rabi, detuning, np.broadcast_to(phase, t.shape), v, dt
+    grid = (len(durations), steps, len(nodes))
+    return (_magnus4_drive(*drive) if integrator == MAGNUS4 else drive), grid
 
 
 def _magnus4_drive(rabi, detuning, phase, v, dt):
@@ -638,9 +645,9 @@ def _magnus4_drive(rabi, detuning, phase, v, dt):
 def evolution_blocks(
     schedule: Schedule, config: IntegratorConfig | None = None, gamma=None
 ) -> SectorBlocks:
-    """The evolution operator in sector form: the sector_product of the segments
-    of a plain schedule in exact mode, or of the exponentials of every substep of
-    the config's integrator in substepped mode; identity blocks if there are none.
+    """The evolution operator in sector form: the sector_product of the
+    exponentials of every substep of the config's integrator, where exact
+    mode takes one substep per segment; identity blocks if there are none.
 
     With decay rates gamma (a 1-D sequence, each finite and >= 0), the
     operators of the decay-modified schedule at each rate, stacked on
@@ -648,10 +655,9 @@ def evolution_blocks(
     each exponential spans half a substep, decay included). The rates are
     taken as many at a time as one sector_product batch holds rows of the
     steps (one at a time for a row longer than a batch), so the complex
-    detunings of one batch of rows at most exist at once. In substepped
-    mode an input that does not vary over the steps stays size 1, so
-    under MIDPOINT steps that differ only in phase take one exponential
-    per rate and batch.
+    detunings of one batch of rows at most exist at once. An input that
+    does not vary over the steps stays size 1, so under MIDPOINT steps
+    that differ only in phase take one exponential per rate and batch.
     """
     config = resolve_config(schedule, config)
     stack = ()
@@ -664,21 +670,21 @@ def evolution_blocks(
         ones = np.ones(stack, complex)
         eye = (np.eye(n).reshape((n, n) + (1,) * len(stack)) * ones for n in (2, 3))
         return SectorBlocks(*eye, ones)
-    if config.mode == EXACT:
-        drive, dt, _ = _segment_drive(schedule)
-        drive = (*drive, dt)
-    else:
-        drive = _substep_drive(schedule, _segment_substeps(schedule, config), config.integrator)
-        shape = np.broadcast_shapes(*(np.shape(x) for x in drive))
-        # Flat steps for the inputs that vary; the others stay size 1.
-        drive = [np.reshape(np.broadcast_to(x, shape) if np.size(x) > 1 else x, -1) for x in drive]
+    steps = _segment_substeps(schedule, config)
+    (rabi, detuning, phase, v, dt), grid = _substep_drive(schedule, steps, config.integrator)
+    size = math.prod(grid)
+    phase = phase if phase.size == size else np.broadcast_to(phase, grid)
+    # Flat steps for the phase and the inputs that vary; the others stay size 1.
+    rabi, detuning, phase, v, dt = (
+        (x if x.size in (1, size) else np.broadcast_to(x, grid)).reshape(-1)
+        for x in (rabi, detuning, phase, v, dt)
+    )
     if gamma is None:
-        return sector_product(*drive)
-    rabi, detuning, *rest = drive
-    count = batch_rows(np.broadcast(*drive).shape[-1])
+        return sector_product(rabi, detuning, phase, v, dt)
+    count = batch_rows(size)
     # No rates still make one (empty) product.
     parts = [
-        sector_product(rabi, detuning - 1j * rates[first : first + count], *rest)
+        sector_product(rabi, detuning - 1j * rates[first : first + count], phase, v, dt)
         for first in range(0, max(len(rates), 1), count)
     ]
     return SectorBlocks(*(np.concatenate(blocks, axis=-1) for blocks in zip(*parts)))
@@ -689,71 +695,64 @@ def evolution_operator(schedule: Schedule, config: IntegratorConfig | None = Non
     return sector_unitary(evolution_blocks(schedule, config))
 
 
-def _sampled_operators(schedule: Schedule, config: IntegratorConfig, gamma: float = 0.0):
-    """Sample times over (segments, intervals), and the batches of
-    _running_operators that map the initial state to them.
-
-    Exact mode samples each of samples_per_segment equal steps per
-    segment, which share one exponential. Substepped mode samples every
-    stride-th substep, stride = max(1, substeps // samples), and the
-    last of each segment: only at substep ends, so the two exponentials
-    of a MAGNUS4 substep share an interval. The exponentials between
-    samples are the rows of one sector_product over (segments,
-    intervals, stride x exponentials per substep), a short last interval
-    padded with zero-length, zero-drive (identity) substeps.
-    """
-    samples = config.samples_per_segment
-    drive, durations, starts = _segment_drive(schedule)
-    if config.mode == EXACT:
-        dt = durations / samples
-        rabi, detuning, *rows = (np.asarray(x)[..., None, None] for x in (*drive, dt))
-        ends = np.arange(1, samples + 1)
-    else:
-        steps = _segment_substeps(schedule, config)
-        stride = max(1, steps // samples)
-        count = -(-steps // stride)
-        pad = ((0, 0), (0, count * stride - steps), (0, 0))
-        drive = np.broadcast_arrays(*_substep_drive(schedule, steps, config.integrator))
-        rabi, detuning, *rows = (np.pad(x, pad).reshape(len(x), count, -1) for x in drive)
-        dt = durations / steps
-        ends = np.minimum(np.arange(1, count + 1) * stride, steps)
-    if gamma > 0.0:
-        # Decay is -i gamma per excited atom: the imaginary part of the detuning.
-        detuning = detuning - 1j * gamma
-    times = starts + ends * dt[:, None]
-    return times, _running_operators(sector_product(rabi, detuning, *rows), times.shape)
-
-
-def _running_operators(intervals: SectorBlocks, shape):
-    """Yield (k, operators) per batch: the 9x9 products of all steps up to
-    the ends of intervals k, k + 1, ... of the time-ordered intervals,
-    which broadcast to shape = (segments, intervals), taken flat. A batch
-    holds at most _BATCH_BLOCKS operators: the running product of its
-    intervals times the last operator of the batch before.
-    """
-    intervals = SectorBlocks(
-        *(np.broadcast_to(b, b.shape[: b.ndim - 2] + shape).reshape(b.shape[: b.ndim - 2] + (-1,))
-          for b in intervals)
-    )
-    carry = SectorBlocks(np.eye(2)[..., None], np.eye(3)[..., None], np.ones(1))
-    for first in range(0, math.prod(shape), _BATCH_BLOCKS):
-        operators = running_product(intervals.at(np.s_[first : first + _BATCH_BLOCKS])) @ carry
-        carry = operators.at(np.s_[-1:])
-        yield first, sector_unitary(operators)
-
-
 def _sampled(schedule, config, evolve, gamma=0.0) -> PropagationResult:
     """The records at t = 0 (evolving by the identity) and at every sample.
     evolve(operators) maps a stack of 9x9 operators to the evolved states
     or densities and their records, populations and norms, each with its
-    own trailing shape."""
-    times, batches = _sampled_operators(schedule, config, gamma)
+    own trailing shape.
+
+    Samples fall on every stride-th substep, stride = max(1, substeps //
+    samples), and the last of each segment: only at substep ends, so the
+    two exponentials of a MAGNUS4 substep share an interval. Exact mode
+    is samples_per_segment substeps at stride 1. The exponentials between
+    samples are the rows of one sector_product over (segments, intervals,
+    stride x exponentials per substep), each input at its compact shape.
+    Zero-length substeps, identities whatever their drive, pad a short
+    last interval, so only dt and the inputs that vary need padding. A
+    batch of at most _BATCH_BLOCKS operators at the samples is the
+    running product of its intervals times the last operator before it.
+    """
+    steps = _segment_substeps(schedule, config, config.samples_per_segment)
+    stride = max(1, steps // config.samples_per_segment)
+    count = -(-steps // stride)
+    (*drive, dt), (segments, _, width) = _substep_drive(schedule, steps, config.integrator)
+    if count * stride > steps:
+        dt = np.broadcast_to(dt, (segments, steps, 1))
+
+    def intervals(x):
+        # x over (segments, intervals, stride x width), size 1 where it was.
+        if x.shape[1] > 1:
+            x = np.pad(x, ((0, 0), (0, count * stride - steps), (0, 0)))
+            x = x.reshape(len(x), count, stride, x.shape[2])
+        else:
+            x = x[:, :, None]
+        if x.shape[2:] != (1, 1):
+            x = np.broadcast_to(x, x.shape[:2] + (stride, width))
+        return x.reshape(x.shape[:2] + (math.prod(x.shape[2:]),))
+
+    rabi, detuning, phase, v, dt = (intervals(x) for x in (*drive, dt))
+    # The phase, which never reaches an exponential, sets the step count.
+    phase = np.broadcast_to(phase, phase.shape[:2] + (stride * width,))
+    if gamma > 0.0:
+        # Decay is -i gamma per excited atom: the imaginary part of the detuning.
+        detuning = detuning - 1j * gamma
+    _, durations, starts = _segment_drive(schedule)
+    ends = np.minimum(np.arange(1, count + 1) * stride, steps)
+    times = starts + ends * (durations / steps)[:, 0]
+    # The interval products flat, each broadcast over the samples where it does not vary.
+    blocks = SectorBlocks(
+        *(np.broadcast_to(b, b.shape[: b.ndim - 2] + times.shape).reshape(b.shape[: b.ndim - 2] + (-1,))
+          for b in sector_product(rabi, detuning, phase, v, dt))
+    )
     final, *initial = (x[0] for x in evolve(np.eye(DIMENSION)[None]))
     records = [np.empty((1 + times.size,) + x.shape, dtype=x.dtype) for x in initial]
     for record, x in zip(records, initial):
         record[0] = x
-    for first, full in batches:
-        evolved, *values = evolve(full)
+    carry = SectorBlocks(np.eye(2)[..., None], np.eye(3)[..., None], np.ones(1))
+    for first in range(0, times.size, _BATCH_BLOCKS):
+        operators = running_product(blocks.at(np.s_[first : first + _BATCH_BLOCKS])) @ carry
+        carry = operators.at(np.s_[-1:])
+        evolved, *values = evolve(sector_unitary(operators))
         for record, value in zip(records, values):
             record[1 + first : 1 + first + len(value)] = value
         final = evolved[-1]
@@ -774,10 +773,10 @@ def propagate_state(
 
 
 def _normalized_state(initial) -> np.ndarray:
-    """check_state(initial), which must also have norm 1 within 1e-9."""
+    """check_state(initial), which must also have norm 1 within STATE_NORM_TOL."""
     psi = check_state(initial)
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-9:
+    if abs(norm - 1.0) > STATE_NORM_TOL:
         raise InvalidParameterError(f"initial state must be normalized, norm = {norm}")
     return psi
 

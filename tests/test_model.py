@@ -30,6 +30,7 @@ from rydgate.model import (
     standard_schedule,
     time_optimal_schedule,
 )
+from rydgate.propagate import IntegratorConfig
 
 
 class TestBasis:
@@ -180,6 +181,24 @@ class TestSpecs:
         assert spec.gamma == pytest.approx(10.0 * 2.0 * math.pi * 0.01)
         with pytest.raises(InvalidParameterError):
             DecaySpec(gamma=-0.1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: IntegratorConfig(convergence_tolerance=True), id="tolerance"),
+            pytest.param(lambda: DecaySpec(gamma=True), id="decay-rate"),
+            pytest.param(
+                lambda: PulseSegment(rabi=True, detuning=False, phase=0.0, duration=True),
+                id="segment",
+            ),
+            pytest.param(lambda: PulseSegment(1.0, 0.0, False, 1.0), id="segment-phase"),
+        ],
+    )
+    def test_booleans_are_not_numbers(self, build):
+        # float(True) is 1.0 and float(False) 0.0: a flag passed for a
+        # number would otherwise run.
+        with pytest.raises(InvalidParameterError, match="must be a real number, got (True|False)"):
+            build()
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_decay_rejects_non_finite_rates(self, value):

@@ -43,6 +43,7 @@ from rydgate.propagate import (
     evolution_blocks,
     evolution_operator,
     ordered_product,
+    propagate_basis,
     propagate_density,
     propagate_state,
     resolve_config,
@@ -1101,13 +1102,13 @@ class TestCompactInputs:
         monkeypatch.setattr(
             propagate, "_magnus4_drive", lambda *x: magnus4(*(np.broadcast_to(y, shape) for y in x))
         )
-        full = [np.broadcast_to(x, shape).reshape(-1) for x in original(schedule, 8, integrator)]
+        full = [np.broadcast_to(x, shape).reshape(-1) for x in original(schedule, 8, integrator)[0]]
         rabi, detuning, *rest = full
         if gamma is not None:
             detuning = detuning - 1j * np.reshape(gamma, (-1, 1))
         for block, reference in zip(actual, sector_product(rabi, detuning, *rest)):
             np.testing.assert_array_equal(block, reference)
-        assert any(np.size(x) < math.prod(shape) for x in drives[0])
+        assert any(np.size(x) < math.prod(shape) for x in drives[0][0])
 
     def test_phase_only_steps_take_one_exponential_per_rate(self, monkeypatch):
         # The time-optimal curve of the decay scan: 1,500 midpoint substeps
@@ -1118,12 +1119,52 @@ class TestCompactInputs:
         # One pair and one triple block per rate.
         assert sum(sizes) == 2 * len(multipliers)
 
+    def test_phase_only_substeps_share_one_exponential_when_sampled(self, monkeypatch):
+        # 1,500 midpoint substeps of the time-optimal gate differ only in
+        # phase, and the sampled engine keeps each input at its own shape.
+        sizes = recording_expm(monkeypatch)
+        rho = np.outer(basis_state("11"), basis_state("11"))
+        config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=1500)
+        propagate_density(time_optimal_schedule(), rho, DecaySpec(gamma=0.05), config)
+        # One pair and one triple block.
+        assert sum(sizes) == 2
+
     def test_thermal_steps_take_one_exponential_each(self, monkeypatch):
         sizes = recording_expm(monkeypatch)
         schedule = modulated_schedule("thermal", 8)
         config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=8)
         evolution_blocks(schedule, config, [0.0, 0.5])
         assert sum(sizes) == 2 * 2 * len(schedule.segments) * 8
+
+
+class TestExactModeIsAStepCount:
+    """Exact mode is substepped mode at one substep per segment, or at
+    samples_per_segment substeps when sampling: the same bits."""
+
+    @pytest.mark.parametrize("gamma", [None, [0.0, 0.3, 600.0]])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_operator_has_the_bits_of_one_substep_per_segment(self, seed, gamma):
+        schedule = random_schedule(np.random.default_rng(2300 + seed))
+        substepped = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=1)
+        expected = evolution_blocks(schedule, substepped, gamma)
+        for block, reference in zip(evolution_blocks(schedule, None, gamma), expected):
+            np.testing.assert_array_equal(block, reference)
+
+    @pytest.mark.parametrize("samples, blocks", [(1, None), (7, None), (5, 4)])
+    def test_records_have_the_bits_of_one_substep_per_sample(self, samples, blocks, monkeypatch):
+        if blocks is not None:
+            monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
+        rng = np.random.default_rng(2310 + samples)
+        schedule, psi = random_schedule(rng), random_state(rng)
+        exact = IntegratorConfig(samples_per_segment=samples)
+        substepped = dataclasses.replace(exact, mode=SUBSTEPPED, substeps_per_segment=samples)
+        for engine in (
+            lambda config: propagate_state(schedule, psi, config),
+            lambda config: propagate_basis(schedule, range(9), config),
+        ):
+            expected = dataclasses.astuple(engine(substepped))
+            for record, reference in zip(dataclasses.astuple(engine(exact)), expected):
+                np.testing.assert_array_equal(record, reference)
 
 
 def contracting_generators(rng, size, norms) -> np.ndarray:

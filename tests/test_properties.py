@@ -186,7 +186,7 @@ class TestMagnus4Health:
         # Asked per substep: over a product the rounding of its steps
         # adds up, about 1e-16 per exponential under either integrator.
         steps = propagate._segment_substeps(schedule, magnus4(substeps))
-        drive = propagate._substep_drive(schedule, steps, MAGNUS4)
+        drive, _ = propagate._substep_drive(schedule, steps, MAGNUS4)
         u = sector_unitary(sector_product(*drive))
         defect = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(9)).max()
         assert defect <= 1e-13
