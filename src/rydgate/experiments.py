@@ -3,13 +3,12 @@
 Each runner returns a ScanResult: the table of the scan as named
 columns (numpy arrays, or lists of text), plus the axes that generated
 them and metadata sufficient to rerun the scan. ScanResult.to_csv
-writes the table column by column and drops the metadata next to the
-CSV as a sibling .meta.json file.
+writes the table through one row template and drops the metadata next
+to the CSV as a sibling .meta.json file.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -65,14 +64,13 @@ REFERENCE_KAPPA = 1.65
 _CSV_ROWS = 256
 
 
-def _cell_text(values):
-    """CSV text of the cells of one column: text as is, integers in
-    full and floats to 12 significant digits."""
-    if not isinstance(values, np.ndarray):
-        return values
-    if values.dtype.kind in "biu":
-        return map(str, map(int, values.tolist()))
-    return map("%.12g".__mod__, values.tolist())
+def _csv_text(text: str, alone: bool) -> str:
+    """A text cell as csv.writer's minimal quoting writes it: in quotes,
+    with each quote doubled, when it holds a comma, a quote or a line
+    break, and as "" when it is empty and alone on its row."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text or ('""' if alone else "")
 
 
 @dataclass(frozen=True)
@@ -103,13 +101,34 @@ class ScanResult:
 
     def write_rows(self, stream) -> None:
         """Write the header and the table as CSV text to an open stream,
-        formatting _CSV_ROWS rows at a time column by column."""
-        writer = csv.writer(stream)
-        writer.writerow(self.table)
+        the text csv.writer would write, _CSV_ROWS rows at a time.
+
+        One %-format row template comes from the column kinds: floats
+        take %.12g, integers and bools %d, and text %s, each distinct
+        text quoted once. Each slice of rows is formatted from its
+        columns' .tolist() and written as one string.
+        """
         columns = list(self.table.values())
-        for first in range(0, len(columns[0]) if columns else 0, _CSV_ROWS):
+        alone = len(columns) == 1
+        stream.write(",".join(_csv_text(name, alone) for name in self.table) + "\r\n")
+        specs, quotes = [], []
+        for values in columns:
+            if isinstance(values, np.ndarray):
+                specs.append("%d" if values.dtype.kind in "biu" else "%.12g")
+                quotes.append(None)
+            else:
+                specs.append("%s")
+                quotes.append({text: _csv_text(text, alone) for text in set(values)}.__getitem__)
+        row = ",".join(specs) + "\r\n"
+        width, length = len(columns), len(columns[0]) if columns else 0
+        for first in range(0, length, _CSV_ROWS):
             rows = slice(first, first + _CSV_ROWS)
-            writer.writerows(zip(*(_cell_text(values[rows]) for values in columns)))
+            count = min(_CSV_ROWS, length - first)
+            # Row-major cells: column k fills every width-th place from k.
+            cells = [None] * (count * width)
+            for k, (values, quote) in enumerate(zip(columns, quotes)):
+                cells[k::width] = values[rows].tolist() if quote is None else map(quote, values[rows])
+            stream.write(row * count % tuple(cells))
 
     def to_csv(self, path) -> Path:
         """Write the table as CSV and the metadata as a sibling .meta.json.
@@ -124,8 +143,7 @@ class ScanResult:
                 self.write_rows(handle)
             with open(meta_path, "w") as handle:
                 opened.append(meta_path)
-                json.dump(self.metadata, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+                handle.write(json.dumps(self.metadata, indent=2, sort_keys=True) + "\n")
         except BaseException:
             for written in opened:
                 written.unlink(missing_ok=True)

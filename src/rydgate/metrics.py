@@ -138,8 +138,12 @@ def compensated_fidelity(amplitudes) -> np.ndarray:
     a00 + |a01| + |a10| + |a11| e^{-i (phi_11 - phi_10 - phi_01 + pi)}.
     Returning states are not checked here.
     """
-    magnitudes = np.abs(amplitudes)
-    phases = np.angle(np.conj(amplitudes))
+    return _compensated(amplitudes, np.abs(amplitudes), np.angle(np.conj(amplitudes)))
+
+
+def _compensated(amplitudes, magnitudes, phases) -> np.ndarray:
+    """compensated_fidelity from the amplitudes with their magnitudes
+    and phases arg(conj(a)) already taken."""
     raw = phases[..., 3] - phases[..., 2] - phases[..., 1]
     total = (
         amplitudes[..., 0]
@@ -268,7 +272,7 @@ def _summary(amplitudes, retained=None) -> dict:
             phases[..., 3] - phases[..., 2] - phases[..., 1]
         ),
         "return_probabilities": np.minimum(1.0, populations),
-        "fidelity": compensated_fidelity(amplitudes),
+        "fidelity": _compensated(amplitudes, magnitudes, phases),
         "leakage": np.maximum(0.0, 1.0 - np.mean(retained, axis=-1)),
     }
 

@@ -103,9 +103,22 @@ def check_count(name: str, value, low: int, high: int | None = None) -> None:
 
 def check_number(name: str, value) -> None:
     """Raise InvalidParameterError naming the value unless it is a real
-    number (a numbers.Real other than bool): True would count as 1.0."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+    number (a numbers.Real other than bool): True would count as 1.0.
+    A float or an int passes without the numbers.Real lookup, which
+    costs a Python-level ABC check on every segment field."""
+    if type(value) not in (float, int) and (
+        not isinstance(value, numbers.Real) or isinstance(value, bool)
+    ):
         raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+
+
+def check_finite_number(name: str, value) -> None:
+    """check_number, then raise InvalidParameterError naming the value
+    unless it is finite: a NaN or an infinity would run on to NaN
+    results."""
+    check_number(name, value)
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{name} must be finite, got {value}")
 
 
 def check_index(name: str, value, size: int) -> int:
@@ -158,10 +171,7 @@ class PulseSegment:
 
     def __post_init__(self):
         for name in ("rabi", "detuning", "phase", "duration"):
-            value = getattr(self, name)
-            check_number(f"segment {name}", value)
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"segment {name} must be finite, got {value}")
+            check_finite_number(f"segment {name}", getattr(self, name))
         if not self.rabi >= 0.0:
             raise InvalidParameterError(f"segment rabi must be >= 0, got {self.rabi}")
         if not self.duration > 0.0:
@@ -181,6 +191,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name, value in (("eta_omega", self.eta_omega), ("eta_delta", self.eta_delta)):
+            check_number(name, value)
             if not 0.0 <= value <= 0.05:
                 raise InvalidParameterError(f"{name} must lie in [0, 0.05], got {value}")
         check_count("noise substeps", self.substeps, 1, MAX_SUBSTEPS)
@@ -211,16 +222,16 @@ class ThermalSpec:
         # A non-finite distance, waist or rate would make the fidelity NaN.
         for name in ("equilibrium_distance", "waist", "reference_temperature"):
             value = getattr(self, name)
+            check_number(name, value)
             if not (math.isfinite(value) and value > 0.0):
                 raise InvalidParameterError(f"{name} must be finite and > 0, got {value}")
+        check_number("temperature", self.temperature)
         if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
             raise InvalidParameterError(
                 f"temperature must be finite and >= 0, got {self.temperature}"
             )
-        if self.vibration_rate is not None and not math.isfinite(self.vibration_rate):
-            raise InvalidParameterError(
-                f"vibration_rate must be finite, got {self.vibration_rate}"
-            )
+        if self.vibration_rate is not None:
+            check_finite_number("vibration_rate", self.vibration_rate)
         if self.exponent_mode not in ("literal", "physical"):
             raise ConfigError(
                 f"unknown exponent mode {self.exponent_mode!r}; expected 'literal' or 'physical'"
@@ -270,6 +281,10 @@ class PhaseDriveSpec:
     angular_rate: float
     offset: float
 
+    def __post_init__(self):
+        for name in ("amplitude", "angular_rate", "offset"):
+            check_finite_number(f"phase drive {name}", getattr(self, name))
+
     def phase_at(self, t):
         """Drive phase at time t, a scalar or an array of times."""
         return self.amplitude * np.cos(self.angular_rate * t - self.offset)
@@ -295,6 +310,7 @@ class Schedule:
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "units", normalize_units(self.units))
+        check_number("interaction", self.interaction)
         if not (math.isfinite(self.interaction) and self.interaction >= 0.0):
             raise InvalidParameterError(
                 f"interaction must be finite and >= 0, got {self.interaction}"

@@ -1,5 +1,6 @@
 """Tests for the experiment pipelines and their CSV export."""
 
+import csv
 import io
 import itertools
 import json
@@ -11,6 +12,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from rydgate import experiments, metrics, propagate
@@ -108,6 +111,140 @@ class TestScanResult:
         stream = io.StringIO()
         ScanResult(axes={}, table={}).write_rows(stream)
         assert stream.getvalue() == "\r\n"
+
+
+def csv_writer_text(table) -> str:
+    """The CSV text of a table as csv.writer writes it, with integers and
+    bools in full, floats to 12 significant digits and text as is: the
+    oracle of ScanResult.write_rows."""
+
+    def cells(values):
+        if not isinstance(values, np.ndarray):
+            return values
+        if values.dtype.kind in "biu":
+            return [str(int(value)) for value in values.tolist()]
+        return ["%.12g" % value for value in values.tolist()]
+
+    stream = io.StringIO()
+    writer = csv.writer(stream)
+    writer.writerow(table)
+    writer.writerows(zip(*map(cells, table.values())))
+    return stream.getvalue()
+
+
+def written_rows(table) -> str:
+    stream = io.StringIO()
+    ScanResult(axes={}, table=table).write_rows(stream)
+    return stream.getvalue()
+
+
+@st.composite
+def csv_tables(draw):
+    """A table of 1 to 5 columns of random kinds and 0 to 12 rows."""
+    length = draw(st.integers(0, 12))
+    rows = {"min_size": length, "max_size": length}
+    texts = st.text(st.sampled_from('ab ,"\r\n%\t') | st.characters(), max_size=4)
+    kinds = {
+        "float": lambda: np.array(draw(st.lists(st.floats(), **rows)), dtype=float),
+        "float32": lambda: np.array(
+            draw(st.lists(st.floats(width=32), **rows)), dtype=np.float32
+        ),
+        "int": lambda: np.array(
+            draw(st.lists(st.integers(-(2**63), 2**63 - 1), **rows)), dtype=np.int64
+        ),
+        "bool": lambda: np.array(draw(st.lists(st.booleans(), **rows)), dtype=bool),
+        "text": lambda: draw(st.lists(texts, **rows)),
+    }
+    names = draw(st.lists(texts, min_size=1, max_size=5, unique=True))
+    return {name: kinds[draw(st.sampled_from(sorted(kinds)))]() for name in names}
+
+
+class TestCsvAgainstCsvWriter:
+    """write_rows against the csv.writer oracle, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            pytest.param(lambda: run_dynamics(1.65, samples_per_segment=2), id="dynamics"),
+            pytest.param(lambda: scan_kappa([1.0, 1.5, 2.0]), id="scan-kappa"),
+            pytest.param(
+                lambda: run_interferometer(InterferometerSpec(kappa_grid=(1.0, 1.5, 2.0))),
+                id="interfere",
+            ),
+            pytest.param(
+                lambda: run_noise_map([0.0, 0.05], [0.0, 0.05], trials=2, substeps=4),
+                id="noise-map",
+            ),
+            pytest.param(lambda: run_thermal_map([8.0], [5.0], substeps=10), id="thermal-map"),
+            pytest.param(
+                lambda: run_decay_curves([5.0], [0.0, 10.0], time_optimal_substeps=7),
+                id="decay",
+            ),
+            pytest.param(
+                lambda: run_actuating_scan(eta_list=(1.0,), phase_count=4, duration_count=5),
+                id="actuate",
+            ),
+        ],
+    )
+    def test_pipeline_tables(self, run, tmp_path):
+        result = run()
+        expected = csv_writer_text(result.table)
+        assert written_rows(result.table) == expected
+        result.to_csv(tmp_path / "scan.csv")
+        assert (tmp_path / "scan.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_tables_around_one_slice_of_rows(self, offset):
+        length = experiments._CSV_ROWS + offset
+        rng = np.random.default_rng(length)
+        table = {
+            "label": [["a", "b,c", ""][k % 3] for k in range(length)],
+            "x": rng.normal(size=length),
+            "count": rng.integers(-(10**12), 10**12, length),
+            "flag": rng.uniform(size=length) < 0.5,
+        }
+        text = written_rows(table)
+        assert text == csv_writer_text(table)
+        assert text.count("\r\n") == length + 1
+
+    def test_text_that_needs_quotes(self):
+        cells = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", "\r\n", '"', "", "plain", " pad ",
+                 "%s %d", "tab\there"]
+        table = {"text": cells, "x": np.arange(len(cells), dtype=float)}
+        assert written_rows(table) == csv_writer_text(table)
+        quoted_names = {"a,b": ["x"], 'q"': ["y"], "line\nbreak": ["z"], "": [""]}
+        assert written_rows(quoted_names) == csv_writer_text(quoted_names)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            pytest.param({"name": ["", "x", ""]}, id="empty-cells"),
+            pytest.param({"": ["a", ""]}, id="empty-name"),
+        ],
+    )
+    def test_an_empty_cell_alone_on_its_row_is_quoted(self, table):
+        text = written_rows(table)
+        assert text == csv_writer_text(table)
+        assert '""\r\n' in text
+
+    def test_numeric_extremes(self):
+        info = np.iinfo(np.int64)
+        table = {
+            "int": np.array([info.min, info.max, 0, -1, 1, 7], dtype=np.int64),
+            "uint": np.array([np.iinfo(np.uint64).max, 0, 1, 2, 3, 4], dtype=np.uint64),
+            "flag": np.array([True, False, True, False, False, True]),
+            "single": np.array([0.1, -0.0, np.inf, np.nan, 3.4e38, 1e-45], dtype=np.float32),
+            "double": np.array([-0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324]),
+            "big": np.array([1.7976931348623157e308, 1.0 / 3.0, 2.0**53, -2.5, 1e16, 0.1]),
+        }
+        assert written_rows(table) == csv_writer_text(table)
+
+    @given(csv_tables(), st.integers(1, 5))
+    def test_random_column_mixes(self, table, chunk):
+        # Slices of 1 to 5 rows, so the random tables cross slice bounds.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_CSV_ROWS", chunk)
+            assert written_rows(table) == csv_writer_text(table)
 
 
 class TestInteriorExtrema:

@@ -11,6 +11,7 @@ from rydgate.metrics import (
     GateOutcome,
     accumulated_phase,
     compensated_cz_target,
+    compensated_fidelity,
     conditional_state_fidelity,
     controlled_phase,
     diagonal_fidelity,
@@ -189,6 +190,42 @@ class TestDiagonalFidelity:
     def test_rejects_a_bad_target(self, target):
         with pytest.raises(InvalidParameterError):
             diagonal_fidelity(np.ones(4), target)
+
+
+class TestCompensatedFidelity:
+    @staticmethod
+    def _reference(amplitudes):
+        # The formula written out from the amplitudes alone.
+        magnitudes = np.abs(amplitudes)
+        phases = np.angle(np.conj(amplitudes))
+        raw = phases[..., 3] - phases[..., 2] - phases[..., 1]
+        total = (
+            amplitudes[..., 0]
+            + magnitudes[..., 1]
+            + magnitudes[..., 2]
+            + magnitudes[..., 3] * np.exp(-1j * (raw + math.pi))
+        )
+        return np.minimum(1.0, np.abs(total) / 4.0)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    def test_bits_of_the_written_out_formula(self, shape):
+        rng = np.random.default_rng(31)
+        amplitudes = rng.uniform(0.1, 1.0, shape + (4,)) * np.exp(
+            1j * rng.uniform(-math.pi, math.pi, shape + (4,))
+        )
+        fidelity = compensated_fidelity(amplitudes)
+        assert fidelity.shape == shape
+        np.testing.assert_array_equal(fidelity, self._reference(amplitudes))
+
+    def test_summaries_score_with_the_same_bits(self):
+        # gate_summary and diagonal_summary reuse their magnitudes and
+        # phases for the fidelity; it keeps compensated_fidelity's bits.
+        rng = np.random.default_rng(32)
+        unitaries = np.array([_random_unitary(rng) for _ in range(6)])
+        diagonal = unitaries[:, [0, 1, 3, 4], [0, 1, 3, 4]]
+        expected = compensated_fidelity(diagonal)
+        np.testing.assert_array_equal(gate_summary(unitaries)["fidelity"], expected)
+        np.testing.assert_array_equal(diagonal_summary(diagonal)["fidelity"], expected)
 
 
 class TestStateFidelity:

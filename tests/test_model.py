@@ -200,6 +200,46 @@ class TestSpecs:
         with pytest.raises(InvalidParameterError, match="must be a real number, got (True|False)"):
             build()
 
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            pytest.param(
+                lambda: Schedule(segments=(), interaction=True), "interaction",
+                id="schedule-interaction-flag",
+            ),
+            pytest.param(lambda: NoiseSpec(eta_omega=False), "eta_omega", id="noise-eta-flag"),
+            pytest.param(
+                lambda: ThermalSpec(equilibrium_distance=True, temperature=False),
+                "equilibrium_distance", id="thermal-flags",
+            ),
+            pytest.param(
+                lambda: ThermalSpec(equilibrium_distance=8.0, temperature=False), "temperature",
+                id="thermal-temperature-flag",
+            ),
+            pytest.param(
+                lambda: PhaseDriveSpec(True, False, 0.0), "phase drive amplitude",
+                id="phase-drive-flags",
+            ),
+            pytest.param(
+                lambda: PhaseDriveSpec(math.nan, 1.0, 0.0), "phase drive amplitude",
+                id="phase-drive-nan",
+            ),
+            pytest.param(
+                lambda: PhaseDriveSpec(1.0, math.inf, 0.0), "phase drive angular_rate",
+                id="phase-drive-inf-rate",
+            ),
+            pytest.param(
+                lambda: PhaseDriveSpec(1.0, 1.0, -math.inf), "phase drive offset",
+                id="phase-drive-inf-offset",
+            ),
+        ],
+    )
+    def test_specs_reject_flags_and_non_finite_values(self, build, name):
+        # A flag counts as 0 or 1 and a NaN phase drive gives NaN phases;
+        # each is rejected where the spec is built, naming its field.
+        with pytest.raises(InvalidParameterError, match=name):
+            build()
+
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_decay_rejects_non_finite_rates(self, value):
         with pytest.raises(InvalidParameterError, match="finite"):
