@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import inspect
 import json
 import math
 import os
@@ -23,18 +24,23 @@ import sys
 
 import numpy as np
 
-from . import experiments
+from . import experiments, model
 from ._version import __version__
 from .errors import ConfigError, InvalidParameterError, NumericError
 from .experiments import REFERENCE_KAPPA, InterferometerSpec, ScanResult
 from .model import MAX_SUBSTEPS, cyclic_segment_duration, normalize_units
 
-DEFAULT_SEED = 12345
 SEED_ENV_VAR = "RYDGATE_SEED"
 
 # Most points along one grid axis. A longer grid is no scan a command
 # line would ask for, and its arrays would be allocated before any work.
 MAX_GRID_STEPS = 100_000
+
+
+def _defaults(runner) -> dict:
+    """The runner's parameter defaults by name: each pipeline default lives
+    with its runner, and a flag or config key left unset falls back to it."""
+    return {name: p.default for name, p in inspect.signature(runner).parameters.items()}
 
 
 def _float_list(text: str):
@@ -67,26 +73,15 @@ def _section(config: dict, name: str) -> dict:
     return section
 
 
-def _integer(value, what: str) -> int:
-    """value as an int, or a ConfigError naming what it sets."""
-    message = f"{what} must be an integer, got {value!r}"
-    # int() would turn true into 1 and truncate 1.9 to 1.
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+def _number(value, what: str, kind=float):
+    """value as a kind, float or int, or a ConfigError naming what it sets."""
+    message = f"{what} must be {'an integer' if kind is int else 'a number'}, got {value!r}"
+    # kind() would turn true into 1, and int() truncate 1.9 to 1.
+    fraction = kind is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or fraction:
         raise ConfigError(message)
     try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(message) from exc
-
-
-def _number(value, what: str) -> float:
-    """value as a float, or a ConfigError naming what it sets."""
-    message = f"{what} must be a number, got {value!r}"
-    # float() would turn true into 1.0.
-    if isinstance(value, bool):
-        raise ConfigError(message)
-    try:
-        return float(value)
+        return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(message) from exc
 
@@ -97,11 +92,11 @@ def resolve_seed(args, config: dict) -> int:
         return int(args.seed)
     noise = _section(config, "noise")
     if "seed" in noise:
-        return _integer(noise["seed"], "config noise seed")
+        return _number(noise["seed"], "config noise seed", int)
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        return _integer(env, SEED_ENV_VAR)
-    return DEFAULT_SEED
+        return _number(env, SEED_ENV_VAR, int)
+    return _defaults(experiments.run_noise_map)["seed"]
 
 
 def _resolve(args, name: str, config_section: dict, key: str, default):
@@ -135,7 +130,7 @@ def _schedule(args, config: dict, kappa_default=None):
 
 def _count(flag: str, value, limit: int) -> int:
     """value as an int in [1, limit], or a ConfigError naming the flag."""
-    count = _integer(value, flag)
+    count = _number(value, flag, int)
     if count < 1:
         raise ConfigError(f"{flag} must be >= 1, got {count}")
     if count > limit:
@@ -205,7 +200,8 @@ def emit(result, args) -> None:
 
 def cmd_gate(args, config: dict):
     kappa, v = _schedule(args, config)
-    units = normalize_units(_resolve(args, "units", config, "units", "natural"))
+    # run_gate's default, read from Schedule so that no call pays for inspect.signature.
+    units = normalize_units(_resolve(args, "units", config, "units", model.Schedule.units))
     return experiments.run_gate(kappa, v, units=units)
 
 
@@ -224,14 +220,19 @@ def cmd_scan_kappa(args, config: dict):
 def cmd_noise_map(args, config: dict):
     noise_cfg = _section(config, "noise")
     scan_cfg = _section(config, "scan")
+    defaults = _defaults(experiments.run_noise_map)
     seed = resolve_seed(args, config)
-    trials = _integer(_resolve(args, "trials", noise_cfg, "trials", 100), "--trials")
-    substeps = _integer(_resolve(args, "substeps", noise_cfg, "substeps", 100), "--substeps")
+    trials, substeps = (
+        _number(_resolve(args, name, noise_cfg, name, defaults[name]), f"--{name}", int)
+        for name in ("trials", "substeps")
+    )
+    first, last, steps = experiments.NOISE_GRID
+    cap = model.MAX_NOISE_AMPLITUDE
     grid = _grid(
-        ("", 0.0),
-        ("--eta-max", _resolve(args, "eta_max", scan_cfg, "eta_max", 0.05)),
-        ("--steps", _resolve(args, "steps", scan_cfg, "eta_steps", 6)),
-        ("0 < --eta-max <= 0.05", lambda low, high: 0.0 < high <= 0.05),
+        ("", first),
+        ("--eta-max", _resolve(args, "eta_max", scan_cfg, "eta_max", last)),
+        ("--steps", _resolve(args, "steps", scan_cfg, "eta_steps", steps)),
+        (f"0 < --eta-max <= {cap}", lambda low, high: 0.0 < high <= cap),
     )
     kappa, v = _schedule(args, config, experiments.REFERENCE_KAPPA)
     return experiments.run_noise_map(
@@ -247,9 +248,8 @@ def cmd_noise_map(args, config: dict):
 
 def cmd_thermal_map(args, config: dict):
     thermal_cfg = _section(config, "thermal")
-    exponent_mode = str(
-        _resolve(args, "exponent_mode", thermal_cfg, "exponent_mode", "literal")
-    )
+    default = _defaults(experiments.run_thermal_map)["exponent_mode"]
+    exponent_mode = str(_resolve(args, "exponent_mode", thermal_cfg, "exponent_mode", default))
     distances = _grid(("--dmin", args.dmin), ("--dmax", args.dmax), ("--dsteps", args.dsteps))
     temperatures = _grid(("--tmin", args.tmin), ("--tmax", args.tmax), ("--tsteps", args.tsteps))
     kappa, v = _schedule(args, config, experiments.REFERENCE_KAPPA)
@@ -274,7 +274,7 @@ def cmd_interfere(args, config: dict):
 
 def cmd_decay(args, config: dict):
     multipliers = _grid(
-        ("", 0.0),
+        ("", experiments.MULTIPLIER_GRID[0]),
         ("--rmax", args.rmax),
         ("--rsteps", args.rsteps),
         ("--rmax >= 0", lambda low, high: high >= 0.0),
@@ -301,7 +301,7 @@ def cmd_actuate(args, config: dict):
         ("--duration-count", args.duration_count),
         ("0 < --tmin < --tmax", lambda low, high: 0.0 < low < high),
     )
-    _grid(("", -math.pi), ("", math.pi), ("--phase-count", args.phase_count))
+    _count("--phase-count", args.phase_count, MAX_GRID_STEPS)
     return experiments.run_actuating_scan(
         eta_list=args.etas,
         threshold=args.threshold,
@@ -315,8 +315,8 @@ def cmd_actuate(args, config: dict):
 
 def build_parser() -> argparse.ArgumentParser:
     # Each subcommand accepts only the flags it reads. Every one writes
-    # --out; the configured ones also read --config and --v, and the
-    # scheduled ones --kappa as well (see _schedule).
+    # --out; the configured ones also read --config and --v, the scheduled
+    # ones --kappa as well (see _schedule), and the ratio scans a grid.
     plain = argparse.ArgumentParser(add_help=False)
     plain.add_argument("--out", help="output path (CSV or JSON); stdout when omitted")
     configured = argparse.ArgumentParser(add_help=False, parents=[plain])
@@ -324,6 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     configured.add_argument("--v", type=float, help="interaction strength")
     scheduled = argparse.ArgumentParser(add_help=False, parents=[configured])
     scheduled.add_argument("--kappa", type=float, help="drive-to-interaction ratio")
+    ratios = argparse.ArgumentParser(add_help=False, parents=[configured])
+    ratios.add_argument("--min", type=float, help="smallest ratio")
+    ratios.add_argument("--max", type=float, help="largest ratio")
+    ratios.add_argument("--steps", type=int, help="number of grid points")
 
     parser = argparse.ArgumentParser(
         prog="rydgate",
@@ -336,14 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--units", help="unit system: natural or mhz")
 
     p = subparsers.add_parser("dynamics", parents=[scheduled], help="population histories as CSV")
-    p.add_argument("--samples", type=int, default=100, help="samples per segment")
+    samples = _defaults(experiments.run_dynamics)["samples_per_segment"]
+    p.add_argument("--samples", type=int, default=samples, help="samples per segment")
 
-    p = subparsers.add_parser(
-        "scan-kappa", parents=[configured], help="gate summary over a ratio grid"
-    )
-    p.add_argument("--min", type=float, help="smallest ratio")
-    p.add_argument("--max", type=float, help="largest ratio")
-    p.add_argument("--steps", type=int, help="number of grid points")
+    subparsers.add_parser("scan-kappa", parents=[ratios], help="gate summary over a ratio grid")
 
     p = subparsers.add_parser(
         "noise-map", parents=[scheduled], help="Monte-Carlo fidelity over noise amplitudes"
@@ -357,25 +357,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser(
         "thermal-map", parents=[scheduled], help="fidelity versus distance and temperature"
     )
-    p.add_argument("--dmin", type=float, default=4.0, help="smallest trap distance")
-    p.add_argument("--dmax", type=float, default=8.0, help="largest trap distance")
-    p.add_argument("--dsteps", type=int, default=5, help="distance grid points")
-    p.add_argument("--tmin", type=float, default=1.0, help="lowest temperature")
-    p.add_argument("--tmax", type=float, default=20.0, help="highest temperature")
-    p.add_argument("--tsteps", type=int, default=5, help="temperature grid points")
-    p.add_argument("--substeps", type=int, default=1000, help="substeps per segment")
+    dmin, dmax, dsteps = experiments.DISTANCE_GRID
+    tmin, tmax, tsteps = experiments.TEMPERATURE_GRID
+    p.add_argument("--dmin", type=float, default=dmin, help="smallest trap distance")
+    p.add_argument("--dmax", type=float, default=dmax, help="largest trap distance")
+    p.add_argument("--dsteps", type=int, default=dsteps, help="distance grid points")
+    p.add_argument("--tmin", type=float, default=tmin, help="lowest temperature")
+    p.add_argument("--tmax", type=float, default=tmax, help="highest temperature")
+    p.add_argument("--tsteps", type=int, default=tsteps, help="temperature grid points")
+    substeps = _defaults(experiments.run_thermal_map)["substeps"]
+    p.add_argument("--substeps", type=int, default=substeps, help="substeps per segment")
     p.add_argument(
         "--exponent-mode",
-        choices=("literal", "physical"),
+        choices=model.EXPONENT_MODES,
         help="distance-ratio orientation in the interaction law",
     )
 
     p = subparsers.add_parser(
-        "interfere", parents=[configured], help="beamsplitter interferometer sweep"
+        "interfere", parents=[ratios], help="beamsplitter interferometer sweep"
     )
-    p.add_argument("--min", type=float, help="smallest ratio")
-    p.add_argument("--max", type=float, help="largest ratio")
-    p.add_argument("--steps", type=int, help="number of grid points")
     p.add_argument(
         "--reference-kappa",
         type=float,
@@ -389,38 +389,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--rabi",
         type=_float_list,
-        default=(5.0, 10.0, 20.0),
+        default=experiments.DECAY_RABI_MHZ,
         help="drive frequencies in MHz, comma separated",
     )
-    p.add_argument("--rmax", type=float, default=10.0, help="largest rate multiplier")
-    p.add_argument("--rsteps", type=int, default=21, help="multiplier grid points")
+    _, rmax, rsteps = experiments.MULTIPLIER_GRID
+    p.add_argument("--rmax", type=float, default=rmax, help="largest rate multiplier")
+    p.add_argument("--rsteps", type=int, default=rsteps, help="multiplier grid points")
     p.add_argument(
         "--no-time-optimal", action="store_true", help="skip the phase-driven comparison curve"
     )
+    count = _defaults(experiments.run_decay_curves)["time_optimal_substeps"]
     p.add_argument(
-        "--to-substeps", type=int, default=1500, help="substeps for the phase-driven comparison"
+        "--to-substeps", type=int, default=count, help="substeps for the phase-driven comparison"
     )
 
     p = subparsers.add_parser(
         "actuate", parents=[plain], help="actuating area of high-fidelity cells"
     )
+    scan = _defaults(experiments.run_actuating_scan)
     p.add_argument(
         "--etas",
         type=_float_list,
-        default=(0.5, 1.0, 2.0, 3.0, 4.0),
+        default=scan["eta_list"],
         help="interaction multipliers, comma separated",
     )
-    p.add_argument("--threshold", type=float, default=0.96, help="fidelity threshold")
+    p.add_argument("--threshold", type=float, default=scan["threshold"], help="fidelity threshold")
     p.add_argument(
         "--mode",
-        choices=("fixed-omega", "fixed-kappa"),
-        default="fixed-omega",
+        choices=experiments.ACTUATE_MODES,
+        default=scan["mode"],
         help="drive scaling as the interaction varies",
     )
-    p.add_argument("--phase-count", type=int, default=48)
-    p.add_argument("--duration-count", type=int, default=300)
-    p.add_argument("--tmin", type=float, default=0.02, help="shortest duration")
-    p.add_argument("--tmax", type=float, default=3.0, help="longest duration")
+    p.add_argument("--phase-count", type=int, default=scan["phase_count"])
+    p.add_argument("--duration-count", type=int, default=scan["duration_count"])
+    tmin, tmax = scan["duration_range"]
+    p.add_argument("--tmin", type=float, default=tmin, help="shortest duration")
+    p.add_argument("--tmax", type=float, default=tmax, help="longest duration")
     p.add_argument(
         "--independent-phases", action="store_true", help="let the two phased pulses differ"
     )

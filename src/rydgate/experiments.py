@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .errors import IntegratorFailureError, InvalidParameterError
+from .errors import InvalidParameterError
 from .geometry import chi
 from .metrics import (
     OVERLAP_TOL,
@@ -30,9 +30,11 @@ from .model import (
     BASIS_LABELS,
     COMPUTATIONAL_INDICES,
     COMPUTATIONAL_LABELS,
+    MAX_NOISE_AMPLITUDE,
     V0,
     DecaySpec,
     NoiseSpec,
+    Schedule,
     ThermalSpec,
     check_count,
     cyclic_segment_duration,
@@ -42,11 +44,11 @@ from .model import (
 )
 from .propagate import (
     SUBSTEPPED,
-    TRACE_GROWTH_TOL,
     IntegratorConfig,
     SectorBlocks,
     batch_rows,
     check_finite,
+    check_survival,
     computational_diagonal,
     evolution_blocks,
     propagate_basis,
@@ -57,6 +59,14 @@ from .propagate import (
 from .stochastic import monte_carlo_gate_fidelity, thermal_gate_fidelity
 
 REFERENCE_KAPPA = 1.65
+
+# Default grids as np.linspace arguments, decay drives in MHz, actuate modes.
+NOISE_GRID = (0.0, MAX_NOISE_AMPLITUDE, 6)
+DISTANCE_GRID = (4.0, 8.0, 5)
+TEMPERATURE_GRID = (1.0, 20.0, 5)
+MULTIPLIER_GRID = (0.0, 10.0, 21)
+DECAY_RABI_MHZ = (5.0, 10.0, 20.0)
+ACTUATE_MODES = ("fixed-omega", "fixed-kappa")
 
 
 # Rows that ScanResult.write_rows formats at once, which bounds the
@@ -162,6 +172,11 @@ def _scan_result(axes: dict, table: dict, **metadata) -> ScanResult:
     return ScanResult(axes, table, _metadata(columns=list(table), **metadata))
 
 
+def _axis(grid, default) -> list:
+    """The grid's values as floats, np.linspace(*default) when grid is None."""
+    return [float(x) for x in np.atleast_1d(np.linspace(*default) if grid is None else grid)]
+
+
 def superposition_state() -> np.ndarray:
     """Equal superposition of the four computational basis states."""
     psi = np.zeros(9, dtype=complex)
@@ -184,7 +199,7 @@ def interior_extrema(values) -> int:
 
 
 def run_dynamics(
-    kappa: float, v: float = V0, samples_per_segment: int = 100
+    kappa: float, v: float = V0, samples_per_segment: int = IntegratorConfig.samples_per_segment
 ) -> ScanResult:
     """Populations over time for each computational initial state."""
     schedule = standard_schedule(kappa, v)
@@ -248,8 +263,8 @@ def run_noise_map(
     eta_omega_grid=None,
     eta_delta_grid=None,
     trials: int = 100,
-    seed: int = 12345,
-    substeps: int = 100,
+    seed: int = NoiseSpec.seed,
+    substeps: int = NoiseSpec.substeps,
     kappa: float = REFERENCE_KAPPA,
     v: float = V0,
 ) -> ScanResult:
@@ -258,12 +273,7 @@ def run_noise_map(
     Each cell derives an independent seed from the top-level seed and
     its grid position, so single cells can be recomputed in isolation.
     """
-    if eta_omega_grid is None:
-        eta_omega_grid = np.linspace(0.0, 0.05, 6)
-    if eta_delta_grid is None:
-        eta_delta_grid = np.linspace(0.0, 0.05, 6)
-    omega_axis = [float(e) for e in np.atleast_1d(eta_omega_grid)]
-    delta_axis = [float(e) for e in np.atleast_1d(eta_delta_grid)]
+    omega_axis, delta_axis = _axis(eta_omega_grid, NOISE_GRID), _axis(eta_delta_grid, NOISE_GRID)
     if not omega_axis or not delta_axis:
         raise InvalidParameterError("noise amplitude grids must not be empty")
     check_count("seed", seed, 0)
@@ -307,18 +317,16 @@ def run_noise_map(
 def run_thermal_map(
     distance_grid=None,
     temperature_grid=None,
-    exponent_mode: str = "literal",
+    exponent_mode: str = ThermalSpec.exponent_mode,
     kappa: float = REFERENCE_KAPPA,
     v: float = V0,
-    substeps: int = 1000,
+    substeps: int = IntegratorConfig.substeps_per_segment,
 ) -> ScanResult:
-    """Gate fidelity versus trap distance and temperature."""
-    if distance_grid is None:
-        distance_grid = np.linspace(4.0, 8.0, 5)
-    if temperature_grid is None:
-        temperature_grid = np.linspace(1.0, 20.0, 5)
-    distances = [float(d) for d in np.atleast_1d(distance_grid)]
-    temperatures = [float(t) for t in np.atleast_1d(temperature_grid)]
+    """Gate fidelity versus trap distance and temperature, each cell by
+    thermal_gate_fidelity. Its vibration aliases at few substeps (see
+    there): at 10 or 50 a cell reads the vibration-free fidelity."""
+    distances = _axis(distance_grid, DISTANCE_GRID)
+    temperatures = _axis(temperature_grid, TEMPERATURE_GRID)
     if not distances or not temperatures:
         raise InvalidParameterError("distance and temperature grids must not be empty")
     fidelities = []
@@ -449,10 +457,8 @@ def run_decay_curves(
     |<phi_0|phi>|^2 / |phi|^2 (_decayed_fidelities).
     """
     if rabi_frequencies is None:
-        rabi_frequencies = tuple(2.0 * math.pi * f for f in (5.0, 10.0, 20.0))
-    if multiplier_grid is None:
-        multiplier_grid = np.linspace(0.0, 10.0, 21)
-    multipliers = [float(r) for r in np.atleast_1d(multiplier_grid)]
+        rabi_frequencies = tuple(2.0 * math.pi * f for f in DECAY_RABI_MHZ)
+    multipliers = _axis(multiplier_grid, MULTIPLIER_GRID)
     # Each distinct rate once, 0 (the reference) first; rows maps them back.
     rates, rows = np.unique(
         [0.0] + [DecaySpec.from_multiplier(m).gamma for m in multipliers], return_inverse=True
@@ -496,27 +502,16 @@ def _decayed_fidelities(states: np.ndarray, curve: str, multipliers) -> np.ndarr
     """Fidelity of each decayed final state states[1:] against the
     decay-free states[0] of a curve, conditioned on survival.
 
-    multipliers names the decay multiplier of each state. The checks of
-    propagate_density hold for each: a surviving population |phi|^2 that
-    is not finite (a NaN step), is 0 (decay keeps e^{-gamma t} > 0 of it)
-    or exceeds 1 by more than TRACE_GROWTH_TOL raises
-    IntegratorFailureError naming the curve and the multiplier.
+    multipliers names the decay multiplier of each state. Each surviving
+    population |phi|^2, grown from 1, takes propagate_density's check
+    (propagate.check_survival), which names the curve and the multiplier.
     """
     survival = np.sum(np.abs(states) ** 2, axis=-1)
     what = f"the surviving population of curve {curve}"
-    check_finite(survival, what, "gamma multiplier", multipliers)
-    lost = np.flatnonzero(survival == 0.0)
-    if lost.size:
-        raise IntegratorFailureError(
-            f"{what} is lost: the decayed product underflowed to 0"
-            f" at gamma multiplier = {multipliers[lost[0]]}"
-        )
-    grew = np.flatnonzero(survival > 1.0 + TRACE_GROWTH_TOL)
-    if grew.size:
-        raise IntegratorFailureError(
-            f"{what} grew from 1 to {survival[grew[0]]}"
-            f" at gamma multiplier = {multipliers[grew[0]]}"
-        )
+    check_survival(
+        survival, 1, what, "gamma multiplier", multipliers,
+        f"{what} is lost: the decayed product underflowed to 0",
+    )
     overlaps = states[1:] @ states[0].conj()
     return np.abs(overlaps) ** 2 / survival[1:]
 
@@ -554,7 +549,7 @@ def _cell_amplitudes(pairs: SectorBlocks, independent_phases: bool) -> np.ndarra
 def run_actuating_scan(
     eta_list=(0.5, 1.0, 2.0, 3.0, 4.0),
     threshold: float = 0.96,
-    mode: str = "fixed-omega",
+    mode: str = ACTUATE_MODES[0],
     phase_count: int = 48,
     duration_count: int = 300,
     duration_range=(0.02, 3.0),
@@ -571,7 +566,7 @@ def run_actuating_scan(
     mode rescales the drive with v. A quadratic fit of area against v
     lands in the metadata.
     """
-    if mode not in ("fixed-omega", "fixed-kappa"):
+    if mode not in ACTUATE_MODES:
         raise InvalidParameterError(f"unknown scan mode {mode!r}")
     if not (0.0 < threshold < 1.0):
         raise InvalidParameterError(f"threshold must be in (0, 1), got {threshold}")
@@ -648,7 +643,7 @@ def run_actuating_scan(
     )
 
 
-def run_gate(kappa: float, v: float = V0, units: str = "natural") -> dict:
+def run_gate(kappa: float, v: float = V0, units: str = Schedule.units) -> dict:
     """Gate summary of the four-segment schedule as a JSON-ready dict."""
     schedule = standard_schedule(kappa, v, units=units)
     summary = diagonal_summary(computational_diagonal(evolution_blocks(schedule)))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -48,6 +48,12 @@ V0 = 2.0 * math.pi
 # Largest substep count per segment: convergence checks refine up to it,
 # and noise traces may not be longer.
 MAX_SUBSTEPS = 2**20
+
+# Largest relative noise amplitude eta of either channel.
+MAX_NOISE_AMPLITUDE = 0.05
+
+# Orientations of the distance ratio in the thermal law, the default first.
+EXPONENT_MODES = ("literal", "physical")
 
 STATE_NORM_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
@@ -112,13 +118,15 @@ def check_number(name: str, value) -> None:
         raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
 
 
-def check_finite_number(name: str, value) -> None:
+def check_finite_number(name: str, value, relation: str = "") -> None:
     """check_number, then raise InvalidParameterError naming the value
-    unless it is finite: a NaN or an infinity would run on to NaN
-    results."""
+    unless it is finite, and > 0 or >= 0 for a relation of ">" or ">=":
+    a NaN or an infinity would run on to NaN results."""
     check_number(name, value)
-    if not math.isfinite(value):
-        raise InvalidParameterError(f"{name} must be finite, got {value}")
+    allowed = not relation or value > 0.0 or (relation == ">=" and value == 0.0)
+    if not (math.isfinite(value) and allowed):
+        bound = f" and {relation} 0" if relation else ""
+        raise InvalidParameterError(f"{name} must be finite{bound}, got {value}")
 
 
 def check_index(name: str, value, size: int) -> int:
@@ -170,12 +178,16 @@ class PulseSegment:
     duration: float
 
     def __post_init__(self):
-        for name in ("rabi", "detuning", "phase", "duration"):
+        for name in SEGMENT_FIELDS:
             check_finite_number(f"segment {name}", getattr(self, name))
         if not self.rabi >= 0.0:
             raise InvalidParameterError(f"segment rabi must be >= 0, got {self.rabi}")
         if not self.duration > 0.0:
             raise InvalidParameterError(f"segment duration must be > 0, got {self.duration}")
+
+
+# The fields of a segment in order, which are its JSON keys as well.
+SEGMENT_FIELDS = tuple(field.name for field in fields(PulseSegment))
 
 
 @dataclass(frozen=True)
@@ -190,10 +202,11 @@ class NoiseSpec:
     seed: int = 12345
 
     def __post_init__(self):
+        cap = MAX_NOISE_AMPLITUDE
         for name, value in (("eta_omega", self.eta_omega), ("eta_delta", self.eta_delta)):
             check_number(name, value)
-            if not 0.0 <= value <= 0.05:
-                raise InvalidParameterError(f"{name} must lie in [0, 0.05], got {value}")
+            if not 0.0 <= value <= cap:
+                raise InvalidParameterError(f"{name} must lie in [0, {cap}], got {value}")
         check_count("noise substeps", self.substeps, 1, MAX_SUBSTEPS)
         check_count("noise seed", self.seed, 0)
 
@@ -216,26 +229,18 @@ class ThermalSpec:
     vibration_rate: float | None = None
     waist: float = 1.0
     reference_temperature: float = 20.0
-    exponent_mode: str = "literal"
+    exponent_mode: str = EXPONENT_MODES[0]
 
     def __post_init__(self):
         # A non-finite distance, waist or rate would make the fidelity NaN.
         for name in ("equilibrium_distance", "waist", "reference_temperature"):
-            value = getattr(self, name)
-            check_number(name, value)
-            if not (math.isfinite(value) and value > 0.0):
-                raise InvalidParameterError(f"{name} must be finite and > 0, got {value}")
-        check_number("temperature", self.temperature)
-        if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
-            raise InvalidParameterError(
-                f"temperature must be finite and >= 0, got {self.temperature}"
-            )
+            check_finite_number(name, getattr(self, name), ">")
+        check_finite_number("temperature", self.temperature, ">=")
         if self.vibration_rate is not None:
             check_finite_number("vibration_rate", self.vibration_rate)
-        if self.exponent_mode not in ("literal", "physical"):
-            raise ConfigError(
-                f"unknown exponent mode {self.exponent_mode!r}; expected 'literal' or 'physical'"
-            )
+        if self.exponent_mode not in EXPONENT_MODES:
+            expected = " or ".join(map(repr, EXPONENT_MODES))
+            raise ConfigError(f"unknown exponent mode {self.exponent_mode!r}; expected {expected}")
 
     @property
     def amplitude(self) -> float:
@@ -258,9 +263,7 @@ class DecaySpec:
     gamma: float
 
     def __post_init__(self):
-        check_number("decay rate", self.gamma)
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise InvalidParameterError(f"decay rate must be finite and >= 0, got {self.gamma}")
+        check_finite_number("decay rate", self.gamma, ">=")
 
     @classmethod
     def from_multiplier(cls, multiplier: float) -> "DecaySpec":
@@ -310,11 +313,7 @@ class Schedule:
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "units", normalize_units(self.units))
-        check_number("interaction", self.interaction)
-        if not (math.isfinite(self.interaction) and self.interaction >= 0.0):
-            raise InvalidParameterError(
-                f"interaction must be finite and >= 0, got {self.interaction}"
-            )
+        check_finite_number("interaction", self.interaction, ">=")
 
     @property
     def total_duration(self) -> float:
@@ -348,12 +347,7 @@ class Schedule:
     def to_json_dict(self) -> dict:
         return {
             "segments": [
-                {
-                    "rabi": segment.rabi,
-                    "detuning": segment.detuning,
-                    "phase": segment.phase,
-                    "duration": segment.duration,
-                }
+                {name: getattr(segment, name) for name in SEGMENT_FIELDS}
                 for segment in self.segments
             ],
             "interaction": self.interaction,
@@ -386,20 +380,14 @@ class Schedule:
         segments = []
         for raw in raw_segments:
             try:
-                segments.append(
-                    PulseSegment(
-                        rabi=float(raw["rabi"]),
-                        detuning=float(raw["detuning"]),
-                        phase=float(raw["phase"]),
-                        duration=float(raw["duration"]),
-                    )
-                )
+                values = {name: float(raw[name]) for name in SEGMENT_FIELDS}
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"malformed schedule segment: {exc}") from exc
+            segments.append(PulseSegment(**values))
         return cls(
             segments=tuple(segments),
             interaction=interaction,
-            units=data.get("units", "natural"),
+            units=data.get("units", cls.units),
         )
 
 
@@ -408,6 +396,8 @@ def cyclic_segment_duration(kappa: float, v: float) -> float:
 
     The duration is positive and finite, so Omega is finite too.
     """
+    check_number("kappa", kappa)
+    check_number("interaction", v)
     if not kappa > 0.0:
         raise InvalidParameterError(f"kappa must be > 0, got {kappa}")
     if not v > 0.0:
@@ -429,7 +419,7 @@ def standard_phases() -> tuple:
     return (0.0, ALTERNATE_PHASE, 0.0, ALTERNATE_PHASE)
 
 
-def standard_schedule(kappa: float, v: float, units: str = "natural") -> Schedule:
+def standard_schedule(kappa: float, v: float, units: str = Schedule.units) -> Schedule:
     """Four-segment controlled-phase schedule.
 
     All segments share Omega = kappa * V, Delta = -V/2, and the cyclic

@@ -61,8 +61,8 @@ from .model import (
     Schedule,
     check_count,
     check_density,
+    check_finite_number,
     check_index,
-    check_number,
     check_state,
 )
 
@@ -95,6 +95,24 @@ def check_finite(values, what: str, name: str, axis) -> None:
 TRACE_GROWTH_TOL = 1e-7
 
 
+def check_survival(survival, grew_from, what: str, name: str, axis, lost: str) -> None:
+    """Raise IntegratorFailureError at the first entry of axis whose surviving
+    population (a trace, a squared norm) is not finite (a NaN step), is 0
+    where grew_from is positive, with the message lost (decay keeps
+    e^{-gamma t} > 0 of it), or exceeds grew_from by more than TRACE_GROWTH_TOL."""
+    check_finite(survival, what, name, axis)
+    grew_from = np.broadcast_to(grew_from, survival.shape)
+    gone = np.flatnonzero((survival == 0.0) & (grew_from > 0.0))
+    if gone.size:
+        raise IntegratorFailureError(f"{lost} at {name} = {axis[gone[0]]}")
+    grew = np.flatnonzero(survival > grew_from + TRACE_GROWTH_TOL)
+    if grew.size:
+        k = grew[0]
+        raise IntegratorFailureError(
+            f"{what} grew from {grew_from[k]} to {survival[k]} at {name} = {axis[k]}"
+        )
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Propagation mode and resolution settings.
@@ -125,12 +143,7 @@ class IntegratorConfig:
             check_count(name, getattr(self, name), 1, MAX_SUBSTEPS)
         # A tolerance that no distance can fall below would double the
         # substeps of convergence_check up to MAX_SUBSTEPS before it fails.
-        tolerance = self.convergence_tolerance
-        check_number("convergence_tolerance", tolerance)
-        if not (math.isfinite(tolerance) and tolerance > 0):
-            raise InvalidParameterError(
-                f"convergence_tolerance must be finite and > 0, got {tolerance}"
-            )
+        check_finite_number("convergence_tolerance", self.convergence_tolerance, ">")
 
 
 @dataclass(frozen=True)
@@ -807,10 +820,8 @@ def propagate_density(
 
     Uses rho -> M rho M^dagger with M the product of the steps
     exp(-i H_eff dt) (under MAGNUS4 each of the two exponentials of a
-    substep spans half of it, decay included); the trace is checked at
-    every sample. A non-finite trace (from a NaN step), a
-    trace that underflows to 0 (decay keeps e^{-gamma t} > 0 of it) or a
-    growth beyond TRACE_GROWTH_TOL between samples aborts the integration.
+    substep spans half of it, decay included); check_survival checks
+    the trace at every sample against the one before it.
     """
     config = resolve_config(schedule, config)
     rho = check_density(initial)
@@ -821,21 +832,12 @@ def propagate_density(
         return densities, diagonal.real, diagonal.sum(axis=-1).real
 
     result = _sampled(schedule, config, evolve, decay.gamma)
-    times, traces = result.times, result.norms
-    check_finite(traces, "density trace", "t", times)
-    lost = np.flatnonzero(traces == 0.0)
-    if lost.size and traces[0] > 0.0:
-        k = lost[0]
-        raise IntegratorFailureError(
-            f"density trace {traces[0]} is lost: the decayed product underflowed to trace 0"
-            f" at t = {times[k]}"
-        )
-    grew = np.flatnonzero(traces[1:] > traces[:-1] + TRACE_GROWTH_TOL)
-    if grew.size:
-        k = grew[0]
-        raise IntegratorFailureError(
-            f"density trace grew from {traces[k]} to {traces[k + 1]} at t = {times[k + 1]}"
-        )
+    traces = result.norms
+    # Each sample grows from the one before it, the first from itself.
+    check_survival(
+        traces, np.append(traces[:1], traces[:-1]), "density trace", "t", result.times,
+        f"density trace {traces[0]} is lost: the decayed product underflowed to trace 0",
+    )
     return result
 
 

@@ -152,13 +152,22 @@ def monte_carlo_gate_fidelity(
 
 
 def thermal_gate_fidelity(
-    kappa: float, v: float, thermal: ThermalSpec, substeps: int = 1000
+    kappa: float,
+    v: float,
+    thermal: ThermalSpec,
+    substeps: int = IntegratorConfig.substeps_per_segment,
 ) -> float:
     """Gate fidelity with the interaction modulated by thermal motion.
 
     When the spec leaves the vibration rate unset it defaults to fifty
     oscillations per segment period. Zero temperature reproduces the
     noise-free fidelity exactly.
+
+    Few substeps alias the vibration, which each samples at its midpoint:
+    F(8, 20 uK) reads 0.9993108 (the vibration-free value: every midpoint
+    on a zero of the sine) at 10 and 50 substeps per segment, 0.87937 at
+    20 and 100 (every midpoint on a turning point), 0.963161 at 200 and
+    0.9626411 at 1,000 and 4,000. No count is rejected.
     """
     config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=substeps)
     schedule, amplitudes, target = _nominal_gate(kappa, v)

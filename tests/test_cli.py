@@ -367,6 +367,30 @@ class TestSeedResolution:
         assert meta["seed"] == 555
 
 
+# Each pipeline with no optional flag, and the runner call it stands for.
+DEFAULT_CALLS = [
+    pytest.param(["decay"], experiments.run_decay_curves, id="decay"),
+    pytest.param(["noise-map"], experiments.run_noise_map, id="noise-map"),
+    pytest.param(["thermal-map"], experiments.run_thermal_map, id="thermal-map"),
+    pytest.param(["actuate"], experiments.run_actuating_scan, id="actuate"),
+    pytest.param(
+        ["dynamics", "--kappa", "1.65"], lambda: experiments.run_dynamics(1.65), id="dynamics"
+    ),
+]
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("argv, run", DEFAULT_CALLS)
+    def test_command_without_flags_is_the_runner_default(self, argv, run, monkeypatch, capsys):
+        # Each default lives with its runner, so a flag left unset writes
+        # the bytes of the runner's own default call.
+        monkeypatch.delenv("RYDGATE_SEED", raising=False)
+        assert run_cli(argv) == 0
+        expected = io.StringIO()
+        run().write_rows(expected)
+        assert capsys.readouterr().out == expected.getvalue()
+
+
 class TestOtherCommands:
     def test_dynamics_csv(self, capsys):
         assert run_cli(["dynamics", "--kappa", "1.65", "--samples", "3"]) == 0

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from rydgate.model import (
     standard_schedule,
     time_optimal_schedule,
 )
+from rydgate.experiments import InterferometerSpec, run_interferometer, scan_kappa
+from rydgate.geometry import composite_return_probability, periods
 from rydgate.propagate import IntegratorConfig
 
 
@@ -199,6 +202,47 @@ class TestSpecs:
         # number would otherwise run.
         with pytest.raises(InvalidParameterError, match="must be a real number, got (True|False)"):
             build()
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ThermalSpec(equilibrium_distance=0.0, temperature=1.0),
+             "equilibrium_distance must be finite and > 0, got 0.0"),
+            (lambda: ThermalSpec(8.0, 1.0, waist=math.nan), "waist must be finite and > 0, got nan"),
+            (lambda: ThermalSpec(8.0, 1.0, reference_temperature=-1.0),
+             "reference_temperature must be finite and > 0, got -1.0"),
+            (lambda: ThermalSpec(8.0, -1.0), "temperature must be finite and >= 0, got -1.0"),
+            (lambda: DecaySpec(gamma=math.inf), "decay rate must be finite and >= 0, got inf"),
+            (lambda: Schedule(segments=(), interaction=-1.0),
+             "interaction must be finite and >= 0, got -1.0"),
+            (lambda: IntegratorConfig(convergence_tolerance=0.0),
+             "convergence_tolerance must be finite and > 0, got 0.0"),
+            (lambda: PulseSegment(1.0, 0.0, math.inf, 1.0), "segment phase must be finite, got inf"),
+        ],
+    )
+    def test_range_messages(self, build, message):
+        # check_finite_number writes each of these messages, bound included.
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            build()
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            pytest.param(lambda: standard_schedule(True, 1.0), "kappa", id="schedule"),
+            pytest.param(lambda: scan_kappa([1.65], v=True), "interaction", id="scan"),
+            pytest.param(lambda: composite_return_probability(True), "kappa", id="composite"),
+            pytest.param(lambda: periods(True, True), "kappa", id="periods"),
+            pytest.param(
+                lambda: run_interferometer(InterferometerSpec(kappa_grid=(1.0,), v=True)),
+                "interaction", id="interferometer",
+            ),
+        ],
+    )
+    def test_kappa_and_interaction_are_not_booleans(self, call, name):
+        # Every (kappa, v) pair passes cyclic_segment_duration, where True
+        # once counted as 1.
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be a real number, got True$"):
+            call()
 
     @pytest.mark.parametrize(
         "build, name",
