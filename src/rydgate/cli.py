@@ -189,7 +189,7 @@ def emit(result, args) -> None:
             return
         text = json.dumps(result, indent=2, sort_keys=True) + "\n"
         if args.out:
-            with open(args.out, "w") as handle:
+            with experiments.open_output(args.out) as handle:
                 handle.write(text)
         else:
             sys.stdout.write(text)

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,6 +40,7 @@ from .model import (
     Schedule,
     ThermalSpec,
     check_count,
+    check_number,
     cyclic_segment_duration,
     standard_phases,
     standard_schedule,
@@ -81,6 +85,30 @@ def _csv_text(text: str, alone: bool) -> str:
     if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text or ('""' if alone else "")
+
+
+@contextmanager
+def open_output(path, newline=None):
+    """Open path for writing as text, as open(path, "w", newline=newline)
+    would, but rewrite an existing file in place, keeping its inode and
+    mode; a new file gets 0o666 less the umask.
+
+    The file is opened without O_TRUNC. ext4 (auto_da_alloc) flushes a
+    file truncated to zero when it is closed, which costs each rewrite
+    tens of microseconds, so a regular file longer than one byte is cut
+    to one byte, which the first write replaces: no old byte outlives a
+    partial write. After the body the file is truncated at the written
+    length. A file that is not regular, such as /dev/null or a FIFO, is
+    never cut or truncated.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline=newline) as handle:
+        status = os.fstat(handle.fileno())
+        regular = stat.S_ISREG(status.st_mode)
+        if regular and status.st_size > 1:
+            os.ftruncate(handle.fileno(), 1)
+        yield handle
+        if regular:
+            handle.truncate()
 
 
 @dataclass(frozen=True)
@@ -141,17 +169,17 @@ class ScanResult:
             stream.write(row * count % tuple(cells))
 
     def to_csv(self, path) -> Path:
-        """Write the table as CSV and the metadata as a sibling .meta.json.
-        A failed write removes the files it opened, so no CSV is left
-        without its metadata, and raises."""
+        """Write the table as CSV and the metadata as a sibling .meta.json,
+        each through open_output. A failed write removes the files it
+        opened, so no CSV is left without its metadata, and raises."""
         path = Path(path)
         meta_path = path.with_suffix(".meta.json")
         opened = []
         try:
-            with open(path, "w", newline="") as handle:
+            with open_output(path, newline="") as handle:
                 opened.append(path)
                 self.write_rows(handle)
-            with open(meta_path, "w") as handle:
+            with open_output(meta_path) as handle:
                 opened.append(meta_path)
                 handle.write(json.dumps(self.metadata, indent=2, sort_keys=True) + "\n")
         except BaseException:
@@ -172,9 +200,19 @@ def _scan_result(axes: dict, table: dict, **metadata) -> ScanResult:
     return ScanResult(axes, table, _metadata(columns=list(table), **metadata))
 
 
-def _axis(grid, default) -> list:
-    """The grid's values as floats, np.linspace(*default) when grid is None."""
-    return [float(x) for x in np.atleast_1d(np.linspace(*default) if grid is None else grid)]
+def _axis(name: str, grid, default=None) -> list:
+    """The grid's values as floats, np.linspace(*default) when grid is None.
+
+    Each entry must pass check_number, naming the grid: float() would
+    take True as 1.0. A float or integer array passes as a whole.
+    """
+    values = np.linspace(*default) if grid is None else grid
+    if isinstance(values, np.ndarray) or np.ndim(values) == 0:
+        values = np.atleast_1d(values)
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        for value in values:
+            check_number(name, value)
+    return [float(x) for x in values]
 
 
 def superposition_state() -> np.ndarray:
@@ -233,7 +271,7 @@ def scan_kappa(kappa_grid, v: float = V0) -> ScanResult:
     UndefinedPhaseError when any point leaves a computational state
     behind.
     """
-    grid = [float(k) for k in np.atleast_1d(np.asarray(kappa_grid, dtype=float))]
+    grid = _axis("kappa", kappa_grid)
     if not grid:
         raise InvalidParameterError("kappa grid must not be empty")
     # Validates every point as standard_schedule would.
@@ -273,7 +311,8 @@ def run_noise_map(
     Each cell derives an independent seed from the top-level seed and
     its grid position, so single cells can be recomputed in isolation.
     """
-    omega_axis, delta_axis = _axis(eta_omega_grid, NOISE_GRID), _axis(eta_delta_grid, NOISE_GRID)
+    omega_axis = _axis("eta_omega", eta_omega_grid, NOISE_GRID)
+    delta_axis = _axis("eta_delta", eta_delta_grid, NOISE_GRID)
     if not omega_axis or not delta_axis:
         raise InvalidParameterError("noise amplitude grids must not be empty")
     check_count("seed", seed, 0)
@@ -325,8 +364,8 @@ def run_thermal_map(
     """Gate fidelity versus trap distance and temperature, each cell by
     thermal_gate_fidelity. Its vibration aliases at few substeps (see
     there): at 10 or 50 a cell reads the vibration-free fidelity."""
-    distances = _axis(distance_grid, DISTANCE_GRID)
-    temperatures = _axis(temperature_grid, TEMPERATURE_GRID)
+    distances = _axis("distance", distance_grid, DISTANCE_GRID)
+    temperatures = _axis("temperature", temperature_grid, TEMPERATURE_GRID)
     if not distances or not temperatures:
         raise InvalidParameterError("distance and temperature grids must not be empty")
     fidelities = []
@@ -394,7 +433,7 @@ class InterferometerSpec:
     reference_kappa: float = REFERENCE_KAPPA
 
     def __post_init__(self):
-        grid = tuple(float(k) for k in np.atleast_1d(np.asarray(self.kappa_grid)))
+        grid = tuple(_axis("kappa", self.kappa_grid))
         if not grid:
             raise InvalidParameterError("kappa grid must not be empty")
         object.__setattr__(self, "kappa_grid", grid)
@@ -458,7 +497,7 @@ def run_decay_curves(
     """
     if rabi_frequencies is None:
         rabi_frequencies = tuple(2.0 * math.pi * f for f in DECAY_RABI_MHZ)
-    multipliers = _axis(multiplier_grid, MULTIPLIER_GRID)
+    multipliers = _axis("gamma multiplier", multiplier_grid, MULTIPLIER_GRID)
     # Each distinct rate once, 0 (the reference) first; rows maps them back.
     rates, rows = np.unique(
         [0.0] + [DecaySpec.from_multiplier(m).gamma for m in multipliers], return_inverse=True
@@ -570,7 +609,7 @@ def run_actuating_scan(
         raise InvalidParameterError(f"unknown scan mode {mode!r}")
     if not (0.0 < threshold < 1.0):
         raise InvalidParameterError(f"threshold must be in (0, 1), got {threshold}")
-    etas = [float(e) for e in eta_list]
+    etas = _axis("eta", eta_list)
     if not etas or not all(math.isfinite(e) and e > 0.0 for e in etas):
         raise InvalidParameterError(f"eta list must be non-empty, finite and positive, got {etas}")
     check_count("phase_count", phase_count, 1)
@@ -578,7 +617,7 @@ def run_actuating_scan(
     phases = np.linspace(-math.pi, math.pi, phase_count, endpoint=False)
     # Step 0 is the phase-0 segment; step k + 1 has phases[k].
     step_phases = np.concatenate(([0.0], phases))
-    lo, hi = float(duration_range[0]), float(duration_range[1])
+    lo, hi = _axis("duration range bound", (duration_range[0], duration_range[1]))
     if not (0.0 < lo < hi < math.inf):
         raise InvalidParameterError(f"bad duration range {duration_range}")
     durations = np.linspace(lo, hi, duration_count)

@@ -720,42 +720,48 @@ def _sampled(schedule, config, evolve, gamma=0.0) -> PropagationResult:
     is samples_per_segment substeps at stride 1. The exponentials between
     samples are the rows of one sector_product over (segments, intervals,
     stride x exponentials per substep), each input at its compact shape.
-    Zero-length substeps, identities whatever their drive, pad a short
-    last interval, so only dt and the inputs that vary need padding. A
-    batch of at most _BATCH_BLOCKS operators at the samples is the
-    running product of its intervals times the last operator before it.
+    A short last interval is a second sector_product of its own: padded
+    with zero-length substeps, dt would vary along the substeps, and
+    every substep would take its own exponential. A batch of at most
+    _BATCH_BLOCKS operators at the samples is the running product of its
+    intervals times the last operator before it.
     """
     steps = _segment_substeps(schedule, config, config.samples_per_segment)
     stride = max(1, steps // config.samples_per_segment)
     count = -(-steps // stride)
-    (*drive, dt), (segments, _, width) = _substep_drive(schedule, steps, config.integrator)
-    if count * stride > steps:
-        dt = np.broadcast_to(dt, (segments, steps, 1))
+    full, rest = divmod(steps, stride)
+    drive, (segments, _, width) = _substep_drive(schedule, steps, config.integrator)
 
-    def intervals(x):
-        # x over (segments, intervals, stride x width), size 1 where it was.
-        if x.shape[1] > 1:
-            x = np.pad(x, ((0, 0), (0, count * stride - steps), (0, 0)))
-            x = x.reshape(len(x), count, stride, x.shape[2])
-        else:
-            x = x[:, :, None]
-        if x.shape[2:] != (1, 1):
-            x = np.broadcast_to(x, x.shape[:2] + (stride, width))
-        return x.reshape(x.shape[:2] + (math.prod(x.shape[2:]),))
+    def products(first, number, length):
+        # The products of number intervals of length substeps from
+        # substep first, broadcast to (segments, number).
+        def intervals(x):
+            # x over (segments, number, length x width), size 1 where it was.
+            if x.shape[1] > 1:
+                x = x[:, first : first + number * length]
+                x = x.reshape(len(x), number, length, x.shape[2])
+            else:
+                x = x[:, :, None]
+            if x.shape[2:] != (1, 1):
+                x = np.broadcast_to(x, x.shape[:2] + (length, width))
+            return x.reshape(x.shape[:2] + (math.prod(x.shape[2:]),))
 
-    rabi, detuning, phase, v, dt = (intervals(x) for x in (*drive, dt))
-    # The phase, which never reaches an exponential, sets the step count.
-    phase = np.broadcast_to(phase, phase.shape[:2] + (stride * width,))
-    if gamma > 0.0:
-        # Decay is -i gamma per excited atom: the imaginary part of the detuning.
-        detuning = detuning - 1j * gamma
+        rabi, detuning, phase, v, dt = (intervals(x) for x in drive)
+        # The phase, which never reaches an exponential, sets the step count.
+        phase = np.broadcast_to(phase, phase.shape[:2] + (length * width,))
+        if gamma > 0.0:
+            # Decay is -i gamma per excited atom: the imaginary part of the detuning.
+            detuning = detuning - 1j * gamma
+        product = sector_product(rabi, detuning, phase, v, dt)
+        return [np.broadcast_to(b, b.shape[: b.ndim - 2] + (segments, number)) for b in product]
+
+    parts = [products(0, full, stride)] + ([products(full * stride, 1, rest)] if rest else [])
     _, durations, starts = _segment_drive(schedule)
     ends = np.minimum(np.arange(1, count + 1) * stride, steps)
     times = starts + ends * (durations / steps)[:, 0]
     # The interval products flat, each broadcast over the samples where it does not vary.
     blocks = SectorBlocks(
-        *(np.broadcast_to(b, b.shape[: b.ndim - 2] + times.shape).reshape(b.shape[: b.ndim - 2] + (-1,))
-          for b in sector_product(rabi, detuning, phase, v, dt))
+        *(np.concatenate(b, axis=-1).reshape(b[0].shape[:-2] + (-1,)) for b in zip(*parts))
     )
     final, *initial = (x[0] for x in evolve(np.eye(DIMENSION)[None]))
     records = [np.empty((1 + times.size,) + x.shape, dtype=x.dtype) for x in initial]

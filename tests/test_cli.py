@@ -10,6 +10,7 @@ import os
 import platform
 import re
 import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -256,6 +257,80 @@ class TestHeapPolicy:
         self._libc(monkeypatch, object())
         assert run_cli(["gate", "--kappa", "1.65"]) == 0
         assert json.loads(capsys.readouterr().out)["fidelity"] > 0.999
+
+
+# A JSON command and two CSV commands on tiny grids; decay carries a
+# text column.
+REWRITE_COMMANDS = {
+    "gate": ["gate", "--kappa", "1.65"],
+    "scan-kappa": ["scan-kappa", "--min", "1", "--max", "2", "--steps", "3"],
+    "decay": ["decay", "--rabi", "5", "--rsteps", "2", "--no-time-optimal"],
+}
+
+
+def rewrite_targets(command: str, directory: Path) -> list:
+    """The files that --out writes: the JSON, or the CSV and its .meta.json."""
+    if command == "gate":
+        return [directory / "gate.json"]
+    return [directory / "scan.csv", directory / "scan.meta.json"]
+
+
+class TestRewrittenOutputs:
+    """--out rewrites an existing file in place: whatever it held, it ends
+    with exactly the new bytes, and keeps its inode and mode."""
+
+    @pytest.mark.parametrize("before", ["empty", "one byte", "shorter", "longer"])
+    @pytest.mark.parametrize("command", sorted(REWRITE_COMMANDS))
+    def test_out_holds_exactly_the_new_bytes(self, command, before, tmp_path, capsys):
+        argv = REWRITE_COMMANDS[command]
+        assert run_cli(argv) == 0
+        stdout = capsys.readouterr().out.encode()
+        # A new file, into a directory of its own, is the reference.
+        (tmp_path / "fresh").mkdir()
+        fresh = rewrite_targets(command, tmp_path / "fresh")
+        assert run_cli(argv + ["--out", str(fresh[0])]) == 0
+        expected = [path.read_bytes() for path in fresh]
+        assert expected[0] == stdout
+        for meta in expected[1:]:
+            metadata = json.loads(meta)
+            assert meta == (json.dumps(metadata, indent=2, sort_keys=True) + "\n").encode()
+        old = {
+            "empty": b"",
+            "one byte": b"x",
+            "shorter": b"x" * 10,
+            "longer": b"x" * (max(map(len, expected)) + 20_000),
+        }[before]
+        targets = rewrite_targets(command, tmp_path)
+        for path in targets:
+            path.write_bytes(old)
+        assert run_cli(argv + ["--out", str(targets[0])]) == 0
+        assert [path.read_bytes() for path in targets] == expected
+
+    @pytest.mark.parametrize("command", sorted(REWRITE_COMMANDS))
+    def test_existing_file_keeps_its_inode_and_mode(self, command, tmp_path):
+        targets = rewrite_targets(command, tmp_path)
+        for path in targets:
+            path.write_bytes(b"x" * 30_000)
+            path.chmod(0o640)
+        before = [path.stat().st_ino for path in targets]
+        assert run_cli(REWRITE_COMMANDS[command] + ["--out", str(targets[0])]) == 0
+        assert [path.stat().st_ino for path in targets] == before
+        assert [stat.S_IMODE(path.stat().st_mode) for path in targets] == [0o640] * len(targets)
+
+    @pytest.mark.parametrize("command", sorted(REWRITE_COMMANDS))
+    def test_new_file_mode_is_0o666_less_the_umask(self, command, tmp_path):
+        targets = rewrite_targets(command, tmp_path)
+        previous = os.umask(0o027)
+        try:
+            assert run_cli(REWRITE_COMMANDS[command] + ["--out", str(targets[0])]) == 0
+        finally:
+            os.umask(previous)
+        assert [stat.S_IMODE(path.stat().st_mode) for path in targets] == [0o640] * len(targets)
+
+    def test_gate_to_dev_null(self, capsys):
+        # /dev/null is not a regular file: it is never cut or truncated.
+        assert run_cli(REWRITE_COMMANDS["gate"] + ["--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
 
 
 class TestScanCommand:

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -72,6 +73,55 @@ class TestScanResult:
         assert meta_path == tmp_path / "scan.meta.json"
         meta = json.loads(meta_path.read_text())
         assert meta["tool"] == "rydgate"
+
+    @pytest.mark.parametrize("before", [None, b"", b"x", b"x" * 30_000])
+    def test_to_csv_rewrites_in_place(self, before, tmp_path):
+        result = ScanResult(
+            axes={"x": [1.0]}, table={"x": np.array([1.0])}, metadata={"tool": "rydgate"}
+        )
+        path, meta_path = tmp_path / "scan.csv", tmp_path / "scan.meta.json"
+        if before is not None:
+            for target in (path, meta_path):
+                target.write_bytes(before)
+        inodes = [target.stat().st_ino for target in (path, meta_path) if target.exists()]
+        result.to_csv(path)
+        assert path.read_bytes() == b"x\r\n1\r\n"
+        assert meta_path.read_text() == json.dumps({"tool": "rydgate"}, indent=2, sort_keys=True) + "\n"
+        if before is not None:
+            assert inodes == [path.stat().st_ino, meta_path.stat().st_ino]
+
+    def test_rewrite_cuts_to_one_byte_never_to_zero(self, tmp_path, monkeypatch):
+        # ext4 (auto_da_alloc) flushes a file emptied by O_TRUNC, or by a
+        # truncation to zero, when it is closed.
+        path = tmp_path / "out.json"
+        path.write_bytes(b"x" * 30_000)
+        flags, original = [], os.open
+        monkeypatch.setattr(os, "open", lambda *args: flags.append(args[1]) or original(*args))
+        with experiments.open_output(path) as handle:
+            assert os.fstat(handle.fileno()).st_size == 1
+            handle.write("{}\n")
+        assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+        assert path.read_bytes() == b"{}\n"
+
+    def test_nothing_written_leaves_an_empty_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"x" * 30_000)
+        with experiments.open_output(path):
+            pass
+        assert path.read_bytes() == b""
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+    def test_fifo_is_never_truncated(self, tmp_path):
+        # ftruncate on a FIFO fails with EINVAL.
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        with experiments.open_output(fifo) as handle:
+            handle.write("x\n")
+        reader.join(timeout=30)
+        assert not reader.is_alive() and received == [b"x\n"]
 
     def test_columns_keep_the_table_order(self):
         table = {"b": np.array([1]), "a": np.array([2.0]), "c": ["x"]}
@@ -261,6 +311,47 @@ class TestInteriorExtrema:
     )
     def test_counts(self, values, expected):
         assert interior_extrema(values) == expected
+
+
+class TestGridEntries:
+    """Each grid entry must be a real number: float() would take True as 1."""
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            pytest.param(lambda: run_actuating_scan(eta_list=[True]), "eta", id="eta"),
+            pytest.param(lambda: run_actuating_scan(eta_list=[2.0, True]), "eta", id="eta-mixed"),
+            pytest.param(
+                lambda: run_actuating_scan(eta_list=[1.0], duration_range=(True, 2.0)),
+                "duration range bound", id="duration-range",
+            ),
+            pytest.param(
+                lambda: run_thermal_map(distance_grid=[True], temperature_grid=[False]),
+                "distance", id="thermal",
+            ),
+            pytest.param(
+                lambda: run_thermal_map(distance_grid=[8.0], temperature_grid=np.array([False])),
+                "temperature", id="thermal-bool-array",
+            ),
+            pytest.param(
+                lambda: run_noise_map(eta_omega_grid=[0.0], eta_delta_grid=[False]),
+                "eta_delta", id="noise",
+            ),
+            pytest.param(lambda: run_decay_curves(multiplier_grid=[True]), "gamma multiplier",
+                         id="decay"),
+            pytest.param(lambda: scan_kappa([1.0, True]), "kappa", id="scan-kappa"),
+            pytest.param(lambda: InterferometerSpec(kappa_grid=(True,)), "kappa", id="interfere"),
+        ],
+    )
+    def test_booleans_are_rejected(self, call, name):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be a real number, got "):
+            call()
+
+    def test_numbers_of_any_kind_pass(self):
+        assert experiments._axis("x", [1, 2.5, np.float32(0.5), np.int64(3)]) == [1.0, 2.5, 0.5, 3.0]
+        assert experiments._axis("x", np.arange(3)) == [0.0, 1.0, 2.0]
+        assert experiments._axis("x", 4.0) == [4.0]
+        assert experiments._axis("x", None, (0.0, 1.0, 3)) == [0.0, 0.5, 1.0]
 
 
 class TestDynamics:

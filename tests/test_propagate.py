@@ -92,12 +92,12 @@ ENGINE_KINDS = ("plain", "noisy", "thermal", "phase-driven")
 
 # (substeps, samples per segment, step budget of a batch) at the edges
 # of the sample intervals: a stride that divides the substeps, one that
-# does not (a padded last interval), more samples than substeps, one
+# does not (a short last interval), more samples than substeps, one
 # sample per segment, and rows one step shorter and longer than the
 # budget, which must then slice a row or split the sampled operators.
 SAMPLE_EDGES = [
     pytest.param(12, 4, None, id="stride-divides"),
-    pytest.param(13, 4, None, id="padded-last-interval"),
+    pytest.param(13, 4, None, id="short-last-interval"),
     pytest.param(6, 9, None, id="samples-exceed-substeps"),
     pytest.param(7, 1, None, id="one-sample"),
     pytest.param(15, 1, 16, id="row-below-budget"),
@@ -421,7 +421,7 @@ class TestStatePropagation:
     ):
         # Samples fall only at substep ends, so the pair of exponentials
         # of a substep is never split across sample intervals, and a
-        # padded interval holds whole identity pairs.
+        # short last interval holds whole substeps.
         if blocks is not None:
             monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
         schedule = modulated_schedule(kind, substeps)
@@ -1128,6 +1128,50 @@ class TestCompactInputs:
         propagate_density(time_optimal_schedule(), rho, DecaySpec(gamma=0.05), config)
         # One pair and one triple block.
         assert sum(sizes) == 2
+
+    def test_short_last_interval_shares_one_exponential(self, monkeypatch):
+        # 7 samples of 1,500 substeps: 7 intervals of 214 substeps and a
+        # short last one of 2, each its own product at compact shapes.
+        sizes = recording_expm(monkeypatch)
+        rho = np.outer(basis_state("11"), basis_state("11"))
+        config = IntegratorConfig(
+            mode=SUBSTEPPED, substeps_per_segment=1500, samples_per_segment=7
+        )
+        result = propagate_density(time_optimal_schedule(), rho, DecaySpec(gamma=0.05), config)
+        assert len(result.times) == 1 + 8
+        # One pair and one triple block for each of the two products.
+        assert sum(sizes) <= 4
+
+    @pytest.mark.parametrize("integrator", [MIDPOINT, MAGNUS4])
+    @pytest.mark.parametrize("kind", ["phase-driven", "thermal"])
+    def test_short_last_interval_matches_every_substep_sampled(self, kind, integrator):
+        # A sample at every substep end (stride 1) has no short interval:
+        # the coarse samples are its rows at the same times.
+        substeps = 1500 if kind == "phase-driven" else 101
+        schedule = modulated_schedule(kind, substeps)
+        rho = np.outer(basis_state("11"), basis_state("11"))
+        results = [
+            propagate_density(
+                schedule,
+                rho,
+                DecaySpec(gamma=0.05),
+                IntegratorConfig(
+                    mode=SUBSTEPPED,
+                    substeps_per_segment=substeps,
+                    samples_per_segment=samples,
+                    integrator=integrator,
+                ),
+            )
+            for samples in (7, substeps)
+        ]
+        coarse, fine = results
+        rows = np.searchsorted(fine.times, coarse.times)
+        np.testing.assert_array_equal(fine.times[rows], coarse.times)
+        for actual, expected in zip(
+            (coarse.final_state, coarse.populations, coarse.norms),
+            (fine.final_state, fine.populations[rows], fine.norms[rows]),
+        ):
+            np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
 
     def test_thermal_steps_take_one_exponential_each(self, monkeypatch):
         sizes = recording_expm(monkeypatch)
