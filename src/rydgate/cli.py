@@ -187,9 +187,9 @@ def emit(result, args) -> None:
             else:
                 result.write_rows(sys.stdout)
             return
-        text = json.dumps(result, indent=2, sort_keys=True) + "\n"
+        text = experiments.json_text(result) + "\n"
         if args.out:
-            with experiments.open_output(args.out) as handle:
+            with experiments.open_output(args.out) as (handle, _):
                 handle.write(text)
         else:
             sys.stdout.write(text)

@@ -15,6 +15,8 @@ import os
 import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +61,9 @@ from .propagate import (
     sector_product,
     sector_step,
     sector_unitary,
+    standard_diagonal,
 )
-from .stochastic import monte_carlo_gate_fidelity, thermal_gate_fidelity
+from .stochastic import MAX_TRIALS, _monte_carlo, _nominal_gate, thermal_gate_fidelity
 
 REFERENCE_KAPPA = 1.65
 
@@ -87,11 +90,107 @@ def _csv_text(text: str, alone: bool) -> str:
     return text or ('""' if alone else "")
 
 
+# Layouts whose %-templates json_text keeps: a process writes a few.
+_JSON_LAYOUTS = 32
+
+# Non-finite floats as json writes them, keyed by float.__repr__.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class _NotPlainJson(Exception):
+    """A value that json_text leaves to json.dumps: one with a dict key
+    that is not a str, or a type other than dict, list, tuple, str, int,
+    float, bool and None (a subclass, such as np.float64, included)."""
+
+
+def _json_layout(value, leaves: list):
+    """The layout of a JSON value, each leaf's text or argument appended
+    to leaves in order.
+
+    A leaf's layout is its template text: "%r" for a finite float (whose
+    %r is float.__repr__, as json writes it), "%d" for an int, "%s" for
+    a str (json's ASCII escape) or a non-finite float (NaN, Infinity,
+    -Infinity), and true, false or null as they stand. A list or tuple
+    is (None, items) and a dict (keys, items), its keys sorted.
+    """
+    kind = type(value)
+    if kind is float:
+        if value - value == 0.0:
+            leaves.append(value)
+            return "%r"
+        leaves.append(_JSON_NONFINITE[float.__repr__(value)])
+        return "%s"
+    if kind is str:
+        leaves.append(encode_basestring_ascii(value))
+        return "%s"
+    if kind is int:
+        leaves.append(value)
+        return "%d"
+    if kind is dict:
+        # An unsortable mix of keys raises TypeError, as json.dumps does.
+        keys = sorted(value)
+        for key in keys:
+            if type(key) is not str:
+                raise _NotPlainJson
+        return tuple(keys), tuple([_json_layout(value[key], leaves) for key in keys])
+    if kind is list or kind is tuple:
+        return None, tuple([_json_layout(item, leaves) for item in value])
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    raise _NotPlainJson
+
+
+@lru_cache(maxsize=_JSON_LAYOUTS)
+def _json_template(layout) -> str:
+    """The %-template of json.dumps(indent=2) for a _json_layout."""
+
+    def render(layout, indent: str) -> str:
+        if type(layout) is str:
+            return layout
+        keys, items = layout
+        if not items:
+            return "[]" if keys is None else "{}"
+        inner = indent + "  "
+        if keys is None:
+            parts = [inner + render(item, inner) for item in items]
+        else:
+            # A key is template text, so its % signs are doubled.
+            parts = [
+                f"{inner}{encode_basestring_ascii(key).replace('%', '%%')}: {render(item, inner)}"
+                for key, item in zip(keys, items)
+            ]
+        opening, closing = "[]" if keys is None else "{}"
+        return opening + "\n" + ",\n".join(parts) + "\n" + indent + closing
+
+    return render(layout, "")
+
+
+def json_text(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte.
+
+    json's indented encoder runs in pure Python. Here one walk of the
+    value gives its leaves and its layout (dict keys, list lengths,
+    nesting and leaf kinds); the layout's %-template is built once and
+    cached (_JSON_LAYOUTS of them), then filled with the leaves. A value
+    that the walk leaves out (_NotPlainJson), or nested too deep for
+    it, goes to json.dumps, which writes it or raises as it would.
+    """
+    leaves = []
+    try:
+        layout = _json_layout(value, leaves)
+    except (_NotPlainJson, RecursionError):
+        return json.dumps(value, indent=2, sort_keys=True)
+    return _json_template(layout) % tuple(leaves)
+
+
 @contextmanager
 def open_output(path, newline=None):
     """Open path for writing as text, as open(path, "w", newline=newline)
     would, but rewrite an existing file in place, keeping its inode and
-    mode; a new file gets 0o666 less the umask.
+    mode; a new file gets 0o666 less the umask. Yields the handle and
+    whether the file is regular.
 
     The file is opened without O_TRUNC. ext4 (auto_da_alloc) flushes a
     file truncated to zero when it is closed, which costs each rewrite
@@ -106,7 +205,7 @@ def open_output(path, newline=None):
         regular = stat.S_ISREG(status.st_mode)
         if regular and status.st_size > 1:
             os.ftruncate(handle.fileno(), 1)
-        yield handle
+        yield handle, regular
         if regular:
             handle.truncate()
 
@@ -168,20 +267,28 @@ class ScanResult:
                 cells[k::width] = values[rows].tolist() if quote is None else map(quote, values[rows])
             stream.write(row * count % tuple(cells))
 
-    def to_csv(self, path) -> Path:
-        """Write the table as CSV and the metadata as a sibling .meta.json,
-        each through open_output. A failed write removes the files it
-        opened, so no CSV is left without its metadata, and raises."""
+    def to_csv(self, path) -> Path | None:
+        """Write the table as CSV, and beside a regular file the metadata
+        as a sibling .meta.json, each through open_output; returns the
+        .meta.json path, or None when there is none. A device or a FIFO
+        (/dev/null, say) takes the CSV alone, so no file appears beside
+        it. A failed write removes the regular files it opened, so no
+        CSV is left without its metadata, and raises; it never removes
+        a file that is not regular."""
         path = Path(path)
         meta_path = path.with_suffix(".meta.json")
         opened = []
         try:
-            with open_output(path, newline="") as handle:
-                opened.append(path)
+            with open_output(path, newline="") as (handle, regular):
+                if regular:
+                    opened.append(path)
                 self.write_rows(handle)
-            with open_output(meta_path) as handle:
-                opened.append(meta_path)
-                handle.write(json.dumps(self.metadata, indent=2, sort_keys=True) + "\n")
+            if not regular:
+                return None
+            with open_output(meta_path) as (handle, regular):
+                if regular:
+                    opened.append(meta_path)
+                handle.write(json_text(self.metadata) + "\n")
         except BaseException:
             for written in opened:
                 written.unlink(missing_ok=True)
@@ -266,7 +373,7 @@ def scan_kappa(kappa_grid, v: float = V0) -> ScanResult:
     Each point is the four-segment standard_schedule(kappa, v). The
     grid is evaluated in batches of as many whole points as one
     sector_product batch holds (propagate.batch_rows), each scored by
-    diagonal_summary from its computational diagonal without a 9x9
+    diagonal_summary from its propagate.standard_diagonal without a 9x9
     operator, so only the table's columns grow with the grid. Raises
     UndefinedPhaseError when any point leaves a computational state
     behind.
@@ -277,14 +384,12 @@ def scan_kappa(kappa_grid, v: float = V0) -> ScanResult:
     # Validates every point as standard_schedule would.
     durations = np.array([cyclic_segment_duration(kappa, v) for kappa in grid])
     rabi = np.array(grid) * v
-    phases = standard_phases()
     fields = ("delta_gamma", "return_probabilities", "fidelity", "leakage")
     batches = []
-    count = batch_rows(len(phases))
+    count = batch_rows(len(standard_phases()))
     for first in range(0, len(grid), count):
         points = np.s_[first : first + count, None]
-        product = sector_product(rabi[points], -v / 2.0, phases, v, durations[points])
-        summary = diagonal_summary(computational_diagonal(product))
+        summary = diagonal_summary(standard_diagonal(rabi[points], v, durations[points]))
         batches.append([summary[name] for name in fields])
     delta_gamma, returns, fidelity, leakage = map(np.concatenate, zip(*batches))
     table = {
@@ -309,13 +414,17 @@ def run_noise_map(
     """Mean Monte-Carlo fidelity on a grid of noise amplitudes.
 
     Each cell derives an independent seed from the top-level seed and
-    its grid position, so single cells can be recomputed in isolation.
+    its grid position, so single cells can be recomputed in isolation:
+    each is monte_carlo_gate_fidelity of its NoiseSpec, against the
+    noise-free gate scored once for the whole map.
     """
     omega_axis = _axis("eta_omega", eta_omega_grid, NOISE_GRID)
     delta_axis = _axis("eta_delta", eta_delta_grid, NOISE_GRID)
     if not omega_axis or not delta_axis:
         raise InvalidParameterError("noise amplitude grids must not be empty")
     check_count("seed", seed, 0)
+    check_count("trials", trials, 1, MAX_TRIALS)
+    nominal_gate = _nominal_gate(kappa, v)
     results = []
     for i, eta_omega in enumerate(omega_axis):
         for j, eta_delta in enumerate(delta_axis):
@@ -330,7 +439,7 @@ def run_noise_map(
                 substeps=substeps,
                 seed=cell_seed,
             )
-            results.append(monte_carlo_gate_fidelity(kappa, v, spec, trials))
+            results.append(_monte_carlo(nominal_gate, spec, int(trials)))
     table = {
         "eta_omega": np.repeat(omega_axis, len(delta_axis)),
         "eta_delta": np.tile(delta_axis, len(omega_axis)),
@@ -683,9 +792,15 @@ def run_actuating_scan(
 
 
 def run_gate(kappa: float, v: float = V0, units: str = Schedule.units) -> dict:
-    """Gate summary of the four-segment schedule as a JSON-ready dict."""
+    """Gate summary of the four-segment schedule as a JSON-ready dict.
+
+    The schedule validates the inputs and goes into the metadata; the
+    summary is scored from propagate.standard_diagonal of its drive, as
+    each scan_kappa point is.
+    """
     schedule = standard_schedule(kappa, v, units=units)
-    summary = diagonal_summary(computational_diagonal(evolution_blocks(schedule)))
+    segment = schedule.segments[0]
+    summary = diagonal_summary(standard_diagonal(segment.rabi, v, segment.duration))
     payload = GateOutcome.from_summary(summary).to_json_dict()
     payload["metadata"] = _metadata(
         schedule=schedule.to_json_dict(),

@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, RootNotFoundError
 from .hamiltonian import check_subspace
-from .model import V0, PulseSegment, cyclic_segment_duration, standard_phases
-from .propagate import sector_product, sector_step
+from .model import V0, PulseSegment, cyclic_segment_duration
+from .propagate import sector_step, standard_diagonal
 
 __all__ = [
     "TwoLevelParams",
@@ -234,9 +234,8 @@ def composite_cyclic_root(bracket: tuple[float, float] = (0.05, 1.0)) -> float:
 def composite_return_probability(kappa: float, v: float = V0) -> float:
     """|10> return probability after the four-pulse two-level composite.
 
-    The composite is the standard four segments, with drive phases
-    standard_phases(), as one sector_product.
+    The composite is the standard four segments, and the probability
+    |a01|^2 = |a10|^2 of their propagate.standard_diagonal.
     """
     t11, _ = periods(kappa, v)
-    product = sector_product(kappa * v, -v / 2.0, standard_phases(), v, t11)
-    return float(abs(product.pair[0, 0]) ** 2)
+    return float(abs(standard_diagonal(kappa * v, v, t11)[1]) ** 2)

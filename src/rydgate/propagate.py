@@ -64,6 +64,7 @@ from .model import (
     check_finite_number,
     check_index,
     check_state,
+    standard_phases,
 )
 
 EXACT = "exact-segment"
@@ -576,8 +577,23 @@ def sector_unitary(blocks: SectorBlocks) -> np.ndarray:
 def computational_diagonal(blocks: SectorBlocks) -> np.ndarray:
     """The amplitudes (a00, a01, a10, a11) that sector_unitary(blocks)
     puts on the computational diagonal, stacked on a last axis."""
-    single = blocks.pair[0, 0]
-    return np.stack((np.ones_like(single), single, single, blocks.triple[0, 0]), axis=-1)
+    single, double = blocks.pair[0, 0], blocks.triple[0, 0]
+    # Filled in place: for one point, np.stack's overhead is several times this.
+    amplitudes = np.empty(np.shape(single) + (4,), np.result_type(single, double))
+    amplitudes[..., 0] = 1.0
+    amplitudes[..., 1:3] = single[..., None]
+    amplitudes[..., 3] = double
+    return amplitudes
+
+
+def standard_diagonal(rabi, v, durations) -> np.ndarray:
+    """computational_diagonal of the standard four-segment product: drive
+    rabi, detuning -v / 2, the standard_phases() and segments of length
+    durations. rabi and durations are numbers, or stacks S + (1,) whose
+    last axis the segments take; the result is S + (4,). The drive does
+    not vary over the segments, so each point takes one exponential."""
+    product = sector_product(rabi, -v / 2.0, standard_phases(), v, durations)
+    return computational_diagonal(product)
 
 
 def _segment_drive(schedule: Schedule):

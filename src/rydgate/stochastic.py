@@ -32,6 +32,7 @@ from .propagate import (
     computational_diagonal,
     evolution_blocks,
     sector_product,
+    standard_diagonal,
 )
 
 GENERATOR_NAME = "PCG64"
@@ -93,7 +94,8 @@ def _nominal_gate(kappa: float, v: float):
     """Noise-free schedule, its computational diagonal, and the diagonal of its
     compensated target; raises UndefinedPhaseError if a state does not return."""
     schedule = standard_schedule(kappa, v)
-    amplitudes = computational_diagonal(evolution_blocks(schedule))
+    segment = schedule.segments[0]
+    amplitudes = standard_diagonal(segment.rabi, v, segment.duration)
     phases = diagonal_summary(amplitudes)["phases"]
     return schedule, amplitudes, np.diagonal(compensated_cz_target(phases[1], phases[2]))
 
@@ -123,9 +125,13 @@ def monte_carlo_gate_fidelity(
     MAX_TRIALS.
     """
     check_count("trials", trials, 1, MAX_TRIALS)
-    trials = int(trials)
-    schedule, nominal, target = _nominal_gate(kappa, v)
+    return _monte_carlo(_nominal_gate(kappa, v), spec, int(trials))
 
+
+def _monte_carlo(nominal_gate, spec: NoiseSpec, trials: int) -> MonteCarloResult:
+    """monte_carlo_gate_fidelity from the _nominal_gate it scores against,
+    so that a map of noise cells scores the nominal gate once."""
+    schedule, nominal, target = nominal_gate
     if spec.eta_omega == 0.0 and spec.eta_delta == 0.0:
         fidelity = float(diagonal_fidelity(nominal, target))
         return MonteCarloResult(

@@ -155,6 +155,42 @@ class TestExitCodes:
         assert not any(p.is_file() for p in tmp_path.iterdir())
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+class TestOutToAFifo:
+    """A scan's --out that is not a regular file takes the CSV alone: no
+    .meta.json beside it, and a failed write leaves it in place."""
+
+    @pytest.fixture
+    def fifo(self, tmp_path):
+        path = tmp_path / "out"
+        os.mkfifo(path)
+        # The reader first, without blocking, so that --out opens at once.
+        reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        yield path, reader
+        os.close(reader)
+
+    def test_the_csv_and_no_sidecar(self, fifo, capsys):
+        path, reader = fifo
+        argv = ["scan-kappa", "--min", "1", "--max", "2", "--steps", "3"]
+        assert run_cli(argv) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert run_cli(argv + ["--out", str(path)]) == 0
+        assert os.read(reader, 1 << 16) == stdout
+        assert sorted(p.name for p in path.parent.iterdir()) == ["out"]
+
+    def test_a_failed_write_keeps_the_fifo(self, fifo, monkeypatch, capsys):
+        path, _ = fifo
+
+        def full_disk(self, handle):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(experiments.ScanResult, "write_rows", full_disk)
+        assert run_cli(["scan-kappa", "--steps", "3", "--out", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write --out")
+        assert stat.S_ISFIFO(os.lstat(path).st_mode)
+        assert sorted(p.name for p in path.parent.iterdir()) == ["out"]
+
+
 class TestParserReuse:
     def test_one_parser_serves_every_call(self, monkeypatch, capsys):
         import rydgate.cli as cli_module

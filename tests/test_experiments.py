@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from rydgate import experiments, metrics, propagate
+from rydgate import experiments, metrics, propagate, stochastic
 from rydgate.errors import IntegratorFailureError, InvalidParameterError, UndefinedPhaseError
 from rydgate.experiments import (
     REFERENCE_KAPPA,
@@ -44,6 +44,7 @@ from rydgate.metrics import gate_outcome, gate_summary
 from rydgate.model import (
     COMPUTATIONAL_INDICES,
     DecaySpec,
+    NoiseSpec,
     PulseSegment,
     Schedule,
     basis_state,
@@ -97,8 +98,8 @@ class TestScanResult:
         path.write_bytes(b"x" * 30_000)
         flags, original = [], os.open
         monkeypatch.setattr(os, "open", lambda *args: flags.append(args[1]) or original(*args))
-        with experiments.open_output(path) as handle:
-            assert os.fstat(handle.fileno()).st_size == 1
+        with experiments.open_output(path) as (handle, regular):
+            assert regular and os.fstat(handle.fileno()).st_size == 1
             handle.write("{}\n")
         assert len(flags) == 1 and not flags[0] & os.O_TRUNC
         assert path.read_bytes() == b"{}\n"
@@ -118,7 +119,8 @@ class TestScanResult:
         received = []
         reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
         reader.start()
-        with experiments.open_output(fifo) as handle:
+        with experiments.open_output(fifo) as (handle, regular):
+            assert not regular
             handle.write("x\n")
         reader.join(timeout=30)
         assert not reader.is_alive() and received == [b"x\n"]
@@ -297,6 +299,100 @@ class TestCsvAgainstCsvWriter:
             assert written_rows(table) == csv_writer_text(table)
 
 
+def dumped(value) -> str:
+    """The oracle of experiments.json_text."""
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# Text with the characters that a template or json's escaping could trip on.
+json_texts = st.text(
+    st.sampled_from('%s%"\\\x00\x1f\x7f\n\t\u00e9\u2603') | st.characters(), max_size=5
+)
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.sampled_from(
+        [-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308, 1.7976931348623157e308]
+    )
+    | json_texts
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_texts, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestJsonAgainstJsonDumps:
+    """json_text against json.dumps(indent=2, sort_keys=True), byte for byte."""
+
+    @given(json_values)
+    def test_random_values(self, value):
+        assert experiments.json_text(value) == dumped(value)
+
+    def test_edge_leaves_and_empty_containers(self):
+        value = {
+            "%s %d %%": [
+                "%", "%(x)s", '"quoted"', "\x00\x1f\x7f\n\t", "caf\u00e9 \u2603 \U0001f600"
+            ],
+            "floats": [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+                       1e16, 0.1, np.float64(1.5), np.float64(math.nan), np.float64(-math.inf)],
+            "ints": [2**200, -(2**64), 0, True, False, None],
+            "empty": {"list": [], "tuple": (), "dict": {}, "text": ""},
+            "\u00e9": {"b": 1, "a": (2, [3, {"c": None}])},
+        }
+        assert experiments.json_text(value) == dumped(value)
+        for leaf in (1.5, "%", None, [], {}, ()):
+            assert experiments.json_text(leaf) == dumped(leaf)
+
+    def test_one_layout_different_leaves(self):
+        # Both values share a cached template; only the leaves differ.
+        first, second = {"a": [1.0, "x"], "b": None}, {"a": [math.nan, "%s"], "b": True}
+        assert experiments.json_text(first) == dumped(first)
+        assert experiments.json_text(second) == dumped(second)
+
+    def test_keys_json_converts_are_left_to_it(self):
+        value = {"a": {2: "two", 1: "one"}, "b": {1.5: None, -3: [1]}, "c": {True: 0, False: 1}}
+        assert experiments.json_text(value) == dumped(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            pytest.param(np.int64(3), id="int64"),
+            pytest.param({"a": [np.int64(3)]}, id="nested-int64"),
+            pytest.param({1, 2}, id="set"),
+            pytest.param({"a": {"b": {1, 2}}}, id="nested-set"),
+            pytest.param(np.bool_(True), id="numpy-bool"),
+            pytest.param({"a": 1, 2: "b"}, id="unsortable-keys"),
+            pytest.param({(1, 2): 3}, id="tuple-key"),
+        ],
+    )
+    def test_rejected_values_raise_as_json_does(self, value):
+        with pytest.raises(Exception) as expected:
+            dumped(value)
+        with pytest.raises(expected.type):
+            experiments.json_text(value)
+
+    def test_a_circular_value_raises_as_json_does(self):
+        value = {"a": []}
+        value["a"].append(value)
+        with pytest.raises(ValueError, match="Circular reference"):
+            experiments.json_text(value)
+
+    @pytest.mark.parametrize("units", ["natural", "mhz"])
+    def test_gate_record_and_scan_metadata(self, units):
+        record = run_gate(1.65, V, units=units)
+        assert experiments.json_text(record) == dumped(record)
+        metadata = scan_kappa(np.linspace(0.2, 5.0, 25)).metadata
+        assert experiments.json_text(metadata) == dumped(metadata)
+
+
 class TestInteriorExtrema:
     @pytest.mark.parametrize(
         "values,expected",
@@ -456,6 +552,23 @@ class TestNoiseMap:
         assert len(first.rows) == 4
         for a, b in zip(first.rows, second.rows):
             assert a == b
+
+    def test_the_nominal_gate_is_scored_once_per_map(self, monkeypatch):
+        calls = []
+        nominal_gate = experiments._nominal_gate
+        monkeypatch.setattr(
+            experiments, "_nominal_gate", lambda *args: calls.append(args) or nominal_gate(*args)
+        )
+        result = run_noise_map([0.0, 0.02], [0.0, 0.01], trials=2, seed=5, substeps=4)
+        assert calls == [(REFERENCE_KAPPA, experiments.V0)]
+        # Each cell as monte_carlo_gate_fidelity scores it on its own.
+        for i, j, row in zip([0, 0, 1, 1], [0, 1, 0, 1], result.rows):
+            seed = int(np.random.SeedSequence([5, i, j]).generate_state(1, dtype=np.uint64)[0])
+            spec = NoiseSpec(eta_omega=row["eta_omega"], eta_delta=row["eta_delta"],
+                             substeps=4, seed=seed)
+            cell = stochastic.monte_carlo_gate_fidelity(REFERENCE_KAPPA, experiments.V0, spec, 2)
+            assert row["mean_fidelity"] == cell.mean_fidelity
+            assert row["std_fidelity"] == cell.std_fidelity
 
     def test_quiet_cell_matches_nominal(self):
         result = run_noise_map(
@@ -931,6 +1044,30 @@ class TestGateSummary:
         del payload["metadata"]
         operator = evolution_operator(standard_schedule(kappa, V, units=units))
         assert payload == gate_outcome(operator).to_json_dict()
+
+    @pytest.mark.parametrize("units", ["natural", "mhz"])
+    def test_every_ratio_equals_the_9x9_oracle_bit_for_bit(self, units):
+        # run_gate scores propagate.standard_diagonal, one exponential per
+        # point, where the oracle takes each of the four segments' own.
+        for kappa in np.append(np.linspace(0.2, 5.0, 201), REFERENCE_KAPPA):
+            payload = run_gate(kappa, V, units=units)
+            del payload["metadata"]
+            operator = evolution_operator(standard_schedule(kappa, V, units=units))
+            assert payload == gate_outcome(operator).to_json_dict(), kappa
+
+    def test_scan_rows_equal_the_gate_at_each_ratio(self):
+        # More points than one batch of scan_kappa, so the rows span batches.
+        grid = np.append(np.linspace(0.2, 5.0, batch_rows(4) + 9), REFERENCE_KAPPA)
+        for row in scan_kappa(grid, V).rows:
+            payload = run_gate(row["kappa"], V)
+            expected = {
+                "kappa": row["kappa"],
+                "delta_gamma": payload["delta_gamma"],
+                **{f"return_{k}": p for k, p in payload["return_probabilities"].items()},
+                "fidelity": payload["fidelity"],
+                "leakage": payload["leakage"],
+            }
+            assert row == expected, row["kappa"]
 
     def test_payload_fields(self):
         payload = run_gate(1.65, V)

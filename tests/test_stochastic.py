@@ -127,7 +127,8 @@ class TestMonteCarlo:
         stranded = propagate.SectorBlocks(
             np.eye(2, dtype=complex), np.eye(3, dtype=complex)[[1, 0, 2]], np.ones((), complex)
         )
-        monkeypatch.setattr(stochastic, "evolution_blocks", lambda *args: stranded)
+        diagonal = propagate.computational_diagonal(stranded)
+        monkeypatch.setattr(stochastic, "standard_diagonal", lambda *args: diagonal)
         spec = NoiseSpec(eta_omega=eta, eta_delta=eta, substeps=4, seed=1)
         with pytest.raises(UndefinedPhaseError, match=r"\|11> does not return"):
             monte_carlo_gate_fidelity(1.65, V, spec, 2)
