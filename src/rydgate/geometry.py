@@ -144,12 +144,13 @@ def sector_evolution(
     """Numeric sector propagator, the oracle for the closed forms.
 
     The sector block of one drive segment's propagator from the step
-    core (`propagate.sector_step`: the pair block in closed form, the
-    triple block as cos x - i sin x by scaling and squaring), which the
-    tests hold to scipy expm of the full nine-state operator. Defaults to one holonomy period. For
-    the three-level "11" sector the result is restricted to the
-    {|11>,|rr>} corners; after a full period the middle level
-    disentangles, so the restriction is unitary.
+    core (`propagate.sector_step`: the pair block in closed form, and
+    the triple block, resonant at detuning -v / 2, as a dark state and
+    a bright pair in closed form beyond the short series' 1-norms),
+    which the tests hold to scipy expm of the full nine-state operator.
+    Defaults to one holonomy period. For the three-level "11" sector
+    the result is restricted to the {|11>,|rr>} corners; after a full
+    period the middle level disentangles, so the restriction is unitary.
     """
     check_subspace(which)
     if duration is None:

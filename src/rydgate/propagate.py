@@ -23,9 +23,12 @@ closed form and the real gauged 3x3 block {11,R,rr} as cos x - i sin x,
 with no eigendecomposition: each matrix takes the one series in x^2 to
 the degree its own 1-norm needs (to x^4, x^6, x^8 or x^12, up to
 1-norms of 0.0066, 0.0381, 0.1150 and 0.4384), and a larger 1-norm the
-top degree by scaling and squaring. A complex detuning takes each block
-through the stacked `expm` of this module, which shares that scaling
-and squaring.
+top degree by scaling and squaring. At the paper's detuning -V/2 the
+|rr> entry 2 Delta + V is 0, and a larger 1-norm takes the block in
+closed form instead: a dark state at energy 0 and a bright pair that
+turns like the 2x2 block. A complex detuning takes each block through
+the stacked `expm` of this module, which shares that scaling and
+squaring.
 `sector_unitary` and `computational_diagonal` are the only conversions
 to the 9x9 layout.
 
@@ -358,16 +361,55 @@ def _rotation(x: np.ndarray, degree: int) -> np.ndarray:
     return result
 
 
+# The flat entries (x00, x02, x20, x10, x12, x21) of a resonant triple
+# generator, and the entries (x22, x22, x22, x01, x01, x01) they equal.
+_RESONANT_ENTRIES = np.array([0, 2, 6, 3, 5, 7])
+_RESONANT_MATCHES = np.array([8, 8, 8, 1, 1, 1])
+
+
+def _resonant_rotation(x: np.ndarray) -> np.ndarray:
+    """exp(-i x) for a stack of resonant triple generators (3, 3, *S):
+    x[0, 0] = x[0, 2] = x[2, 0] = x[2, 2] = 0 and four equal links l.
+
+    The dark state (|11> - |rr>) / sqrt(2) has energy 0, and the bright
+    pair {(|11> + |rr>) / sqrt(2), |R>}, with coupling sqrt(2) l and
+    shift x[1, 1], turns by _pair_rotation into u. Back on {|11>, |R>,
+    |rr>}: r00 = r22 = (u00 + 1) / 2, r02 = r20 = (u00 - 1) / 2, each
+    link u01 / sqrt(2), and r11 = u11. No product is taken. Below a
+    1-norm of the top theta, (u00 - 1) / 2 would lose its digits to
+    cancellation.
+    """
+    # Flat (9, N): the entries stay arrays even for one matrix, since
+    # numpy's complex scalars round some products unlike its array loops.
+    flat = x.reshape(9, -1)
+    bright = np.zeros((2, 2) + flat.shape[1:])
+    bright[0, 1] = bright[1, 0] = _SQRT_TWO * flat[1]
+    bright[1, 1] = flat[4]
+    u = _pair_rotation(bright)
+    # Flat entries: the corners 0, 8 and 2, 6, the links 1, 3, 5, 7 and the centre 4.
+    result = np.empty(flat.shape, dtype=complex)
+    result[::8] = 0.5 * (u[0, 0] + 1.0)
+    result[2:7:4] = 0.5 * (u[0, 0] - 1.0)
+    result[1::2] = _SQRT_HALF * u[0, 1]
+    result[4] = u[1, 1]
+    return result.reshape(x.shape)
+
+
 def _real_rotation(x: np.ndarray) -> np.ndarray:
     """exp(-i x) for a stack of real 3 x 3 matrices (3, 3, *S), each by
-    the series its own 1-norm needs.
+    the class its own entries and 1-norm need.
 
-    A matrix of 1-norm up to theta_m (_THETAS) takes the _rotation of
-    degree m; one above the top theta, non-finite or out of range takes
-    the top degree by _scaling_and_squaring. The norm is computed once,
-    for the class and the squarings. A stack in one class is taken
-    whole; a mixed one is gathered once per class and scattered once, so
-    no matrix's arithmetic depends on the rest of the stack.
+    A resonant generator, of the gauged form of a drive at detuning
+    -V / 2 (x[2, 2] = 2 Delta + V exactly 0, x[0, 0] = x[0, 2] = 0 and
+    equal links) with a 1-norm above the top theta and below 2^53,
+    takes the closed form of _resonant_rotation. Any other matrix of
+    1-norm up to theta_m (_THETAS) takes the _rotation of degree m; one
+    above the top theta, non-finite or out of range takes the top
+    degree by _scaling_and_squaring. The norm is computed once, for the
+    class and the squarings, and off resonance the class costs one
+    comparison (x[2, 2] == 0). A stack in one class is taken whole; a
+    mixed one is gathered once per class and scattered once, so no
+    matrix's arithmetic depends on the rest of the stack.
     """
     norm = _one_norm(x)
     top = len(_DEGREES) - 1
@@ -375,6 +417,19 @@ def _real_rotation(x: np.ndarray) -> np.ndarray:
     classes = np.searchsorted(_THETAS[:top], norm)
     low = classes.min(initial=top)
     high = top if low == top else classes.max()
+    # Off resonance the class costs this one comparison.
+    resonant = x[2, 2] == 0.0
+    if resonant.any():
+        # Where x[2, 2] = 0: x[0, 0], x[0, 2] and x[2, 0] equal it, and
+        # the other links x[0, 1].
+        flat = x.reshape((9,) + x.shape[2:])
+        resonant &= (
+            (flat[_RESONANT_ENTRIES] == flat[_RESONANT_MATCHES]).all(axis=0)
+            & (norm > _THETAS[top])
+            & (norm < _EXPM_NORM_LIMIT)
+        )
+        classes = np.where(resonant, top + 1, classes)
+        low, high = classes.min(), classes.max()
     # One class takes the stack whole: its members are all of it, as views.
     result = None if low == high else np.empty(x.shape, dtype=complex)
     for k in range(low, high + 1):
@@ -383,9 +438,11 @@ def _real_rotation(x: np.ndarray) -> np.ndarray:
             continue
         if k < top:
             part = _rotation(x[:, :, members], _DEGREES[k])
-        else:
+        elif k == top:
             series = partial(_rotation, degree=_DEGREES[top])
             part = _scaling_and_squaring(x[:, :, members], norm[members], series, _THETAS[top])
+        else:
+            part = _resonant_rotation(x[:, :, members])
         if result is None:
             return part
         result[:, :, members] = part
@@ -394,6 +451,8 @@ def _real_rotation(x: np.ndarray) -> np.ndarray:
 
 _TINY = np.finfo(float).tiny
 _EYE2 = np.eye(2)
+_SQRT_TWO = math.sqrt(2.0)
+_SQRT_HALF = math.sqrt(0.5)
 
 # Entry (j, k) of a block picks up e^{-i (j - k) phase} from the gauge:
 # indices into (1, e^{-i phase}, e^{-2i phase}, e^{i phase}, e^{2i phase}).
@@ -430,7 +489,13 @@ def sector_step(rabi, detuning, phase, v, dt) -> SectorBlocks:
     closed form (_pair_rotation) and the real triple block x as
     cos x - i sin x by _real_rotation, each matrix by the series of the
     degree its own 1-norm needs, scaled and squared beyond the top
-    degree's. A complex one takes both blocks through the stacked
+    degree's. At detuning -v / 2, the paper's, that block is resonant:
+    halving commutes with rounding, so detuning dt is exactly -v dt / 2
+    and x[2, 2] = (detuning dt + detuning dt) + v dt is exactly 0. Past
+    the top degree's 1-norm it then takes the closed form of a dark
+    state and a bright pair, with no product and no squaring, and its
+    unitarity defect does not grow with the duration. A complex one
+    takes both blocks through the stacked
     `expm`: with no closed form a large gamma dt (620, say) stays
     finite, and a complex series would make the real case slower. A
     generator that is not finite or has a 1-norm of 2^53 or more gives
@@ -546,9 +611,6 @@ def sector_product(rabi, detuning, phase, v, dt) -> SectorBlocks:
     return SectorBlocks(
         *(np.concatenate(b, axis=-1).reshape(b[0].shape[:-1] + tuple(stack)) for b in zip(*batches))
     )
-
-
-_SQRT_HALF = math.sqrt(0.5)
 
 
 def sector_unitary(blocks: SectorBlocks) -> np.ndarray:

@@ -23,6 +23,7 @@ from rydgate.model import (
     Schedule,
     ThermalSpec,
     basis_state,
+    cyclic_segment_duration,
     standard_schedule,
     time_optimal_schedule,
 )
@@ -1366,28 +1367,49 @@ class TestSizedSeries:
         # Random drives from far below theta_2 to many squarings, every
         # class edge (the top one included), and generators that are NaN,
         # infinite or of 1-norm 2^53 (no drive and no detuning: |v dt| is
-        # the 1-norm).
+        # the 1-norm). Then resonant drives (detuning -v / 2) on both
+        # sides of theta_6, and at v = 2^53 (1-norm 2^52, still in
+        # range), 2^54 (1-norm 2^53), 1e300, inf and NaN.
         rng = np.random.default_rng(976)
         rabi, detuning, phase, v = random_drive(rng, (40,))
         dt = np.geomspace(1e-5, 30.0, 40)
         edges = np.outer(propagate._THETAS, 1.0 + np.array([-1.0, 0.0, 1.0]) * 2.0**-52)
         extra = np.concatenate((edges.ravel(), [np.nan, np.inf, 2.0**53]))
-        rabi, detuning = (np.concatenate((x, np.zeros(len(extra)))) for x in (rabi, detuning))
-        phase = np.concatenate((phase, rng.uniform(-math.pi, math.pi, len(extra))))
-        v = np.concatenate((v, -extra))
-        dt = np.concatenate((dt, np.ones(len(extra))))
-        _, triple = gauged_blocks(rabi * dt, detuning * dt, v * dt, dt.shape)
+        resonant_v = np.concatenate(
+            (rng.uniform(0.1, 10.0, 10), [2.0**53, 2.0**54, 1e300, np.inf, np.nan])
+        )
+        resonant_rabi = np.concatenate((rng.uniform(0.1, 8.0, 10), np.zeros(5)))
+        rabi = np.concatenate((rabi, np.zeros(len(extra)), resonant_rabi))
+        detuning = np.concatenate((detuning, np.zeros(len(extra)), -resonant_v / 2.0))
+        phase = np.concatenate((phase, rng.uniform(-math.pi, math.pi, len(extra) + 15)))
+        v = np.concatenate((v, -extra, resonant_v))
+        dt = np.concatenate((dt, np.ones(len(extra)), np.geomspace(1e-2, 1e3, 10), np.ones(5)))
+        with np.errstate(invalid="ignore"):
+            _, triple = gauged_blocks(rabi * dt, detuning * dt, v * dt, dt.shape)
         norm = propagate._one_norm(triple)
         classes = np.searchsorted(propagate._THETAS[:-1], norm)
         assert set(classes) == {0, 1, 2, 3} and np.isnan(norm).any()
+        # The rr entry is 0 up to v = 1e300. The resonant class holds those
+        # above theta_6 and below 2^53; the series takes the others.
+        zero = triple[2, 2, -15:] == 0.0
+        assert zero[:13].all() and not zero[13:].any()
+        resonant = zero & (norm[-15:] > propagate._THETAS[-1]) & (norm[-15:] < 2.0**53)
+        assert resonant[:10].any() and not resonant[:10].all()
+        assert resonant[10] and not resonant[11:].any()
         # A two-axis stack: the classes are gathered along both.
         drive = [x.reshape(5, -1) for x in (rabi, detuning, phase, v, dt)]
+        nan_pairs = {np.unravel_index(k, drive[0].shape) for k in (len(dt) - 2, len(dt) - 1)}
         with np.errstate(over="ignore", invalid="ignore"):
             whole = sector_step(*drive)
             for index in np.ndindex(drive[0].shape):
                 alone = sector_step(*(x[index] for x in drive))
-                for single, block in zip(alone, whole.at(index)):
-                    assert single.tobytes() == np.ascontiguousarray(block).tobytes()
+                for name, single, block in zip(SectorBlocks._fields, alone, whole.at(index)):
+                    if name == "pair" and index in nan_pairs:
+                        # Detuning -inf or NaN: a NaN pair step, whose NaN
+                        # takes its sign from numpy's scalar or array loop.
+                        assert np.isnan(single).all() and np.isnan(block).all()
+                    else:
+                        assert single.tobytes() == np.ascontiguousarray(block).tobytes()
         out_of_range = ~(norm.reshape(5, -1) < 2.0**53)
         assert np.isnan(whole.triple[..., out_of_range]).all()
 
@@ -1416,6 +1438,141 @@ class TestSizedSeries:
             rotation = propagate._real_rotation(np.zeros((3, 3) + shape))
         assert step.pair.shape == (2, 2) + shape and step.triple.shape == (3, 3) + shape
         assert step.anti.shape == shape and rotation.shape == (3, 3) + shape
+
+
+def resonant_with_norm(rng, norm: float) -> np.ndarray:
+    """A random resonant triple generator [[0, l, 0], [l, d, l], [0, l, 0]]
+    (the form of gauged_blocks at detuning -v / 2) of 1-norm
+    2 |l| + |d| exactly norm: l and d are integer multiples of the last
+    bit of norm, so every column sum is exact."""
+    mantissa, exponent = math.frexp(norm)
+    whole = int(mantissa * 2**53)
+    link = int(rng.integers(1, whole // 2))
+    x = np.zeros((3, 3))
+    x[[0, 1, 1, 2], [1, 0, 2, 1]] = link * rng.choice([-1.0, 1.0])
+    x[1, 1] = (whole - 2 * link) * rng.choice([-1.0, 1.0])
+    return x * 2.0 ** (exponent - 53)
+
+
+def top_series(x: np.ndarray) -> np.ndarray:
+    """The top degree by scaling and squaring, for any 1-norm."""
+    return propagate._scaling_and_squaring(
+        x,
+        propagate._one_norm(x),
+        functools.partial(propagate._rotation, degree=propagate._DEGREES[-1]),
+        propagate._THETAS[-1],
+    )
+
+
+class TestResonantClass:
+    """A resonant triple generator, whose rr entry 2 Delta + V is exactly 0
+    as at the paper's detuning -V / 2, takes the closed form of a dark
+    state and a bright pair above theta_6, with no product."""
+
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    def test_the_closed_form_starts_above_the_top_theta(self, side, monkeypatch):
+        # theta_6 (1 - 2^-52) and theta_6 take the series unscaled,
+        # theta_6 (1 + 2^-52) the closed form.
+        norm = propagate._THETAS[-1] * (1.0 + side * 2.0**-52)
+        x = resonant_with_norm(np.random.default_rng(980), norm)
+        assert propagate._one_norm(x) == norm and x[2, 2] == 0.0
+        products = counting_products(monkeypatch)
+        actual = propagate._real_rotation(x[..., None])[..., 0]
+        assert len(products) == (0 if side > 0 else CLASS_PRODUCTS[-1])
+        np.testing.assert_allclose(actual, expm(-1j * x), rtol=0.0, atol=1e-15)
+        assert unitarity_defect(actual) <= 1e-15
+
+    @pytest.mark.parametrize("dt", [1e-9, 1e-6, 1e-4, 1e-2])
+    def test_a_short_resonant_step_keeps_the_digits_of_every_entry(self, dt):
+        # Below theta_6 the series keeps each entry to its own relative
+        # digits. The closed form would not: (u00 - 1) / 2, the |11> <->
+        # |rr> entry, cancels, all of it at dt = 1e-9.
+        _, x = gauged_blocks(2.5 * dt, -1.5 * dt, 3.0 * dt, ())
+        assert x[2, 2] == 0.0
+        expected = expm(-1j * x)
+        np.testing.assert_allclose(propagate._real_rotation(x), expected, rtol=1e-14, atol=0.0)
+        if dt == 1e-9:
+            closed = propagate._resonant_rotation(x)[0, 2]
+            assert abs(closed - expected[0, 2]) > 0.5 * abs(expected[0, 2])
+
+    def test_matches_scipy_and_the_series_up_to_1e5(self):
+        # Both errors grow with the angle. In each decade of 1-norms the
+        # largest error of the closed form is no larger than the series'.
+        rng = np.random.default_rng(981)
+        norms = np.geomspace(propagate._THETAS[-1] * (1.0 + 2.0**-52), 1e5, 240)
+        x = np.stack([resonant_with_norm(rng, norm) for norm in norms], axis=-1)
+        closed = propagate._real_rotation(x)
+        np.testing.assert_array_equal(closed, propagate._resonant_rotation(x))
+        series = top_series(x)
+        expected = np.stack([expm(-1j * x[..., k]) for k in range(len(norms))], axis=-1)
+        closed_error, series_error = (
+            np.abs(u - expected).max(axis=(0, 1)) for u in (closed, series)
+        )
+        assert (closed_error <= 1e-15 * norms).all()
+        decades = np.floor(np.log10(norms)).clip(max=4)
+        for decade in np.unique(decades):
+            band = decades == decade
+            assert closed_error[band].max() <= series_error[band].max()
+
+    @pytest.mark.parametrize("t", [1.0, 400.0, 1e5])
+    def test_resonant_steps_are_unitary_and_take_no_product(self, t, monkeypatch):
+        # The series' defect grows as 2^s times the unit roundoff, up to
+        # about 1e-9 at t = 1e5; the closed form's does not grow.
+        rng = np.random.default_rng(982)
+        rabi, v = rng.uniform(0.1, 8.0, 64), rng.uniform(0.1, 10.0, 64)
+        phase = rng.uniform(-math.pi, math.pi, 64)
+        products = counting_products(monkeypatch)
+        step = sector_step(rabi, -v / 2.0, phase, v, t)
+        assert products == []
+        full = sector_unitary(step)
+        defect = np.abs(full @ full.conj().swapaxes(-1, -2) - np.eye(9)).max()
+        assert defect <= 1e-15
+        if t <= 400.0:
+            for k in range(0, 64, 9):
+                expected = oracle_unitary(rabi[k], -v[k] / 2.0, phase[k], v[k], t)
+                np.testing.assert_allclose(full[k], expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("broken", ["x00", "x02", "links", "asymmetric", "random"])
+    def test_a_zero_rr_entry_alone_is_not_resonant(self, broken, monkeypatch):
+        # x[2, 2] = 0 but an entry off the gauged form, or a random
+        # symmetric x with x[2, 2] = 0: the series, scaled and squared.
+        rng = np.random.default_rng(983)
+        x = resonant_with_norm(rng, 5.0)
+        if broken == "x00":
+            x[0, 0] = 0.25
+        elif broken == "x02":
+            x[0, 2] = x[2, 0] = 0.25
+        elif broken == "links":
+            x[1, 2] = x[2, 1] = 0.5 * x[0, 1]
+        elif broken == "asymmetric":
+            x[1, 0] = 0.5 * x[0, 1]
+        else:
+            x = symmetric_with_norm(rng, 5.0)
+            x[2, 2] = 0.0
+            assert x[0, 0] != 0.0
+        squarings = math.ceil(math.log2(propagate._one_norm(x) / propagate._THETAS[-1]))
+        products = counting_products(monkeypatch)
+        actual = propagate._real_rotation(x[..., None])[..., 0]
+        assert len(products) == CLASS_PRODUCTS[-1] + squarings
+        np.testing.assert_array_equal(actual, top_series(x[..., None])[..., 0])
+        np.testing.assert_allclose(actual, expm(-1j * x), rtol=0.0, atol=1e-14)
+
+    @given(
+        v=st.floats(1e-6, 1e6),
+        kappa=st.floats(1e-3, 1e3),
+        dt=st.floats(1e-6, 1e3),
+    )
+    def test_every_step_at_detuning_minus_v_over_2_is_resonant(self, v, kappa, dt):
+        # Halving commutes with rounding: (-v / 2) dt is exactly -(v dt) / 2.
+        _, triple = gauged_blocks(kappa * v * dt, (-v / 2.0) * dt, v * dt, ())
+        assert triple[2, 2] == 0.0
+
+    def test_the_standard_gate_takes_products_only_to_multiply_its_steps(self, monkeypatch):
+        # Four resonant steps: two rounds of the ordered product, each one
+        # pair and one triple product.
+        products = counting_products(monkeypatch)
+        propagate.standard_diagonal(1.65 * V, V, cyclic_segment_duration(1.65, V))
+        assert len(products) == 4
 
 
 def decayed(drive, gamma):
