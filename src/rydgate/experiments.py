@@ -52,12 +52,12 @@ from .propagate import (
     SUBSTEPPED,
     IntegratorConfig,
     SectorBlocks,
-    batch_rows,
     check_finite,
     check_survival,
     computational_diagonal,
     evolution_blocks,
     propagate_basis,
+    row_batches,
     sector_product,
     sector_step,
     sector_unitary,
@@ -371,10 +371,10 @@ def scan_kappa(kappa_grid, v: float = V0) -> ScanResult:
     """Gate summary for each drive-to-interaction ratio on the grid.
 
     Each point is the four-segment standard_schedule(kappa, v). The
-    grid is evaluated in batches of as many whole points as one
-    sector_product batch holds (propagate.batch_rows), each scored by
-    diagonal_summary from its propagate.standard_diagonal without a 9x9
-    operator, so only the table's columns grow with the grid. Raises
+    grid is evaluated in the batches of propagate.row_batches, whole
+    points of four steps each, each scored by diagonal_summary from its
+    propagate.standard_diagonal without a 9x9 operator, so only the
+    table's columns grow with the grid. Raises
     UndefinedPhaseError when any point leaves a computational state
     behind.
     """
@@ -386,10 +386,8 @@ def scan_kappa(kappa_grid, v: float = V0) -> ScanResult:
     rabi = np.array(grid) * v
     fields = ("delta_gamma", "return_probabilities", "fidelity", "leakage")
     batches = []
-    count = batch_rows(len(standard_phases()))
-    for first in range(0, len(grid), count):
-        points = np.s_[first : first + count, None]
-        summary = diagonal_summary(standard_diagonal(rabi[points], v, durations[points]))
+    for points in row_batches(len(grid), len(standard_phases())):
+        summary = diagonal_summary(standard_diagonal(rabi[points, None], v, durations[points, None]))
         batches.append([summary[name] for name in fields])
     delta_gamma, returns, fidelity, leakage = map(np.concatenate, zip(*batches))
     table = {
@@ -730,16 +728,15 @@ def run_actuating_scan(
     if not (0.0 < lo < hi < math.inf):
         raise InvalidParameterError(f"bad duration range {duration_range}")
     durations = np.linspace(lo, hi, duration_count)
-    # Durations per stacked batch, within the sector_product step budget.
-    width = batch_rows(phases.size ** (2 if independent_phases else 1))
+    # Each duration is a row of one step per phase (per phase pair).
+    width = phases.size ** (2 if independent_phases else 1)
 
     qualifying_cells, mean_durations = [], []
     for eta in etas:
         v = eta * V0
         rabi = REFERENCE_KAPPA * (V0 if mode == "fixed-omega" else v)
         counts = np.zeros(durations.size, dtype=int)
-        for first in range(0, durations.size, width):
-            chunk = slice(first, first + width)
+        for chunk in row_batches(durations.size, width):
             steps = sector_step(rabi, -v / 2.0, step_phases, v, durations[chunk, None])
             pairs = steps.at(np.s_[:, 1:]) @ steps.at(np.s_[:, :1])
             amplitudes = _cell_amplitudes(pairs, independent_phases)

@@ -187,19 +187,18 @@ def apply_decay(h: np.ndarray, decay: DecaySpec) -> np.ndarray:
 def thermal_interaction(t, v: float, spec: ThermalSpec):
     """Instantaneous interaction strength under distance vibration.
 
-    The distance is D(t) = L + b * waist * sin(omega t) in length units
-    of the waist. exponent_mode "literal" returns V (D/L)^6 and
-    "physical" returns V (L/D)^6, the van der Waals sign of the same
-    modulation. t may be a scalar or an array of times; the result has
-    its shape. A non-positive distance at any time raises
-    DegenerateGeometryError.
+    The distance is D(t) = L + b sin(omega t), in units of the waist.
+    exponent_mode "literal" returns V (D/L)^6 and "physical" returns
+    V (L/D)^6, the van der Waals sign of the same modulation. t may be
+    a scalar or an array of times; the result has its shape. A
+    non-positive distance at any time raises DegenerateGeometryError.
     """
     if spec.vibration_rate is None:
         raise InvalidParameterError(
             "thermal spec has no vibration rate; set one or derive it from the schedule"
         )
-    length = spec.equilibrium_distance * spec.waist
-    distance = length + spec.amplitude * spec.waist * np.sin(spec.vibration_rate * t)
+    length = spec.equilibrium_distance
+    distance = length + spec.amplitude * np.sin(spec.vibration_rate * t)
     collided = np.flatnonzero(distance <= 0.0)
     if collided.size:
         first = collided[0]

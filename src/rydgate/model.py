@@ -211,14 +211,40 @@ class NoiseSpec:
         check_count("noise seed", self.seed, 0)
 
 
+def sample_noise_trace(spec: NoiseSpec, segment_count: int):
+    """Draw multiplier arrays of shape (segment_count, substeps).
+
+    Returns (drive multipliers, detuning multipliers), drawn from a fresh
+    generator seeded with spec.seed, so a seed always reproduces its trace.
+    """
+    check_count("segment_count", segment_count, 1)
+    rng = np.random.default_rng(spec.seed)
+    shape = (segment_count, spec.substeps)
+    raw_omega = rng.uniform(-1.0, 1.0, size=shape)
+    raw_delta = rng.uniform(-1.0, 1.0, size=shape)
+    return 1.0 + spec.eta_omega * raw_omega, 1.0 + spec.eta_delta * raw_delta
+
+
+def noisy_drive(schedule: Schedule, spec: NoiseSpec):
+    """Drive strength and detuning of each noise substep of the schedule.
+
+    Returns arrays of shape (segments, spec.substeps): each segment's
+    value x times the multipliers 1 + eta * r of spec's noise trace.
+    """
+    omega, delta = sample_noise_trace(spec, len(schedule.segments))
+    rabi = np.array([s.rabi for s in schedule.segments])[:, None] * omega
+    detuning = np.array([s.detuning for s in schedule.segments])[:, None] * delta
+    return rabi, detuning
+
+
 @dataclass(frozen=True)
 class ThermalSpec:
     """Deterministic interatomic-distance vibration.
 
-    equilibrium_distance is the mean distance in units of the trap waist
-    (waist defaults to 1 um); temperature is in uK. The instantaneous
-    distance is D(t) = L + b * waist * sin(omega t) with vibration
-    amplitude b = sqrt(2 * temperature / reference_temperature). When
+    equilibrium_distance L is the mean distance in units of the trap
+    waist; temperature is in uK. The instantaneous distance is D(t) =
+    L + b sin(omega t), in the same units, with vibration amplitude
+    b = sqrt(2 * temperature / reference_temperature). When
     vibration_rate is None the consumer derives it from the schedule
     (50 oscillations per segment). exponent_mode selects how the
     interaction is rescaled; see `hamiltonian.thermal_interaction`.
@@ -227,13 +253,12 @@ class ThermalSpec:
     equilibrium_distance: float
     temperature: float
     vibration_rate: float | None = None
-    waist: float = 1.0
     reference_temperature: float = 20.0
     exponent_mode: str = EXPONENT_MODES[0]
 
     def __post_init__(self):
-        # A non-finite distance, waist or rate would make the fidelity NaN.
-        for name in ("equilibrium_distance", "waist", "reference_temperature"):
+        # A non-finite distance or rate would make the fidelity NaN.
+        for name in ("equilibrium_distance", "reference_temperature"):
             check_finite_number(name, getattr(self, name), ">")
         check_finite_number("temperature", self.temperature, ">=")
         if self.vibration_rate is not None:

@@ -32,14 +32,17 @@ squaring.
 `sector_unitary` and `computational_diagonal` are the only conversions
 to the 9x9 layout.
 
-`sector_product` is the one time-ordered product, for every engine and
-every scan. Each input keeps its own shape down to `sector_step`, so
-steps that differ only in phase share their exponential. The sampled
-engine takes it over the intervals between samples and then the running
-product of the intervals; a density at a sample is M rho M^dagger for
-the product M of the steps so far (there are no jump terms), and lost
-trace is never renormalized. What reads only final states takes
-`evolution_blocks`, which stacks decay rates on one axis, and applies
+`row_products` is the one row loop: every stacked product multiplies
+its rows (grid points, decay rates, Monte-Carlo trials) through it, in
+the batches of `row_batches`, the one budget. `sector_product` is the
+time-ordered product of a drive stack, for every engine and every scan.
+Each input keeps its own shape down to `sector_step`, so steps that
+differ only in phase share their exponential. The sampled engine takes
+it over the intervals between samples and then the running product of
+the intervals; a density at a sample is M rho M^dagger for the product M
+of the steps so far (there are no jump terms), and lost trace is never
+renormalized. What reads only final states takes `evolution_blocks`,
+whose rows are decay rates over the steps of `flat_drive`, and applies
 it to the state: the decay curves and `convergence_check`.
 """
 
@@ -67,6 +70,7 @@ from .model import (
     check_finite_number,
     check_index,
     check_state,
+    noisy_drive,
     standard_phases,
 )
 
@@ -76,9 +80,10 @@ SUBSTEPPED = "substepped"
 MIDPOINT = "midpoint"
 MAGNUS4 = "magnus4"
 
-# Steps per batch of sector_product, and sampled operators per batch
-# of the engines that scatter them to 9x9. It bounds the working memory
-# of one batch to a few MB for any stack shape and step count.
+# Steps per batch of row_products, and sampled operators per batch of
+# the engines that scatter them to 9x9: the one budget of row_batches.
+# It bounds the working memory of one batch to a few MB for any stack
+# shape and step count.
 _BATCH_BLOCKS = 2048
 
 # What a NaN step means, for the errors that report one.
@@ -553,9 +558,39 @@ def running_product(steps: SectorBlocks) -> SectorBlocks:
     return steps
 
 
-def batch_rows(width: int) -> int:
-    """Rows of `width` blocks that one batch of _BATCH_BLOCKS holds, at least 1."""
-    return max(1, _BATCH_BLOCKS // int(width))
+def row_batches(rows: int, width: int):
+    """The slices of rows that the batches of rows of `width` steps take:
+    as many whole rows as _BATCH_BLOCKS steps hold, at least one."""
+    count = max(1, _BATCH_BLOCKS // int(width))
+    return (slice(first, first + count) for first in range(0, rows, count))
+
+
+def row_products(drive, rows: int, steps: int):
+    """The time-ordered sector products of rows of `steps` steps, one
+    batch of row_batches at a time, each stacked over its batch's rows.
+
+    drive(batch) returns the sector_step inputs (rabi, detuning, phase,
+    v, dt) of the rows of the slice batch, each at its compact shape
+    (rows of the batch or 1, steps or 1), so that only one batch of
+    them exists at once. Whole rows are never split between batches, so
+    a row's product is the same in any batch; a row longer than
+    _BATCH_BLOCKS is sliced along time and its slices multiplied in order.
+    """
+    for batch in row_batches(rows, steps):
+        inputs = drive(batch)
+        total = None
+        for start in range(0, steps, _BATCH_BLOCKS):
+            part = (x[:, start : start + _BATCH_BLOCKS] if x.shape[1] > 1 else x for x in inputs)
+            product = ordered_product(sector_step(*part))
+            total = product if total is None else product @ total
+        yield total
+
+
+def _joined(products, stack) -> SectorBlocks:
+    """The products of the batches of row_products as one stack of shape stack."""
+    return SectorBlocks(
+        *(np.concatenate(b, axis=-1).reshape(b[0].shape[:-1] + tuple(stack)) for b in zip(*products))
+    )
 
 
 def _rows(x: np.ndarray, shape) -> np.ndarray:
@@ -575,13 +610,11 @@ def sector_product(rabi, detuning, phase, v, dt) -> SectorBlocks:
     step lengths dt broadcast to S + (T,), where T is the time-ordered
     step axis, first step first; the product has the stack shape S.
     A complex detuning Delta - i gamma stays complex: decayed steps.
-    Each batch holds at most _BATCH_BLOCKS steps. Whole rows (the T
-    steps of one stack element) are batched together and never split,
-    so a row's product is the same in any batch; a row longer than the
-    budget is sliced along time and its slices multiplied in order.
-    Each input keeps its own shape: a batch takes rows and time slices
-    of an input only along the axes where it varies, so steps that
-    differ only in phase share their exponential in sector_step.
+    A stack of more than _BATCH_BLOCKS steps is taken by row_products,
+    whose rows are the T steps of each stack element. Each input keeps
+    its own shape: a batch takes rows and time slices of an input only
+    along the axes where it varies, so steps that differ only in phase
+    share their exponential in sector_step.
     """
     rabi, phase, v, dt = (np.asarray(x, dtype=float) for x in (rabi, phase, v, dt))
     drive = [rabi, np.asarray(detuning, dtype=np.result_type(detuning, float)), phase, v, dt]
@@ -591,26 +624,10 @@ def sector_product(rabi, detuning, phase, v, dt) -> SectorBlocks:
         return ordered_product(sector_step(*drive))
     *stack, steps = shape
     rows = [_rows(x, shape) for x in drive]
-    count = batch_rows(steps)
-    # The whole row when rows fit in a batch, else the budget.
-    width = _BATCH_BLOCKS // count
-    batches = []
-    for first in range(0, math.prod(stack), count):
-        total = None
-        for start in range(0, steps, width):
-            part = (
-                row[
-                    slice(first, first + count) if len(row) > 1 else slice(None),
-                    slice(start, start + width) if row.shape[1] > 1 else slice(None),
-                ]
-                for row in rows
-            )
-            product = ordered_product(sector_step(*part))
-            total = product if total is None else product @ total
-        batches.append(total)
-    return SectorBlocks(
-        *(np.concatenate(b, axis=-1).reshape(b[0].shape[:-1] + tuple(stack)) for b in zip(*batches))
+    batches = row_products(
+        lambda batch: [row[batch] if len(row) > 1 else row for row in rows], math.prod(stack), steps
     )
+    return _joined(batches, stack)
 
 
 def sector_unitary(blocks: SectorBlocks) -> np.ndarray:
@@ -696,7 +713,6 @@ def _substep_drive(schedule: Schedule, steps: int, integrator: str):
     dt = durations / steps
     nodes = _GAUSS_NODES if integrator == MAGNUS4 else _MIDPOINT_NODES
     if schedule.noise is not None:
-        from .stochastic import noisy_drive
         rabi, detuning = (x[..., None] for x in noisy_drive(schedule, schedule.noise))
     if schedule.phase_drive is not None or schedule.thermal is not None:
         t = starts[..., None] + (np.arange(steps)[:, None] + nodes) * dt
@@ -733,22 +749,38 @@ def _magnus4_drive(rabi, detuning, phase, v, dt):
     return np.abs(coupling), weighted(detuning), np.angle(coupling), weighted(v), 0.5 * dt
 
 
+def flat_drive(schedule: Schedule, config: IntegratorConfig):
+    """The sector_step inputs (rabi, detuning, phase, v, dt) of the
+    exponentials of every substep of the config's integrator, where exact
+    mode takes one substep per segment, as one row (1, T) over the T
+    exponentials in time order.
+
+    An input that does not vary over the steps stays (1, 1). The phase,
+    which never reaches an exponential, spans the T steps and so sets
+    the step count."""
+    steps = _segment_substeps(schedule, config)
+    (rabi, detuning, phase, v, dt), grid = _substep_drive(schedule, steps, config.integrator)
+    phase = np.broadcast_to(phase, grid)
+    return tuple(
+        (x if x.size in (1, phase.size) else np.broadcast_to(x, grid)).reshape(1, -1)
+        for x in (rabi, detuning, phase, v, dt)
+    )
+
+
 def evolution_blocks(
     schedule: Schedule, config: IntegratorConfig | None = None, gamma=None
 ) -> SectorBlocks:
-    """The evolution operator in sector form: the sector_product of the
-    exponentials of every substep of the config's integrator, where exact
-    mode takes one substep per segment; identity blocks if there are none.
+    """The evolution operator in sector form: the time-ordered product of
+    the steps of flat_drive; identity blocks if there are none.
 
     With decay rates gamma (a 1-D sequence, each finite and >= 0), the
     operators of the decay-modified schedule at each rate, stacked on
     one axis: every step takes the detuning Delta - i gamma (under MAGNUS4
-    each exponential spans half a substep, decay included). The rates are
-    taken as many at a time as one sector_product batch holds rows of the
-    steps (one at a time for a row longer than a batch), so the complex
-    detunings of one batch of rows at most exist at once. An input that
-    does not vary over the steps stays size 1, so under MIDPOINT steps
-    that differ only in phase take one exponential per rate and batch.
+    each exponential spans half a substep, decay included). The rates
+    are the rows of row_products, whose drive builds the complex
+    detunings of one batch of rows at a time. An input that does not
+    vary over the steps stays size 1, so under MIDPOINT steps that
+    differ only in phase take one exponential per rate and batch.
     """
     config = resolve_config(schedule, config)
     stack = ()
@@ -761,24 +793,16 @@ def evolution_blocks(
         ones = np.ones(stack, complex)
         eye = (np.eye(n).reshape((n, n) + (1,) * len(stack)) * ones for n in (2, 3))
         return SectorBlocks(*eye, ones)
-    steps = _segment_substeps(schedule, config)
-    (rabi, detuning, phase, v, dt), grid = _substep_drive(schedule, steps, config.integrator)
-    size = math.prod(grid)
-    phase = phase if phase.size == size else np.broadcast_to(phase, grid)
-    # Flat steps for the phase and the inputs that vary; the others stay size 1.
-    rabi, detuning, phase, v, dt = (
-        (x if x.size in (1, size) else np.broadcast_to(x, grid)).reshape(-1)
-        for x in (rabi, detuning, phase, v, dt)
-    )
+    rabi, detuning, phase, v, dt = flat_drive(schedule, config)
     if gamma is None:
-        return sector_product(rabi, detuning, phase, v, dt)
-    count = batch_rows(size)
+        return sector_product(rabi[0], detuning[0], phase[0], v[0], dt[0])
+
+    def drive(batch):
+        # Decay is the imaginary part of the detuning.
+        return rabi, detuning - 1j * rates[batch], phase, v, dt
+
     # No rates still make one (empty) product.
-    parts = [
-        sector_product(rabi, detuning - 1j * rates[first : first + count], phase, v, dt)
-        for first in range(0, max(len(rates), 1), count)
-    ]
-    return SectorBlocks(*(np.concatenate(blocks, axis=-1) for blocks in zip(*parts)))
+    return _joined(row_products(drive, max(len(rates), 1), phase.shape[1]), stack)
 
 
 def evolution_operator(schedule: Schedule, config: IntegratorConfig | None = None) -> np.ndarray:
@@ -800,9 +824,9 @@ def _sampled(schedule, config, evolve, gamma=0.0) -> PropagationResult:
     stride x exponentials per substep), each input at its compact shape.
     A short last interval is a second sector_product of its own: padded
     with zero-length substeps, dt would vary along the substeps, and
-    every substep would take its own exponential. A batch of at most
-    _BATCH_BLOCKS operators at the samples is the running product of its
-    intervals times the last operator before it.
+    every substep would take its own exponential. Each batch of
+    row_batches, at most _BATCH_BLOCKS operators at the samples, is the
+    running product of its intervals times the last operator before it.
     """
     steps = _segment_substeps(schedule, config, config.samples_per_segment)
     stride = max(1, steps // config.samples_per_segment)
@@ -846,12 +870,12 @@ def _sampled(schedule, config, evolve, gamma=0.0) -> PropagationResult:
     for record, x in zip(records, initial):
         record[0] = x
     carry = SectorBlocks(np.eye(2)[..., None], np.eye(3)[..., None], np.ones(1))
-    for first in range(0, times.size, _BATCH_BLOCKS):
-        operators = running_product(blocks.at(np.s_[first : first + _BATCH_BLOCKS])) @ carry
+    for batch in row_batches(times.size, 1):
+        operators = running_product(blocks.at(batch)) @ carry
         carry = operators.at(np.s_[-1:])
         evolved, *values = evolve(sector_unitary(operators))
         for record, value in zip(records, values):
-            record[1 + first : 1 + first + len(value)] = value
+            record[1:][batch] = value
         final = evolved[-1]
     return PropagationResult(final, np.append(0.0, times), *records)
 

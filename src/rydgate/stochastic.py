@@ -6,14 +6,17 @@ x -> (1 + eta * r) * x with r drawn from [-1, 1]. Traces are fully
 reproducible from the seed; the drive channel is always drawn before
 the detuning channel.
 
+The draw itself, `sample_noise_trace` and `noisy_drive`, lives beside
+`NoiseSpec` in `model`, and is bound here too.
+
 Fidelities are scored in sector form, with no 9x9 operator: each
 computational state returns with a phase, so `metrics.diagonal_fidelity`
 scores the computational diagonal against the diagonal of the noise-free
-schedule's compensated target. Monte-Carlo trials run as stacks: the
-noisy drives of a batch of trials form one drive array over (trials x
-segments x substeps), multiplied per trial by `propagate.sector_product`.
-A batch holds as many whole trials as `propagate.batch_rows` allows, so
-a trial's fidelity is the same in any batch.
+schedule's compensated target. Monte-Carlo trials are the rows of
+`propagate.row_products`: each trial's noisy drive over (segments x
+substeps) is one row, beside the phase and step lengths of the
+schedule's `propagate.flat_drive`. A batch holds whole trials, so a
+trial's fidelity is the same in any batch.
 """
 
 from __future__ import annotations
@@ -24,14 +27,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import compensated_cz_target, diagonal_fidelity, diagonal_summary
-from .model import NoiseSpec, Schedule, ThermalSpec, check_count, standard_schedule
+from .model import NoiseSpec, ThermalSpec, check_count, noisy_drive, standard_schedule
+# Bound here too: callers, perfbench/tracer.py among them, look the draw up here.
+from .model import sample_noise_trace  # noqa: F401
 from .propagate import (
     SUBSTEPPED,
     IntegratorConfig,
-    batch_rows,
     computational_diagonal,
     evolution_blocks,
-    sector_product,
+    flat_drive,
+    row_products,
     standard_diagonal,
 )
 
@@ -40,32 +45,6 @@ GENERATOR_NAME = "PCG64"
 # Largest trial count of one Monte-Carlo average. It keeps the per-trial
 # seeds and fidelities within a few tens of MB.
 MAX_TRIALS = 2**20
-
-
-def sample_noise_trace(spec: NoiseSpec, segment_count: int):
-    """Draw multiplier arrays of shape (segment_count, substeps).
-
-    Returns (drive multipliers, detuning multipliers), drawn from a fresh
-    generator seeded with spec.seed, so a seed always reproduces its trace.
-    """
-    check_count("segment_count", segment_count, 1)
-    rng = np.random.default_rng(spec.seed)
-    shape = (segment_count, spec.substeps)
-    raw_omega = rng.uniform(-1.0, 1.0, size=shape)
-    raw_delta = rng.uniform(-1.0, 1.0, size=shape)
-    return 1.0 + spec.eta_omega * raw_omega, 1.0 + spec.eta_delta * raw_delta
-
-
-def noisy_drive(schedule: Schedule, spec: NoiseSpec):
-    """Drive strength and detuning of each noise substep of the schedule.
-
-    Returns arrays of shape (segments, spec.substeps): each segment's
-    value x times the multipliers 1 + eta * r of spec's noise trace.
-    """
-    omega, delta = sample_noise_trace(spec, len(schedule.segments))
-    rabi = np.array([s.rabi for s in schedule.segments])[:, None] * omega
-    detuning = np.array([s.detuning for s in schedule.segments])[:, None] * delta
-    return rabi, detuning
 
 
 @dataclass(frozen=True)
@@ -100,18 +79,6 @@ def _nominal_gate(kappa: float, v: float):
     return schedule, amplitudes, np.diagonal(compensated_cz_target(phases[1], phases[2]))
 
 
-def _noisy_diagonals(schedule: Schedule, spec: NoiseSpec, seeds) -> np.ndarray:
-    """Computational diagonals (trials, 4) of the schedule under the noise
-    trace of each seed, each that of evolution_blocks with the spec reseeded."""
-    drives = [noisy_drive(schedule, replace(spec, seed=int(seed))) for seed in seeds]
-    # (trials, segments, substeps), flattened to one time axis per trial.
-    rabi, detuning = (np.stack(channel).reshape(len(seeds), -1) for channel in zip(*drives))
-    substeps = int(spec.substeps)
-    phase = np.repeat([s.phase for s in schedule.segments], substeps)
-    dt = np.repeat([s.duration / substeps for s in schedule.segments], substeps)
-    return computational_diagonal(sector_product(rabi, detuning, phase, schedule.interaction, dt))
-
-
 def monte_carlo_gate_fidelity(
     kappa: float, v: float, spec: NoiseSpec, trials: int
 ) -> MonteCarloResult:
@@ -120,9 +87,8 @@ def monte_carlo_gate_fidelity(
     Every trial is scored against the noise-free schedule's own
     compensated controlled-phase target. Per-trial seeds derive from
     spec.seed through a seed sequence, so individual trials can be
-    replayed in isolation. Trials run in stacked batches of as many
-    whole trials as propagate.batch_rows allows; trials may number 1 to
-    MAX_TRIALS.
+    replayed in isolation. Trials run as the rows of
+    propagate.row_products; they may number 1 to MAX_TRIALS.
     """
     check_count("trials", trials, 1, MAX_TRIALS)
     return _monte_carlo(_nominal_gate(kappa, v), spec, int(trials))
@@ -142,11 +108,19 @@ def _monte_carlo(nominal_gate, spec: NoiseSpec, trials: int) -> MonteCarloResult
             seed=int(spec.seed),
         )
 
-    trial_seeds = np.random.SeedSequence(spec.seed).generate_state(trials, dtype=np.uint64)
-    batch = batch_rows(len(schedule.segments) * int(spec.substeps))
-    batches = (trial_seeds[first : first + batch] for first in range(0, trials, batch))
+    seeds = np.random.SeedSequence(spec.seed).generate_state(trials, dtype=np.uint64)
+    config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=int(spec.substeps))
+    _, _, phase, v, dt = flat_drive(schedule, config)
+
+    def drive(batch):
+        # Each trial's trace is drawn whole from its own seed, one batch at a time.
+        traces = [noisy_drive(schedule, replace(spec, seed=int(seed))) for seed in seeds[batch]]
+        rabi, detuning = (np.reshape(channel, (len(traces), -1)) for channel in zip(*traces))
+        return rabi, detuning, phase, v, dt
+
+    products = row_products(drive, trials, phase.shape[1])
     values = np.concatenate(
-        [diagonal_fidelity(_noisy_diagonals(schedule, spec, seeds), target) for seeds in batches]
+        [diagonal_fidelity(computational_diagonal(blocks), target) for blocks in products]
     )
     return MonteCarloResult(
         mean_fidelity=float(values.mean()),

@@ -53,9 +53,14 @@ from rydgate.model import (
     standard_schedule,
     time_optimal_schedule,
 )
-from rydgate.propagate import batch_rows, evolution_operator, sector_product, sector_unitary
+from rydgate.propagate import evolution_operator, row_batches, sector_product, sector_unitary
 
 V = 2.0 * math.pi
+
+
+def rows_per_batch(width: int) -> int:
+    """The whole rows of `width` steps that one batch of row_batches takes."""
+    return next(row_batches(propagate._BATCH_BLOCKS + 1, width)).stop
 
 
 class TestScanResult:
@@ -505,7 +510,7 @@ class TestScanKappa:
     def test_matches_per_point_oracle(self):
         # Longer than one stacked batch of 4-segment rows, and holding the
         # reference ratio.
-        grid = np.sort(np.append(np.linspace(0.2, 5.0, batch_rows(4) + 40), REFERENCE_KAPPA))
+        grid = np.sort(np.append(np.linspace(0.2, 5.0, rows_per_batch(4) + 40), REFERENCE_KAPPA))
         result = scan_kappa(grid, V)
         assert len(result.rows) == grid.size
         for kappa, row in zip(grid, result.rows):
@@ -522,7 +527,7 @@ class TestScanKappa:
     def test_rows_equal_the_nine_by_nine_summary_of_one_stack(self):
         # Scored in batches from the computational diagonal, bit for bit
         # as gate_summary scores the 9x9 operators of the whole grid.
-        grid = np.linspace(0.3, 4.0, 2 * batch_rows(4) + 17)
+        grid = np.linspace(0.3, 4.0, 2 * rows_per_batch(4) + 17)
         durations = np.array([cyclic_segment_duration(k, V) for k in grid])
         product = sector_product(
             grid[:, None] * V, -V / 2.0, standard_phases(), V, durations[:, None]
@@ -667,7 +672,7 @@ class TestInterferometer:
 
     def test_rows_match_per_point_oracle(self):
         # Longer than one stacked batch of single-segment rows.
-        grid = np.linspace(0.5, 5.0, batch_rows(1) + 40)
+        grid = np.linspace(0.5, 5.0, rows_per_batch(1) + 40)
         spec = InterferometerSpec(kappa_grid=tuple(grid))
         result = run_interferometer(spec)
         splitter = preparation_operator()
@@ -788,9 +793,9 @@ class TestDecayCurves:
 
         monkeypatch.setattr(propagate, "propagate_density", refuse)
         monkeypatch.setattr(metrics, "conditional_state_fidelity", refuse)
-        calls, original = [], propagate.sector_product
+        calls, original = [], propagate.row_products
         monkeypatch.setattr(
-            propagate, "sector_product", lambda *args: calls.append(1) or original(*args)
+            propagate, "row_products", lambda *args: calls.append(1) or original(*args)
         )
         result = run_decay_curves(
             rabi_frequencies=tuple(2.0 * math.pi * f for f in (5.0, 10.0, 20.0)),
@@ -1057,7 +1062,7 @@ class TestGateSummary:
 
     def test_scan_rows_equal_the_gate_at_each_ratio(self):
         # More points than one batch of scan_kappa, so the rows span batches.
-        grid = np.append(np.linspace(0.2, 5.0, batch_rows(4) + 9), REFERENCE_KAPPA)
+        grid = np.append(np.linspace(0.2, 5.0, rows_per_batch(4) + 9), REFERENCE_KAPPA)
         for row in scan_kappa(grid, V).rows:
             payload = run_gate(row["kappa"], V)
             expected = {

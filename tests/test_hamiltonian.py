@@ -281,7 +281,6 @@ class TestThermalInteraction:
             equilibrium_distance=0.5,
             temperature=20.0,
             vibration_rate=1.0,
-            waist=1.0,
         )
         # amplitude sqrt(2) exceeds the 0.5 separation at the trough,
         # a quarter period before the end of the first cycle

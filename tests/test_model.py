@@ -208,7 +208,6 @@ class TestSpecs:
         [
             (lambda: ThermalSpec(equilibrium_distance=0.0, temperature=1.0),
              "equilibrium_distance must be finite and > 0, got 0.0"),
-            (lambda: ThermalSpec(8.0, 1.0, waist=math.nan), "waist must be finite and > 0, got nan"),
             (lambda: ThermalSpec(8.0, 1.0, reference_temperature=-1.0),
              "reference_temperature must be finite and > 0, got -1.0"),
             (lambda: ThermalSpec(8.0, -1.0), "temperature must be finite and >= 0, got -1.0"),
@@ -298,10 +297,6 @@ class TestSpecs:
             ("equilibrium_distance", math.inf),
             ("equilibrium_distance", math.nan),
             ("equilibrium_distance", 0.0),
-            ("waist", math.nan),
-            ("waist", math.inf),
-            ("waist", -1.0),
-            ("waist", 0.0),
             ("reference_temperature", math.inf),
             ("reference_temperature", math.nan),
             ("reference_temperature", 0.0),
@@ -314,16 +309,16 @@ class TestSpecs:
         ],
     )
     def test_thermal_rejects_geometry_that_is_not_finite(self, field, value):
-        # An infinite distance, a NaN waist or an infinite rate once made the
-        # thermal fidelity NaN; an infinite temperature or a negative waist
-        # ended as a DegenerateGeometryError.
+        # An infinite distance or an infinite rate once made the thermal
+        # fidelity NaN; an infinite temperature ended as a
+        # DegenerateGeometryError.
         fields = {"equilibrium_distance": 8.0, "temperature": 20.0, field: value}
         with pytest.raises(InvalidParameterError, match=field):
             ThermalSpec(**fields)
 
     def test_thermal_accepts_finite_geometry(self):
         spec = ThermalSpec(
-            equilibrium_distance=8.0, temperature=0.0, vibration_rate=-3.0, waist=2.0,
+            equilibrium_distance=8.0, temperature=0.0, vibration_rate=-3.0,
             reference_temperature=1e-3,
         )
         assert spec.amplitude == 0.0

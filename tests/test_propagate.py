@@ -161,10 +161,8 @@ def oracle_step_operators(
                     phase = drive.amplitude * math.cos(drive.angular_rate * t - drive.offset)
                 if schedule.thermal is not None:
                     spec = schedule.thermal
-                    length = spec.equilibrium_distance * spec.waist
-                    distance = length + spec.amplitude * spec.waist * math.sin(
-                        spec.vibration_rate * t
-                    )
+                    length = spec.equilibrium_distance
+                    distance = length + spec.amplitude * math.sin(spec.vibration_rate * t)
                     v = v * (distance / length) ** 6
                 h = kron_hamiltonian(rabi, detuning, phase, v)
                 return h - 1j * gamma * np.diag(EXCITATION_COUNT.astype(float))
@@ -797,13 +795,18 @@ class TestDecayStack:
 
     @pytest.mark.parametrize("substeps", [8, 3000])
     def test_builds_one_batch_of_complex_detunings_at_a_time(self, substeps, monkeypatch):
-        sizes, original = [], propagate.sector_product
+        sizes, original = [], propagate.row_products
 
-        def recording(rabi, detuning, *rest):
-            sizes.append(np.size(detuning))
-            return original(rabi, detuning, *rest)
+        def recording(drive, rows, steps):
+            def recorded(batch):
+                inputs = drive(batch)
+                assert np.iscomplexobj(inputs[1])
+                sizes.append(np.size(inputs[1]))
+                return inputs
 
-        monkeypatch.setattr(propagate, "sector_product", recording)
+            return original(recorded, rows, steps)
+
+        monkeypatch.setattr(propagate, "row_products", recording)
         config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=substeps)
         evolution_blocks(time_optimal_schedule(), config, np.linspace(0.0, 1.0, 5))
         assert max(sizes) <= max(propagate._BATCH_BLOCKS, substeps)
@@ -824,6 +827,69 @@ class TestDecayStack:
                 ]
         empty = evolution_blocks(Schedule(segments=(), interaction=V), None, [0.0, 1.0])
         np.testing.assert_array_equal(sector_unitary(empty), np.broadcast_to(np.eye(9), (2, 9, 9)))
+
+
+class TestRowBatches:
+    """Every stacked product multiplies through one row loop, whose batches
+    hold at most _BATCH_BLOCKS steps of whole rows."""
+
+    @pytest.mark.parametrize(
+        "stack", ["trials", "decay-rates", "scan-kappa-points", "sampled-records", "3000-step-row"]
+    )
+    def test_a_batch_holds_whole_rows_within_the_budget(self, stack, monkeypatch):
+        nominal = stochastic._nominal_gate(1.65, V)
+        noise = NoiseSpec(eta_omega=0.05, eta_delta=0.04, substeps=16, seed=3)
+        substepped = functools.partial(IntegratorConfig, mode=SUBSTEPPED)
+        # Each stack: how it runs, its rows and the steps of each row.
+        run, rows, row = {
+            # 4 segments x 16 noise substeps per trial.
+            "trials": (lambda: stochastic._monte_carlo(nominal, noise, 70), 70, 64),
+            "decay-rates": (
+                lambda: evolution_blocks(
+                    time_optimal_schedule(), substepped(substeps_per_segment=8),
+                    np.linspace(0.0, 1.0, 300),
+                ),
+                300,
+                8,
+            ),
+            "scan-kappa-points": (
+                lambda: experiments.scan_kappa(np.linspace(0.5, 4.0, 1000), V), 1000, 4
+            ),
+            # 1,000 sample intervals of 3 phase-driven substeps.
+            "sampled-records": (
+                lambda: propagate_state(
+                    time_optimal_schedule(), basis_state("11"),
+                    substepped(substeps_per_segment=3000, samples_per_segment=1000),
+                ),
+                1000,
+                3,
+            ),
+            "3000-step-row": (
+                lambda: evolution_blocks(
+                    time_optimal_schedule(), substepped(substeps_per_segment=3000)
+                ),
+                1,
+                3000,
+            ),
+        }[stack]
+        shapes, original = [], propagate.sector_step
+
+        def recording(*drive):
+            shapes.append(np.broadcast(*drive).shape)
+            return original(*drive)
+
+        monkeypatch.setattr(propagate, "sector_step", recording)
+        run()
+        budget = propagate._BATCH_BLOCKS
+        assert rows * row > budget
+        for shape in shapes:
+            assert math.prod(shape) <= budget, shape
+            # Whole rows, or one row longer than a batch, sliced along time
+            # into full batches and the rest.
+            sliced = shape[:-1] == (1,) and row > budget and shape[-1] in (budget, row % budget)
+            assert shape[-1] == row or sliced, shape
+        # Every step of every row is taken once.
+        assert sum(math.prod(shape) for shape in shapes) == rows * row
 
 
 

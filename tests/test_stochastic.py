@@ -17,6 +17,7 @@ from rydgate.stochastic import (
 )
 from rydgate.metrics import compensated_cz_target, gate_fidelity, gate_outcome
 from rydgate.propagate import SUBSTEPPED, IntegratorConfig, evolution_operator
+from test_propagate import oracle_step_operators
 
 V = 2.0 * math.pi
 
@@ -212,6 +213,41 @@ class TestBatchedTrials:
         NoiseSpec(substeps=MAX_SUBSTEPS)
         with pytest.raises(InvalidParameterError, match="noise substeps"):
             NoiseSpec(substeps=MAX_SUBSTEPS + 1)
+
+
+def oracle_operator(schedule, substeps: int) -> np.ndarray:
+    """The product of the scalar scipy-expm steps of oracle_step_operators."""
+    operator = np.eye(9, dtype=complex)
+    for _, _, step in oracle_step_operators(schedule, substeps):
+        operator = step @ operator
+    return operator
+
+
+class TestMonteCarloOracle:
+    """Monte-Carlo trials against the scalar oracle, which shares only the
+    noise draw with the engine: every step is a scipy expm of a
+    kron-built Hamiltonian, one substep at a time, and the target is
+    scored from the oracle's noise-free gate."""
+
+    @pytest.mark.parametrize("substeps", [4, 7])
+    def test_trials_match_the_scalar_oracle(self, substeps):
+        spec = NoiseSpec(eta_omega=0.05, eta_delta=0.04, substeps=substeps, seed=53)
+        schedule = standard_schedule(1.65, V)
+        nominal = gate_outcome(oracle_operator(schedule, 1))
+        target = compensated_cz_target(nominal.phases["01"], nominal.phases["10"])
+        seeds = np.random.SeedSequence(spec.seed).generate_state(3, dtype=np.uint64)
+        expected = [
+            gate_fidelity(
+                oracle_operator(
+                    dataclasses.replace(schedule, noise=dataclasses.replace(spec, seed=int(seed))),
+                    substeps,
+                ),
+                target,
+            )
+            for seed in seeds
+        ]
+        result = monte_carlo_gate_fidelity(1.65, V, spec, 3)
+        np.testing.assert_allclose(result.fidelities, expected, rtol=0.0, atol=1e-12)
 
 
 class TestThermal:
