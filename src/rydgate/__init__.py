@@ -88,7 +88,6 @@ from .stochastic import (
     thermal_gate_fidelity,
 )
 from .experiments import (
-    InterferometerSpec,
     ScanResult,
     run_actuating_scan,
     run_decay_curves,

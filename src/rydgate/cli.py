@@ -27,7 +27,7 @@ import numpy as np
 from . import experiments, model
 from ._version import __version__
 from .errors import ConfigError, InvalidParameterError, NumericError
-from .experiments import REFERENCE_KAPPA, InterferometerSpec, ScanResult
+from .experiments import REFERENCE_KAPPA, ScanResult
 from .model import MAX_SUBSTEPS, cyclic_segment_duration, normalize_units
 
 SEED_ENV_VAR = "RYDGATE_SEED"
@@ -266,10 +266,7 @@ def cmd_thermal_map(args, config: dict):
 def cmd_interfere(args, config: dict):
     grid = _kappa_grid(args, config, 1.0, 5.0, 41)
     _, v = _schedule(args, config)
-    spec = InterferometerSpec(
-        kappa_grid=tuple(grid), v=v, reference_kappa=args.reference_kappa
-    )
-    return experiments.run_interferometer(spec)
+    return experiments.run_interferometer(grid, v=v, reference_kappa=args.reference_kappa)
 
 
 def cmd_decay(args, config: dict):
@@ -379,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--reference-kappa",
         type=float,
-        default=experiments.REFERENCE_KAPPA,
+        default=_defaults(experiments.run_interferometer)["reference_kappa"],
         help="ratio whose cyclic period fixes the segment duration",
     )
 

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import stat
+from collections.abc import Sized
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -42,6 +43,7 @@ from .model import (
     Schedule,
     ThermalSpec,
     check_count,
+    check_finite_number,
     check_number,
     cyclic_segment_duration,
     standard_phases,
@@ -307,19 +309,38 @@ def _scan_result(axes: dict, table: dict, **metadata) -> ScanResult:
     return ScanResult(axes, table, _metadata(columns=list(table), **metadata))
 
 
-def _axis(name: str, grid, default=None) -> list:
+def _axis(name: str, grid, default=None, positive: bool = False) -> list:
     """The grid's values as floats, np.linspace(*default) when grid is None.
 
-    Each entry must pass check_number, naming the grid: float() would
-    take True as 1.0. A float or integer array passes as a whole.
+    The one check of a runner's grid: a non-empty 1-D sequence or array
+    whose entries pass check_number, naming the grid (float() would take
+    True as 1.0; a float or integer array passes as a whole), each finite
+    and > 0 with positive. Anything else raises InvalidParameterError.
     """
     values = np.linspace(*default) if grid is None else grid
-    if isinstance(values, np.ndarray) or np.ndim(values) == 0:
-        values = np.atleast_1d(values)
+    expected = f"{name} grid must be a non-empty 1-D sequence of numbers"
+    try:
+        shape = np.shape(values)
+    except ValueError:
+        raise InvalidParameterError(f"{expected}, got a ragged nest of sequences") from None
+    if len(shape) != 1 or shape[0] == 0:
+        raise InvalidParameterError(f"{expected}, got shape {shape}")
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
         for value in values:
             check_number(name, value)
-    return [float(x) for x in values]
+    floats = [float(x) for x in values]
+    if positive:
+        for value in floats:
+            check_finite_number(name, value, ">")
+    return floats
+
+
+def _flag(name: str, value) -> bool:
+    """value, a bool or a numpy bool, as a bool; anything else raises
+    InvalidParameterError naming the flag: "no" would count as True."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidParameterError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 def superposition_state() -> np.ndarray:
@@ -379,8 +400,6 @@ def scan_kappa(kappa_grid, v: float = V0) -> ScanResult:
     behind.
     """
     grid = _axis("kappa", kappa_grid)
-    if not grid:
-        raise InvalidParameterError("kappa grid must not be empty")
     # Validates every point as standard_schedule would.
     durations = np.array([cyclic_segment_duration(kappa, v) for kappa in grid])
     rabi = np.array(grid) * v
@@ -418,8 +437,6 @@ def run_noise_map(
     """
     omega_axis = _axis("eta_omega", eta_omega_grid, NOISE_GRID)
     delta_axis = _axis("eta_delta", eta_delta_grid, NOISE_GRID)
-    if not omega_axis or not delta_axis:
-        raise InvalidParameterError("noise amplitude grids must not be empty")
     check_count("seed", seed, 0)
     check_count("trials", trials, 1, MAX_TRIALS)
     nominal_gate = _nominal_gate(kappa, v)
@@ -473,8 +490,6 @@ def run_thermal_map(
     there): at 10 or 50 a cell reads the vibration-free fidelity."""
     distances = _axis("distance", distance_grid, DISTANCE_GRID)
     temperatures = _axis("temperature", temperature_grid, TEMPERATURE_GRID)
-    if not distances or not temperatures:
-        raise InvalidParameterError("distance and temperature grids must not be empty")
     fidelities = []
     for distance in distances:
         for temperature in temperatures:
@@ -526,57 +541,38 @@ def preparation_operator() -> np.ndarray:
     return np.kron(np.eye(3, dtype=complex), preparation_rotation())
 
 
-@dataclass(frozen=True)
-class InterferometerSpec:
-    """Single-segment interferometer sweep settings.
-
-    The segment duration is frozen at the cyclic period of the
-    reference ratio so that sweeping kappa detunes the interferometer
-    instead of retuning it.
-    """
-
-    kappa_grid: tuple
-    v: float = V0
-    reference_kappa: float = REFERENCE_KAPPA
-
-    def __post_init__(self):
-        grid = tuple(_axis("kappa", self.kappa_grid))
-        if not grid:
-            raise InvalidParameterError("kappa grid must not be empty")
-        object.__setattr__(self, "kappa_grid", grid)
-        for name, value in [("kappa", k) for k in grid] + [
-            ("interaction", self.v),
-            ("reference kappa", self.reference_kappa),
-            ("drive kappa * interaction", max(grid) * self.v),
-        ]:
-            if not 0.0 < value < math.inf:
-                raise InvalidParameterError(f"{name} must be positive and finite, got {value}")
-
-
-def run_interferometer(spec: InterferometerSpec) -> ScanResult:
+def run_interferometer(
+    kappa_grid, v: float = V0, reference_kappa: float = REFERENCE_KAPPA
+) -> ScanResult:
     """Output populations of the beamsplitter-interaction-beamsplitter loop.
 
     Starts in |10>, applies the beamsplitter to the second atom, one
-    interaction segment of fixed duration, and the beamsplitter again,
-    then reads out the |10> and |11> populations, |a10 -+ a11|^2 / 4 from
-    the segment's diagonal amplitudes a10, a11. The segments of the whole
+    interaction segment, and the beamsplitter again, then reads out the
+    |10> and |11> populations, |a10 -+ a11|^2 / 4 from the segment's
+    diagonal amplitudes a10, a11. The segment duration is frozen at the
+    cyclic period of reference_kappa, so that sweeping kappa detunes the
+    interferometer instead of retuning it. The segments of the whole
     grid form one sector_product stack.
     """
-    duration = cyclic_segment_duration(spec.reference_kappa, spec.v)
-    kappas = np.array(spec.kappa_grid)
-    product = sector_product(kappas[:, None] * spec.v, -spec.v / 2.0, 0.0, spec.v, duration)
+    kappas = _axis("kappa", kappa_grid, positive=True)
+    check_finite_number("interaction", v, ">")
+    check_finite_number("reference kappa", reference_kappa, ">")
+    check_finite_number("drive kappa * interaction", max(kappas) * v, ">")
+    duration = cyclic_segment_duration(reference_kappa, v)
+    grid = np.array(kappas)
+    product = sector_product(grid[:, None] * v, -v / 2.0, 0.0, v, duration)
     amplitudes = computational_diagonal(product)[:, 2:]
-    check_finite(amplitudes, "interferometer state", "kappa", kappas)
+    check_finite(amplitudes, "interferometer state", "kappa", grid)
     a10, a11 = amplitudes.T
     p10, p11 = np.abs(np.stack((a10 - a11, a10 + a11))) ** 2 / 4.0
-    table = {"kappa": kappas, "p10": p10, "p11": p11}
+    table = {"kappa": grid, "p10": p10, "p11": p11}
     return _scan_result(
-        {"kappa": list(spec.kappa_grid)},
+        {"kappa": kappas},
         table,
         grids={
-            "kappa": list(spec.kappa_grid),
-            "v": float(spec.v),
-            "reference_kappa": float(spec.reference_kappa),
+            "kappa": kappas,
+            "v": float(v),
+            "reference_kappa": float(reference_kappa),
             "duration": float(duration),
         },
     )
@@ -585,7 +581,6 @@ def run_interferometer(spec: InterferometerSpec) -> ScanResult:
 def run_decay_curves(
     rabi_frequencies=None,
     multiplier_grid=None,
-    kappa: float = REFERENCE_KAPPA,
     compare_time_optimal: bool = True,
     time_optimal_substeps: int = 1500,
 ) -> ScanResult:
@@ -593,8 +588,10 @@ def run_decay_curves(
 
     Each curve evolves the equal superposition of the computational
     states and scores the surviving state against the decay-free final
-    state of the same schedule. The optional comparison curve uses the
-    single-segment phase-driven schedule.
+    state of the same schedule: one standard schedule at REFERENCE_KAPPA
+    per rabi frequency, and the optional comparison curve of the
+    single-segment phase-driven schedule, which may also run alone, with
+    no rabi frequency.
 
     A curve is one evolution_blocks stack over the decay rates, the
     decay-free rate first: the final density M rho M^dagger of a pure
@@ -602,8 +599,16 @@ def run_decay_curves(
     phi = M psi gives conditional_state_fidelity of its density as
     |<phi_0|phi>|^2 / |phi|^2 (_decayed_fidelities).
     """
+    compare_time_optimal = _flag("compare_time_optimal", compare_time_optimal)
+    # Checks the substeps whether or not the comparison curve runs.
+    config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=time_optimal_substeps)
     if rabi_frequencies is None:
         rabi_frequencies = tuple(2.0 * math.pi * f for f in DECAY_RABI_MHZ)
+    # The comparison curve may run alone: with it, an empty rabi grid is no error.
+    empty = isinstance(rabi_frequencies, Sized) and len(rabi_frequencies) == 0
+    rabis = [] if empty and compare_time_optimal else _axis(
+        "rabi frequency", rabi_frequencies, positive=True
+    )
     multipliers = _axis("gamma multiplier", multiplier_grid, MULTIPLIER_GRID)
     # Each distinct rate once, 0 (the reference) first; rows maps them back.
     rates, rows = np.unique(
@@ -612,12 +617,11 @@ def run_decay_curves(
     initial = superposition_state()
 
     curves = []
-    for rabi in rabi_frequencies:
+    for rabi in rabis:
         name = f"geo-{rabi / (2.0 * math.pi):g}mhz"
-        schedule = standard_schedule(kappa, rabi / kappa, units="mhz")
+        schedule = standard_schedule(REFERENCE_KAPPA, rabi / REFERENCE_KAPPA, units="mhz")
         curves.append((name, schedule, None))
     if compare_time_optimal:
-        config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=time_optimal_substeps)
         curves.append(("time-optimal", time_optimal_schedule(), config))
 
     fidelities = []
@@ -636,9 +640,9 @@ def run_decay_curves(
         table,
         grids={
             "gamma_multiplier": multipliers,
-            "rabi_frequencies": [float(r) for r in rabi_frequencies],
-            "kappa": float(kappa),
-            "compare_time_optimal": bool(compare_time_optimal),
+            "rabi_frequencies": rabis,
+            "kappa": REFERENCE_KAPPA,
+            "compare_time_optimal": compare_time_optimal,
             "time_optimal_substeps": int(time_optimal_substeps),
         },
     )
@@ -716,18 +720,17 @@ def run_actuating_scan(
         raise InvalidParameterError(f"unknown scan mode {mode!r}")
     if not (0.0 < threshold < 1.0):
         raise InvalidParameterError(f"threshold must be in (0, 1), got {threshold}")
-    etas = _axis("eta", eta_list)
-    if not etas or not all(math.isfinite(e) and e > 0.0 for e in etas):
-        raise InvalidParameterError(f"eta list must be non-empty, finite and positive, got {etas}")
+    etas = _axis("eta", eta_list, positive=True)
     check_count("phase_count", phase_count, 1)
     check_count("duration_count", duration_count, 1)
+    independent_phases = _flag("independent_phases", independent_phases)
     phases = np.linspace(-math.pi, math.pi, phase_count, endpoint=False)
     # Step 0 is the phase-0 segment; step k + 1 has phases[k].
     step_phases = np.concatenate(([0.0], phases))
-    lo, hi = _axis("duration range bound", (duration_range[0], duration_range[1]))
-    if not (0.0 < lo < hi < math.inf):
-        raise InvalidParameterError(f"bad duration range {duration_range}")
-    durations = np.linspace(lo, hi, duration_count)
+    bounds = _axis("duration range bound", duration_range, positive=True)
+    if len(bounds) != 2 or not bounds[0] < bounds[1]:
+        raise InvalidParameterError(f"duration range must be two bounds, low < high, got {bounds}")
+    durations = np.linspace(*bounds, duration_count)
     # Each duration is a row of one step per phase (per phase pair).
     width = phases.size ** (2 if independent_phases else 1)
 
@@ -778,10 +781,10 @@ def run_actuating_scan(
             "v0": float(V0),
             "phase_count": int(phase_count),
             "duration_count": int(duration_count),
-            "duration_range": [lo, hi],
+            "duration_range": bounds,
             "threshold": float(threshold),
             "mode": mode,
-            "independent_phases": bool(independent_phases),
+            "independent_phases": independent_phases,
         },
         fit_coefficients=fit_coefficients,
         relative_residual=relative_residual,

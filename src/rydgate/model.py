@@ -52,6 +52,10 @@ MAX_SUBSTEPS = 2**20
 # Largest relative noise amplitude eta of either channel.
 MAX_NOISE_AMPLITUDE = 0.05
 
+# Temperature in uK at which the thermal vibration amplitude is sqrt(2)
+# trap waists (ThermalSpec.amplitude).
+REFERENCE_TEMPERATURE = 20.0
+
 # Orientations of the distance ratio in the thermal law, the default first.
 EXPONENT_MODES = ("literal", "physical")
 
@@ -244,7 +248,7 @@ class ThermalSpec:
     equilibrium_distance L is the mean distance in units of the trap
     waist; temperature is in uK. The instantaneous distance is D(t) =
     L + b sin(omega t), in the same units, with vibration amplitude
-    b = sqrt(2 * temperature / reference_temperature). When
+    b = sqrt(2 * temperature / REFERENCE_TEMPERATURE). When
     vibration_rate is None the consumer derives it from the schedule
     (50 oscillations per segment). exponent_mode selects how the
     interaction is rescaled; see `hamiltonian.thermal_interaction`.
@@ -253,13 +257,11 @@ class ThermalSpec:
     equilibrium_distance: float
     temperature: float
     vibration_rate: float | None = None
-    reference_temperature: float = 20.0
     exponent_mode: str = EXPONENT_MODES[0]
 
     def __post_init__(self):
         # A non-finite distance or rate would make the fidelity NaN.
-        for name in ("equilibrium_distance", "reference_temperature"):
-            check_finite_number(name, getattr(self, name), ">")
+        check_finite_number("equilibrium_distance", self.equilibrium_distance, ">")
         check_finite_number("temperature", self.temperature, ">=")
         if self.vibration_rate is not None:
             check_finite_number("vibration_rate", self.vibration_rate)
@@ -269,8 +271,8 @@ class ThermalSpec:
 
     @property
     def amplitude(self) -> float:
-        """Vibration amplitude b = sqrt(2 T / T_ref), in waist units."""
-        return math.sqrt(2.0 * self.temperature / self.reference_temperature)
+        """Vibration amplitude b = sqrt(2 T / REFERENCE_TEMPERATURE), in waist units."""
+        return math.sqrt(2.0 * self.temperature / REFERENCE_TEMPERATURE)
 
 
 # Base amplitude-decay rate of the Rydberg level, 2 pi x 10 kHz in rad/us.

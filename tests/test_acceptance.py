@@ -15,7 +15,6 @@ import pytest
 
 import rydgate as rg
 from rydgate.experiments import (
-    InterferometerSpec,
     interior_extrema,
     run_actuating_scan,
     run_decay_curves,
@@ -203,8 +202,7 @@ def test_criterion_08_decay_comparison():
 
 
 def test_criterion_09_interferometer_contrast():
-    spec = InterferometerSpec(kappa_grid=tuple(np.linspace(1.0, 5.0, 41)))
-    result = run_interferometer(spec)
+    result = run_interferometer(kappa_grid=tuple(np.linspace(1.0, 5.0, 41)))
     p10 = [row["p10"] for row in result.rows]
     p11 = [row["p11"] for row in result.rows]
     sums = [a + b for a, b in zip(p10, p11)]

@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -486,6 +487,10 @@ DEFAULT_CALLS = [
     pytest.param(["actuate"], experiments.run_actuating_scan, id="actuate"),
     pytest.param(
         ["dynamics", "--kappa", "1.65"], lambda: experiments.run_dynamics(1.65), id="dynamics"
+    ),
+    pytest.param(
+        ["interfere"], lambda: experiments.run_interferometer(np.linspace(1.0, 5.0, 41)),
+        id="interfere",
     ),
 ]
 

@@ -21,7 +21,6 @@ from rydgate import experiments, metrics, propagate, stochastic
 from rydgate.errors import IntegratorFailureError, InvalidParameterError, UndefinedPhaseError
 from rydgate.experiments import (
     REFERENCE_KAPPA,
-    InterferometerSpec,
     ScanResult,
     _cell_amplitudes,
     _cell_fidelity,
@@ -225,7 +224,7 @@ class TestCsvAgainstCsvWriter:
             pytest.param(lambda: run_dynamics(1.65, samples_per_segment=2), id="dynamics"),
             pytest.param(lambda: scan_kappa([1.0, 1.5, 2.0]), id="scan-kappa"),
             pytest.param(
-                lambda: run_interferometer(InterferometerSpec(kappa_grid=(1.0, 1.5, 2.0))),
+                lambda: run_interferometer(kappa_grid=(1.0, 1.5, 2.0)),
                 id="interfere",
             ),
             pytest.param(
@@ -414,6 +413,42 @@ class TestInteriorExtrema:
         assert interior_extrema(values) == expected
 
 
+# Every runner grid as a call that takes it, with the name its errors carry.
+RUNNER_GRIDS = [
+    pytest.param(lambda grid: scan_kappa(grid), "kappa", id="scan-kappa"),
+    pytest.param(lambda grid: run_interferometer(kappa_grid=grid), "kappa", id="interfere"),
+    pytest.param(
+        lambda grid: run_noise_map(eta_omega_grid=grid, trials=1, substeps=4), "eta_omega",
+        id="noise-omega",
+    ),
+    pytest.param(
+        lambda grid: run_noise_map(eta_delta_grid=grid, trials=1, substeps=4), "eta_delta",
+        id="noise-delta",
+    ),
+    pytest.param(
+        lambda grid: run_thermal_map(distance_grid=grid, substeps=10), "distance",
+        id="thermal-distance",
+    ),
+    pytest.param(
+        lambda grid: run_thermal_map(temperature_grid=grid, substeps=10), "temperature",
+        id="thermal-temperature",
+    ),
+    pytest.param(
+        lambda grid: run_decay_curves(multiplier_grid=grid), "gamma multiplier",
+        id="decay-multipliers",
+    ),
+    pytest.param(
+        lambda grid: run_decay_curves(rabi_frequencies=grid, compare_time_optimal=False),
+        "rabi frequency", id="decay-rabi",
+    ),
+    pytest.param(lambda grid: run_actuating_scan(eta_list=grid), "eta", id="actuate-eta"),
+    pytest.param(
+        lambda grid: run_actuating_scan(eta_list=(1.0,), duration_range=grid),
+        "duration range bound", id="actuate-duration-range",
+    ),
+]
+
+
 class TestGridEntries:
     """Each grid entry must be a real number: float() would take True as 1."""
 
@@ -440,18 +475,123 @@ class TestGridEntries:
             ),
             pytest.param(lambda: run_decay_curves(multiplier_grid=[True]), "gamma multiplier",
                          id="decay"),
+            pytest.param(lambda: run_decay_curves(rabi_frequencies=[True]), "rabi frequency",
+                         id="decay-rabi"),
             pytest.param(lambda: scan_kappa([1.0, True]), "kappa", id="scan-kappa"),
-            pytest.param(lambda: InterferometerSpec(kappa_grid=(True,)), "kappa", id="interfere"),
+            pytest.param(lambda: run_interferometer(kappa_grid=(True,)), "kappa", id="interfere"),
         ],
     )
     def test_booleans_are_rejected(self, call, name):
         with pytest.raises(InvalidParameterError, match=f"^{name} must be a real number, got "):
             call()
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            pytest.param(lambda: run_decay_curves(rabi_frequencies=["5"]), "rabi frequency",
+                         id="decay-rabi-text"),
+            pytest.param(lambda: scan_kappa([1.0, None]), "kappa", id="scan-kappa-none"),
+            pytest.param(lambda: run_actuating_scan(eta_list=[1.0, 2j]), "eta", id="eta-complex"),
+        ],
+    )
+    def test_entries_that_are_not_real_numbers_are_rejected(self, call, name):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be a real number, got "):
+            call()
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            pytest.param(np.ones((2, 2)), id="2d-array"),
+            pytest.param([[1.0, 2.0], [3.0, 4.0]], id="2d-list"),
+            pytest.param([], id="empty-list"),
+            pytest.param(np.array([]), id="empty-array"),
+            pytest.param(5.0, id="scalar"),
+            pytest.param([1.0, [2.0, 3.0]], id="ragged"),
+        ],
+    )
+    @pytest.mark.parametrize("call, name", RUNNER_GRIDS)
+    def test_grids_that_are_not_one_dimensional_or_are_empty_are_rejected(
+        self, call, name, grid
+    ):
+        # A 2-D array once raised TypeError, and an empty multiplier grid
+        # returned a table with no rows.
+        message = f"^{name} grid must be a non-empty 1-D sequence of numbers, got "
+        with pytest.raises(InvalidParameterError, match=message):
+            call(grid)
+
+    @pytest.mark.parametrize(
+        "call, name, value",
+        [
+            pytest.param(lambda: run_decay_curves(rabi_frequencies=[-5.0]), "rabi frequency",
+                         "-5.0", id="decay-rabi"),
+            pytest.param(lambda: run_actuating_scan(eta_list=[1.0, 0.0]), "eta", "0.0",
+                         id="eta"),
+            pytest.param(lambda: run_actuating_scan(eta_list=[math.nan]), "eta", "nan",
+                         id="eta-nan"),
+            pytest.param(lambda: run_interferometer(kappa_grid=[1.0, math.inf]), "kappa", "inf",
+                         id="interfere"),
+            pytest.param(
+                lambda: run_actuating_scan(eta_list=[1.0], duration_range=(0.0, 1.0)),
+                "duration range bound", "0.0", id="duration-range",
+            ),
+        ],
+    )
+    def test_positive_grids_reject_other_values(self, call, name, value):
+        with pytest.raises(
+            InvalidParameterError, match=f"^{name} must be finite and > 0, got {value}$"
+        ):
+            call()
+
+    @pytest.mark.parametrize(
+        "duration_range",
+        [(1.0,), (1.0, 2.0, 3.0), (2.0, 1.0), (1.0, 1.0)],
+        ids=["one-bound", "three-bounds", "reversed", "equal"],
+    )
+    def test_the_duration_range_is_two_rising_bounds(self, duration_range):
+        # One bound once raised IndexError, and a third was dropped.
+        with pytest.raises(InvalidParameterError, match="^duration range must be two bounds"):
+            run_actuating_scan(eta_list=[1.0], duration_range=duration_range)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            pytest.param(
+                lambda value: run_decay_curves(
+                    rabi_frequencies=(2.0 * math.pi * 5.0,), multiplier_grid=[1.0],
+                    compare_time_optimal=value,
+                ),
+                "compare_time_optimal", id="decay",
+            ),
+            pytest.param(
+                lambda value: run_actuating_scan(
+                    eta_list=(1.0,), phase_count=4, duration_count=5, independent_phases=value
+                ),
+                "independent_phases", id="actuate",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["no", 0, 1.0, None])
+    def test_flags_that_are_not_booleans_are_rejected(self, call, name, value):
+        # "no" once scanned independent phases and recorded true.
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be a bool, got "):
+            call(value)
+
+    def test_numpy_booleans_are_flags(self):
+        result = run_actuating_scan(
+            eta_list=(1.0,), phase_count=4, duration_count=5, independent_phases=np.bool_(True)
+        )
+        assert result.metadata["grids"]["independent_phases"] is True
+        result = run_decay_curves(
+            rabi_frequencies=(2.0 * math.pi * 5.0,), multiplier_grid=[1.0],
+            compare_time_optimal=np.bool_(False),
+        )
+        assert result.metadata["grids"]["compare_time_optimal"] is False
+        assert result.axes["curve"] == ["geo-5mhz"]
+
     def test_numbers_of_any_kind_pass(self):
         assert experiments._axis("x", [1, 2.5, np.float32(0.5), np.int64(3)]) == [1.0, 2.5, 0.5, 3.0]
         assert experiments._axis("x", np.arange(3)) == [0.0, 1.0, 2.0]
-        assert experiments._axis("x", 4.0) == [4.0]
+        assert experiments._axis("x", range(1, 3), positive=True) == [1.0, 2.0]
         assert experiments._axis("x", None, (0.0, 1.0, 3)) == [0.0, 0.5, 1.0]
 
 
@@ -643,8 +783,7 @@ class TestInterferometer:
         assert abs(final[3]) ** 2 == pytest.approx(0.0, abs=1e-15)
 
     def test_reference_sweep_values(self):
-        spec = InterferometerSpec(kappa_grid=tuple(np.linspace(1.0, 5.0, 41)))
-        result = run_interferometer(spec)
+        result = run_interferometer(kappa_grid=tuple(np.linspace(1.0, 5.0, 41)))
         assert len(result.rows) == 41
         by_kappa = {round(row["kappa"], 6): row for row in result.rows}
         row = by_kappa[1.6]
@@ -653,36 +792,33 @@ class TestInterferometer:
         sums = [row["p10"] + row["p11"] for row in result.rows]
         assert min(sums) < 1.0 - 1e-3
 
-    def test_spec_validation(self):
+    def test_input_validation(self):
         with pytest.raises(InvalidParameterError):
-            InterferometerSpec(kappa_grid=())
+            run_interferometer(kappa_grid=())
         with pytest.raises(InvalidParameterError):
-            InterferometerSpec(kappa_grid=(1.0,), v=-1.0)
+            run_interferometer(kappa_grid=(1.0,), v=-1.0)
         with pytest.raises(InvalidParameterError):
-            InterferometerSpec(kappa_grid=(0.0,))
+            run_interferometer(kappa_grid=(0.0,))
         for bad in (math.nan, math.inf):
             with pytest.raises(InvalidParameterError):
-                InterferometerSpec(kappa_grid=(1.0, bad))
+                run_interferometer(kappa_grid=(1.0, bad))
             with pytest.raises(InvalidParameterError):
-                InterferometerSpec(kappa_grid=(1.0,), v=bad)
+                run_interferometer(kappa_grid=(1.0,), v=bad)
             with pytest.raises(InvalidParameterError):
-                InterferometerSpec(kappa_grid=(1.0,), reference_kappa=bad)
+                run_interferometer(kappa_grid=(1.0,), reference_kappa=bad)
         with pytest.raises(InvalidParameterError, match="drive kappa"):
-            InterferometerSpec(kappa_grid=(1e200,), v=1e200)
+            run_interferometer(kappa_grid=(1e200,), v=1e200)
 
     def test_rows_match_per_point_oracle(self):
         # Longer than one stacked batch of single-segment rows.
         grid = np.linspace(0.5, 5.0, rows_per_batch(1) + 40)
-        spec = InterferometerSpec(kappa_grid=tuple(grid))
-        result = run_interferometer(spec)
+        result = run_interferometer(kappa_grid=tuple(grid))
         splitter = preparation_operator()
-        duration = cyclic_segment_duration(spec.reference_kappa, spec.v)
+        duration = cyclic_segment_duration(REFERENCE_KAPPA, V)
         assert len(result.rows) == grid.size
         for kappa, row in zip(grid, result.rows):
-            segment = PulseSegment(
-                rabi=kappa * spec.v, detuning=-spec.v / 2.0, phase=0.0, duration=duration
-            )
-            operator = evolution_operator(Schedule(segments=(segment,), interaction=spec.v))
+            segment = PulseSegment(rabi=kappa * V, detuning=-V / 2.0, phase=0.0, duration=duration)
+            operator = evolution_operator(Schedule(segments=(segment,), interaction=V))
             final = splitter @ (operator @ (splitter @ basis_state("10")))
             assert row["kappa"] == kappa
             assert row["p10"] == pytest.approx(abs(final[3]) ** 2, rel=0.0, abs=1e-12)
@@ -710,7 +846,7 @@ class TestScoredFromSectorForm:
             evolution_operator(standard_schedule(REFERENCE_KAPPA, V))
         noise = run_noise_map([0.0, 0.02], [0.01], trials=3, substeps=4)
         thermal = run_thermal_map([6.0], [0.0, 10.0], substeps=10)
-        interfere = run_interferometer(InterferometerSpec(kappa_grid=(1.0, 1.65, 2.0)))
+        interfere = run_interferometer(kappa_grid=(1.0, 1.65, 2.0))
         assert [len(r.rows) for r in (noise, thermal, interfere)] == [2, 2, 3]
 
 
@@ -852,6 +988,24 @@ class TestDecayCurves:
         # int() once truncated 2.7 to 2 substeps.
         with pytest.raises(InvalidParameterError, match="substeps_per_segment must be an integer"):
             run_decay_curves(multiplier_grid=[1.0], time_optimal_substeps=substeps)
+
+    @pytest.mark.parametrize(
+        "substeps, message", [(True, "be an integer"), (2.7, "be an integer"), (0, "lie in")]
+    )
+    def test_substeps_are_checked_without_the_comparison_curve(self, substeps, message):
+        # Unchecked, True once went into the metadata as 1 and 0 as 0.
+        with pytest.raises(InvalidParameterError, match=f"substeps_per_segment must {message}"):
+            run_decay_curves(
+                rabi_frequencies=(2.0 * math.pi * 5.0,), multiplier_grid=[1.0],
+                compare_time_optimal=False, time_optimal_substeps=substeps,
+            )
+
+    def test_the_comparison_curve_runs_alone(self):
+        for empty in ((), [], np.array([])):
+            result = run_decay_curves(rabi_frequencies=empty, multiplier_grid=[1.0],
+                                      time_optimal_substeps=8)
+            assert result.axes["curve"] == ["time-optimal"]
+            assert result.metadata["grids"]["rabi_frequencies"] == []
 
     def test_faster_drive_decays_less(self):
         result = run_decay_curves(

@@ -31,7 +31,7 @@ from rydgate.model import (
     standard_schedule,
     time_optimal_schedule,
 )
-from rydgate.experiments import InterferometerSpec, run_interferometer, scan_kappa
+from rydgate.experiments import run_interferometer, scan_kappa
 from rydgate.geometry import composite_return_probability, periods
 from rydgate.propagate import IntegratorConfig
 
@@ -208,8 +208,6 @@ class TestSpecs:
         [
             (lambda: ThermalSpec(equilibrium_distance=0.0, temperature=1.0),
              "equilibrium_distance must be finite and > 0, got 0.0"),
-            (lambda: ThermalSpec(8.0, 1.0, reference_temperature=-1.0),
-             "reference_temperature must be finite and > 0, got -1.0"),
             (lambda: ThermalSpec(8.0, -1.0), "temperature must be finite and >= 0, got -1.0"),
             (lambda: DecaySpec(gamma=math.inf), "decay rate must be finite and >= 0, got inf"),
             (lambda: Schedule(segments=(), interaction=-1.0),
@@ -232,7 +230,7 @@ class TestSpecs:
             pytest.param(lambda: composite_return_probability(True), "kappa", id="composite"),
             pytest.param(lambda: periods(True, True), "kappa", id="periods"),
             pytest.param(
-                lambda: run_interferometer(InterferometerSpec(kappa_grid=(1.0,), v=True)),
+                lambda: run_interferometer(kappa_grid=(1.0,), v=True),
                 "interaction", id="interferometer",
             ),
         ],
@@ -297,9 +295,6 @@ class TestSpecs:
             ("equilibrium_distance", math.inf),
             ("equilibrium_distance", math.nan),
             ("equilibrium_distance", 0.0),
-            ("reference_temperature", math.inf),
-            ("reference_temperature", math.nan),
-            ("reference_temperature", 0.0),
             ("temperature", math.inf),
             ("temperature", math.nan),
             ("temperature", -1.0),
@@ -317,10 +312,7 @@ class TestSpecs:
             ThermalSpec(**fields)
 
     def test_thermal_accepts_finite_geometry(self):
-        spec = ThermalSpec(
-            equilibrium_distance=8.0, temperature=0.0, vibration_rate=-3.0,
-            reference_temperature=1e-3,
-        )
+        spec = ThermalSpec(equilibrium_distance=8.0, temperature=0.0, vibration_rate=-3.0)
         assert spec.amplitude == 0.0
 
     def test_phase_drive_evaluation(self):
