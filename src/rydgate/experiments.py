@@ -92,6 +92,21 @@ def _csv_text(text: str, alone: bool) -> str:
     return text or ('""' if alone else "")
 
 
+def _constant_cell(part, spec: str, quote):
+    """The row-template text of a slice of a column whose entries all
+    hold one value, with its % signs doubled; None when they do not.
+    A numeric slice is constant when its entries have the bits of its
+    first and that is not NaN, so that -0 and 0 stay apart; a text
+    slice when every entry is its first (quote gives its CSV text)."""
+    first = part[0]
+    if quote is not None:
+        return quote(first).replace("%", "%%") if part.count(first) == len(part) else None
+    bits = part.view(f"u{part.itemsize}")
+    if first != first or not (bits == bits[0]).all():
+        return None
+    return spec % part.item(0)
+
+
 # Layouts whose %-templates json_text keeps: a process writes a few.
 _JSON_LAYOUTS = 32
 
@@ -244,8 +259,10 @@ class ScanResult:
 
         One %-format row template comes from the column kinds: floats
         take %.12g, integers and bools %d, and text %s, each distinct
-        text quoted once. Each slice of rows is formatted from its
-        columns' .tolist() and written as one string.
+        text quoted once. In a table of more than one slice, each slice
+        bakes into its template the text of every column that is
+        constant over it (_constant_cell), and is formatted from the
+        .tolist() of its other columns and written as one string.
         """
         columns = list(self.table.values())
         alone = len(columns) == 1
@@ -258,15 +275,21 @@ class ScanResult:
             else:
                 specs.append("%s")
                 quotes.append({text: _csv_text(text, alone) for text in set(values)}.__getitem__)
-        row = ",".join(specs) + "\r\n"
-        width, length = len(columns), len(columns[0]) if columns else 0
+        length = len(columns[0]) if columns else 0
+        # A table of one slice takes the template whole, unchecked.
+        bake = length > _CSV_ROWS
         for first in range(0, length, _CSV_ROWS):
             rows = slice(first, first + _CSV_ROWS)
             count = min(_CSV_ROWS, length - first)
+            parts = [values[rows] for values in columns]
+            baked = [_constant_cell(*column) if bake else None for column in zip(parts, specs, quotes)]
+            row = ",".join(spec if text is None else text for spec, text in zip(specs, baked)) + "\r\n"
+            varying = [(part, quote) for part, quote, text in zip(parts, quotes, baked) if text is None]
             # Row-major cells: column k fills every width-th place from k.
+            width = len(varying)
             cells = [None] * (count * width)
-            for k, (values, quote) in enumerate(zip(columns, quotes)):
-                cells[k::width] = values[rows].tolist() if quote is None else map(quote, values[rows])
+            for k, (part, quote) in enumerate(varying):
+                cells[k::width] = part.tolist() if quote is None else map(quote, part)
             stream.write(row * count % tuple(cells))
 
     def to_csv(self, path) -> Path | None:
@@ -662,7 +685,9 @@ def _decayed_fidelities(states: np.ndarray, curve: str, multipliers) -> np.ndarr
         survival, 1, what, "gamma multiplier", multipliers,
         f"{what} is lost: the decayed product underflowed to 0",
     )
-    overlaps = states[1:] @ states[0].conj()
+    # Summed per row: a matrix-vector product's rounding depends on the
+    # other rows, so a rate's fidelity would depend on the grid around it.
+    overlaps = (states[1:] * states[0].conj()).sum(axis=-1)
     return np.abs(overlaps) ** 2 / survival[1:]
 
 
@@ -718,6 +743,7 @@ def run_actuating_scan(
     """
     if mode not in ACTUATE_MODES:
         raise InvalidParameterError(f"unknown scan mode {mode!r}")
+    check_finite_number("threshold", threshold)
     if not (0.0 < threshold < 1.0):
         raise InvalidParameterError(f"threshold must be in (0, 1), got {threshold}")
     etas = _axis("eta", eta_list, positive=True)

@@ -112,11 +112,12 @@ def sector_gauge(phase) -> np.ndarray:
     return np.exp(-1j * np.multiply.outer(_GAUGE_POWERS, phase))
 
 
-def gauged_blocks(rabi, detuning, v, shape):
+def gauged_blocks(rabi, detuning, v, rank: int = 0):
     """The sector blocks of drive_hamiltonian at phase 0, held matrix
-    axes first over a shape the inputs broadcast to: pair (2, 2, *shape)
-    on {|01>,|0r>}, which equals the block on {|10>,|r0>}, and triple
-    (3, 3, *shape) on {|11>,|R>,|rr>}.
+    axes first, each over the broadcast shape of its own inputs with
+    leading size-1 axes up to `rank` axes: pair (2, 2, *shape of rabi
+    and detuning) on {|01>,|0r>}, which equals the block on {|10>,|r0>},
+    and triple (3, 3, *shape of all three) on {|11>,|R>,|rr>}.
 
     The drive coupling is rabi / 2, enhanced by sqrt(2) on both links of
     the triple, and |rr> carries V + 2 Delta. |00> has energy 0 and the
@@ -125,13 +126,14 @@ def gauged_blocks(rabi, detuning, v, shape):
     Delta - i gamma, which puts apply_decay's -i gamma per excited atom
     on pair[1, 1], triple[1, 1] and triple[2, 2] = 2 (Delta - i gamma) + V.
     """
-    shape = tuple(shape)
+    shapes = np.broadcast(rabi, detuning).shape, np.broadcast(rabi, detuning, v).shape
+    pair_shape, triple_shape = ((1,) * (rank - len(shape)) + shape for shape in shapes)
     dtype = np.result_type(rabi, detuning, v, float)
-    pair = np.zeros((2, 2) + shape, dtype)
+    pair = np.zeros((2, 2) + pair_shape, dtype)
     pair[0, 1] = pair[1, 0] = 0.5 * rabi
     pair[1, 1] = detuning
     link = rabi / math.sqrt(2.0)
-    triple = np.zeros((3, 3) + shape, dtype)
+    triple = np.zeros((3, 3) + triple_shape, dtype)
     triple[0, 1] = triple[1, 0] = link
     triple[1, 2] = triple[2, 1] = link
     triple[1, 1] = detuning

@@ -34,10 +34,20 @@ to the 9x9 layout.
 
 `row_products` is the one row loop: every stacked product multiplies
 its rows (grid points, decay rates, Monte-Carlo trials) through it, in
-the batches of `row_batches`, the one budget. `sector_product` is the
-time-ordered product of a drive stack, for every engine and every scan.
-Each input keeps its own shape down to `sector_step`, so steps that
-differ only in phase share their exponential. The sampled engine takes
+the batches of `row_batches`, the one budget: at most _BATCH_BLOCKS
+step exponentials and 4 x _BATCH_BLOCKS gauged steps per batch, of
+whole rows. A row whose inputs other than the phase do not vary along
+its steps takes one exponential, so rows of phase-only steps (the
+decay rates of the time-optimal curve) share one sector_step call and
+one tree up to the step limit. `sector_product` is the time-ordered
+product of a drive stack, for every engine and every scan. Each input
+keeps its own shape down to `sector_step`, which exponentiates each
+block at the broadcast shape of its own inputs: the pair block at that
+of (rabi, detuning, dt), the triple block at that of (rabi, detuning,
+v, dt) and the antisymmetric phase at that of (detuning, dt). Only the
+gauge broadcasts a block to the stack shape, so steps that differ only
+in phase share their exponentials, and a thermal step, whose v varies,
+shares its pair block. The sampled engine takes
 it over the intervals between samples and then the running product of
 the intervals; a density at a sample is M rho M^dagger for the product M
 of the steps so far (there are no jump terms), and lost trace is never
@@ -488,9 +498,13 @@ def sector_step(rabi, detuning, phase, v, dt) -> SectorBlocks:
     drive at Delta, and gamma may vary along the stack like any input.
 
     Only the gauge depends on the phase, so the blocks of H dt (linear
-    in rabi dt, detuning dt and v dt) are exponentiated at phase 0 on
-    the shape of the other inputs, then gauged; the antisymmetric state
-    picks up e^{-i Delta dt}. A real detuning takes the pair block in
+    in rabi dt, detuning dt and v dt) are exponentiated at phase 0, each
+    at the broadcast shape of its own inputs: the pair block at that of
+    (rabi, detuning, dt), the triple block at that of (rabi, detuning,
+    v, dt), and the antisymmetric state's e^{-i Delta dt} at that of
+    (detuning, dt). The gauge then broadcasts each to S, so a stack
+    whose v varies takes one pair exponential per distinct (rabi,
+    detuning, dt). A real detuning takes the pair block in
     closed form (_pair_rotation) and the real triple block x as
     cos x - i sin x by _real_rotation, each matrix by the series of the
     degree its own 1-norm needs, scaled and squared beyond the top
@@ -509,18 +523,31 @@ def sector_step(rabi, detuning, phase, v, dt) -> SectorBlocks:
     dt = np.asarray(dt, dtype=float)
     rabi, shift, v = rabi * dt, detuning * dt, v * dt
     phase = np.asarray(phase, dtype=float)
-    drive, shape = np.broadcast(rabi, shift, v).shape, np.broadcast(rabi, shift, v, phase).shape
+    shape = np.broadcast(rabi, shift, v, phase).shape
     rank = (1,) * len(shape)
-    pair, triple = gauged_blocks(rabi, shift, v, rank[len(drive) :] + drive)
+    pair, triple = gauged_blocks(rabi, shift, v, len(shape))
     if np.iscomplexobj(pair):
         pair, triple = expm(-1j * pair), expm(-1j * triple)
     else:
         pair, triple = _pair_rotation(pair), _real_rotation(triple)
     gauge = sector_gauge(phase.reshape(rank[phase.ndim :] + phase.shape))
     factors = np.concatenate((gauge, gauge[1:].conj()))[_GAUGE_ENTRIES]
+    # The gauge broadcasts each block to the stack shape: the triple's
+    # inputs and the phase span it, and the pair and anti are written
+    # into arrays of it.
     anti = np.empty(shape, dtype=complex)
     anti[...] = np.exp(-1j * shift)
-    return SectorBlocks(pair * factors[:2, :2], triple * factors, anti)
+    pair = np.multiply(pair, factors[:2, :2], out=np.empty((2, 2) + shape, dtype=complex))
+    return SectorBlocks(pair, triple * factors, anti)
+
+
+def _halved(product, x: np.ndarray) -> np.ndarray:
+    """The products of adjacent entries of x along its last axis, the
+    later one on the left; an odd last entry is carried as it is."""
+    paired = product(x[..., 1::2], x[..., 0:-1:2])
+    if x.shape[-1] % 2:
+        paired = np.concatenate((paired, x[..., -1:]), axis=-1)
+    return paired
 
 
 def ordered_product(steps: SectorBlocks) -> SectorBlocks:
@@ -528,16 +555,20 @@ def ordered_product(steps: SectorBlocks) -> SectorBlocks:
 
     Adjacent steps are multiplied pairwise, the later one on the left,
     until one is left, so a stack of n steps takes log2(n) stacked
-    products. The result drops the last stack axis.
+    products. Each round runs on the three block arrays. The result
+    drops the last stack axis.
     """
-    while steps.anti.shape[-1] > 1:
-        paired = steps.at(np.s_[..., 1::2]) @ steps.at(np.s_[..., 0:-1:2])
-        if steps.anti.shape[-1] % 2:
-            paired = SectorBlocks(
-                *(np.concatenate((p, s[..., -1:]), axis=-1) for p, s in zip(paired, steps))
-            )
-        steps = paired
-    return steps.at(np.s_[..., 0])
+    pair, triple, anti = steps
+    while anti.shape[-1] > 1:
+        pair, triple = _halved(_product, pair), _halved(_product, triple)
+        anti = _halved(np.multiply, anti)
+    return SectorBlocks(pair[..., 0], triple[..., 0], anti[..., 0])
+
+
+def _doubled(product, x: np.ndarray, span: int) -> np.ndarray:
+    """x with each entry from span on multiplied on the right by the
+    entry span before it, along the last axis."""
+    return np.concatenate((x[..., :span], product(x[..., span:], x[..., :-span])), axis=-1)
 
 
 def running_product(steps: SectorBlocks) -> SectorBlocks:
@@ -546,44 +577,60 @@ def running_product(steps: SectorBlocks) -> SectorBlocks:
 
     Doubling (Hillis & Steele): after the round of span d every entry
     holds the product of up to 2 d steps ending at it, so n steps take
-    log2(n) stacked products.
+    log2(n) stacked products. Each round runs on the three block arrays.
     """
-    span = 1
-    while span < steps.anti.shape[-1]:
-        later = steps.at(np.s_[..., span:]) @ steps.at(np.s_[..., :-span])
-        steps = SectorBlocks(
-            *(np.concatenate((s[..., :span], l), axis=-1) for s, l in zip(steps, later))
-        )
+    (pair, triple, anti), span = steps, 1
+    while span < anti.shape[-1]:
+        pair, triple = _doubled(_product, pair, span), _doubled(_product, triple, span)
+        anti = _doubled(np.multiply, anti, span)
         span *= 2
-    return steps
+    return SectorBlocks(pair, triple, anti)
 
 
-def row_batches(rows: int, width: int):
-    """The slices of rows that the batches of rows of `width` steps take:
-    as many whole rows as _BATCH_BLOCKS steps hold, at least one."""
-    count = max(1, _BATCH_BLOCKS // int(width))
+def row_batches(rows: int, width: int, exponentials: int | None = None):
+    """The slices of rows that the batches of rows of `width` steps take,
+    each step of a row gauged from one of its `exponentials` exponentials
+    (width by default): as many whole rows as hold at most _BATCH_BLOCKS
+    exponentials and 4 x _BATCH_BLOCKS steps, at least one."""
+    exponentials = width if exponentials is None else exponentials
+    count = max(1, min(_BATCH_BLOCKS // int(exponentials), 4 * _BATCH_BLOCKS // int(width)))
     return (slice(first, first + count) for first in range(0, rows, count))
 
 
-def row_products(drive, rows: int, steps: int):
+def row_products(drive, rows: int, steps: int, exponentials: int | None = None):
     """The time-ordered sector products of rows of `steps` steps, one
     batch of row_batches at a time, each stacked over its batch's rows.
 
     drive(batch) returns the sector_step inputs (rabi, detuning, phase,
     v, dt) of the rows of the slice batch, each at its compact shape
     (rows of the batch or 1, steps or 1), so that only one batch of
-    them exists at once. Whole rows are never split between batches, so
-    a row's product is the same in any batch; a row longer than
-    _BATCH_BLOCKS is sliced along time and its slices multiplied in order.
+    them exists at once. exponentials is the count of each row's step
+    exponentials: steps (the default) when an input other than the
+    phase varies along the steps, or 1 when none does, so that every
+    step of a row is a gauge of one exponential. A batch holds at most
+    _BATCH_BLOCKS exponentials and 4 x _BATCH_BLOCKS steps. Whole rows
+    are never split between batches, so a row's product is the same in
+    any batch; a row longer than one batch is sliced along time, into
+    slices of _BATCH_BLOCKS steps, or of 4 x _BATCH_BLOCKS steps for
+    rows of one exponential, and its slices are multiplied in order.
     """
-    for batch in row_batches(rows, steps):
+    exponentials = steps if exponentials is None else exponentials
+    span = 4 * _BATCH_BLOCKS if exponentials == 1 else _BATCH_BLOCKS
+    for batch in row_batches(rows, steps, exponentials):
         inputs = drive(batch)
         total = None
-        for start in range(0, steps, _BATCH_BLOCKS):
-            part = (x[:, start : start + _BATCH_BLOCKS] if x.shape[1] > 1 else x for x in inputs)
+        for start in range(0, steps, span):
+            part = (x[:, start : start + span] if x.shape[1] > 1 else x for x in inputs)
             product = ordered_product(sector_step(*part))
             total = product if total is None else product @ total
         yield total
+
+
+def _row_exponentials(rabi, detuning, v, dt, steps: int) -> int:
+    """The exponentials of a row of `steps` steps whose inputs are at
+    their compact shapes (rows or 1, steps or 1): steps when one of them
+    varies along the steps, else 1. The phase never reaches an exponential."""
+    return steps if max(np.shape(x)[1] for x in (rabi, detuning, v, dt)) > 1 else 1
 
 
 def _joined(products, stack) -> SectorBlocks:
@@ -624,8 +671,12 @@ def sector_product(rabi, detuning, phase, v, dt) -> SectorBlocks:
         return ordered_product(sector_step(*drive))
     *stack, steps = shape
     rows = [_rows(x, shape) for x in drive]
+    rabi, detuning, _, v, dt = rows
     batches = row_products(
-        lambda batch: [row[batch] if len(row) > 1 else row for row in rows], math.prod(stack), steps
+        lambda batch: [row[batch] if len(row) > 1 else row for row in rows],
+        math.prod(stack),
+        steps,
+        _row_exponentials(rabi, detuning, v, dt, steps),
     )
     return _joined(batches, stack)
 
@@ -677,11 +728,16 @@ def standard_diagonal(rabi, v, durations) -> np.ndarray:
 
 def _segment_drive(schedule: Schedule):
     """The drive (rabi, detuning, phase, v) and the durations as arrays over
-    (segments, 1, 1), v over (1, 1, 1), and the segment start times as a column."""
-    rabi, detuning, phase, durations = np.array(
+    (segments, 1, 1), each (1, 1, 1) where every segment has its bits (v
+    always), and the segment start times as a column."""
+    columns = np.array(
         [(s.rabi, s.detuning, s.phase, s.duration) for s in schedule.segments], dtype=float
-    ).reshape(-1, 4).T[..., None, None]
-    starts = np.concatenate(([0.0], np.cumsum(durations)))[:-1, None]
+    ).reshape(-1, 4)
+    starts = np.concatenate(([0.0], np.cumsum(columns[:, 3])))[:-1, None]
+    bits = columns.view(np.uint64)
+    rabi, detuning, phase, durations = (
+        x[:1] if (b == b[:1]).all() else x for x, b in zip(columns.T[..., None, None], bits.T)
+    )
     return (rabi, detuning, phase, np.full((1, 1, 1), schedule.interaction)), durations, starts
 
 
@@ -700,8 +756,9 @@ def _substep_drive(schedule: Schedule, steps: int, integrator: str):
     steps, exponentials per substep), in time order.
 
     Each input keeps size-1 axes where it does not vary: a drive that is
-    not modulated stays one value per segment, and v stays size 1
-    without thermal vibration. The phase, which never reaches an
+    not modulated stays one value per segment, or one value where every
+    segment has its bits (_segment_drive), and v stays size 1 without
+    thermal vibration. The phase, which never reaches an
     exponential, takes the steps of the grid in the caller and so sets
     the step count; steps that differ only in phase then share their
     exponential in sector_step. Substep times are taken only for a
@@ -721,7 +778,7 @@ def _substep_drive(schedule: Schedule, steps: int, integrator: str):
         if schedule.thermal is not None:
             v = thermal_interaction(t, schedule.interaction, schedule.thermal)
     drive = (rabi, detuning, phase, v, dt)
-    grid = (len(durations), steps, len(nodes))
+    grid = (len(schedule.segments), steps, len(nodes))
     return (_magnus4_drive(*drive) if integrator == MAGNUS4 else drive), grid
 
 
@@ -755,9 +812,14 @@ def flat_drive(schedule: Schedule, config: IntegratorConfig):
     mode takes one substep per segment, as one row (1, T) over the T
     exponentials in time order.
 
-    An input that does not vary over the steps stays (1, 1). The phase,
-    which never reaches an exponential, spans the T steps and so sets
-    the step count."""
+    An input that does not vary over the steps stays (1, 1): one that
+    is not modulated and has the same bits on every segment, as the
+    standard schedule's rabi, detuning and duration do, or v without
+    thermal vibration. One that differs between segments spans the T
+    steps. The phase, which never reaches an exponential, spans them
+    too and so sets the step count. sector_step then exponentiates each
+    block at the shape of its own inputs: (1, 1), one exponential for
+    every step, where none of them spans the steps."""
     steps = _segment_substeps(schedule, config)
     (rabi, detuning, phase, v, dt), grid = _substep_drive(schedule, steps, config.integrator)
     phase = np.broadcast_to(phase, grid)
@@ -801,8 +863,10 @@ def evolution_blocks(
         # Decay is the imaginary part of the detuning.
         return rabi, detuning - 1j * rates[batch], phase, v, dt
 
+    steps = phase.shape[1]
+    exponentials = _row_exponentials(rabi, detuning, v, dt, steps)
     # No rates still make one (empty) product.
-    return _joined(row_products(drive, max(len(rates), 1), phase.shape[1]), stack)
+    return _joined(row_products(drive, max(len(rates), 1), steps, exponentials), stack)
 
 
 def evolution_operator(schedule: Schedule, config: IntegratorConfig | None = None) -> np.ndarray:

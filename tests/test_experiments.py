@@ -263,6 +263,39 @@ class TestCsvAgainstCsvWriter:
         assert text == csv_writer_text(table)
         assert text.count("\r\n") == length + 1
 
+    def test_columns_constant_over_a_slice(self):
+        # Three slices: each column is constant over some of them, and
+        # varies over others by a -0, a NaN or one other text.
+        rows = experiments._CSV_ROWS
+        zeros = np.zeros(3 * rows)
+        zeros[rows + 7] = -0.0
+        zeros[2 * rows :] = np.nan
+        label = ["50% a,b"] * (3 * rows)
+        label[rows + 3] = "%s"
+        table = {
+            "label": label,
+            "x": zeros,
+            "count": np.full(3 * rows, 7),
+            "flag": np.arange(3 * rows) < rows,
+            "y": np.repeat([1.0 / 3.0, -2.5, 1e-300], rows),
+        }
+        assert written_rows(table) == csv_writer_text(table)
+
+    @pytest.mark.parametrize(
+        "part, spec, quote, cell",
+        [
+            (np.full(3, 1.0 / 3.0), "%.12g", None, "0.333333333333"),
+            (np.array([7, 7]), "%d", None, "7"),
+            (np.array([True, True]), "%d", None, "1"),
+            (np.array([0.0, -0.0]), "%.12g", None, None),
+            (np.array([np.nan, np.nan]), "%.12g", None, None),
+            (["5%,x", "5%,x"], "%s", lambda text: f'"{text}"', '"5%%,x"'),
+            (["a", "b"], "%s", str, None),
+        ],
+    )
+    def test_a_constant_slice_is_baked_as_template_text(self, part, spec, quote, cell):
+        assert experiments._constant_cell(part, spec, quote) == cell
+
     def test_text_that_needs_quotes(self):
         cells = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", "\r\n", '"', "", "plain", " pad ",
                  "%s %d", "tab\there"]
@@ -1047,6 +1080,11 @@ class TestActuatingScan:
             run_actuating_scan(threshold=1.5)
         with pytest.raises(InvalidParameterError):
             run_actuating_scan(eta_list=())
+
+    @pytest.mark.parametrize("threshold", ["0.9", True, math.nan])
+    def test_threshold_that_is_not_a_finite_number_is_rejected(self, threshold):
+        with pytest.raises(InvalidParameterError, match="threshold"):
+            run_actuating_scan(eta_list=(1.0,), threshold=threshold, phase_count=4, duration_count=5)
 
     @pytest.mark.parametrize("axis", ["phase_count", "duration_count"])
     def test_empty_grid_rejected(self, axis):

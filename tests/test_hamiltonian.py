@@ -150,7 +150,7 @@ class TestSubspaces:
             rng.uniform(-math.pi, math.pi, shape),
             rng.uniform(0.0, 9.0, shape),
         )
-        pair, triple = gauged_blocks(rabi, detuning, v, shape)
+        pair, triple = gauged_blocks(rabi, detuning, v)
         assert np.isrealobj(pair) and np.isrealobj(triple)
         gauge = sector_gauge(phase)
         full = drive_hamiltonian(rabi, detuning, phase, v)
@@ -175,6 +175,16 @@ class TestSubspaces:
             np.testing.assert_allclose(
                 full[index] @ antisymmetric, detuning[index] * antisymmetric, atol=1e-15
             )
+
+    def test_each_block_takes_the_shape_of_its_own_inputs(self):
+        rng = np.random.default_rng(311)
+        rabi, detuning, v = rng.uniform(0.0, 8.0, (3, 1)), -1.5, rng.uniform(0.0, 9.0, (1, 4))
+        pair, triple = gauged_blocks(rabi, detuning, v, 3)
+        # v reaches only the triple block; both are padded to rank 3.
+        assert pair.shape == (2, 2, 1, 3, 1) and triple.shape == (3, 3, 1, 3, 4)
+        full_pair, full_triple = gauged_blocks(*np.broadcast_arrays(rabi, detuning, v))
+        np.testing.assert_array_equal(np.broadcast_to(pair[:, :, 0], full_pair.shape), full_pair)
+        np.testing.assert_array_equal(triple[:, :, 0], full_triple)
 
     def test_symmetric_basis_rows_are_orthonormal(self):
         for which in SUBSPACE_LABELS:

@@ -793,25 +793,54 @@ class TestDecayStack:
             for row, block in zip(blocks, stacked.at(np.s_[k : k + 1])):
                 np.testing.assert_array_equal(block, row)
 
-    @pytest.mark.parametrize("substeps", [8, 3000])
-    def test_builds_one_batch_of_complex_detunings_at_a_time(self, substeps, monkeypatch):
+    # The time-optimal curve of the decay scan: 1,500 phase-only substeps.
+    # A budget of 400 takes its rates one per batch (1,600 steps), 800 two.
+    @pytest.mark.parametrize("blocks", [None, 400, 800])
+    def test_a_rate_of_the_default_grid_has_the_bits_it_has_alone(self, blocks, monkeypatch):
+        schedule = time_optimal_schedule()
+        config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=1500)
+        rates = [DecaySpec.from_multiplier(m).gamma for m in np.linspace(*experiments.MULTIPLIER_GRID)]
+        alone = [evolution_blocks(schedule, config, [gamma]) for gamma in rates]
+        if blocks is not None:
+            monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
+        stacked = evolution_blocks(schedule, config, rates)
+        for k, blocks_alone in enumerate(alone):
+            for row, block in zip(blocks_alone, stacked.at(np.s_[k : k + 1])):
+                np.testing.assert_array_equal(block, row)
+
+    @pytest.mark.parametrize("blocks", [None, 400])
+    def test_a_fidelity_of_the_default_grid_has_the_bits_it_has_alone(self, blocks, monkeypatch):
+        multipliers = np.linspace(*experiments.MULTIPLIER_GRID)
+        alone = [experiments.run_decay_curves(multiplier_grid=[m]).table["fidelity"] for m in multipliers]
+        if blocks is not None:
+            monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
+        # Four curves (three standard schedules and the time-optimal one)
+        # of 21 multipliers each.
+        grid = experiments.run_decay_curves().table["fidelity"].reshape(4, -1)
+        for k, fidelities in enumerate(alone):
+            np.testing.assert_array_equal(grid[:, k], fidelities)
+
+    @pytest.mark.parametrize("substeps, batches", [(8, 1), (1500, 1), (3000, 3)])
+    def test_builds_one_batch_of_complex_detunings_at_a_time(self, substeps, batches, monkeypatch):
         sizes, original = [], propagate.row_products
 
-        def recording(drive, rows, steps):
+        def recording(drive, rows, steps, exponentials=None):
             def recorded(batch):
                 inputs = drive(batch)
                 assert np.iscomplexobj(inputs[1])
                 sizes.append(np.size(inputs[1]))
                 return inputs
 
-            return original(recorded, rows, steps)
+            return original(recorded, rows, steps, exponentials)
 
         monkeypatch.setattr(propagate, "row_products", recording)
         config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=substeps)
         evolution_blocks(time_optimal_schedule(), config, np.linspace(0.0, 1.0, 5))
-        assert max(sizes) <= max(propagate._BATCH_BLOCKS, substeps)
-        # 5 rows of 8 steps are one batch; rows of 3,000 steps one each.
-        assert len(sizes) == (1 if substeps == 8 else 5)
+        # A rate's detuning is one value over its phase-only steps, so a
+        # batch holds up to 4 x _BATCH_BLOCKS steps: 5 rows of 8 or 1,500
+        # steps are one batch, rows of 3,000 steps two at a time.
+        assert max(sizes) <= propagate._BATCH_BLOCKS
+        assert len(sizes) == batches
 
     @pytest.mark.parametrize("gamma", [[-1.0], [math.nan], [math.inf], [0.0, -1e-300]])
     def test_rejects_rates_that_are_not_finite_and_non_negative(self, gamma):
@@ -831,66 +860,96 @@ class TestDecayStack:
 
 class TestRowBatches:
     """Every stacked product multiplies through one row loop, whose batches
-    hold at most _BATCH_BLOCKS steps of whole rows."""
+    hold whole rows within the budget: at most _BATCH_BLOCKS exponentials
+    and 4 x _BATCH_BLOCKS steps."""
 
     @pytest.mark.parametrize(
-        "stack", ["trials", "decay-rates", "scan-kappa-points", "sampled-records", "3000-step-row"]
+        "stack",
+        [
+            "trials",
+            "decay-rates",
+            "scan-kappa-points",
+            "sampled-records",
+            "10000-step-phase-driven-row",
+            "3000-step-thermal-row",
+        ],
     )
     def test_a_batch_holds_whole_rows_within_the_budget(self, stack, monkeypatch):
         nominal = stochastic._nominal_gate(1.65, V)
         noise = NoiseSpec(eta_omega=0.05, eta_delta=0.04, substeps=16, seed=3)
         substepped = functools.partial(IntegratorConfig, mode=SUBSTEPPED)
-        # Each stack: how it runs, its rows and the steps of each row.
-        run, rows, row = {
-            # 4 segments x 16 noise substeps per trial.
-            "trials": (lambda: stochastic._monte_carlo(nominal, noise, 70), 70, 64),
+        thermal = engine_schedule("thermal", None)
+        # Each stack: how it runs, its rows, the steps of each row, whether
+        # an exponential input varies along them, and the sector_step calls.
+        run, rows, row, stepwise, calls = {
+            # 4 segments x 16 noise substeps per trial: 32 trials a batch.
+            "trials": (lambda: stochastic._monte_carlo(nominal, noise, 70), 70, 64, True, 3),
+            # The default grid of 21 rates on 1,500 phase-only substeps:
+            # one exponential per rate, 5 rates a batch.
             "decay-rates": (
                 lambda: evolution_blocks(
-                    time_optimal_schedule(), substepped(substeps_per_segment=8),
-                    np.linspace(0.0, 1.0, 300),
+                    time_optimal_schedule(), substepped(substeps_per_segment=1500),
+                    np.linspace(0.0, 1.0, 21),
                 ),
-                300,
-                8,
+                21,
+                1500,
+                False,
+                5,
             ),
             "scan-kappa-points": (
-                lambda: experiments.scan_kappa(np.linspace(0.5, 4.0, 1000), V), 1000, 4
+                lambda: experiments.scan_kappa(np.linspace(0.5, 4.0, 1000), V), 1000, 4, False, 2
             ),
-            # 1,000 sample intervals of 3 phase-driven substeps.
+            # 3,000 sample intervals of 3 phase-driven substeps.
             "sampled-records": (
                 lambda: propagate_state(
                     time_optimal_schedule(), basis_state("11"),
-                    substepped(substeps_per_segment=3000, samples_per_segment=1000),
+                    substepped(substeps_per_segment=9000, samples_per_segment=3000),
                 ),
-                1000,
+                3000,
                 3,
+                False,
+                2,
             ),
-            "3000-step-row": (
+            # Sliced along time at 4 x _BATCH_BLOCKS steps.
+            "10000-step-phase-driven-row": (
                 lambda: evolution_blocks(
-                    time_optimal_schedule(), substepped(substeps_per_segment=3000)
+                    time_optimal_schedule(), substepped(substeps_per_segment=10000)
                 ),
                 1,
+                10000,
+                False,
+                2,
+            ),
+            # The interaction varies per step: sliced at _BATCH_BLOCKS steps.
+            "3000-step-thermal-row": (
+                lambda: evolution_blocks(thermal, substepped(substeps_per_segment=750)),
+                1,
                 3000,
+                True,
+                2,
             ),
         }[stack]
-        shapes, original = [], propagate.sector_step
+        shapes, exponentials, original = [], [], propagate.sector_step
 
-        def recording(*drive):
-            shapes.append(np.broadcast(*drive).shape)
-            return original(*drive)
+        def recording(rabi, detuning, phase, v, dt):
+            shapes.append(np.broadcast(rabi, detuning, phase, v, dt).shape)
+            exponentials.append(math.prod(np.broadcast(rabi, detuning, v, dt).shape))
+            return original(rabi, detuning, phase, v, dt)
 
         monkeypatch.setattr(propagate, "sector_step", recording)
         run()
         budget = propagate._BATCH_BLOCKS
+        span = budget if stepwise else 4 * budget
         assert rows * row > budget
-        for shape in shapes:
-            assert math.prod(shape) <= budget, shape
+        assert len(shapes) == calls
+        for shape, count in zip(shapes, exponentials):
+            assert count <= budget and math.prod(shape) <= 4 * budget, shape
             # Whole rows, or one row longer than a batch, sliced along time
-            # into full batches and the rest.
-            sliced = shape[:-1] == (1,) and row > budget and shape[-1] in (budget, row % budget)
+            # into full slices and the rest.
+            sliced = shape[:-1] == (1,) and row > span and shape[-1] in (span, row % span)
             assert shape[-1] == row or sliced, shape
         # Every step of every row is taken once.
         assert sum(math.prod(shape) for shape in shapes) == rows * row
-
 
 
 def oracle_unitary(rabi, detuning, phase, v, t) -> np.ndarray:
@@ -901,7 +960,7 @@ def oracle_unitary(rabi, detuning, phase, v, t) -> np.ndarray:
 def triple_squarings(drive, dt) -> np.ndarray:
     """The squarings the step core takes for the triple block of each step."""
     rabi, detuning, _, v = drive
-    _, generator = gauged_blocks(rabi * dt, detuning * dt, v * dt, np.shape(dt))
+    _, generator = gauged_blocks(rabi * dt, detuning * dt, v * dt)
     norm = np.abs(generator).sum(axis=0).max(axis=0)
     return np.ceil(np.log2(np.maximum(norm / propagate._THETAS[-1], 1.0))).astype(int)
 
@@ -1240,12 +1299,69 @@ class TestCompactInputs:
         ):
             np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
 
-    def test_thermal_steps_take_one_exponential_each(self, monkeypatch):
+    def test_thermal_steps_take_one_triple_exponential_each(self, monkeypatch):
         sizes = recording_expm(monkeypatch)
         schedule = modulated_schedule("thermal", 8)
         config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=8)
-        evolution_blocks(schedule, config, [0.0, 0.5])
-        assert sum(sizes) == 2 * 2 * len(schedule.segments) * 8
+        rates = [0.0, 0.5]
+        evolution_blocks(schedule, config, rates)
+        # The interaction varies per step and enters only the triple block;
+        # the pair block takes one exponential per rate.
+        assert sorted(sizes) == [len(rates), len(rates) * len(schedule.segments) * 8]
+
+    @pytest.mark.parametrize("substeps", [100, 1000])
+    def test_a_thermal_cell_takes_one_pair_exponential_per_drive(self, substeps, monkeypatch):
+        # Every segment of the standard schedule has the same rabi,
+        # detuning and duration: one pair generator per sector_step call,
+        # and one triple generator per step.
+        pairs, triples, original = [], [], propagate.gauged_blocks
+
+        def recording(*args):
+            pair, triple = original(*args)
+            pairs.append(math.prod(pair.shape[2:]))
+            triples.append(math.prod(triple.shape[2:]))
+            return pair, triple
+
+        monkeypatch.setattr(propagate, "gauged_blocks", recording)
+        config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=substeps)
+        evolution_blocks(modulated_schedule("thermal", substeps), config)
+        # 4,000 steps are sliced along time at _BATCH_BLOCKS steps.
+        assert pairs == [1] * len(triples)
+        assert sum(triples) == 4 * substeps and max(triples) <= propagate._BATCH_BLOCKS
+
+    @pytest.mark.parametrize(
+        "kind, config, gamma",
+        [
+            pytest.param(
+                "thermal", IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=1000), None,
+                id="thermal-cell",
+            ),
+            pytest.param(
+                "plain", IntegratorConfig(), [0.0, 0.3, 5.0, 600.0], id="decayed-standard-schedule"
+            ),
+        ],
+    )
+    def test_compact_and_broadcast_drives_give_the_same_bits(self, kind, config, gamma):
+        schedule = standard_schedule(1.65, V) if kind == "plain" else modulated_schedule(kind, 0)
+        actual = evolution_blocks(schedule, config, gamma)
+        # The drive of every segment written out, and each input broadcast
+        # to every step of every rate.
+        segments = schedule.segments
+        steps = propagate._segment_substeps(schedule, config)
+        drive, _ = propagate._substep_drive(schedule, steps, config.integrator)
+        grid = (len(segments), steps, 1)
+        rabi, detuning, phase = (
+            np.broadcast_to(np.array([getattr(s, name) for s in segments])[:, None, None], grid)
+            for name in ("rabi", "detuning", "phase")
+        )
+        dt = np.broadcast_to(np.array([s.duration / steps for s in segments])[:, None, None], grid)
+        full = [x.reshape(1, -1) for x in (rabi, detuning, phase, np.broadcast_to(drive[3], grid), dt)]
+        if gamma is not None:
+            full[1] = full[1] - 1j * np.reshape(gamma, (-1, 1))
+        stack = np.broadcast_shapes(*(x.shape for x in full))
+        expected = sector_product(*(np.broadcast_to(x, stack) for x in full))
+        for block, reference in zip(actual, expected):
+            np.testing.assert_array_equal(block, reference if gamma is not None else reference[..., 0])
 
 
 class TestExactModeIsAStepCount:
@@ -1451,7 +1567,7 @@ class TestSizedSeries:
         v = np.concatenate((v, -extra, resonant_v))
         dt = np.concatenate((dt, np.ones(len(extra)), np.geomspace(1e-2, 1e3, 10), np.ones(5)))
         with np.errstate(invalid="ignore"):
-            _, triple = gauged_blocks(rabi * dt, detuning * dt, v * dt, dt.shape)
+            _, triple = gauged_blocks(rabi * dt, detuning * dt, v * dt)
         norm = propagate._one_norm(triple)
         classes = np.searchsorted(propagate._THETAS[:-1], norm)
         assert set(classes) == {0, 1, 2, 3} and np.isnan(norm).any()
@@ -1553,7 +1669,7 @@ class TestResonantClass:
         # Below theta_6 the series keeps each entry to its own relative
         # digits. The closed form would not: (u00 - 1) / 2, the |11> <->
         # |rr> entry, cancels, all of it at dt = 1e-9.
-        _, x = gauged_blocks(2.5 * dt, -1.5 * dt, 3.0 * dt, ())
+        _, x = gauged_blocks(2.5 * dt, -1.5 * dt, 3.0 * dt)
         assert x[2, 2] == 0.0
         expected = expm(-1j * x)
         np.testing.assert_allclose(propagate._real_rotation(x), expected, rtol=1e-14, atol=0.0)
@@ -1630,7 +1746,7 @@ class TestResonantClass:
     )
     def test_every_step_at_detuning_minus_v_over_2_is_resonant(self, v, kappa, dt):
         # Halving commutes with rounding: (-v / 2) dt is exactly -(v dt) / 2.
-        _, triple = gauged_blocks(kappa * v * dt, (-v / 2.0) * dt, v * dt, ())
+        _, triple = gauged_blocks(kappa * v * dt, (-v / 2.0) * dt, v * dt)
         assert triple[2, 2] == 0.0
 
     def test_the_standard_gate_takes_products_only_to_multiply_its_steps(self, monkeypatch):
