@@ -416,11 +416,11 @@ def scan_kappa(kappa_grid, v: float = V0) -> ScanResult:
 
     Each point is the four-segment standard_schedule(kappa, v). The
     grid is evaluated in the batches of propagate.row_batches, whole
-    points of four steps each, each scored by diagonal_summary from its
-    propagate.standard_diagonal without a 9x9 operator, so only the
-    table's columns grow with the grid. Raises
-    UndefinedPhaseError when any point leaves a computational state
-    behind.
+    points of four steps gauged from one exponential each, each scored
+    by diagonal_summary from its propagate.standard_diagonal without a
+    9x9 operator, so only the table's columns grow with the grid.
+    Raises UndefinedPhaseError when any point leaves a computational
+    state behind.
     """
     grid = _axis("kappa", kappa_grid)
     # Validates every point as standard_schedule would.
@@ -428,7 +428,7 @@ def scan_kappa(kappa_grid, v: float = V0) -> ScanResult:
     rabi = np.array(grid) * v
     fields = ("delta_gamma", "return_probabilities", "fidelity", "leakage")
     batches = []
-    for points in row_batches(len(grid), len(standard_phases())):
+    for points in row_batches(len(grid), len(standard_phases()), exponentials=1):
         summary = diagonal_summary(standard_diagonal(rabi[points, None], v, durations[points, None]))
         batches.append([summary[name] for name in fields])
     delta_gamma, returns, fidelity, leakage = map(np.concatenate, zip(*batches))
@@ -757,7 +757,8 @@ def run_actuating_scan(
     if len(bounds) != 2 or not bounds[0] < bounds[1]:
         raise InvalidParameterError(f"duration range must be two bounds, low < high, got {bounds}")
     durations = np.linspace(*bounds, duration_count)
-    # Each duration is a row of one step per phase (per phase pair).
+    # Each duration is a row of one step per phase (per phase pair), all
+    # gauged from one exponential.
     width = phases.size ** (2 if independent_phases else 1)
 
     qualifying_cells, mean_durations = [], []
@@ -765,7 +766,7 @@ def run_actuating_scan(
         v = eta * V0
         rabi = REFERENCE_KAPPA * (V0 if mode == "fixed-omega" else v)
         counts = np.zeros(durations.size, dtype=int)
-        for chunk in row_batches(durations.size, width):
+        for chunk in row_batches(durations.size, width, exponentials=1):
             steps = sector_step(rabi, -v / 2.0, step_phases, v, durations[chunk, None])
             pairs = steps.at(np.s_[:, 1:]) @ steps.at(np.s_[:, :1])
             amplitudes = _cell_amplitudes(pairs, independent_phases)

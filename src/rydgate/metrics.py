@@ -256,9 +256,10 @@ def _summary(amplitudes, retained=None) -> dict:
     amplitudes and the subspace population retained by each
     computational column (|a|^2 when None)."""
     magnitudes = np.abs(amplitudes)
-    stranded = np.argwhere(magnitudes <= OVERLAP_TOL)
-    if stranded.size:
-        first = tuple(stranded[0])
+    # The search for a stranded state runs only where there is one.
+    stranded = magnitudes <= OVERLAP_TOL
+    if stranded.any():
+        first = tuple(np.argwhere(stranded)[0])
         raise UndefinedPhaseError(
             f"state |{COMPUTATIONAL_LABELS[first[-1]]}> does not return "
             f"(amplitude {magnitudes[first]:.3e})"

@@ -23,12 +23,13 @@ closed form and the real gauged 3x3 block {11,R,rr} as cos x - i sin x,
 with no eigendecomposition: each matrix takes the one series in x^2 to
 the degree its own 1-norm needs (to x^4, x^6, x^8 or x^12, up to
 1-norms of 0.0066, 0.0381, 0.1150 and 0.4384), and a larger 1-norm the
-top degree by scaling and squaring. At the paper's detuning -V/2 the
-|rr> entry 2 Delta + V is 0, and a larger 1-norm takes the block in
-closed form instead: a dark state at energy 0 and a bright pair that
-turns like the 2x2 block. A complex detuning takes each block through
-the stacked `expm` of this module, which shares that scaling and
-squaring.
+top degree by scaling and squaring. Resonance is read from the drive,
+once per step: at the paper's detuning -V/2 the |rr> entry 2 Delta + V
+is exactly 0, and a step of larger 1-norm then takes the 3x3 block in
+closed form instead, without building it: a dark state at energy 0 and
+a bright pair that turns in the same closed-form call as the 2x2 block.
+A complex detuning takes each block through the stacked `expm` of this
+module, which shares that scaling and squaring.
 `sector_unitary` and `computational_diagonal` are the only conversions
 to the 9x9 layout.
 
@@ -376,55 +377,15 @@ def _rotation(x: np.ndarray, degree: int) -> np.ndarray:
     return result
 
 
-# The flat entries (x00, x02, x20, x10, x12, x21) of a resonant triple
-# generator, and the entries (x22, x22, x22, x01, x01, x01) they equal.
-_RESONANT_ENTRIES = np.array([0, 2, 6, 3, 5, 7])
-_RESONANT_MATCHES = np.array([8, 8, 8, 1, 1, 1])
-
-
-def _resonant_rotation(x: np.ndarray) -> np.ndarray:
-    """exp(-i x) for a stack of resonant triple generators (3, 3, *S):
-    x[0, 0] = x[0, 2] = x[2, 0] = x[2, 2] = 0 and four equal links l.
-
-    The dark state (|11> - |rr>) / sqrt(2) has energy 0, and the bright
-    pair {(|11> + |rr>) / sqrt(2), |R>}, with coupling sqrt(2) l and
-    shift x[1, 1], turns by _pair_rotation into u. Back on {|11>, |R>,
-    |rr>}: r00 = r22 = (u00 + 1) / 2, r02 = r20 = (u00 - 1) / 2, each
-    link u01 / sqrt(2), and r11 = u11. No product is taken. Below a
-    1-norm of the top theta, (u00 - 1) / 2 would lose its digits to
-    cancellation.
-    """
-    # Flat (9, N): the entries stay arrays even for one matrix, since
-    # numpy's complex scalars round some products unlike its array loops.
-    flat = x.reshape(9, -1)
-    bright = np.zeros((2, 2) + flat.shape[1:])
-    bright[0, 1] = bright[1, 0] = _SQRT_TWO * flat[1]
-    bright[1, 1] = flat[4]
-    u = _pair_rotation(bright)
-    # Flat entries: the corners 0, 8 and 2, 6, the links 1, 3, 5, 7 and the centre 4.
-    result = np.empty(flat.shape, dtype=complex)
-    result[::8] = 0.5 * (u[0, 0] + 1.0)
-    result[2:7:4] = 0.5 * (u[0, 0] - 1.0)
-    result[1::2] = _SQRT_HALF * u[0, 1]
-    result[4] = u[1, 1]
-    return result.reshape(x.shape)
-
-
 def _real_rotation(x: np.ndarray) -> np.ndarray:
     """exp(-i x) for a stack of real 3 x 3 matrices (3, 3, *S), each by
-    the class its own entries and 1-norm need.
-
-    A resonant generator, of the gauged form of a drive at detuning
-    -V / 2 (x[2, 2] = 2 Delta + V exactly 0, x[0, 0] = x[0, 2] = 0 and
-    equal links) with a 1-norm above the top theta and below 2^53,
-    takes the closed form of _resonant_rotation. Any other matrix of
-    1-norm up to theta_m (_THETAS) takes the _rotation of degree m; one
-    above the top theta, non-finite or out of range takes the top
-    degree by _scaling_and_squaring. The norm is computed once, for the
-    class and the squarings, and off resonance the class costs one
-    comparison (x[2, 2] == 0). A stack in one class is taken whole; a
-    mixed one is gathered once per class and scattered once, so no
-    matrix's arithmetic depends on the rest of the stack.
+    the series its own 1-norm needs: a matrix of 1-norm up to theta_m
+    (_THETAS) takes the _rotation of degree m, and one above the top
+    theta, non-finite or out of range the top degree by
+    _scaling_and_squaring. The norm is computed once, for the class and
+    the squarings. A stack in one class is taken whole; a mixed one is
+    gathered once per class and scattered once, so no matrix's
+    arithmetic depends on the rest of the stack.
     """
     norm = _one_norm(x)
     top = len(_DEGREES) - 1
@@ -432,19 +393,6 @@ def _real_rotation(x: np.ndarray) -> np.ndarray:
     classes = np.searchsorted(_THETAS[:top], norm)
     low = classes.min(initial=top)
     high = top if low == top else classes.max()
-    # Off resonance the class costs this one comparison.
-    resonant = x[2, 2] == 0.0
-    if resonant.any():
-        # Where x[2, 2] = 0: x[0, 0], x[0, 2] and x[2, 0] equal it, and
-        # the other links x[0, 1].
-        flat = x.reshape((9,) + x.shape[2:])
-        resonant &= (
-            (flat[_RESONANT_ENTRIES] == flat[_RESONANT_MATCHES]).all(axis=0)
-            & (norm > _THETAS[top])
-            & (norm < _EXPM_NORM_LIMIT)
-        )
-        classes = np.where(resonant, top + 1, classes)
-        low, high = classes.min(), classes.max()
     # One class takes the stack whole: its members are all of it, as views.
     result = None if low == high else np.empty(x.shape, dtype=complex)
     for k in range(low, high + 1):
@@ -453,11 +401,9 @@ def _real_rotation(x: np.ndarray) -> np.ndarray:
             continue
         if k < top:
             part = _rotation(x[:, :, members], _DEGREES[k])
-        elif k == top:
+        else:
             series = partial(_rotation, degree=_DEGREES[top])
             part = _scaling_and_squaring(x[:, :, members], norm[members], series, _THETAS[top])
-        else:
-            part = _resonant_rotation(x[:, :, members])
         if result is None:
             return part
         result[:, :, members] = part
@@ -489,6 +435,83 @@ def _pair_rotation(pair: np.ndarray) -> np.ndarray:
     return np.exp(-1j * half) * (np.cos(angle) * eye - 1j * sine * (pair - half * eye))
 
 
+def _resonant_triple(bright: np.ndarray) -> np.ndarray:
+    """exp(-i x) for a stack of resonant triple generators x = [[0, l,
+    0], [l, d, l], [0, l, 0]], as flat entries (9, N), from the flat
+    entries (u00, u01, u10, u11) (4, N) of the rotation u of their
+    bright pairs.
+
+    The dark state (|11> - |rr>) / sqrt(2) has energy 0, and the bright
+    pair {(|11> + |rr>) / sqrt(2), |R>} has coupling sqrt(2) l and shift
+    d. Back on {|11>, |R>, |rr>}: r00 = r22 = (u00 + 1) / 2, r02 = r20 =
+    (u00 - 1) / 2, each link u01 / sqrt(2), and r11 = u11. No product is
+    taken. Below a 1-norm of the top theta, (u00 - 1) / 2 would lose its
+    digits to cancellation. The entries stay arrays even for one matrix,
+    since numpy's complex scalars round some products unlike its array
+    loops.
+    """
+    # Flat entries: the corners 0, 8 and 2, 6, the links 1, 3, 5, 7 and the centre 4.
+    result = np.empty((9,) + bright.shape[1:], dtype=complex)
+    result[::8] = 0.5 * (bright[0] + 1.0)
+    result[2:7:4] = 0.5 * (bright[0] - 1.0)
+    result[1::2] = _SQRT_HALF * bright[1]
+    result[4] = bright[3]
+    return result
+
+
+def _resonant_norm(rabi, shift):
+    """The 1-norm (|l| + |shift|) + |l|, l = rabi / sqrt(2), of the
+    triple of gauged_blocks(rabi, shift, v) where its rr entry is 0:
+    its column sums, each in the order of _one_norm, and the largest
+    is the middle one, so it has the bits that _one_norm gives."""
+    link = np.abs(rabi / _SQRT_TWO)
+    return (link + np.abs(shift)) + link
+
+
+def _real_blocks(rabi, shift, v, rank: int):
+    """exp(-i B) of the real blocks B of gauged_blocks(rabi, shift, v,
+    rank), the pair and the triple of a step, with resonance read from
+    the drive.
+
+    A step is resonant where the triple's rr entry (shift + shift) + v
+    is exactly 0, the bits of gauged_blocks, and its _resonant_norm lies
+    above the top theta and below 2^53. The rr entry is tested first, so
+    a stack off resonance pays one comparison. A resonant triple is a
+    dark state at energy 0 and a bright pair with coupling rabi and
+    shift `shift`, which takes the same _pair_rotation call as the pair
+    block, stacked on a third axis; _resonant_triple assembles the
+    triple's exponential from it, so its generator is never built and
+    no product is taken. Both blocks then have the triple's shape. Any
+    other step builds its triple and takes the series, _real_rotation.
+    A mixed stack is gathered by the mask and scattered, so no step's
+    bits depend on its stack.
+    """
+    resonant = (shift + shift) + v == 0.0
+    if resonant.any():
+        norm = _resonant_norm(rabi, shift)
+        resonant = resonant & (norm > _THETAS[-1]) & (norm < _EXPM_NORM_LIMIT)
+    if not resonant.any():
+        pair, triple = gauged_blocks(rabi, shift, v, rank)
+        return _pair_rotation(pair), _real_rotation(triple)
+    shape = (1,) * (rank - resonant.ndim) + resonant.shape
+    if not resonant.all():
+        drive = np.broadcast_arrays(rabi, shift, v)
+        blocks = [np.empty((n, n) + resonant.shape, dtype=complex) for n in (2, 3)]
+        for members in (resonant, ~resonant):
+            for block, part in zip(blocks, _real_blocks(*(x[members] for x in drive), 1)):
+                block[:, :, members] = part
+        return tuple(block.reshape(block.shape[:2] + shape) for block in blocks)
+    # The pair block and the bright pair, on axis 2. The bright coupling
+    # sqrt(2) l is rounded from the link l, as the triple would hold it.
+    blocks = np.zeros((2, 2, 2) + shape)
+    blocks[0, 1, 0] = blocks[1, 0, 0] = 0.5 * rabi
+    blocks[0, 1, 1] = blocks[1, 0, 1] = _SQRT_TWO * (rabi / _SQRT_TWO)
+    blocks[1, 1] = shift
+    u = _pair_rotation(blocks)
+    triple = _resonant_triple(u.reshape(4, 2, -1)[:, 1])
+    return u[:, :, 0], triple.reshape((3, 3) + shape)
+
+
 def sector_step(rabi, detuning, phase, v, dt) -> SectorBlocks:
     """exp(-i H dt) in sector form for H = drive_hamiltonian(rabi,
     detuning, phase, v); the inputs broadcast to the stack shape S.
@@ -504,17 +527,22 @@ def sector_step(rabi, detuning, phase, v, dt) -> SectorBlocks:
     v, dt), and the antisymmetric state's e^{-i Delta dt} at that of
     (detuning, dt). The gauge then broadcasts each to S, so a stack
     whose v varies takes one pair exponential per distinct (rabi,
-    detuning, dt). A real detuning takes the pair block in
-    closed form (_pair_rotation) and the real triple block x as
-    cos x - i sin x by _real_rotation, each matrix by the series of the
-    degree its own 1-norm needs, scaled and squared beyond the top
-    degree's. At detuning -v / 2, the paper's, that block is resonant:
+    detuning, dt).
+
+    A real detuning takes _real_blocks, which decides resonance from
+    the drive. At detuning -v / 2, the paper's, a step is resonant:
     halving commutes with rounding, so detuning dt is exactly -v dt / 2
-    and x[2, 2] = (detuning dt + detuning dt) + v dt is exactly 0. Past
-    the top degree's 1-norm it then takes the closed form of a dark
-    state and a bright pair, with no product and no squaring, and its
-    unitarity defect does not grow with the duration. A complex one
-    takes both blocks through the stacked
+    and the triple's rr entry (detuning dt + detuning dt) + v dt is
+    exactly 0. Past the top degree's 1-norm such a step takes the
+    closed form of a dark state and a bright pair, whose rotation shares
+    the pair block's _pair_rotation call, with no product and no
+    squaring, and its unitarity defect does not grow with the duration;
+    a stack with a resonant step takes its pair block at the triple's
+    shape. Any other step takes the pair block in closed form
+    (_pair_rotation) and the real triple block x as cos x - i sin x by
+    _real_rotation, the series kernel: each matrix by the series of the
+    degree its own 1-norm needs, scaled and squared beyond the top
+    degree's. A complex detuning takes both blocks through the stacked
     `expm`: with no closed form a large gamma dt (620, say) stays
     finite, and a complex series would make the real case slower. A
     generator that is not finite or has a 1-norm of 2^53 or more gives
@@ -525,11 +553,11 @@ def sector_step(rabi, detuning, phase, v, dt) -> SectorBlocks:
     phase = np.asarray(phase, dtype=float)
     shape = np.broadcast(rabi, shift, v, phase).shape
     rank = (1,) * len(shape)
-    pair, triple = gauged_blocks(rabi, shift, v, len(shape))
-    if np.iscomplexobj(pair):
+    if np.iscomplexobj(shift):
+        pair, triple = gauged_blocks(rabi, shift, v, len(shape))
         pair, triple = expm(-1j * pair), expm(-1j * triple)
     else:
-        pair, triple = _pair_rotation(pair), _real_rotation(triple)
+        pair, triple = _real_blocks(rabi, shift, v, len(shape))
     gauge = sector_gauge(phase.reshape(rank[phase.ndim :] + phase.shape))
     factors = np.concatenate((gauge, gauge[1:].conj()))[_GAUGE_ENTRIES]
     # The gauge broadcasts each block to the stack shape: the triple's

@@ -896,8 +896,9 @@ class TestRowBatches:
                 False,
                 5,
             ),
+            # Each point is one exponential over 4 phases: 2,048 points a batch.
             "scan-kappa-points": (
-                lambda: experiments.scan_kappa(np.linspace(0.5, 4.0, 1000), V), 1000, 4, False, 2
+                lambda: experiments.scan_kappa(np.linspace(0.5, 4.0, 3000), V), 3000, 4, False, 2
             ),
             # 3,000 sample intervals of 3 phase-driven substeps.
             "sampled-records": (
@@ -1622,20 +1623,6 @@ class TestSizedSeries:
         assert step.anti.shape == shape and rotation.shape == (3, 3) + shape
 
 
-def resonant_with_norm(rng, norm: float) -> np.ndarray:
-    """A random resonant triple generator [[0, l, 0], [l, d, l], [0, l, 0]]
-    (the form of gauged_blocks at detuning -v / 2) of 1-norm
-    2 |l| + |d| exactly norm: l and d are integer multiples of the last
-    bit of norm, so every column sum is exact."""
-    mantissa, exponent = math.frexp(norm)
-    whole = int(mantissa * 2**53)
-    link = int(rng.integers(1, whole // 2))
-    x = np.zeros((3, 3))
-    x[[0, 1, 1, 2], [1, 0, 2, 1]] = link * rng.choice([-1.0, 1.0])
-    x[1, 1] = (whole - 2 * link) * rng.choice([-1.0, 1.0])
-    return x * 2.0 ** (exponent - 53)
-
-
 def top_series(x: np.ndarray) -> np.ndarray:
     """The top degree by scaling and squaring, for any 1-norm."""
     return propagate._scaling_and_squaring(
@@ -1646,20 +1633,60 @@ def top_series(x: np.ndarray) -> np.ndarray:
     )
 
 
+def resonant_drive_with_norm(rng, norm: float):
+    """A random drive (rabi, detuning, v) at detuning -v / 2 whose
+    gauged_blocks triple at dt = 1 has 1-norm exactly norm: its link
+    rabi / sqrt(2) and its detuning are integer multiples of the last bit
+    of norm, so every column sum is exact."""
+    mantissa, exponent = math.frexp(norm)
+    whole = int(mantissa * 2**53)
+    unit = 2.0 ** (exponent - 53)
+    while True:
+        steps = int(rng.integers(1, whole // 2))
+        rabi = steps * unit * math.sqrt(2.0)
+        if rabi / math.sqrt(2.0) == steps * unit:
+            break
+    detuning = (whole - 2 * steps) * unit * rng.choice([-1.0, 1.0])
+    return rabi, detuning, -2.0 * detuning
+
+
+def resonant_closed_form(x: np.ndarray) -> np.ndarray:
+    """_resonant_triple for resonant triple generators x (3, 3, *S), from
+    the _pair_rotation of each bright pair: coupling sqrt(2) x[0, 1] and
+    shift x[1, 1]."""
+    bright = np.zeros((2, 2) + x.shape[2:])
+    bright[0, 1] = bright[1, 0] = math.sqrt(2.0) * x[0, 1]
+    bright[1, 1] = x[1, 1]
+    u = propagate._pair_rotation(bright).reshape(4, -1)
+    return propagate._resonant_triple(u).reshape(x.shape)
+
+
+def assert_same_bits(actual, expected) -> None:
+    """Equal bits, entry by entry; a NaN matches a NaN of any sign, which
+    numpy's scalar and array loops may give differently."""
+    actual, expected = (np.ascontiguousarray(x).view(np.float64) for x in (actual, expected))
+    nan = np.isnan(actual)
+    np.testing.assert_array_equal(nan, np.isnan(expected))
+    assert actual[~nan].tobytes() == expected[~nan].tobytes()
+
+
 class TestResonantClass:
-    """A resonant triple generator, whose rr entry 2 Delta + V is exactly 0
-    as at the paper's detuning -V / 2, takes the closed form of a dark
-    state and a bright pair above theta_6, with no product."""
+    """A resonant step, whose drive puts exactly 0 on the rr entry 2 Delta
+    + V of its triple as the paper's detuning -V / 2 does, takes the
+    closed form of a dark state and a bright pair above theta_6, with no
+    product. Resonance is read from the drive (_real_blocks), and the
+    bright pair turns in the pair block's _pair_rotation call."""
 
     @pytest.mark.parametrize("side", [-1, 0, 1])
     def test_the_closed_form_starts_above_the_top_theta(self, side, monkeypatch):
         # theta_6 (1 - 2^-52) and theta_6 take the series unscaled,
         # theta_6 (1 + 2^-52) the closed form.
         norm = propagate._THETAS[-1] * (1.0 + side * 2.0**-52)
-        x = resonant_with_norm(np.random.default_rng(980), norm)
+        rabi, detuning, v = resonant_drive_with_norm(np.random.default_rng(980), norm)
+        _, x = gauged_blocks(rabi, detuning, v)
         assert propagate._one_norm(x) == norm and x[2, 2] == 0.0
         products = counting_products(monkeypatch)
-        actual = propagate._real_rotation(x[..., None])[..., 0]
+        actual = sector_step(rabi, detuning, 0.0, v, 1.0).triple
         assert len(products) == (0 if side > 0 else CLASS_PRODUCTS[-1])
         np.testing.assert_allclose(actual, expm(-1j * x), rtol=0.0, atol=1e-15)
         assert unitarity_defect(actual) <= 1e-15
@@ -1672,9 +1699,10 @@ class TestResonantClass:
         _, x = gauged_blocks(2.5 * dt, -1.5 * dt, 3.0 * dt)
         assert x[2, 2] == 0.0
         expected = expm(-1j * x)
-        np.testing.assert_allclose(propagate._real_rotation(x), expected, rtol=1e-14, atol=0.0)
+        actual = sector_step(2.5, -1.5, 0.0, 3.0, dt).triple
+        np.testing.assert_allclose(actual, expected, rtol=1e-14, atol=0.0)
         if dt == 1e-9:
-            closed = propagate._resonant_rotation(x)[0, 2]
+            closed = resonant_closed_form(x)[0, 2]
             assert abs(closed - expected[0, 2]) > 0.5 * abs(expected[0, 2])
 
     def test_matches_scipy_and_the_series_up_to_1e5(self):
@@ -1682,9 +1710,11 @@ class TestResonantClass:
         # largest error of the closed form is no larger than the series'.
         rng = np.random.default_rng(981)
         norms = np.geomspace(propagate._THETAS[-1] * (1.0 + 2.0**-52), 1e5, 240)
-        x = np.stack([resonant_with_norm(rng, norm) for norm in norms], axis=-1)
-        closed = propagate._real_rotation(x)
-        np.testing.assert_array_equal(closed, propagate._resonant_rotation(x))
+        rabi, detuning, v = np.array([resonant_drive_with_norm(rng, norm) for norm in norms]).T
+        _, x = gauged_blocks(rabi, detuning, v)
+        np.testing.assert_array_equal(propagate._one_norm(x), norms)
+        closed = sector_step(rabi, detuning, 0.0, v, 1.0).triple
+        np.testing.assert_array_equal(closed, resonant_closed_form(x))
         series = top_series(x)
         expected = np.stack([expm(-1j * x[..., k]) for k in range(len(norms))], axis=-1)
         closed_error, series_error = (
@@ -1695,6 +1725,79 @@ class TestResonantClass:
         for decade in np.unique(decades):
             band = decades == decade
             assert closed_error[band].max() <= series_error[band].max()
+
+    def test_a_resonant_step_has_the_same_bits_alone_and_in_any_stack(self):
+        # Resonant drives (detuning -v / 2) above theta_6, below it (short
+        # steps) and on both sides of it; off-resonance drives; and
+        # resonant-form drives that are infinite, NaN or of 1-norm 2^53.
+        rng = np.random.default_rng(984)
+        edges = [
+            resonant_drive_with_norm(rng, propagate._THETAS[-1] * (1.0 + side * 2.0**-52))
+            for side in (-1, 0, 1)
+        ]
+        off_rabi, off_detuning, _, off_v = random_drive(rng, (8,))
+        extreme_rabi = np.array([np.inf, np.nan, 1.0, 1.0, 0.0])
+        extreme_v = np.array([1.0, 1.0, np.inf, np.nan, 2.0**54])
+        above_v, below_v = rng.uniform(0.1, 10.0, 12), rng.uniform(0.1, 10.0, 6)
+        rabi = np.concatenate(
+            (rng.uniform(1.0, 8.0, 12), rng.uniform(0.1, 8.0, 6), [e[0] for e in edges],
+             off_rabi, extreme_rabi)
+        )
+        detuning = np.concatenate(
+            (-above_v / 2.0, -below_v / 2.0, [e[1] for e in edges], off_detuning, -extreme_v / 2.0)
+        )
+        v = np.concatenate((above_v, below_v, [e[2] for e in edges], off_v, extreme_v))
+        dt = np.concatenate(
+            (np.geomspace(0.5, 1e4, 12), np.geomspace(1e-9, 1e-2, 6), np.ones(3),
+             np.geomspace(1e-3, 30.0, 8), np.ones(5))
+        )
+        phase = rng.uniform(-math.pi, math.pi, len(dt))
+        with np.errstate(invalid="ignore"):
+            _, triple = gauged_blocks(rabi * dt, detuning * dt, v * dt)
+        zero = triple[2, 2] == 0.0
+        # The mask's 1-norm is the triple's, NaN included, wherever its rr
+        # entry is 0: all but the off-resonance drives, v = inf and v = NaN.
+        assert np.count_nonzero(zero) == len(dt) - 10
+        norm = propagate._one_norm(triple)
+        np.testing.assert_array_equal(
+            propagate._resonant_norm(rabi * dt, detuning * dt)[zero], norm[zero]
+        )
+        resonant = zero & (norm > propagate._THETAS[-1]) & (norm < 2.0**53)
+        assert np.flatnonzero(resonant).tolist() == list(range(12)) + [20]
+        drive = (rabi, detuning, phase, v, dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            alone = [sector_step(*(x[k] for x in drive)) for k in range(len(dt))]
+            # Mixed along both axes of a two-axis stack.
+            mixed = sector_step(*(x.reshape(2, -1) for x in drive))
+            wholly = sector_step(*(x[resonant] for x in drive))
+        for k, index in enumerate(np.ndindex(mixed.anti.shape)):
+            for single, block in zip(alone[k], mixed.at(index)):
+                assert_same_bits(single, block)
+        for k, member in enumerate(np.flatnonzero(resonant)):
+            for single, block in zip(alone[member], wholly.at(k)):
+                assert_same_bits(single, block)
+        # At phase 0 each resonant step is the closed form of its own
+        # triple: the bright coupling sqrt(2) l is rounded from the link l.
+        at_zero = sector_step(*(x[resonant] for x in (rabi, detuning, 0.0 * dt, v, dt)))
+        np.testing.assert_array_equal(at_zero.triple, resonant_closed_form(triple[..., resonant]))
+        # A 1-norm of 2^53 or more, or NaN, gives a NaN triple step.
+        out_of_range = ~(norm < 2.0**53)
+        assert np.isnan(mixed.triple.reshape(3, 3, -1)[..., out_of_range]).all()
+
+    def test_a_resonant_stack_takes_one_pair_rotation_and_no_product(self, monkeypatch):
+        rng = np.random.default_rng(985)
+        rabi, v = rng.uniform(0.1, 8.0, (4, 1)), rng.uniform(0.1, 10.0, 16)
+        products = counting_products(monkeypatch)
+        rotations, original = [], propagate._pair_rotation
+        monkeypatch.setattr(
+            propagate, "_pair_rotation", lambda b: rotations.append(b.shape) or original(b)
+        )
+        sector_step(rabi, -v / 2.0, rng.uniform(-math.pi, math.pi, 16), v, 1.0)
+        assert products == [] and rotations == [(2, 2, 2, 4, 16)]
+        # The standard gate: four resonant steps of one exponential.
+        rotations.clear()
+        propagate.standard_diagonal(1.65 * V, V, cyclic_segment_duration(1.65, V))
+        assert rotations == [(2, 2, 2, 1)]
 
     @pytest.mark.parametrize("t", [1.0, 400.0, 1e5])
     def test_resonant_steps_are_unitary_and_take_no_product(self, t, monkeypatch):
@@ -1719,7 +1822,7 @@ class TestResonantClass:
         # x[2, 2] = 0 but an entry off the gauged form, or a random
         # symmetric x with x[2, 2] = 0: the series, scaled and squared.
         rng = np.random.default_rng(983)
-        x = resonant_with_norm(rng, 5.0)
+        _, x = gauged_blocks(*resonant_drive_with_norm(rng, 5.0))
         if broken == "x00":
             x[0, 0] = 0.25
         elif broken == "x02":
