@@ -436,7 +436,7 @@ class TestSeedResolution:
         out_a = tmp_path / "a.csv"
         assert run_cli(args + ["--out", str(out_a)]) == 0
         meta = json.loads((tmp_path / "a.meta.json").read_text())
-        assert meta["seed"] == 444
+        assert meta["grids"]["seed"] == 444
 
     def test_bad_environment_seed_exits_two(self, monkeypatch, capsys):
         monkeypatch.setenv("RYDGATE_SEED", "not-a-number")
@@ -476,7 +476,7 @@ class TestSeedResolution:
                 "--config", str(config), "--out", str(out)]
         assert run_cli(args) == 0
         meta = json.loads((tmp_path / "n.meta.json").read_text())
-        assert meta["seed"] == 555
+        assert meta["grids"]["seed"] == 555
 
 
 # Each pipeline with no optional flag, and the runner call it stands for.

@@ -1,6 +1,7 @@
 """Tests for the experiment pipelines and their CSV export."""
 
 import csv
+import inspect
 import io
 import itertools
 import json
@@ -9,6 +10,7 @@ import os
 import re
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from rydgate import experiments, metrics, propagate, stochastic
+from rydgate import cli, experiments, metrics, propagate, stochastic
 from rydgate.errors import IntegratorFailureError, InvalidParameterError, UndefinedPhaseError
 from rydgate.experiments import (
     REFERENCE_KAPPA,
@@ -483,6 +485,20 @@ RUNNER_GRIDS = [
 ]
 
 
+# Grids that no runner takes. None is one too where no default grid
+# stands in for it.
+BAD_GRIDS = [
+    pytest.param(np.ones((2, 2)), id="2d-array"),
+    pytest.param([[1.0, 2.0], [3.0, 4.0]], id="2d-list"),
+    pytest.param([], id="empty-list"),
+    pytest.param(np.array([]), id="empty-array"),
+    pytest.param(5.0, id="scalar"),
+    pytest.param([1.0, [2.0, 3.0]], id="ragged"),
+]
+NO_GRID = pytest.param(None, id="none")
+GRIDS_WITHOUT_DEFAULT = {"scan-kappa", "interfere", "actuate-eta", "actuate-duration-range"}
+
+
 class TestGridEntries:
     """Each grid entry must be a real number: float() would take True as 1."""
 
@@ -533,22 +549,19 @@ class TestGridEntries:
             call()
 
     @pytest.mark.parametrize(
-        "grid",
+        "call, name, grid",
         [
-            pytest.param(np.ones((2, 2)), id="2d-array"),
-            pytest.param([[1.0, 2.0], [3.0, 4.0]], id="2d-list"),
-            pytest.param([], id="empty-list"),
-            pytest.param(np.array([]), id="empty-array"),
-            pytest.param(5.0, id="scalar"),
-            pytest.param([1.0, [2.0, 3.0]], id="ragged"),
+            pytest.param(*runner.values, grid.values[0], id=f"{runner.id}-{grid.id}")
+            for runner in RUNNER_GRIDS
+            for grid in BAD_GRIDS + [NO_GRID] * (runner.id in GRIDS_WITHOUT_DEFAULT)
         ],
     )
-    @pytest.mark.parametrize("call, name", RUNNER_GRIDS)
     def test_grids_that_are_not_one_dimensional_or_are_empty_are_rejected(
         self, call, name, grid
     ):
-        # A 2-D array once raised TypeError, and an empty multiplier grid
-        # returned a table with no rows.
+        # A 2-D array once raised TypeError, an empty multiplier grid
+        # returned a table with no rows, and None where no default grid
+        # stands in for it raised TypeError from np.linspace.
         message = f"^{name} grid must be a non-empty 1-D sequence of numbers, got "
         with pytest.raises(InvalidParameterError, match=message):
             call(grid)
@@ -1281,3 +1294,128 @@ class TestGateSummary:
         assert np.linalg.norm(psi) == pytest.approx(1.0)
         assert psi[0] == 0.5 and psi[1] == 0.5 and psi[3] == 0.5 and psi[4] == 0.5
         assert psi[2] == 0.0
+
+
+# Every pipeline on a tiny grid, each flag that reaches its runner set.
+RECORDED_COMMANDS = {
+    "gate": ["gate", "--kappa", "1.65", "--units", "mhz"],
+    "dynamics": ["dynamics", "--kappa", "1.4", "--v", "5", "--samples", "2"],
+    "scan-kappa": ["scan-kappa", "--min", "1", "--max", "2", "--steps", "3"],
+    "noise-map": ["noise-map", "--steps", "2", "--trials", "2", "--substeps", "4", "--seed", "7"],
+    "thermal-map": [
+        "thermal-map", "--dsteps", "1", "--tsteps", "2", "--substeps", "10",
+        "--exponent-mode", "physical",
+    ],
+    "interfere": [
+        "interfere", "--min", "1", "--max", "2", "--steps", "3", "--reference-kappa", "2.5",
+    ],
+    "decay": ["decay", "--rabi", "5,10", "--rsteps", "2", "--to-substeps", "7"],
+    "decay-no-time-optimal": ["decay", "--rabi", "5", "--rsteps", "2", "--no-time-optimal"],
+    "actuate": [
+        "actuate", "--etas", "1,2", "--phase-count", "4", "--duration-count", "5",
+        "--independent-phases", "--mode", "fixed-kappa",
+    ],
+}
+
+
+def replay(meta: dict):
+    """The runner call a record holds, run again."""
+    return getattr(experiments, meta["runner"])(**meta["grids"])
+
+
+class TestRunRecord:
+    """Each output records the runner call that made it: its name and every
+    argument as bound, enough to make the output again."""
+
+    @pytest.mark.parametrize("argv", RECORDED_COMMANDS.values(), ids=RECORDED_COMMANDS)
+    def test_a_record_replays_its_output(self, argv, tmp_path, monkeypatch):
+        monkeypatch.delenv("RYDGATE_SEED", raising=False)
+        if argv[0] == "gate":
+            out = tmp_path / "gate.json"
+            assert cli.main(argv + ["--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            assert experiments.json_text(replay(payload["metadata"])) + "\n" == out.read_text()
+            return
+        out, again = tmp_path / "out.csv", tmp_path / "again.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        meta = out.with_suffix(".meta.json")
+        replay(json.loads(meta.read_text())).to_csv(again)
+        assert again.read_bytes() == out.read_bytes()
+        assert again.with_suffix(".meta.json").read_bytes() == meta.read_bytes()
+
+    @pytest.mark.parametrize(
+        "call, grid",
+        [
+            pytest.param(
+                lambda: run_noise_map(
+                    eta_omega_grid=None, eta_delta_grid=np.array([0.0]), trials=np.int64(2),
+                    seed=np.int64(7), substeps=np.int64(4), kappa=np.float64(1.65),
+                ),
+                "eta_omega_grid", id="noise-map",
+            ),
+            pytest.param(
+                lambda: run_decay_curves(
+                    rabi_frequencies=None, multiplier_grid=np.linspace(0.0, 1.0, 2),
+                    compare_time_optimal=np.bool_(True), time_optimal_substeps=np.int64(7),
+                ),
+                "rabi_frequencies", id="decay",
+            ),
+        ],
+    )
+    def test_a_library_call_records_plain_json(self, call, grid, monkeypatch):
+        # numpy scalars are no plain JSON: json_text would hand them to
+        # json.dumps, which raises. A default grid is recorded as null.
+        result = call()
+        meta = result.metadata
+        assert meta["grids"][grid] is None
+        expected = dumped(meta)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps called")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        text = experiments.json_text(meta)
+        monkeypatch.undo()
+        assert text == expected
+        again = replay(json.loads(text))
+        assert again.rows == result.rows
+        assert again.metadata == meta
+
+    def test_other_real_numbers_are_recorded_as_floats(self):
+        # The runners take any real number; numpy keeps a Fraction, and a
+        # numpy scalar beside it, as they are in an object array.
+        result = scan_kappa([np.float32(0.5), Fraction(3, 2)], v=Fraction(6))
+        assert result.metadata["grids"] == {"kappa_grid": [0.5, 1.5], "v": 6.0}
+        assert experiments.json_text(result.metadata) == dumped(result.metadata)
+
+    def test_the_actuating_record_holds_what_the_benchmark_tracer_reads(self):
+        # perfbench/tracer.py counts an actuating scan's cells from these.
+        result = run_actuating_scan(eta_list=(1.0, 2.0), phase_count=4, duration_count=5)
+        grids = result.metadata["grids"]
+        assert (grids["phase_count"], grids["duration_count"]) == (4, 5)
+        assert grids["independent_phases"] is False
+        assert result.axes["eta"] == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "runner",
+        [run_gate, run_dynamics, scan_kappa, run_noise_map, run_thermal_map,
+         run_interferometer, run_decay_curves, run_actuating_scan],
+        ids=lambda runner: runner.__name__,
+    )
+    def test_a_recorded_runner_keeps_its_name_and_signature(self, runner):
+        # The CLI reads its flag defaults from this signature, and the
+        # recorder maps a call onto it as Signature.bind would only while
+        # every parameter is positional-or-keyword.
+        signature = inspect.signature(runner)
+        assert signature == inspect.signature(runner.__wrapped__)
+        assert runner.__name__ == runner.__wrapped__.__name__
+        kinds = {parameter.kind for parameter in signature.parameters.values()}
+        assert kinds == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+    def test_the_record_is_the_bound_call(self):
+        # Positional, keyword and default arguments, as bind binds them.
+        result = run_interferometer([1.0, 2.0], reference_kappa=np.float64(2.5))
+        bound = inspect.signature(run_interferometer).bind([1.0, 2.0], reference_kappa=2.5)
+        bound.apply_defaults()
+        assert result.metadata["grids"] == bound.arguments
+        assert list(result.metadata["grids"]) == list(bound.arguments)
