@@ -33,28 +33,28 @@ module, which shares that scaling and squaring.
 `sector_unitary` and `computational_diagonal` are the only conversions
 to the 9x9 layout.
 
-`row_products` is the one row loop: every stacked product multiplies
-its rows (grid points, decay rates, Monte-Carlo trials) through it, in
-the batches of `row_batches`, the one budget: at most _BATCH_BLOCKS
-step exponentials and 4 x _BATCH_BLOCKS gauged steps per batch, of
-whole rows. A row whose inputs other than the phase do not vary along
-its steps takes one exponential, so rows of phase-only steps (the
-decay rates of the time-optimal curve) share one sector_step call and
-one tree up to the step limit. `sector_product` is the time-ordered
-product of a drive stack, for every engine and every scan. Each input
-keeps its own shape down to `sector_step`, which exponentiates each
-block at the broadcast shape of its own inputs: the pair block at that
-of (rabi, detuning, dt), the triple block at that of (rabi, detuning,
-v, dt) and the antisymmetric phase at that of (detuning, dt). Only the
+`flat_drive` lays a schedule's steps out as one row (1, T) in time
+order, the drive of every engine. `sector_product` is the time-ordered
+product of a drive stack S + (T,), for every engine and every scan; the
+decay rates are a stack axis of it. `row_products` is its row loop, and
+that of the Monte-Carlo trials, in the batches of `row_batches`, the one
+budget: at most _BATCH_BLOCKS step exponentials and 4 x _BATCH_BLOCKS
+gauged steps per batch, of whole rows. A row whose inputs other than
+the phase do not vary along its steps takes one exponential, so rows of
+phase-only steps (the decay rates of the time-optimal curve) share one
+sector_step call and one tree up to the step limit. Each input keeps
+its own shape down to `sector_step`, which exponentiates each block at
+the broadcast shape of its own inputs: the pair block at that of
+(rabi, detuning, dt), the triple block at that of (rabi, detuning, v,
+dt) and the antisymmetric phase at that of (detuning, dt). Only the
 gauge broadcasts a block to the stack shape, so steps that differ only
 in phase share their exponentials, and a thermal step, whose v varies,
-shares its pair block. The sampled engine takes
-it over the intervals between samples and then the running product of
-the intervals; a density at a sample is M rho M^dagger for the product M
-of the steps so far (there are no jump terms), and lost trace is never
-renormalized. What reads only final states takes `evolution_blocks`,
-whose rows are decay rates over the steps of `flat_drive`, and applies
-it to the state: the decay curves and `convergence_check`.
+shares its pair block. The sampled engine takes the running product of
+the row, _BATCH_BLOCKS steps at a time, and keeps the operators at the
+samples; a density at a sample is M rho M^dagger for the product M of
+the steps so far (there are no jump terms), and lost trace is never
+renormalized. What reads only final states applies `evolution_blocks`
+to the state: the decay curves and `convergence_check`.
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ from .model import (
     check_density,
     check_finite_number,
     check_index,
+    check_number,
     check_state,
     noisy_drive,
     standard_phases,
@@ -91,10 +92,10 @@ SUBSTEPPED = "substepped"
 MIDPOINT = "midpoint"
 MAGNUS4 = "magnus4"
 
-# Steps per batch of row_products, and sampled operators per batch of
-# the engines that scatter them to 9x9: the one budget of row_batches.
-# It bounds the working memory of one batch to a few MB for any stack
-# shape and step count.
+# Step exponentials per batch of row_batches (and a quarter of its
+# gauged steps), and steps per time slice of the sampled engine, whose
+# running product keeps every one of them. It bounds the working memory
+# of one batch to a few MB for any stack shape and step count.
 _BATCH_BLOCKS = 2048
 
 # What a NaN step means, for the errors that report one.
@@ -584,9 +585,13 @@ def ordered_product(steps: SectorBlocks) -> SectorBlocks:
     Adjacent steps are multiplied pairwise, the later one on the left,
     until one is left, so a stack of n steps takes log2(n) stacked
     products. Each round runs on the three block arrays. The result
-    drops the last stack axis.
+    drops the last stack axis; no steps give identity blocks.
     """
     pair, triple, anti = steps
+    if anti.shape[-1] == 0:
+        ones = np.ones(anti.shape[:-1], complex)
+        eye = (np.eye(n).reshape((n, n) + (1,) * ones.ndim) * ones for n in (2, 3))
+        return SectorBlocks(*eye, ones)
     while anti.shape[-1] > 1:
         pair, triple = _halved(_product, pair), _halved(_product, triple)
         anti = _halved(np.multiply, anti)
@@ -654,20 +659,6 @@ def row_products(drive, rows: int, steps: int, exponentials: int | None = None):
         yield total
 
 
-def _row_exponentials(rabi, detuning, v, dt, steps: int) -> int:
-    """The exponentials of a row of `steps` steps whose inputs are at
-    their compact shapes (rows or 1, steps or 1): steps when one of them
-    varies along the steps, else 1. The phase never reaches an exponential."""
-    return steps if max(np.shape(x)[1] for x in (rabi, detuning, v, dt)) > 1 else 1
-
-
-def _joined(products, stack) -> SectorBlocks:
-    """The products of the batches of row_products as one stack of shape stack."""
-    return SectorBlocks(
-        *(np.concatenate(b, axis=-1).reshape(b[0].shape[:-1] + tuple(stack)) for b in zip(*products))
-    )
-
-
 def _rows(x: np.ndarray, shape) -> np.ndarray:
     """An input that broadcasts to shape = S + (T,) as rows (prod S, T)
     of the stack flattened, each axis left at size 1 where x does not
@@ -700,13 +691,17 @@ def sector_product(rabi, detuning, phase, v, dt) -> SectorBlocks:
     *stack, steps = shape
     rows = [_rows(x, shape) for x in drive]
     rabi, detuning, _, v, dt = rows
+    # One exponential a row unless an input but the phase varies along it.
+    stepwise = max(x.shape[1] for x in (rabi, detuning, v, dt)) > 1
     batches = row_products(
         lambda batch: [row[batch] if len(row) > 1 else row for row in rows],
         math.prod(stack),
         steps,
-        _row_exponentials(rabi, detuning, v, dt, steps),
+        steps if stepwise else 1,
     )
-    return _joined(batches, stack)
+    return SectorBlocks(
+        *(np.concatenate(b, axis=-1).reshape(b[0].shape[:-1] + tuple(stack)) for b in zip(*batches))
+    )
 
 
 def sector_unitary(blocks: SectorBlocks) -> np.ndarray:
@@ -834,11 +829,12 @@ def _magnus4_drive(rabi, detuning, phase, v, dt):
     return np.abs(coupling), weighted(detuning), np.angle(coupling), weighted(v), 0.5 * dt
 
 
-def flat_drive(schedule: Schedule, config: IntegratorConfig):
+def flat_drive(schedule: Schedule, config: IntegratorConfig, exact: int = 1):
     """The sector_step inputs (rabi, detuning, phase, v, dt) of the
     exponentials of every substep of the config's integrator, where exact
-    mode takes one substep per segment, as one row (1, T) over the T
-    exponentials in time order.
+    mode takes `exact` substeps per segment (_segment_substeps), as one
+    row (1, T) over the T exponentials in time order. This row is the
+    drive layout of every engine; an empty schedule's is (1, 0).
 
     An input that does not vary over the steps stays (1, 1): one that
     is not modulated and has the same bits on every segment, as the
@@ -848,7 +844,7 @@ def flat_drive(schedule: Schedule, config: IntegratorConfig):
     too and so sets the step count. sector_step then exponentiates each
     block at the shape of its own inputs: (1, 1), one exponential for
     every step, where none of them spans the steps."""
-    steps = _segment_substeps(schedule, config)
+    steps = _segment_substeps(schedule, config, exact)
     (rabi, detuning, phase, v, dt), grid = _substep_drive(schedule, steps, config.integrator)
     phase = np.broadcast_to(phase, grid)
     return tuple(
@@ -857,44 +853,46 @@ def flat_drive(schedule: Schedule, config: IntegratorConfig):
     )
 
 
+def _decay_rates(gamma) -> np.ndarray:
+    """The decay rates gamma, a 1-D sequence (empty or not) of real
+    numbers (check_number: no bools), finite and >= 0, as a column (R, 1)."""
+    expected = "decay rates must be a 1-D sequence of finite numbers >= 0, got {!r}"
+    try:
+        shape = np.shape(gamma)
+    except ValueError:  # a ragged nest of sequences
+        raise InvalidParameterError(expected.format(gamma)) from None
+    if len(shape) != 1:
+        raise InvalidParameterError(expected.format(gamma))
+    if not (isinstance(gamma, np.ndarray) and gamma.dtype.kind in "fiu"):
+        for rate in gamma:
+            check_number("decay rates", rate)
+    rates = np.asarray(gamma, dtype=float)
+    if not np.all(np.isfinite(rates) & (rates >= 0.0)):
+        raise InvalidParameterError(expected.format(gamma))
+    return rates[:, None]
+
+
 def evolution_blocks(
     schedule: Schedule, config: IntegratorConfig | None = None, gamma=None
 ) -> SectorBlocks:
-    """The evolution operator in sector form: the time-ordered product of
-    the steps of flat_drive; identity blocks if there are none.
+    """The evolution operator in sector form: the sector_product of the
+    row of flat_drive; identity blocks if it has no steps.
 
     With decay rates gamma (a 1-D sequence, each finite and >= 0), the
     operators of the decay-modified schedule at each rate, stacked on
     one axis: every step takes the detuning Delta - i gamma (under MAGNUS4
     each exponential spans half a substep, decay included). The rates
-    are the rows of row_products, whose drive builds the complex
-    detunings of one batch of rows at a time. An input that does not
-    vary over the steps stays size 1, so under MIDPOINT steps that
-    differ only in phase take one exponential per rate and batch.
+    are one more stack axis of the same sector_product, whose row loop
+    batches them. An input that does not vary over the steps stays size
+    1, so under MIDPOINT steps that differ only in phase take one
+    exponential per rate and batch.
     """
     config = resolve_config(schedule, config)
-    stack = ()
+    rabi, detuning, phase, v, dt = (x[0] for x in flat_drive(schedule, config))
     if gamma is not None:
-        rates = np.asarray(gamma, dtype=float).reshape(-1, 1)
-        if not np.all(np.isfinite(rates) & (rates >= 0.0)):
-            raise InvalidParameterError(f"decay rates must be finite and >= 0, got {gamma}")
-        stack = (len(rates),)
-    if not schedule.segments:
-        ones = np.ones(stack, complex)
-        eye = (np.eye(n).reshape((n, n) + (1,) * len(stack)) * ones for n in (2, 3))
-        return SectorBlocks(*eye, ones)
-    rabi, detuning, phase, v, dt = flat_drive(schedule, config)
-    if gamma is None:
-        return sector_product(rabi[0], detuning[0], phase[0], v[0], dt[0])
-
-    def drive(batch):
-        # Decay is the imaginary part of the detuning.
-        return rabi, detuning - 1j * rates[batch], phase, v, dt
-
-    steps = phase.shape[1]
-    exponentials = _row_exponentials(rabi, detuning, v, dt, steps)
-    # No rates still make one (empty) product.
-    return _joined(row_products(drive, max(len(rates), 1), steps, exponentials), stack)
+        # Decay is the imaginary part of the detuning: one rate a row.
+        detuning = detuning - 1j * _decay_rates(gamma)
+    return sector_product(rabi, detuning, phase, v, dt)
 
 
 def evolution_operator(schedule: Schedule, config: IntegratorConfig | None = None) -> np.ndarray:
@@ -909,66 +907,43 @@ def _sampled(schedule, config, evolve, gamma=0.0) -> PropagationResult:
     own trailing shape.
 
     Samples fall on every stride-th substep, stride = max(1, substeps //
-    samples), and the last of each segment: only at substep ends, so the
-    two exponentials of a MAGNUS4 substep share an interval. Exact mode
-    is samples_per_segment substeps at stride 1. The exponentials between
-    samples are the rows of one sector_product over (segments, intervals,
-    stride x exponentials per substep), each input at its compact shape.
-    A short last interval is a second sector_product of its own: padded
-    with zero-length substeps, dt would vary along the substeps, and
-    every substep would take its own exponential. Each batch of
-    row_batches, at most _BATCH_BLOCKS operators at the samples, is the
-    running product of its intervals times the last operator before it.
+    samples), and the last of each segment: only at substep ends, after
+    the last exponential of a substep (the second of a MAGNUS4 substep).
+    Exact mode is samples_per_segment substeps at stride 1. The row of
+    flat_drive is walked in time slices of _BATCH_BLOCKS steps: each
+    slice's operators are the running product of its steps times the
+    last operator before it, and those at the samples are scattered to
+    9x9. A sample's operator is the product of every step before it, so
+    its bits do not depend on which other samples are taken.
     """
     steps = _segment_substeps(schedule, config, config.samples_per_segment)
     stride = max(1, steps // config.samples_per_segment)
-    count = -(-steps // stride)
-    full, rest = divmod(steps, stride)
-    drive, (segments, _, width) = _substep_drive(schedule, steps, config.integrator)
-
-    def products(first, number, length):
-        # The products of number intervals of length substeps from
-        # substep first, broadcast to (segments, number).
-        def intervals(x):
-            # x over (segments, number, length x width), size 1 where it was.
-            if x.shape[1] > 1:
-                x = x[:, first : first + number * length]
-                x = x.reshape(len(x), number, length, x.shape[2])
-            else:
-                x = x[:, :, None]
-            if x.shape[2:] != (1, 1):
-                x = np.broadcast_to(x, x.shape[:2] + (length, width))
-            return x.reshape(x.shape[:2] + (math.prod(x.shape[2:]),))
-
-        rabi, detuning, phase, v, dt = (intervals(x) for x in drive)
-        # The phase, which never reaches an exponential, sets the step count.
-        phase = np.broadcast_to(phase, phase.shape[:2] + (length * width,))
-        if gamma > 0.0:
-            # Decay is -i gamma per excited atom: the imaginary part of the detuning.
-            detuning = detuning - 1j * gamma
-        product = sector_product(rabi, detuning, phase, v, dt)
-        return [np.broadcast_to(b, b.shape[: b.ndim - 2] + (segments, number)) for b in product]
-
-    parts = [products(0, full, stride)] + ([products(full * stride, 1, rest)] if rest else [])
+    ends = np.minimum(np.arange(stride, steps + stride, stride), steps)
     _, durations, starts = _segment_drive(schedule)
-    ends = np.minimum(np.arange(1, count + 1) * stride, steps)
     times = starts + ends * (durations / steps)[:, 0]
-    # The interval products flat, each broadcast over the samples where it does not vary.
-    blocks = SectorBlocks(
-        *(np.concatenate(b, axis=-1).reshape(b[0].shape[:-2] + (-1,)) for b in zip(*parts))
-    )
+    # The row index of each sample's last exponential, in time order.
+    width = 2 if config.integrator == MAGNUS4 else 1
+    samples = ((np.arange(len(schedule.segments))[:, None] * steps + ends) * width - 1).reshape(-1)
+    rabi, detuning, phase, v, dt = (x[0] for x in flat_drive(schedule, config, steps))
+    if gamma > 0.0:
+        # Decay is -i gamma per excited atom: the imaginary part of the detuning.
+        detuning = detuning - 1j * gamma
     final, *initial = (x[0] for x in evolve(np.eye(DIMENSION)[None]))
     records = [np.empty((1 + times.size,) + x.shape, dtype=x.dtype) for x in initial]
     for record, x in zip(records, initial):
         record[0] = x
     carry = SectorBlocks(np.eye(2)[..., None], np.eye(3)[..., None], np.ones(1))
-    for batch in row_batches(times.size, 1):
-        operators = running_product(blocks.at(batch)) @ carry
+    for start in range(0, len(phase), _BATCH_BLOCKS):
+        span = np.s_[start : start + _BATCH_BLOCKS]
+        part = (x[span] if len(x) > 1 else x for x in (rabi, detuning, phase, v, dt))
+        operators = running_product(sector_step(*part)) @ carry
         carry = operators.at(np.s_[-1:])
-        evolved, *values = evolve(sector_unitary(operators))
-        for record, value in zip(records, values):
-            record[1:][batch] = value
-        final = evolved[-1]
+        first, last = np.searchsorted(samples, (start, start + _BATCH_BLOCKS))
+        if first < last:
+            evolved, *values = evolve(sector_unitary(operators.at(samples[first:last] - start)))
+            for record, value in zip(records, values):
+                record[1 + first : 1 + last] = value
+            final = evolved[-1]
     return PropagationResult(final, np.append(0.0, times), *records)
 
 

@@ -976,9 +976,9 @@ class TestDecayCurves:
 
         monkeypatch.setattr(propagate, "propagate_density", refuse)
         monkeypatch.setattr(metrics, "conditional_state_fidelity", refuse)
-        calls, original = [], propagate.row_products
+        calls, original = [], propagate.sector_product
         monkeypatch.setattr(
-            propagate, "row_products", lambda *args: calls.append(1) or original(*args)
+            propagate, "sector_product", lambda *args: calls.append(1) or original(*args)
         )
         result = run_decay_curves(
             rabi_frequencies=tuple(2.0 * math.pi * f for f in (5.0, 10.0, 20.0)),

@@ -822,18 +822,14 @@ class TestDecayStack:
 
     @pytest.mark.parametrize("substeps, batches", [(8, 1), (1500, 1), (3000, 3)])
     def test_builds_one_batch_of_complex_detunings_at_a_time(self, substeps, batches, monkeypatch):
-        sizes, original = [], propagate.row_products
+        sizes, original = [], propagate.sector_step
 
-        def recording(drive, rows, steps, exponentials=None):
-            def recorded(batch):
-                inputs = drive(batch)
-                assert np.iscomplexobj(inputs[1])
-                sizes.append(np.size(inputs[1]))
-                return inputs
+        def recording(rabi, detuning, phase, v, dt):
+            assert np.iscomplexobj(detuning)
+            sizes.append(np.size(detuning))
+            return original(rabi, detuning, phase, v, dt)
 
-            return original(recorded, rows, steps, exponentials)
-
-        monkeypatch.setattr(propagate, "row_products", recording)
+        monkeypatch.setattr(propagate, "sector_step", recording)
         config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=substeps)
         evolution_blocks(time_optimal_schedule(), config, np.linspace(0.0, 1.0, 5))
         # A rate's detuning is one value over its phase-only steps, so a
@@ -842,7 +838,15 @@ class TestDecayStack:
         assert max(sizes) <= propagate._BATCH_BLOCKS
         assert len(sizes) == batches
 
-    @pytest.mark.parametrize("gamma", [[-1.0], [math.nan], [math.inf], [0.0, -1e-300]])
+    @pytest.mark.parametrize(
+        "gamma",
+        [
+            [-1.0], [math.nan], [math.inf], [0.0, -1e-300],
+            # Not a 1-D sequence of numbers: a scalar, a matrix, a bool,
+            # a string and a ragged nest.
+            0.5, [[0.1, 0.2]], [True], "ab", [[0.1], [0.2, 0.3]],
+        ],
+    )
     def test_rejects_rates_that_are_not_finite_and_non_negative(self, gamma):
         with pytest.raises(InvalidParameterError, match="decay rates"):
             evolution_blocks(standard_schedule(1.65, V), None, gamma)
@@ -861,7 +865,8 @@ class TestDecayStack:
 class TestRowBatches:
     """Every stacked product multiplies through one row loop, whose batches
     hold whole rows within the budget: at most _BATCH_BLOCKS exponentials
-    and 4 x _BATCH_BLOCKS steps."""
+    and 4 x _BATCH_BLOCKS steps. The sampled engine walks its one row in
+    time slices of _BATCH_BLOCKS steps."""
 
     @pytest.mark.parametrize(
         "stack",
@@ -869,7 +874,6 @@ class TestRowBatches:
             "trials",
             "decay-rates",
             "scan-kappa-points",
-            "sampled-records",
             "10000-step-phase-driven-row",
             "3000-step-thermal-row",
         ],
@@ -900,17 +904,6 @@ class TestRowBatches:
             "scan-kappa-points": (
                 lambda: experiments.scan_kappa(np.linspace(0.5, 4.0, 3000), V), 3000, 4, False, 2
             ),
-            # 3,000 sample intervals of 3 phase-driven substeps.
-            "sampled-records": (
-                lambda: propagate_state(
-                    time_optimal_schedule(), basis_state("11"),
-                    substepped(substeps_per_segment=9000, samples_per_segment=3000),
-                ),
-                3000,
-                3,
-                False,
-                2,
-            ),
             # Sliced along time at 4 x _BATCH_BLOCKS steps.
             "10000-step-phase-driven-row": (
                 lambda: evolution_blocks(
@@ -930,14 +923,7 @@ class TestRowBatches:
                 2,
             ),
         }[stack]
-        shapes, exponentials, original = [], [], propagate.sector_step
-
-        def recording(rabi, detuning, phase, v, dt):
-            shapes.append(np.broadcast(rabi, detuning, phase, v, dt).shape)
-            exponentials.append(math.prod(np.broadcast(rabi, detuning, v, dt).shape))
-            return original(rabi, detuning, phase, v, dt)
-
-        monkeypatch.setattr(propagate, "sector_step", recording)
+        shapes, exponentials = recording_steps(monkeypatch)
         run()
         budget = propagate._BATCH_BLOCKS
         span = budget if stepwise else 4 * budget
@@ -951,6 +937,35 @@ class TestRowBatches:
             assert shape[-1] == row or sliced, shape
         # Every step of every row is taken once.
         assert sum(math.prod(shape) for shape in shapes) == rows * row
+
+    def test_a_sampled_row_is_walked_in_time_slices_of_the_budget(self, monkeypatch):
+        # 3,000 samples of 9,000 phase-driven substeps: the running
+        # product of one row of 9,000 steps, in time slices of
+        # _BATCH_BLOCKS steps, each slice one exponential.
+        shapes, exponentials = recording_steps(monkeypatch)
+        config = IntegratorConfig(
+            mode=SUBSTEPPED, substeps_per_segment=9000, samples_per_segment=3000
+        )
+        result = propagate_state(time_optimal_schedule(), basis_state("11"), config)
+        budget = propagate._BATCH_BLOCKS
+        # 4 x 2,048 + 808 steps: every step is taken once.
+        assert shapes == [(budget,)] * 4 + [(9000 - 4 * budget,)]
+        assert exponentials == [1] * 5
+        assert len(result.times) == 1 + 3000
+
+
+def recording_steps(monkeypatch):
+    """The stack shape of each propagate.sector_step call, and the
+    exponentials it takes: the broadcast shape of its inputs but the phase."""
+    shapes, exponentials, original = [], [], propagate.sector_step
+
+    def recording(rabi, detuning, phase, v, dt):
+        shapes.append(np.broadcast(rabi, detuning, phase, v, dt).shape)
+        exponentials.append(math.prod(np.broadcast(rabi, detuning, v, dt).shape))
+        return original(rabi, detuning, phase, v, dt)
+
+    monkeypatch.setattr(propagate, "sector_step", recording)
+    return shapes, exponentials
 
 
 def oracle_unitary(rabi, detuning, phase, v, t) -> np.ndarray:
@@ -1067,6 +1082,17 @@ class TestSectorCore:
             for k in range(count):
                 expected = full[row, k] @ expected
             np.testing.assert_allclose(product[row], expected, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "detuning, stack",
+        [(-0.5, ()), (np.full((2, 0), -0.5 - 0.1j), (2,))],
+        ids=["real-scalar-drive", "complex-detuning-stack"],
+    )
+    def test_no_steps_give_identity_blocks(self, detuning, stack):
+        product = sector_product(1.0, detuning, np.zeros(0), 1.0, 1.0)
+        assert [b.shape for b in product] == [(2, 2) + stack, (3, 3) + stack, stack]
+        identity = np.broadcast_to(np.eye(9), stack + (9, 9))
+        np.testing.assert_array_equal(sector_unitary(product), identity)
 
     @pytest.mark.parametrize("blocks", [1, 3, 5, 12, 2048])
     def test_sector_product_matches_sequential_product(self, blocks, monkeypatch):
@@ -1258,7 +1284,7 @@ class TestCompactInputs:
 
     def test_short_last_interval_shares_one_exponential(self, monkeypatch):
         # 7 samples of 1,500 substeps: 7 intervals of 214 substeps and a
-        # short last one of 2, each its own product at compact shapes.
+        # short last one of 2, all in one time slice of the row.
         sizes = recording_expm(monkeypatch)
         rho = np.outer(basis_state("11"), basis_state("11"))
         config = IntegratorConfig(
@@ -1266,14 +1292,16 @@ class TestCompactInputs:
         )
         result = propagate_density(time_optimal_schedule(), rho, DecaySpec(gamma=0.05), config)
         assert len(result.times) == 1 + 8
-        # One pair and one triple block for each of the two products.
-        assert sum(sizes) <= 4
+        # One pair and one triple block.
+        assert sum(sizes) == 2
 
     @pytest.mark.parametrize("integrator", [MIDPOINT, MAGNUS4])
-    @pytest.mark.parametrize("kind", ["phase-driven", "thermal"])
+    @pytest.mark.parametrize("kind", ["phase-driven", "thermal", "noisy"])
     def test_short_last_interval_matches_every_substep_sampled(self, kind, integrator):
         # A sample at every substep end (stride 1) has no short interval:
-        # the coarse samples are its rows at the same times.
+        # the coarse samples are its rows at the same times, with the
+        # same bits, since a sample's operator is the product of every
+        # step before it whichever other samples are taken.
         substeps = 1500 if kind == "phase-driven" else 101
         schedule = modulated_schedule(kind, substeps)
         rho = np.outer(basis_state("11"), basis_state("11"))
@@ -1298,7 +1326,7 @@ class TestCompactInputs:
             (coarse.final_state, coarse.populations, coarse.norms),
             (fine.final_state, fine.populations[rows], fine.norms[rows]),
         ):
-            np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(actual, expected)
 
     def test_thermal_steps_take_one_triple_exponential_each(self, monkeypatch):
         sizes = recording_expm(monkeypatch)
