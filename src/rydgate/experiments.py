@@ -66,6 +66,7 @@ from .propagate import (
     check_survival,
     computational_diagonal,
     evolution_blocks,
+    flat_drive,
     propagate_basis,
     row_batches,
     sector_product,
@@ -73,7 +74,7 @@ from .propagate import (
     sector_unitary,
     standard_diagonal,
 )
-from .stochastic import MAX_TRIALS, _monte_carlo, _nominal_gate, thermal_gate_fidelity
+from .stochastic import MAX_TRIALS, _monte_carlo, _nominal_gate, _thermal
 
 REFERENCE_KAPPA = 1.65
 
@@ -547,20 +548,23 @@ def run_thermal_map(
     v: float = V0,
     substeps: int = IntegratorConfig.substeps_per_segment,
 ) -> ScanResult:
-    """Gate fidelity versus trap distance and temperature, each cell by
-    thermal_gate_fidelity. Its vibration aliases at few substeps (see
-    there): at 10 or 50 a cell reads the vibration-free fidelity."""
+    """Gate fidelity versus trap distance and temperature, each cell as
+    thermal_gate_fidelity scores it, against the vibration-free gate
+    scored once for the whole map. Its vibration aliases at few
+    substeps (see there): at 10 or 50 a cell reads the vibration-free
+    fidelity."""
     distances = _axis("distance", distance_grid, DISTANCE_GRID)
     temperatures = _axis("temperature", temperature_grid, TEMPERATURE_GRID)
-    fidelities = []
-    for distance in distances:
-        for temperature in temperatures:
-            spec = ThermalSpec(
-                equilibrium_distance=distance,
-                temperature=temperature,
-                exponent_mode=exponent_mode,
-            )
-            fidelities.append(thermal_gate_fidelity(kappa, v, spec, substeps=substeps))
+    cells = [
+        ThermalSpec(
+            equilibrium_distance=distance, temperature=temperature, exponent_mode=exponent_mode
+        )
+        for distance in distances
+        for temperature in temperatures
+    ]
+    config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=substeps)
+    nominal_gate = _nominal_gate(kappa, v)
+    fidelities = [_thermal(nominal_gate, spec, config) for spec in cells]
     table = {
         "distance": np.repeat(distances, len(temperatures)),
         "temperature": np.tile(temperatures, len(distances)),
@@ -637,11 +641,15 @@ def run_decay_curves(
     single-segment phase-driven schedule, which may also run alone, with
     no rabi frequency.
 
-    A curve is one evolution_blocks stack over the decay rates, the
-    decay-free rate first: the final density M rho M^dagger of a pure
-    state is pure (there are no jump terms), so each rate's final state
-    phi = M psi gives conditional_state_fidelity of its density as
-    |<phi_0|phi>|^2 / |phi|^2 (_decayed_fidelities).
+    The standard curves are the rows of one sector_product stack over
+    (curves, rates), each rate a row of the curve's four steps, the
+    decay-free rate first (_standard_states); the comparison curve, one
+    segment of phase-driven substeps, is one evolution_blocks stack over
+    the rates. The final density M rho M^dagger of a pure state is pure
+    (there are no jump terms), so each rate's final state phi = M psi
+    gives conditional_state_fidelity of its density as
+    |<phi_0|phi>|^2 / |phi|^2 (_decayed_fidelities), each curve scored
+    in order.
     """
     compare_time_optimal = _flag("compare_time_optimal", compare_time_optimal)
     # Checks the substeps whether or not the comparison curve runs.
@@ -658,30 +666,46 @@ def run_decay_curves(
     rates, rows = np.unique(
         [0.0] + [DecaySpec.from_multiplier(m).gamma for m in multipliers], return_inverse=True
     )
-    initial = superposition_state()
-
-    curves = []
-    for rabi in rabis:
-        name = f"geo-{rabi / (2.0 * math.pi):g}mhz"
-        schedule = standard_schedule(REFERENCE_KAPPA, rabi / REFERENCE_KAPPA, units="mhz")
-        curves.append((name, schedule, None))
-    if compare_time_optimal:
-        curves.append(("time-optimal", time_optimal_schedule(), config))
-
+    labels, initial = [0.0] + multipliers, superposition_state()
+    schedules = [
+        standard_schedule(REFERENCE_KAPPA, rabi / REFERENCE_KAPPA, units="mhz") for rabi in rabis
+    ]
+    curves = [f"geo-{rabi / (2.0 * math.pi):g}mhz" for rabi in rabis]
     fidelities = []
-    for name, schedule, config in curves:
-        states = (sector_unitary(evolution_blocks(schedule, config, rates)) @ initial)[rows]
-        fidelities.append(_decayed_fidelities(states, name, [0.0] + multipliers))
+    if schedules:
+        for name, states in zip(curves, _standard_states(schedules, rates, initial)):
+            fidelities.append(_decayed_fidelities(states[rows], name, labels))
+    if compare_time_optimal:
+        curves.append("time-optimal")
+        blocks = evolution_blocks(time_optimal_schedule(), config, rates)
+        states = (sector_unitary(blocks) @ initial)[rows]
+        fidelities.append(_decayed_fidelities(states, curves[-1], labels))
     gamma_multiplier = np.tile(multipliers, len(curves))
     table = {
-        "curve": [name for name, _, _ in curves for _ in multipliers],
+        "curve": [name for name in curves for _ in multipliers],
         "gamma_multiplier": gamma_multiplier,
         "gamma": gamma_multiplier * BASE_DECAY_RATE,
         "fidelity": np.array(fidelities).reshape(-1),
     }
-    return _scan_result(
-        {"curve": [name for name, _, _ in curves], "gamma_multiplier": multipliers}, table
-    )
+    return _scan_result({"curve": curves, "gamma_multiplier": multipliers}, table)
+
+
+def _standard_states(schedules, rates, initial) -> np.ndarray:
+    """The final states (curves, R, 9) from initial of the exact-mode
+    schedules, plain standard ones, at each of the R decay rates.
+
+    Their flat_drive rows share one layout, (1, 1) for rabi, detuning, v
+    and dt and (1, steps) for the phase, so the curves stack on a leading
+    axis, the rates on the next, as the detuning Delta - i gamma at
+    (curves, R, 1): one sector_product, whose row loop never splits a
+    row. A step's exponential and gauge are elementwise, so each row
+    has the bits of the curve's own evolution_blocks stack.
+    """
+    exact = IntegratorConfig()
+    drives = [flat_drive(schedule, exact) for schedule in schedules]
+    rabi, detuning, phase, v, dt = (np.stack(x) for x in zip(*drives))
+    product = sector_product(rabi, detuning - 1j * rates[:, None], phase, v, dt)
+    return sector_unitary(product) @ initial
 
 
 def _decayed_fidelities(states: np.ndarray, curve: str, multipliers) -> np.ndarray:

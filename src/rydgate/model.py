@@ -114,12 +114,20 @@ def check_count(name: str, value, low: int, high: int | None = None) -> None:
 def check_number(name: str, value) -> None:
     """Raise InvalidParameterError naming the value unless it is a real
     number (a numbers.Real other than bool): True would count as 1.0.
-    A float or an int passes without the numbers.Real lookup, which
-    costs a Python-level ABC check on every segment field."""
-    if type(value) not in (float, int) and (
-        not isinstance(value, numbers.Real) or isinstance(value, bool)
-    ):
+    A float passes at once, and an int without the numbers.Real lookup,
+    which costs a Python-level ABC check on every segment field. A
+    number that float() cannot take (an int of 10^400, say) would raise
+    OverflowError in the arithmetic, so it is rejected here."""
+    if type(value) is float:
+        return
+    if type(value) is not int and (not isinstance(value, numbers.Real) or isinstance(value, bool)):
         raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise InvalidParameterError(
+            f"{name} must be a real number within the float range, got {value!r}"
+        ) from None
 
 
 def check_finite_number(name: str, value, relation: str = "") -> None:

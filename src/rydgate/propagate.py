@@ -53,8 +53,9 @@ shares its pair block. The sampled engine takes the running product of
 the row, _BATCH_BLOCKS steps at a time, and keeps the operators at the
 samples; a density at a sample is M rho M^dagger for the product M of
 the steps so far (there are no jump terms), and lost trace is never
-renormalized. What reads only final states applies `evolution_blocks`
-to the state: the decay curves and `convergence_check`.
+renormalized. What reads only final states applies the product to the
+state: `convergence_check` and the decay curves (the standard ones as
+the rows of one sector_product stack over curves and rates).
 """
 
 from __future__ import annotations

@@ -150,7 +150,14 @@ def thermal_gate_fidelity(
     0.9626411 at 1,000 and 4,000. No count is rejected.
     """
     config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=substeps)
-    schedule, amplitudes, target = _nominal_gate(kappa, v)
+    return _thermal(_nominal_gate(kappa, v), thermal, config)
+
+
+def _thermal(nominal_gate, thermal: ThermalSpec, config: IntegratorConfig) -> float:
+    """thermal_gate_fidelity from the _nominal_gate it scores against and
+    its substepped config, so that a map of thermal cells scores the
+    nominal gate once."""
+    schedule, amplitudes, target = nominal_gate
     if thermal.temperature != 0.0:
         if thermal.vibration_rate is None:
             period = schedule.segments[0].duration

@@ -10,6 +10,7 @@ import os
 import re
 import sys
 import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +49,7 @@ from rydgate.model import (
     NoiseSpec,
     PulseSegment,
     Schedule,
+    ThermalSpec,
     basis_state,
     cyclic_segment_duration,
     standard_phases,
@@ -57,6 +59,11 @@ from rydgate.model import (
 from rydgate.propagate import evolution_operator, row_batches, sector_product, sector_unitary
 
 V = 2.0 * math.pi
+# The default decay drives, in MHz and in rad/us.
+DEFAULT_DECAY_RABI = (5.0, 10.0, 20.0)
+DEFAULT_DECAY_RABI_RAD = tuple(2.0 * math.pi * f for f in DEFAULT_DECAY_RABI)
+# An int beyond the float range.
+BIG = 10**400
 
 
 def rows_per_batch(width: int, exponentials: int | None = None) -> int:
@@ -549,6 +556,33 @@ class TestGridEntries:
             call()
 
     @pytest.mark.parametrize(
+        "call, name",
+        [
+            pytest.param(lambda: scan_kappa([BIG]), "kappa", id="scan-kappa"),
+            pytest.param(lambda: scan_kappa([Fraction(BIG)]), "kappa", id="scan-kappa-fraction"),
+            pytest.param(
+                lambda: propagate.evolution_blocks(standard_schedule(1.65, V), None, [BIG]),
+                "decay rates", id="evolution-blocks",
+            ),
+            pytest.param(lambda: run_decay_curves([BIG]), "rabi frequency", id="decay-rabi"),
+            pytest.param(
+                lambda: run_decay_curves(None, [BIG]), "gamma multiplier", id="decay-multiplier"
+            ),
+            pytest.param(lambda: PulseSegment(1, 0, 0, BIG), "segment duration", id="segment"),
+            pytest.param(lambda: standard_schedule(BIG, 1.0), "kappa", id="standard-schedule"),
+            pytest.param(lambda: run_gate(1.65, BIG), "interaction", id="gate"),
+            pytest.param(lambda: run_interferometer([1.0], v=BIG), "interaction", id="interfere"),
+            pytest.param(lambda: run_actuating_scan([BIG]), "eta", id="actuate"),
+            pytest.param(lambda: run_thermal_map([BIG], [1.0]), "distance", id="thermal-map"),
+        ],
+    )
+    def test_numbers_beyond_the_float_range_are_rejected(self, call, name):
+        # float() of such a number raises OverflowError.
+        expected = rf"^{name} must be a real number within the float range, got \D*{BIG}"
+        with pytest.raises(InvalidParameterError, match=expected):
+            call()
+
+    @pytest.mark.parametrize(
         "call, name, grid",
         [
             pytest.param(*runner.values, grid.values[0], id=f"{runner.id}-{grid.id}")
@@ -806,6 +840,20 @@ class TestThermalMap:
         with pytest.raises(InvalidParameterError):
             run_thermal_map(**{axis: []}, substeps=10)
 
+    def test_the_nominal_gate_is_scored_once_per_map(self, monkeypatch):
+        calls = []
+        nominal_gate = experiments._nominal_gate
+        monkeypatch.setattr(
+            experiments, "_nominal_gate", lambda *args: calls.append(args) or nominal_gate(*args)
+        )
+        result = run_thermal_map([6.0, 8.0], [0.0, 10.0], "physical", substeps=40)
+        assert calls == [(REFERENCE_KAPPA, experiments.V0)]
+        # Each cell as thermal_gate_fidelity scores it on its own.
+        for row in result.rows:
+            spec = ThermalSpec(row["distance"], row["temperature"], exponent_mode="physical")
+            cell = stochastic.thermal_gate_fidelity(REFERENCE_KAPPA, experiments.V0, spec, 40)
+            assert row["fidelity"] == cell
+
 
 class TestInterferometer:
     def test_preparation_rotation_is_unitary(self):
@@ -970,23 +1018,95 @@ class TestDecayCurves:
                 fidelities.append(metrics.conditional_state_fidelity(decayed, reference))
         np.testing.assert_allclose(result.table["fidelity"], fidelities, rtol=0.0, atol=1e-12)
 
-    def test_one_product_per_curve_and_no_density(self, monkeypatch):
+    def test_two_products_and_no_density(self, monkeypatch):
+        # One stack for the standard curves, one for the comparison curve.
         def refuse(*args, **kwargs):
             raise AssertionError("a density path ran")
 
         monkeypatch.setattr(propagate, "propagate_density", refuse)
         monkeypatch.setattr(metrics, "conditional_state_fidelity", refuse)
         calls, original = [], propagate.sector_product
-        monkeypatch.setattr(
-            propagate, "sector_product", lambda *args: calls.append(1) or original(*args)
-        )
+        counted = lambda *args: calls.append(1) or original(*args)  # noqa: E731
+        monkeypatch.setattr(propagate, "sector_product", counted)
+        monkeypatch.setattr(experiments, "sector_product", counted)
         result = run_decay_curves(
             rabi_frequencies=tuple(2.0 * math.pi * f for f in (5.0, 10.0, 20.0)),
             multiplier_grid=np.linspace(0.0, 10.0, 21),
             time_optimal_substeps=8,
         )
         assert len(result.axes["curve"]) == 4
-        assert len(calls) == 4
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "rabi, multipliers, stacked_rows",
+        [
+            pytest.param(DEFAULT_DECAY_RABI, np.linspace(0.0, 10.0, 21), [], id="default"),
+            pytest.param(DEFAULT_DECAY_RABI, np.linspace(0.0, 10.0, 201), [603], id="201-rates"),
+            pytest.param(DEFAULT_DECAY_RABI, np.linspace(0.0, 1e5, 21), [], id="squarings"),
+            pytest.param((7.3,), np.linspace(0.0, 10.0, 21), [], id="one-curve"),
+        ],
+    )
+    def test_stacked_curves_equal_each_curve_alone(
+        self, monkeypatch, rabi, multipliers, stacked_rows
+    ):
+        # Rows of the (curves, rates) stack against one evolution_blocks
+        # stack per curve, bit for bit: states and scored fidelities.
+        rows, original = [], propagate.row_products
+        monkeypatch.setattr(
+            propagate, "row_products",
+            lambda drive, count, *args: rows.append(count) or original(drive, count, *args),
+        )
+        rabis = [2.0 * math.pi * f for f in rabi]
+        schedules = [
+            standard_schedule(REFERENCE_KAPPA, r / REFERENCE_KAPPA, units="mhz") for r in rabis
+        ]
+        gammas = [DecaySpec.from_multiplier(m).gamma for m in multipliers]
+        rates, index = np.unique([0.0] + gammas, return_inverse=True)
+        psi = superposition_state()
+        stacked = experiments._standard_states(schedules, rates, psi)
+        assert rows == stacked_rows
+        alone = np.array([
+            sector_unitary(propagate.evolution_blocks(s, None, rates)) @ psi for s in schedules
+        ])
+        np.testing.assert_array_equal(stacked, alone)
+        result = run_decay_curves(rabis, multipliers, compare_time_optimal=False)
+        expected = [
+            _decayed_fidelities(states[index], name, [0.0] + list(multipliers))
+            for states, name in zip(alone, result.axes["curve"])
+        ]
+        np.testing.assert_array_equal(result.table["fidelity"], np.concatenate(expected))
+
+    def test_the_standard_curves_take_one_step_call(self, monkeypatch):
+        calls, original = [], propagate.sector_step
+        monkeypatch.setattr(
+            propagate, "sector_step", lambda *args: calls.append(1) or original(*args)
+        )
+        result = run_decay_curves(DEFAULT_DECAY_RABI_RAD, compare_time_optimal=False)
+        assert result.axes["curve"] == ["geo-5mhz", "geo-10mhz", "geo-20mhz"]
+        assert len(calls) == 1
+
+    def test_a_nan_curve_in_a_mixed_stack_is_named(self):
+        # At this multiplier only the 5 MHz curve's steps, the longest,
+        # pass the 1-norm limit 2^53: its rows are NaN beside finite ones.
+        multiplier = 1e18
+        rates = np.array([0.0, DecaySpec.from_multiplier(multiplier).gamma])
+        schedules = [
+            standard_schedule(REFERENCE_KAPPA, r / REFERENCE_KAPPA, units="mhz")
+            for r in DEFAULT_DECAY_RABI_RAD
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            states = experiments._standard_states(schedules, rates, superposition_state())
+            assert not np.isfinite(states[0, 1]).all()
+            assert np.isfinite(states[0, 0]).all() and np.isfinite(states[1:]).all()
+            message = (
+                f"the surviving population of curve geo-5mhz is not finite at gamma multiplier"
+                f" = {multiplier}: {propagate.NAN_STEP}"
+            )
+            with pytest.raises(IntegratorFailureError, match=re.escape(message)):
+                run_decay_curves(
+                    DEFAULT_DECAY_RABI_RAD, [0.0, multiplier], compare_time_optimal=False
+                )
 
     @pytest.mark.parametrize(
         "curve, options",
