@@ -437,12 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
 # 1,047-1,271, a thermal cell 401-436 and dynamics --samples 400
 # 1,174-1,200.
 # Sizing: arrays come from the heap up to _MMAP_THRESHOLD, above every
-# per-batch array (a batch holds at most 2,048 exponentials, so a complex
-# (3, 3, 2048) stack is 295 kB, as is actuate's (3, 3, 42, 48) one, and
-# at most 4 x 2,048 gauged steps, whose (3, 3, 8192) stack is 1.2 MB), and
-# the heap keeps up to _TRIM_THRESHOLD of freed top, above a batch's
-# working set. Then each of those calls takes 0-3 faults, and a one-off
-# array above _MMAP_THRESHOLD is still mapped fresh and returned.
+# per-batch array (a batch holds at most 4 x 2,048 steps, so its largest
+# array, a complex (3, 3, 8192) stack, is 1.2 MB), and the heap keeps up
+# to _TRIM_THRESHOLD of freed top, above a batch's working set. Then
+# each of those calls takes 0-3 faults, and a one-off array above
+# _MMAP_THRESHOLD is still mapped fresh and returned.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 4 << 20

@@ -478,7 +478,7 @@ def scan_kappa(kappa_grid, v: float = V0) -> ScanResult:
     rabi = np.array(grid) * v
     fields = ("delta_gamma", "return_probabilities", "fidelity", "leakage")
     batches = []
-    for points in row_batches(len(grid), len(standard_phases()), exponentials=1):
+    for points in row_batches(len(grid), len(standard_phases())):
         summary = diagonal_summary(standard_diagonal(rabi[points, None], v, durations[points, None]))
         batches.append([summary[name] for name in fields])
     delta_gamma, returns, fidelity, leakage = map(np.concatenate, zip(*batches))
@@ -804,7 +804,7 @@ def run_actuating_scan(
         v = eta * V0
         rabi = REFERENCE_KAPPA * (V0 if mode == "fixed-omega" else v)
         counts = np.zeros(durations.size, dtype=int)
-        for chunk in row_batches(durations.size, width, exponentials=1):
+        for chunk in row_batches(durations.size, width):
             steps = sector_step(rabi, -v / 2.0, step_phases, v, durations[chunk, None])
             pairs = steps.at(np.s_[:, 1:]) @ steps.at(np.s_[:, :1])
             amplitudes = _cell_amplitudes(pairs, independent_phases)

@@ -223,6 +223,20 @@ class NoiseSpec:
         check_count("noise seed", self.seed, 0)
 
 
+def noise_draw(seed, segment_count: int, substeps: int) -> np.ndarray:
+    """The raw draws r of one noise trace, uniform in [-1, 1), of shape
+    (2, segment_count, substeps): the drive channel, then the detuning
+    channel, from a fresh generator seeded with seed."""
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2, segment_count, substeps))
+
+
+def _noise_multipliers(spec: NoiseSpec, draws):
+    """The multipliers 1 + eta * r of raw draws (..., 2, segments,
+    substeps) of noise_draw: (drive multipliers, detuning multipliers),
+    each of shape (..., segments, substeps)."""
+    return 1.0 + spec.eta_omega * draws[..., 0, :, :], 1.0 + spec.eta_delta * draws[..., 1, :, :]
+
+
 def sample_noise_trace(spec: NoiseSpec, segment_count: int):
     """Draw multiplier arrays of shape (segment_count, substeps).
 
@@ -230,20 +244,22 @@ def sample_noise_trace(spec: NoiseSpec, segment_count: int):
     generator seeded with spec.seed, so a seed always reproduces its trace.
     """
     check_count("segment_count", segment_count, 1)
-    rng = np.random.default_rng(spec.seed)
-    shape = (segment_count, spec.substeps)
-    raw_omega = rng.uniform(-1.0, 1.0, size=shape)
-    raw_delta = rng.uniform(-1.0, 1.0, size=shape)
-    return 1.0 + spec.eta_omega * raw_omega, 1.0 + spec.eta_delta * raw_delta
+    return _noise_multipliers(spec, noise_draw(spec.seed, segment_count, spec.substeps))
 
 
-def noisy_drive(schedule: Schedule, spec: NoiseSpec):
+def noisy_drive(schedule: Schedule, spec: NoiseSpec, draws=None):
     """Drive strength and detuning of each noise substep of the schedule.
 
     Returns arrays of shape (segments, spec.substeps): each segment's
     value x times the multipliers 1 + eta * r of spec's noise trace.
+    Given draws, a stack (..., 2, segments, spec.substeps) of noise_draw
+    traces, it returns the arrays (..., segments, spec.substeps) of each
+    trace instead, with spec's amplitudes.
     """
-    omega, delta = sample_noise_trace(spec, len(schedule.segments))
+    if draws is None:
+        omega, delta = sample_noise_trace(spec, len(schedule.segments))
+    else:
+        omega, delta = _noise_multipliers(spec, draws)
     rabi = np.array([s.rabi for s in schedule.segments])[:, None] * omega
     detuning = np.array([s.detuning for s in schedule.segments])[:, None] * delta
     return rabi, detuning

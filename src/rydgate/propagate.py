@@ -38,15 +38,17 @@ order, the drive of every engine. `sector_product` is the time-ordered
 product of a drive stack S + (T,), for every engine and every scan; the
 decay rates are a stack axis of it. `row_products` is its row loop, and
 that of the Monte-Carlo trials, in the batches of `row_batches`, the one
-budget: at most _BATCH_BLOCKS step exponentials and 4 x _BATCH_BLOCKS
-gauged steps per batch, of whole rows. A row whose inputs other than
-the phase do not vary along its steps takes one exponential, so rows of
-phase-only steps (the decay rates of the time-optimal curve) share one
-sector_step call and one tree up to the step limit. Each input keeps
-its own shape down to `sector_step`, which exponentiates each block at
-the broadcast shape of its own inputs: the pair block at that of
-(rabi, detuning, dt), the triple block at that of (rabi, detuning, v,
-dt) and the antisymmetric phase at that of (detuning, dt). Only the
+budget: as many whole rows as fit in 4 x _BATCH_BLOCKS steps. A row
+whose inputs other than the phase do not vary along its steps takes one
+exponential, so rows of phase-only steps (the decay rates of the
+time-optimal curve) share one sector_step call and one tree. A row
+longer than a batch is sliced along time, at _BATCH_BLOCKS steps when
+an input but the phase varies along it and at 4 x _BATCH_BLOCKS when
+none does. Each input keeps its own shape down to `sector_step`, which
+exponentiates each block at the broadcast shape of its own inputs: the
+pair block at that of (rabi, detuning, dt), the triple block at that of
+(rabi, detuning, v, dt) and the antisymmetric phase at that of
+(detuning, dt). Only the
 gauge broadcasts a block to the stack shape, so steps that differ only
 in phase share their exponentials, and a thermal step, whose v varies,
 shares its pair block. The sampled engine takes the running product of
@@ -93,8 +95,9 @@ SUBSTEPPED = "substepped"
 MIDPOINT = "midpoint"
 MAGNUS4 = "magnus4"
 
-# Step exponentials per batch of row_batches (and a quarter of its
-# gauged steps), and steps per time slice of the sampled engine, whose
+# A quarter of the steps per batch of row_batches, the steps per time
+# slice of a row longer than a batch whose steps take an exponential
+# each, and the steps per time slice of the sampled engine, whose
 # running product keeps every one of them. It bounds the working memory
 # of one batch to a few MB for any stack shape and step count.
 _BATCH_BLOCKS = 2048
@@ -621,37 +624,34 @@ def running_product(steps: SectorBlocks) -> SectorBlocks:
     return SectorBlocks(pair, triple, anti)
 
 
-def row_batches(rows: int, width: int, exponentials: int | None = None):
-    """The slices of rows that the batches of rows of `width` steps take,
-    each step of a row gauged from one of its `exponentials` exponentials
-    (width by default): as many whole rows as hold at most _BATCH_BLOCKS
-    exponentials and 4 x _BATCH_BLOCKS steps, at least one."""
-    exponentials = width if exponentials is None else exponentials
-    count = max(1, min(_BATCH_BLOCKS // int(exponentials), 4 * _BATCH_BLOCKS // int(width)))
+def row_batches(rows: int, width: int):
+    """The slices of rows that the batches of rows of `width` steps take:
+    as many whole rows as fit in 4 x _BATCH_BLOCKS steps, at least one."""
+    count = max(1, 4 * _BATCH_BLOCKS // int(width))
     return (slice(first, first + count) for first in range(0, rows, count))
 
 
-def row_products(drive, rows: int, steps: int, exponentials: int | None = None):
+def row_products(drive, rows: int, steps: int):
     """The time-ordered sector products of rows of `steps` steps, one
     batch of row_batches at a time, each stacked over its batch's rows.
 
     drive(batch) returns the sector_step inputs (rabi, detuning, phase,
     v, dt) of the rows of the slice batch, each at its compact shape
     (rows of the batch or 1, steps or 1), so that only one batch of
-    them exists at once. exponentials is the count of each row's step
-    exponentials: steps (the default) when an input other than the
-    phase varies along the steps, or 1 when none does, so that every
-    step of a row is a gauge of one exponential. A batch holds at most
-    _BATCH_BLOCKS exponentials and 4 x _BATCH_BLOCKS steps. Whole rows
-    are never split between batches, so a row's product is the same in
-    any batch; a row longer than one batch is sliced along time, into
-    slices of _BATCH_BLOCKS steps, or of 4 x _BATCH_BLOCKS steps for
-    rows of one exponential, and its slices are multiplied in order.
+    them exists at once. A batch holds at most 4 x _BATCH_BLOCKS steps.
+    Whole rows are never split between batches, so a row's product is
+    the same in any batch; a row longer than one batch is sliced along
+    time and its slices are multiplied in order. The slices are of
+    _BATCH_BLOCKS steps when an input other than the phase varies along
+    the steps, so that each step takes its own exponential, and of
+    4 x _BATCH_BLOCKS steps when none does, so that every step of a row
+    is a gauge of one exponential.
     """
-    exponentials = steps if exponentials is None else exponentials
-    span = 4 * _BATCH_BLOCKS if exponentials == 1 else _BATCH_BLOCKS
-    for batch in row_batches(rows, steps, exponentials):
+    for batch in row_batches(rows, steps):
         inputs = drive(batch)
+        rabi, detuning, _, v, dt = inputs
+        stepwise = max(x.shape[1] for x in (rabi, detuning, v, dt)) > 1
+        span = _BATCH_BLOCKS if stepwise else 4 * _BATCH_BLOCKS
         total = None
         for start in range(0, steps, span):
             part = (x[:, start : start + span] if x.shape[1] > 1 else x for x in inputs)
@@ -691,14 +691,10 @@ def sector_product(rabi, detuning, phase, v, dt) -> SectorBlocks:
         return ordered_product(sector_step(*drive))
     *stack, steps = shape
     rows = [_rows(x, shape) for x in drive]
-    rabi, detuning, _, v, dt = rows
-    # One exponential a row unless an input but the phase varies along it.
-    stepwise = max(x.shape[1] for x in (rabi, detuning, v, dt)) > 1
     batches = row_products(
         lambda batch: [row[batch] if len(row) > 1 else row for row in rows],
         math.prod(stack),
         steps,
-        steps if stepwise else 1,
     )
     return SectorBlocks(
         *(np.concatenate(b, axis=-1).reshape(b[0].shape[:-1] + tuple(stack)) for b in zip(*batches))

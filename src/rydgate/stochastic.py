@@ -6,8 +6,10 @@ x -> (1 + eta * r) * x with r drawn from [-1, 1]. Traces are fully
 reproducible from the seed; the drive channel is always drawn before
 the detuning channel.
 
-The draw itself, `sample_noise_trace` and `noisy_drive`, lives beside
-`NoiseSpec` in `model`, and is bound here too.
+The draw itself lives beside `NoiseSpec` in `model`: `noise_draw` is
+the one draw of a trace's raw values, both channels in one call,
+`sample_noise_trace` and `noisy_drive` take their multipliers from it,
+and `sample_noise_trace` is bound here too.
 
 Fidelities are scored in sector form, with no 9x9 operator: each
 computational state returns with a phase, so `metrics.diagonal_fidelity`
@@ -15,8 +17,11 @@ scores the computational diagonal against the diagonal of the noise-free
 schedule's compensated target. Monte-Carlo trials are the rows of
 `propagate.row_products`: each trial's noisy drive over (segments x
 substeps) is one row, beside the phase and step lengths of the
-schedule's `propagate.flat_drive`. A batch holds whole trials, so a
-trial's fidelity is the same in any batch.
+schedule's `propagate.flat_drive`. A batch holds as many whole trials
+as fit in its step budget (20 trials of 4 x 100 substeps), so a
+trial's fidelity is the same in any batch. Each trial's raw draws come
+from its own seed, and `noisy_drive` scales the stacked draws of a
+batch once.
 """
 
 from __future__ import annotations
@@ -27,7 +32,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import compensated_cz_target, diagonal_fidelity, diagonal_summary
-from .model import NoiseSpec, ThermalSpec, check_count, noisy_drive, standard_schedule
+from .model import (
+    NoiseSpec,
+    ThermalSpec,
+    check_count,
+    noise_draw,
+    noisy_drive,
+    standard_schedule,
+)
 # Bound here too: callers, perfbench/tracer.py among them, look the draw up here.
 from .model import sample_noise_trace  # noqa: F401
 from .propagate import (
@@ -111,11 +123,12 @@ def _monte_carlo(nominal_gate, spec: NoiseSpec, trials: int) -> MonteCarloResult
     seeds = np.random.SeedSequence(spec.seed).generate_state(trials, dtype=np.uint64)
     config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=int(spec.substeps))
     _, _, phase, v, dt = flat_drive(schedule, config)
+    shape = (len(schedule.segments), config.substeps_per_segment)
 
     def drive(batch):
         # Each trial's trace is drawn whole from its own seed, one batch at a time.
-        traces = [noisy_drive(schedule, replace(spec, seed=int(seed))) for seed in seeds[batch]]
-        rabi, detuning = (np.reshape(channel, (len(traces), -1)) for channel in zip(*traces))
+        draws = np.stack([noise_draw(int(seed), *shape) for seed in seeds[batch]])
+        rabi, detuning = (x.reshape(len(draws), -1) for x in noisy_drive(schedule, spec, draws))
         return rabi, detuning, phase, v, dt
 
     products = row_products(drive, trials, phase.shape[1])

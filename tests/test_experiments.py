@@ -66,10 +66,9 @@ DEFAULT_DECAY_RABI_RAD = tuple(2.0 * math.pi * f for f in DEFAULT_DECAY_RABI)
 BIG = 10**400
 
 
-def rows_per_batch(width: int, exponentials: int | None = None) -> int:
-    """The whole rows of `width` steps, gauged from `exponentials`
-    exponentials each, that one batch of row_batches takes."""
-    return next(row_batches(propagate._BATCH_BLOCKS + 1, width, exponentials)).stop
+def rows_per_batch(width: int) -> int:
+    """The whole rows of `width` steps that one batch of row_batches takes."""
+    return next(row_batches(propagate._BATCH_BLOCKS + 1, width)).stop
 
 
 class TestScanResult:
@@ -731,7 +730,7 @@ class TestScanKappa:
     def test_matches_per_point_oracle(self):
         # Longer than one stacked batch of 4-segment rows of one
         # exponential each, and holding the reference ratio.
-        grid = np.sort(np.append(np.linspace(0.2, 5.0, rows_per_batch(4, 1) + 40), REFERENCE_KAPPA))
+        grid = np.sort(np.append(np.linspace(0.2, 5.0, rows_per_batch(4) + 40), REFERENCE_KAPPA))
         result = scan_kappa(grid, V)
         assert len(result.rows) == grid.size
         for kappa, row in zip(grid, result.rows):
@@ -748,7 +747,7 @@ class TestScanKappa:
     def test_rows_equal_the_nine_by_nine_summary_of_one_stack(self):
         # Scored in batches from the computational diagonal, bit for bit
         # as gate_summary scores the 9x9 operators of the whole grid.
-        grid = np.linspace(0.3, 4.0, 2 * rows_per_batch(4, 1) + 17)
+        grid = np.linspace(0.3, 4.0, 2 * rows_per_batch(4) + 17)
         durations = np.array([cyclic_segment_duration(k, V) for k in grid])
         product = sector_product(
             grid[:, None] * V, -V / 2.0, standard_phases(), V, durations[:, None]
@@ -1388,7 +1387,7 @@ class TestGateSummary:
 
     def test_scan_rows_equal_the_gate_at_each_ratio(self):
         # More points than one batch of scan_kappa, so the rows span batches.
-        grid = np.append(np.linspace(0.2, 5.0, rows_per_batch(4, 1) + 9), REFERENCE_KAPPA)
+        grid = np.append(np.linspace(0.2, 5.0, rows_per_batch(4) + 9), REFERENCE_KAPPA)
         for row in scan_kappa(grid, V).rows:
             payload = run_gate(row["kappa"], V)
             expected = {

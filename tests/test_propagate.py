@@ -864,9 +864,10 @@ class TestDecayStack:
 
 class TestRowBatches:
     """Every stacked product multiplies through one row loop, whose batches
-    hold whole rows within the budget: at most _BATCH_BLOCKS exponentials
-    and 4 x _BATCH_BLOCKS steps. The sampled engine walks its one row in
-    time slices of _BATCH_BLOCKS steps."""
+    hold whole rows within the budget of 4 x _BATCH_BLOCKS steps. A row
+    longer than a batch is sliced along time, at _BATCH_BLOCKS steps when
+    its steps take an exponential each. The sampled engine walks its one
+    row in time slices of _BATCH_BLOCKS steps."""
 
     @pytest.mark.parametrize(
         "stack",
@@ -886,8 +887,9 @@ class TestRowBatches:
         # Each stack: how it runs, its rows, the steps of each row, whether
         # an exponential input varies along them, and the sector_step calls.
         run, rows, row, stepwise, calls = {
-            # 4 segments x 16 noise substeps per trial: 32 trials a batch.
-            "trials": (lambda: stochastic._monte_carlo(nominal, noise, 70), 70, 64, True, 3),
+            # 4 segments x 16 noise substeps per trial: 128 trials a batch,
+            # so 300 trials take batches of 128, 128 and 44.
+            "trials": (lambda: stochastic._monte_carlo(nominal, noise, 300), 300, 64, True, 3),
             # The default grid of 21 rates on 1,500 phase-only substeps:
             # one exponential per rate, 5 rates a batch.
             "decay-rates": (
@@ -930,7 +932,7 @@ class TestRowBatches:
         assert rows * row > budget
         assert len(shapes) == calls
         for shape, count in zip(shapes, exponentials):
-            assert count <= budget and math.prod(shape) <= 4 * budget, shape
+            assert count <= math.prod(shape) <= 4 * budget, shape
             # Whole rows, or one row longer than a batch, sliced along time
             # into full slices and the rest.
             sliced = shape[:-1] == (1,) and row > span and shape[-1] in (span, row % span)

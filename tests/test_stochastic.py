@@ -8,7 +8,7 @@ import pytest
 
 from rydgate import propagate, stochastic
 from rydgate.errors import InvalidParameterError, UndefinedPhaseError
-from rydgate.model import MAX_SUBSTEPS, NoiseSpec, ThermalSpec, standard_schedule
+from rydgate.model import MAX_SUBSTEPS, NoiseSpec, ThermalSpec, noisy_drive, standard_schedule
 from rydgate.stochastic import (
     MAX_TRIALS,
     monte_carlo_gate_fidelity,
@@ -172,9 +172,9 @@ def replayed_fidelities(spec: NoiseSpec, trials: int) -> list:
 class TestBatchedTrials:
     """Monte-Carlo trials stacked in batches against one replay per trial."""
 
-    # 4 segments x 16 substeps: 32 trials fill one batch of 2048 blocks.
+    # 4 segments x 16 substeps: 128 trials fill one batch of 4 x 2,048 steps.
     SPEC = NoiseSpec(eta_omega=0.05, eta_delta=0.04, substeps=16, seed=31)
-    BATCH = propagate._BATCH_BLOCKS // (4 * 16)
+    BATCH = 4 * propagate._BATCH_BLOCKS // (4 * 16)
 
     def test_each_trial_equals_its_replay(self):
         result = monte_carlo_gate_fidelity(1.65, V, self.SPEC, 5)
@@ -189,11 +189,53 @@ class TestBatchedTrials:
         assert result.fidelities == longest.fidelities[:trials]
         assert result.mean_fidelity == pytest.approx(np.mean(result.fidelities), abs=1e-15)
 
-    @pytest.mark.parametrize("blocks", [64 * 3 - 1, 64 * 3, 64 * 3 + 1, 64])
-    def test_batch_bound_does_not_change_trials(self, blocks, monkeypatch):
-        reference = monte_carlo_gate_fidelity(1.65, V, self.SPEC, 7).fidelities
+    # Batches of 2, 3, 3 and 1 trials of 64 steps, each trial sliced along
+    # time at blocks steps: each trial has the bits it has in a batch of
+    # its own, at the same slices.
+    @pytest.mark.parametrize(
+        "blocks, rows", [(16 * 3 - 1, 2), (16 * 3, 3), (16 * 3 + 1, 3), (16, 1)]
+    )
+    def test_batch_bound_does_not_change_trials(self, blocks, rows, monkeypatch):
         monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
-        assert monte_carlo_gate_fidelity(1.65, V, self.SPEC, 7).fidelities == reference
+        assert next(propagate.row_batches(7, 64)).stop == rows
+        batched = monte_carlo_gate_fidelity(1.65, V, self.SPEC, 7).fidelities
+        monkeypatch.setattr(
+            propagate, "row_batches", lambda count, width: (slice(k, k + 1) for k in range(count))
+        )
+        assert monte_carlo_gate_fidelity(1.65, V, self.SPEC, 7).fidelities == batched
+
+    @pytest.mark.parametrize("trials", [BATCH, BATCH + 3])
+    def test_each_row_of_a_batch_drive_is_its_trials_noisy_drive(self, trials, monkeypatch):
+        # The drive of every batch, a full one and a partial one, against
+        # each trial's own trace, bit for bit; the drive channel of a
+        # fresh generator is drawn first.
+        drives, original = [], stochastic.row_products
+
+        def recording(drive, rows, steps):
+            def recorded(batch):
+                inputs = drive(batch)
+                drives.append((batch, inputs[0], inputs[1]))
+                return inputs
+
+            return original(recorded, rows, steps)
+
+        monkeypatch.setattr(stochastic, "row_products", recording)
+        monte_carlo_gate_fidelity(1.65, V, self.SPEC, trials)
+        assert [(batch.start, len(rabi)) for batch, rabi, _ in drives] == [
+            (start, min(self.BATCH, trials - start)) for start in range(0, trials, self.BATCH)
+        ]
+        schedule = standard_schedule(1.65, V)
+        segment_rabi = np.array([s.rabi for s in schedule.segments])[:, None]
+        seeds = np.random.SeedSequence(self.SPEC.seed).generate_state(trials, dtype=np.uint64)
+        for batch, rabi, detuning in drives:
+            for row, seed in enumerate(seeds[batch]):
+                spec = dataclasses.replace(self.SPEC, seed=int(seed))
+                expected_rabi, expected_detuning = noisy_drive(schedule, spec)
+                np.testing.assert_array_equal(rabi[row], expected_rabi.ravel())
+                np.testing.assert_array_equal(detuning[row], expected_detuning.ravel())
+                first = np.random.default_rng(int(seed)).uniform(-1.0, 1.0, size=(4, 16))
+                drawn = segment_rabi * (1.0 + self.SPEC.eta_omega * first)
+                np.testing.assert_array_equal(rabi[row], drawn.ravel())
 
     @pytest.mark.parametrize("blocks", [1, 5, 63])
     def test_trial_longer_than_a_batch_is_split_along_time(self, blocks, monkeypatch):
