@@ -42,19 +42,19 @@ budget: as many whole rows as fit in 4 x _BATCH_BLOCKS steps. A row
 whose inputs other than the phase do not vary along its steps takes one
 exponential, so rows of phase-only steps (the decay rates of the
 time-optimal curve) share one sector_step call and one tree. A row
-longer than a batch is sliced along time, at _BATCH_BLOCKS steps when
-an input but the phase varies along it and at 4 x _BATCH_BLOCKS when
-none does. Each input keeps its own shape down to `sector_step`, which
-exponentiates each block at the broadcast shape of its own inputs: the
-pair block at that of (rabi, detuning, dt), the triple block at that of
-(rabi, detuning, v, dt) and the antisymmetric phase at that of
-(detuning, dt). Only the
-gauge broadcasts a block to the stack shape, so steps that differ only
-in phase share their exponentials, and a thermal step, whose v varies,
-shares its pair block. The sampled engine takes the running product of
-the row, _BATCH_BLOCKS steps at a time, and keeps the operators at the
-samples; a density at a sample is M rho M^dagger for the product M of
-the steps so far (there are no jump terms), and lost trace is never
+longer than a batch is sliced along time at the same budget, and its
+slices fold as `ordered_product`'s halving tree, so its bits do not
+depend on the budget. Each input keeps its own shape down to
+`sector_step`, which exponentiates each block at the broadcast shape of
+its own inputs: the pair block at that of (rabi, detuning, dt), the
+triple block at that of (rabi, detuning, v, dt) and the antisymmetric
+phase at that of (detuning, dt). Only the gauge broadcasts a block to
+the stack shape, so steps that differ only in phase share their
+exponentials, and a thermal step, whose v varies, shares its pair
+block. The sampled engine takes the running product of the row,
+_BATCH_BLOCKS steps at a time, and keeps the operators at the samples;
+a density at a sample is M rho M^dagger for the product M of the steps
+so far (there are no jump terms), and lost trace is never
 renormalized. What reads only final states applies the product to the
 state: `convergence_check` and the decay curves (the standard ones as
 the rows of one sector_product stack over curves and rates).
@@ -95,11 +95,11 @@ SUBSTEPPED = "substepped"
 MIDPOINT = "midpoint"
 MAGNUS4 = "magnus4"
 
-# A quarter of the steps per batch of row_batches, the steps per time
-# slice of a row longer than a batch whose steps take an exponential
-# each, and the steps per time slice of the sampled engine, whose
-# running product keeps every one of them. It bounds the working memory
-# of one batch to a few MB for any stack shape and step count.
+# A quarter of the steps per batch of row_batches, and so of the time
+# slices of a longer row, and the steps per time slice of the sampled
+# engine, whose running product keeps every one of them. It bounds the
+# working memory of one batch to a few MB for any stack shape and step
+# count. A power of two: a row's slices then fold as ordered_product's tree.
 _BATCH_BLOCKS = 2048
 
 # What a NaN step means, for the errors that report one.
@@ -638,25 +638,25 @@ def row_products(drive, rows: int, steps: int):
     drive(batch) returns the sector_step inputs (rabi, detuning, phase,
     v, dt) of the rows of the slice batch, each at its compact shape
     (rows of the batch or 1, steps or 1), so that only one batch of
-    them exists at once. A batch holds at most 4 x _BATCH_BLOCKS steps.
-    Whole rows are never split between batches, so a row's product is
-    the same in any batch; a row longer than one batch is sliced along
-    time and its slices are multiplied in order. The slices are of
-    _BATCH_BLOCKS steps when an input other than the phase varies along
-    the steps, so that each step takes its own exponential, and of
-    4 x _BATCH_BLOCKS steps when none does, so that every step of a row
-    is a gauge of one exponential.
+    them exists at once. A batch holds at most 4 x _BATCH_BLOCKS steps,
+    and a longer row is sliced along time at that budget, a power of
+    two. The slices combine as in ordered_product's halving tree: two
+    subtrees of equally many slices merge, the later on the left, and
+    the rest fold newest first. So a row's product has the bits of
+    ordered_product(sector_step(row)) in any batch and at any budget.
     """
+    span = 4 * _BATCH_BLOCKS
     for batch in row_batches(rows, steps):
         inputs = drive(batch)
-        rabi, detuning, _, v, dt = inputs
-        stepwise = max(x.shape[1] for x in (rabi, detuning, v, dt)) > 1
-        span = _BATCH_BLOCKS if stepwise else 4 * _BATCH_BLOCKS
-        total = None
+        trees = []  # (slices, product) of each whole subtree, oldest first
         for start in range(0, steps, span):
             part = (x[:, start : start + span] if x.shape[1] > 1 else x for x in inputs)
-            product = ordered_product(sector_step(*part))
-            total = product if total is None else product @ total
+            count, total = 1, ordered_product(sector_step(*part))
+            while trees and trees[-1][0] == count:
+                count, total = 2 * count, total @ trees.pop()[1]
+            trees.append((count, total))
+        for _, earlier in reversed(trees[:-1]):
+            total = total @ earlier
         yield total
 
 
@@ -677,8 +677,8 @@ def sector_product(rabi, detuning, phase, v, dt) -> SectorBlocks:
     step lengths dt broadcast to S + (T,), where T is the time-ordered
     step axis, first step first; the product has the stack shape S.
     A complex detuning Delta - i gamma stays complex: decayed steps.
-    A stack of more than _BATCH_BLOCKS steps is taken by row_products,
-    whose rows are the T steps of each stack element. Each input keeps
+    A stack of more than one batch, 4 x _BATCH_BLOCKS steps, is taken by
+    row_products, whose rows are the T steps of each stack element. Each input keeps
     its own shape: a batch takes rows and time slices of an input only
     along the axes where it varies, so steps that differ only in phase
     share their exponential in sector_step.
@@ -687,7 +687,7 @@ def sector_product(rabi, detuning, phase, v, dt) -> SectorBlocks:
     drive = [rabi, np.asarray(detuning, dtype=np.result_type(detuning, float)), phase, v, dt]
     shape = np.broadcast(*drive).shape
     # One batch needs no reshaping, which saves a gate call about 80 us.
-    if math.prod(shape) <= _BATCH_BLOCKS:
+    if math.prod(shape) <= 4 * _BATCH_BLOCKS:
         return ordered_product(sector_step(*drive))
     *stack, steps = shape
     rows = [_rows(x, shape) for x in drive]

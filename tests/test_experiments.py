@@ -1040,7 +1040,10 @@ class TestDecayCurves:
         "rabi, multipliers, stacked_rows",
         [
             pytest.param(DEFAULT_DECAY_RABI, np.linspace(0.0, 10.0, 21), [], id="default"),
-            pytest.param(DEFAULT_DECAY_RABI, np.linspace(0.0, 10.0, 201), [603], id="201-rates"),
+            # 603 rows of 4 steps fit one batch of 4 x 2,048 steps: the
+            # direct path. 2,103 rows do not: the row loop.
+            pytest.param(DEFAULT_DECAY_RABI, np.linspace(0.0, 10.0, 201), [], id="201-rates"),
+            pytest.param(DEFAULT_DECAY_RABI, np.linspace(0.0, 10.0, 701), [2103], id="701-rates"),
             pytest.param(DEFAULT_DECAY_RABI, np.linspace(0.0, 1e5, 21), [], id="squarings"),
             pytest.param((7.3,), np.linspace(0.0, 10.0, 21), [], id="one-curve"),
         ],

@@ -367,8 +367,8 @@ class TestStatePropagation:
             )
 
     # One substep per segment, and for the four-segment schedules a row
-    # of 32 steps one step longer (31) and shorter (33) than the budget.
-    @pytest.mark.parametrize("substeps, blocks", [(1, None), (7, None), (8, 31), (8, 33)])
+    # of 32 steps longer (4 x 7) and shorter (4 x 9) than the budget.
+    @pytest.mark.parametrize("substeps, blocks", [(1, None), (7, None), (8, 7), (8, 9)])
     @pytest.mark.parametrize("kind", ("noisy", "thermal", "phase-driven"))
     def test_substepped_operator_matches_scalar_oracle(self, kind, substeps, blocks, monkeypatch):
         if blocks is not None:
@@ -396,11 +396,11 @@ class TestStatePropagation:
         result = propagate_state(schedule, psi, config)
         assert_history_matches_oracle(result, oracle_history(schedule, substeps, samples, psi))
 
-    @pytest.mark.parametrize("substeps, blocks", [(1, None), (7, None), (8, 31), (8, 33)])
+    @pytest.mark.parametrize("substeps, blocks", [(1, None), (7, None), (8, 15), (8, 17)])
     @pytest.mark.parametrize("kind", ("noisy", "thermal", "phase-driven"))
     def test_magnus4_operator_matches_scalar_oracle(self, kind, substeps, blocks, monkeypatch):
         # A row of 8 substeps is 16 exponentials per segment, 64 per
-        # schedule: the budgets slice it one step short of and past 32.
+        # schedule: longer (4 x 15) and shorter (4 x 17) than the budget.
         if blocks is not None:
             monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
         schedule = modulated_schedule(kind, substeps)
@@ -787,7 +787,7 @@ class TestDecayStack:
         rates = np.linspace(0.0, 3.0, 7)
         alone = [evolution_blocks(schedule, config, [gamma]) for gamma in rates]
         # Two rows of 8 steps per batch: the rates are taken two at a time.
-        monkeypatch.setattr(propagate, "_BATCH_BLOCKS", 16)
+        monkeypatch.setattr(propagate, "_BATCH_BLOCKS", 4)
         stacked = evolution_blocks(schedule, config, rates)
         for k, blocks in enumerate(alone):
             for row, block in zip(blocks, stacked.at(np.s_[k : k + 1])):
@@ -863,11 +863,11 @@ class TestDecayStack:
 
 
 class TestRowBatches:
-    """Every stacked product multiplies through one row loop, whose batches
-    hold whole rows within the budget of 4 x _BATCH_BLOCKS steps. A row
-    longer than a batch is sliced along time, at _BATCH_BLOCKS steps when
-    its steps take an exponential each. The sampled engine walks its one
-    row in time slices of _BATCH_BLOCKS steps."""
+    """Every stacked product of more than one batch multiplies through one
+    row loop, whose batches hold whole rows within the budget of
+    4 x _BATCH_BLOCKS steps. A row longer than a batch is sliced along
+    time at that budget. The sampled engine walks its one row in time
+    slices of _BATCH_BLOCKS steps."""
 
     @pytest.mark.parametrize(
         "stack",
@@ -877,6 +877,7 @@ class TestRowBatches:
             "scan-kappa-points",
             "10000-step-phase-driven-row",
             "3000-step-thermal-row",
+            "9000-step-thermal-row",
         ],
     )
     def test_a_batch_holds_whole_rows_within_the_budget(self, stack, monkeypatch):
@@ -884,12 +885,12 @@ class TestRowBatches:
         noise = NoiseSpec(eta_omega=0.05, eta_delta=0.04, substeps=16, seed=3)
         substepped = functools.partial(IntegratorConfig, mode=SUBSTEPPED)
         thermal = engine_schedule("thermal", None)
-        # Each stack: how it runs, its rows, the steps of each row, whether
-        # an exponential input varies along them, and the sector_step calls.
-        run, rows, row, stepwise, calls = {
+        # Each stack: how it runs, its rows, the steps of each row, and the
+        # sector_step calls.
+        run, rows, row, calls = {
             # 4 segments x 16 noise substeps per trial: 128 trials a batch,
             # so 300 trials take batches of 128, 128 and 44.
-            "trials": (lambda: stochastic._monte_carlo(nominal, noise, 300), 300, 64, True, 3),
+            "trials": (lambda: stochastic._monte_carlo(nominal, noise, 300), 300, 64, 3),
             # The default grid of 21 rates on 1,500 phase-only substeps:
             # one exponential per rate, 5 rates a batch.
             "decay-rates": (
@@ -899,12 +900,11 @@ class TestRowBatches:
                 ),
                 21,
                 1500,
-                False,
                 5,
             ),
             # Each point is one exponential over 4 phases: 2,048 points a batch.
             "scan-kappa-points": (
-                lambda: experiments.scan_kappa(np.linspace(0.5, 4.0, 3000), V), 3000, 4, False, 2
+                lambda: experiments.scan_kappa(np.linspace(0.5, 4.0, 3000), V), 3000, 4, 2
             ),
             # Sliced along time at 4 x _BATCH_BLOCKS steps.
             "10000-step-phase-driven-row": (
@@ -913,29 +913,33 @@ class TestRowBatches:
                 ),
                 1,
                 10000,
-                False,
                 2,
             ),
-            # The interaction varies per step: sliced at _BATCH_BLOCKS steps.
+            # The interaction varies per step. A row within the budget is
+            # one batch; a longer one is sliced at the same budget.
             "3000-step-thermal-row": (
                 lambda: evolution_blocks(thermal, substepped(substeps_per_segment=750)),
                 1,
                 3000,
-                True,
+                1,
+            ),
+            "9000-step-thermal-row": (
+                lambda: evolution_blocks(thermal, substepped(substeps_per_segment=2250)),
+                1,
+                9000,
                 2,
             ),
         }[stack]
         shapes, exponentials = recording_steps(monkeypatch)
         run()
-        budget = propagate._BATCH_BLOCKS
-        span = budget if stepwise else 4 * budget
-        assert rows * row > budget
+        budget = 4 * propagate._BATCH_BLOCKS
+        assert rows * row > propagate._BATCH_BLOCKS
         assert len(shapes) == calls
         for shape, count in zip(shapes, exponentials):
-            assert count <= math.prod(shape) <= 4 * budget, shape
+            assert count <= math.prod(shape) <= budget, shape
             # Whole rows, or one row longer than a batch, sliced along time
             # into full slices and the rest.
-            sliced = shape[:-1] == (1,) and row > span and shape[-1] in (span, row % span)
+            sliced = shape[:-1] == (1,) and row > budget and shape[-1] in (budget, row % budget)
             assert shape[-1] == row or sliced, shape
         # Every step of every row is taken once.
         assert sum(math.prod(shape) for shape in shapes) == rows * row
@@ -954,6 +958,49 @@ class TestRowBatches:
         assert shapes == [(budget,)] * 4 + [(9000 - 4 * budget,)]
         assert exponentials == [1] * 5
         assert len(result.times) == 1 + 3000
+
+
+def sliced_drive(kind: str, rows: int, steps: int):
+    """A drive stack (rows, steps) whose phase varies along every step and,
+    for a thermal row, v, or for a noisy row, rabi and detuning."""
+    rng = np.random.default_rng(3700 + steps)
+    shape = (rows, steps)
+    rabi, detuning, v = np.full((1, 1), 1.3), np.full((1, 1), -0.4), np.full((1, 1), V)
+    if kind == "thermal":
+        v = V * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, shape))
+    elif kind == "noisy":
+        rabi, detuning = (x * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, shape)) for x in (rabi, detuning))
+    return rabi, detuning, rng.uniform(-math.pi, math.pi, shape), v, np.full((1, 1), 0.01)
+
+
+class TestSlicingNeverChangesAProduct:
+    """row_products combines a row's time slices as ordered_product's
+    halving tree combines them, so no budget moves a bit of a product."""
+
+    def test_the_batch_budget_is_a_power_of_two(self):
+        blocks = propagate._BATCH_BLOCKS
+        assert blocks > 0 and blocks & (blocks - 1) == 0
+
+    # Lengths in slices of s = 4 x _BATCH_BLOCKS steps, as (slices, extra steps).
+    @pytest.mark.parametrize("slices, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 1), (4, 0), (5, 3)])
+    @pytest.mark.parametrize("blocks", [1, 4, 16, pytest.param(None, id="default")])
+    @pytest.mark.parametrize("kind", ["thermal", "noisy", "phase-only"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one-row", "a-stack-of-rows"])
+    def test_a_row_has_the_bits_of_its_unsliced_product(
+        self, kind, blocks, slices, extra, stacked, monkeypatch
+    ):
+        if blocks is not None:
+            monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
+        span = 4 * propagate._BATCH_BLOCKS
+        steps = slices * span + extra
+        # A stack of rows fills more than one batch, several rows a batch
+        # where they fit.
+        rows = max(2, 2 * span // steps + 1) if stacked else 1
+        drive = sliced_drive(kind, rows, steps)
+        expected = ordered_product(sector_step(*drive))
+        actual = sector_product(*drive)
+        for block, reference in zip(actual, expected):
+            np.testing.assert_array_equal(block, reference)
 
 
 def recording_steps(monkeypatch):
@@ -1114,7 +1161,9 @@ class TestSectorCore:
             np.testing.assert_allclose(product[index], expected, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.7])
-    @pytest.mark.parametrize("blocks", [5, 10, 15, 2048])
+    # Budgets of 4, 8 and 12 steps: rows of 5 sliced along time, one
+    # row a batch and two; then the whole stack.
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 2048])
     def test_sector_product_rows_do_not_depend_on_the_batch(self, blocks, gamma, monkeypatch):
         # With decay the rows' steps take 0 to 6 squarings in expm.
         rng = np.random.default_rng(931)
@@ -1223,7 +1272,7 @@ class TestCompactInputs:
         [
             pytest.param((3,), 8, 2048, None, id="one-batch"),
             pytest.param((7,), 5, 15, None, id="sliced-rows"),
-            pytest.param((3,), 11, 4, None, id="sliced-time"),
+            pytest.param((3,), 11, 2, None, id="sliced-time"),
             pytest.param((2, 3), 5, 10, None, id="two-stack-axes"),
             pytest.param((4,), 6, 12, [0.0, 0.3, 5.0, 600.0], id="decay-rate-stack"),
             pytest.param((1,), 11, 4, [0.7], id="no-input-varies-along-the-stack"),
@@ -1241,15 +1290,15 @@ class TestCompactInputs:
     @pytest.mark.parametrize("integrator", [MIDPOINT, MAGNUS4])
     @pytest.mark.parametrize("gamma", [None, [0.0, 0.4]])
     def test_substep_drive_has_the_bits_of_the_full_drive(self, kind, integrator, gamma, monkeypatch):
-        # 4 segments of 8 substeps against a budget of 16 steps: every row
-        # is sliced along time.
+        # 4 segments of 8 substeps against a budget of 4 x 4 steps: every
+        # row is sliced along time.
         schedule = modulated_schedule(kind, 8)
         config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=8, integrator=integrator)
         drives, original = [], propagate._substep_drive
         monkeypatch.setattr(
             propagate, "_substep_drive", lambda *args: drives.append(original(*args)) or drives[-1]
         )
-        monkeypatch.setattr(propagate, "_BATCH_BLOCKS", 16)
+        monkeypatch.setattr(propagate, "_BATCH_BLOCKS", 4)
         actual = evolution_blocks(schedule, config, gamma)
         # Each input at the full shape, the MAGNUS4 sums taken over it.
         shape = (len(schedule.segments), 8, 2 if integrator == MAGNUS4 else 1)
@@ -1356,9 +1405,9 @@ class TestCompactInputs:
         monkeypatch.setattr(propagate, "gauged_blocks", recording)
         config = IntegratorConfig(mode=SUBSTEPPED, substeps_per_segment=substeps)
         evolution_blocks(modulated_schedule("thermal", substeps), config)
-        # 4,000 steps are sliced along time at _BATCH_BLOCKS steps.
+        # 4,000 steps fit one batch of 4 x _BATCH_BLOCKS steps.
         assert pairs == [1] * len(triples)
-        assert sum(triples) == 4 * substeps and max(triples) <= propagate._BATCH_BLOCKS
+        assert sum(triples) == 4 * substeps and max(triples) <= 4 * propagate._BATCH_BLOCKS
 
     @pytest.mark.parametrize(
         "kind, config, gamma",

@@ -15,8 +15,8 @@ from rydgate.stochastic import (
     sample_noise_trace,
     thermal_gate_fidelity,
 )
-from rydgate.metrics import compensated_cz_target, gate_fidelity, gate_outcome
-from rydgate.propagate import SUBSTEPPED, IntegratorConfig, evolution_operator
+from rydgate.metrics import compensated_cz_target, diagonal_fidelity, gate_fidelity, gate_outcome
+from rydgate.propagate import SUBSTEPPED, IntegratorConfig, evolution_operator, sector_step
 from test_propagate import oracle_step_operators
 
 V = 2.0 * math.pi
@@ -189,20 +189,16 @@ class TestBatchedTrials:
         assert result.fidelities == longest.fidelities[:trials]
         assert result.mean_fidelity == pytest.approx(np.mean(result.fidelities), abs=1e-15)
 
-    # Batches of 2, 3, 3 and 1 trials of 64 steps, each trial sliced along
-    # time at blocks steps: each trial has the bits it has in a batch of
-    # its own, at the same slices.
+    # Batches of 2, 3, 3 and 1 trials of 64 steps, none sliced along
+    # time: each trial has the bits it has at the default budget.
     @pytest.mark.parametrize(
         "blocks, rows", [(16 * 3 - 1, 2), (16 * 3, 3), (16 * 3 + 1, 3), (16, 1)]
     )
     def test_batch_bound_does_not_change_trials(self, blocks, rows, monkeypatch):
+        default = monte_carlo_gate_fidelity(1.65, V, self.SPEC, 7).fidelities
         monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
         assert next(propagate.row_batches(7, 64)).stop == rows
-        batched = monte_carlo_gate_fidelity(1.65, V, self.SPEC, 7).fidelities
-        monkeypatch.setattr(
-            propagate, "row_batches", lambda count, width: (slice(k, k + 1) for k in range(count))
-        )
-        assert monte_carlo_gate_fidelity(1.65, V, self.SPEC, 7).fidelities == batched
+        assert monte_carlo_gate_fidelity(1.65, V, self.SPEC, 7).fidelities == default
 
     @pytest.mark.parametrize("trials", [BATCH, BATCH + 3])
     def test_each_row_of_a_batch_drive_is_its_trials_noisy_drive(self, trials, monkeypatch):
@@ -237,7 +233,8 @@ class TestBatchedTrials:
                 drawn = segment_rabi * (1.0 + self.SPEC.eta_omega * first)
                 np.testing.assert_array_equal(rabi[row], drawn.ravel())
 
-    @pytest.mark.parametrize("blocks", [1, 5, 63])
+    # Batches of 4, 20 and 60 steps: each trial of 64 steps is sliced.
+    @pytest.mark.parametrize("blocks", [1, 5, 15])
     def test_trial_longer_than_a_batch_is_split_along_time(self, blocks, monkeypatch):
         monkeypatch.setattr(propagate, "_BATCH_BLOCKS", blocks)
         result = monte_carlo_gate_fidelity(1.65, V, self.SPEC, 3)
@@ -290,6 +287,94 @@ class TestMonteCarloOracle:
         ]
         result = monte_carlo_gate_fidelity(1.65, V, spec, 3)
         np.testing.assert_allclose(result.fidelities, expected, rtol=0.0, atol=1e-12)
+
+
+# The 4-point Gauss-Legendre rule on [-1, 1], whose 4 x 4 grid averages
+# a noise substep over its two independent draws.
+LEGENDRE_NODES, LEGENDRE_WEIGHTS = np.polynomial.legendre.leggauss(4)
+
+
+def noise_step_moments(segment, v: float, dt: float, spec: NoiseSpec):
+    """The moments over one noise substep of a segment, from the noise
+    model as NoiseSpec documents it: rabi (1 + eta_omega r) and detuning
+    (1 + eta_delta s), with r and s independent and uniform on [-1, 1].
+
+    Returns E[P], E[Q], E[P x conj P], E[Q x conj Q] and E[P x conj Q]
+    for the substep's pair block P and triple block Q, each by 4 x 4
+    Gauss-Legendre quadrature over (r, s)."""
+    r, s = (x.ravel() for x in np.meshgrid(LEGENDRE_NODES, LEGENDRE_NODES, indexing="ij"))
+    weights = np.outer(LEGENDRE_WEIGHTS, LEGENDRE_WEIGHTS).ravel() / 4.0
+    rabi = segment.rabi * (1.0 + spec.eta_omega * r)
+    detuning = segment.detuning * (1.0 + spec.eta_delta * s)
+    pair, triple, _ = sector_step(rabi, detuning, segment.phase, v, dt)
+    pair, triple = np.moveaxis(pair, -1, 0), np.moveaxis(triple, -1, 0)
+
+    def kron(a, b):
+        n = len(weights)
+        return np.einsum("nij,nkl->nikjl", a, b.conj()).reshape(n, a.shape[1] * b.shape[1], -1)
+
+    moments = (pair, triple, kron(pair, pair), kron(triple, triple), kron(pair, triple))
+    return [np.einsum("n,n...->...", weights, x) for x in moments]
+
+
+def noise_bracket(kappa: float, v: float, spec: NoiseSpec):
+    """|E X| / 4 <= E[F] <= sqrt(E[F^2]) for the Monte-Carlo fidelity F =
+    |X| / 4 of monte_carlo_gate_fidelity, and E[F^2], exactly in eta.
+
+    X = conj(t00) + (conj(t01) + conj(t10)) p + conj(t11) q is linear in
+    the pair entry p and the triple entry q of the gate. The substeps
+    are independent, so each moment of the gate is the product of the
+    moments of its substeps, last substep on the left; every substep of
+    a segment shares its moments."""
+    schedule, _, target = stochastic._nominal_gate(kappa, v)
+    gate = None
+    for segment in schedule.segments:
+        dt = segment.duration / spec.substeps
+        step = noise_step_moments(segment, v, dt, spec)
+        moments = [np.linalg.matrix_power(m, spec.substeps) for m in step]
+        gate = moments if gate is None else [m @ g for m, g in zip(moments, gate)]
+    p, q, pp, qq, pq = (m[0, 0] for m in gate)
+    c = target.conj()
+    c0, c1, c3 = c[0], c[1] + c[2], c[3]
+    mean = c0 + c1 * p + c3 * q
+    square = (
+        abs(c0) ** 2 + abs(c1) ** 2 * pp.real + abs(c3) ** 2 * qq.real
+        + 2.0 * (c0 * np.conj(c1 * p) + c0 * np.conj(c3 * q) + c1 * np.conj(c3) * pq).real
+    )
+    return abs(mean) / 4.0, math.sqrt(square) / 4.0, square / 16.0
+
+
+class TestNoiseMoments:
+    """Monte-Carlo noise cells against the exact noise average of the
+    oracle, which shares only the noise-free gate and sector_step with
+    the engine: the mean fidelity lies in the bracket and the mean of F^2
+    is E[F^2], each within 3 standard errors."""
+
+    @pytest.mark.parametrize(
+        "eta_omega, eta_delta, substeps, trials",
+        [
+            (0.05, 0.0, 100, 400),
+            # Enough trials to tell eta_delta's 4.7e-6 from no noise.
+            (0.0, 0.05, 100, 1200),
+            (0.05, 0.05, 100, 400),
+            # One substep a segment: cheap trials whose F^2 resolves the
+            # correlation of the two channels.
+            (0.05, 0.05, 1, 4000),
+        ],
+    )
+    def test_monte_carlo_cells_match_the_exact_moments(
+        self, eta_omega, eta_delta, substeps, trials
+    ):
+        spec = NoiseSpec(eta_omega=eta_omega, eta_delta=eta_delta, substeps=substeps, seed=3712)
+        lower, upper, square = noise_bracket(1.65, V, spec)
+        fidelities = np.array(monte_carlo_gate_fidelity(1.65, V, spec, trials).fidelities)
+        error = fidelities.std(ddof=1) / math.sqrt(trials)
+        assert lower - 3.0 * error <= fidelities.mean() <= upper + 3.0 * error
+        squares = fidelities**2
+        assert abs(squares.mean() - square) <= 3.0 * squares.std(ddof=1) / math.sqrt(trials)
+        if eta_omega == 0.0:
+            noise_free = float(diagonal_fidelity(*stochastic._nominal_gate(1.65, V)[1:]))
+            assert upper + 3.0 * error < noise_free
 
 
 class TestThermal:
